@@ -36,6 +36,7 @@ from .errors import (
     ConfigParseError,
     DataError,
     FormatVersionMismatch,
+    InvalidConfig,
     InvalidSpec,
     KdlabError,
     NoRunsFound,
@@ -202,6 +203,8 @@ def _parse_train(d: dict) -> TrainConfig:
             mse_mode=str(d.get("mse_mode", "weighted_target")),
             kl_weight_mode=str(d.get("kl_weight_mode", "per_teacher")),
         )
+    except InvalidConfig as e:
+        _fail(f"train.{e.field}", e.why)
     except (ValueError, TypeError) as e:
         raise ConfigParseError(f"train config invalid: {e}") from e
 

@@ -11,6 +11,12 @@ Jacobian inputs. :func:`backward` consumes a tape exactly once;
 :func:`vjp` is the reusable pure core for callers (the multi-objective
 weighting path) that legitimately need several vector-Jacobian products
 through one forward pass.
+
+``vjp`` also takes a stack of K cotangents, shape ``(K, B, d)``, and runs
+them through the tape in one reverse pass; every returned array then
+carries the leading K axis. Each slice is bit-identical to a separate
+2-D call with that cotangent: the stacked matmuls run the same BLAS
+product per slice, and every reduction keeps its order.
 """
 
 from __future__ import annotations
@@ -95,8 +101,13 @@ class EncoderGrads:
         )
 
     def flatten(self) -> np.ndarray:
-        parts = [w.ravel() for w in self.weights] + [b.ravel() for b in self.biases]
-        return np.concatenate(parts) if parts else np.zeros(0)
+        """All gradients as one vector in the order W0, W1, ..., b0, b1, ...;
+        gradients from a stacked :func:`vjp` give a K x P matrix of those."""
+        parts = self.weights + self.biases
+        if not parts:
+            return np.zeros(0)
+        lead = self.biases[0].shape[:-1]  # () or (K,)
+        return np.concatenate([a.reshape(*lead, -1) for a in parts], axis=-1)
 
 
 @dataclass
@@ -209,18 +220,20 @@ def vjp(tape: ForwardTape, grad_features) -> tuple[EncoderGrads, np.ndarray]:
 
     Returns (parameter gradients, gradient w.r.t. the input batch). Safe to
     call repeatedly on one tape; use :func:`backward` for the consume-once
-    contract.
+    contract. A stacked ``(K, B, d)`` cotangent gives K products in one
+    pass, each array with a leading K axis (see the module docstring).
     """
     cfg = tape.params.config
-    gy = as_matrix(grad_features, "grad_features")
-    if gy.shape != tape.features.shape:
+    gy = np.ascontiguousarray(grad_features, dtype=np.float64)
+    as_matrix(gy.reshape(-1, gy.shape[-1]) if gy.ndim == 3 else gy, "grad_features")
+    if gy.shape[-2:] != tape.features.shape:
         raise ShapeMismatch(
             f"grad shape {gy.shape} != features shape {tape.features.shape}"
         )
 
     # Through y = v / ||v||: dv = (dy - (dy . y) y) / ||v||.
     y = tape.features
-    rowdot = np.sum(gy * y, axis=1, keepdims=True)
+    rowdot = np.sum(gy * y, axis=-1, keepdims=True)
     g = (gy - rowdot * y) / tape.norms
 
     weights = tape.params.weights
@@ -230,7 +243,7 @@ def vjp(tape: ForwardTape, grad_features) -> tuple[EncoderGrads, np.ndarray]:
     g_b = [None] * len(biases)
 
     g_w[-1] = tape.layer_inputs[-1].T @ g
-    g_b[-1] = g.sum(axis=0)
+    g_b[-1] = g.sum(axis=-2)
     g = g @ weights[-1].T
 
     for i in range(n_hidden - 1, -1, -1):
@@ -238,7 +251,7 @@ def vjp(tape: ForwardTape, grad_features) -> tuple[EncoderGrads, np.ndarray]:
             g = g * tape.masks[i]
         g = g * _activation_deriv(cfg.activation, tape.pre_acts[i], tape.act_values[i])
         g_w[i] = tape.layer_inputs[i].T @ g
-        g_b[i] = g.sum(axis=0)
+        g_b[i] = g.sum(axis=-2)
         g = g @ weights[i].T
 
     return EncoderGrads(list(g_w), list(g_b)), g

@@ -80,6 +80,15 @@ class StrategyTeacherMismatch(KdlabError):
     """A distilling strategy was requested with zero teachers."""
 
 
+class InvalidConfig(KdlabError, ValueError):
+    """A training configuration field holds a value the trainer cannot run."""
+
+    def __init__(self, field: str, why: str):
+        super().__init__(f"{field} {why}")
+        self.field = field
+        self.why = why
+
+
 class PretrainBelowGate(UserWarning):
     """A pretrained teacher missed the accuracy gate."""
 

@@ -11,6 +11,8 @@ an identical ``(seed, key)`` always yields an identical stream.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import (
@@ -43,12 +45,20 @@ def seeded_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every entry is finite. A finite sum implies finite entries,
+    so the entrywise test runs only when the sum is not finite: a NaN or
+    an infinity, or finite entries whose sum overflows (numpy then warns
+    about the overflow, and the entrywise test accepts the array)."""
+    return math.isfinite(a.sum()) or bool(np.isfinite(a).all())
+
+
 def as_matrix(x, name: str = "matrix") -> np.ndarray:
     """Coerce to a finite 2-D float64 array, raising on bad shape/content."""
     a = np.ascontiguousarray(x, dtype=np.float64)
     if a.ndim != 2:
         raise DimensionMismatch(f"{name} must be 2-D, got ndim={a.ndim}")
-    if a.size and not np.all(np.isfinite(a)):
+    if not _all_finite(a):
         raise NonFiniteInput(f"{name} contains non-finite entries")
     return a
 
@@ -57,7 +67,7 @@ def as_vector(x, name: str = "vector") -> np.ndarray:
     a = np.ascontiguousarray(x, dtype=np.float64)
     if a.ndim != 1:
         raise DimensionMismatch(f"{name} must be 1-D, got ndim={a.ndim}")
-    if a.size and not np.all(np.isfinite(a)):
+    if not _all_finite(a):
         raise NonFiniteInput(f"{name} contains non-finite entries")
     return a
 

@@ -15,6 +15,20 @@ step), trading exactness for cached class vectors; ``text_bank_refresh =
 "batch"`` switches to exact per-batch recomputation. Teacher banks are
 always computed once, after freezing.
 
+Frozen-teacher cache: with ``augmentation.kind == "none"`` a batch's
+image rows are plain training rows, so each ``distill_student`` call
+encodes every teacher's training rows once, in eval mode and in blocks of
+``batch_size`` rows, and keeps their features and image-to-text rows.
+Each batch gathers its rows from the cache and recomputes only the
+text-to-image distribution, which depends on the batch's rows. The cache
+lives for one call and nothing is kept between calls. An eval-mode row's
+bits do not depend on the rows encoded beside it, as long as there are at
+least two: BLAS computes a one-row product with its matrix-vector kernel,
+which rounds differently. So a one-row tail block is folded into the block
+before it, and a one-row batch is encoded on its own as before; the cached
+run computes the same bits as encoding every batch. ``jitter`` and
+``mixup`` produce new rows every batch and encode them per batch.
+
 Single-threaded runs are bit-deterministic in (config, seed): every random
 draw comes from named PCG64 streams derived from the run seed.
 """
@@ -42,8 +56,8 @@ from .encoder import (
     vjp,
     with_lr,
 )
-from .errors import PretrainBelowGate, ShapeMismatch, StrategyTeacherMismatch
-from .numerics import seeded_rng
+from .errors import InvalidConfig, PretrainBelowGate, ShapeMismatch, StrategyTeacherMismatch
+from .numerics import pairwise_logits, seeded_rng, softmax_rows
 
 STRATEGIES = ("base", "avg", "lsr", "dsw")
 
@@ -128,22 +142,45 @@ class TrainConfig:
     text_bank_refresh: str = "epoch"   # epoch | batch
     eval_bank: str = "student"         # student | teacher:<k>
     mse_mode: str = "weighted_target"  # weighted_target | per_teacher
-    kl_weight_mode: str = "per_teacher"  # per_teacher | per_direction
+    kl_weight_mode: str = "per_teacher"  # per_teacher only
     train_fraction: float = 0.8
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be >= 1")
-        if min(self.tau_teacher, self.tau_student, self.tau_distill) <= 0:
-            raise ValueError("temperatures must be > 0")
+        """Reject every value the trainer cannot run, naming the field."""
+        for name in ("epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise InvalidConfig(name, "must be >= 1")
+        for name in ("tau_teacher", "tau_student", "tau_distill"):
+            if getattr(self, name) <= 0:
+                raise InvalidConfig(name, "must be > 0")
         if min(self.loss_ratios) <= 0:
-            raise ValueError("loss ratios must be > 0")
+            raise InvalidConfig("loss_ratios", "must be > 0")
         if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}")
+            raise InvalidConfig("strategy", f"must be one of {STRATEGIES}, got {self.strategy!r}")
         if self.text_bank_refresh not in ("epoch", "batch"):
-            raise ValueError("text_bank_refresh must be 'epoch' or 'batch'")
+            raise InvalidConfig("text_bank_refresh", "must be 'epoch' or 'batch'")
         if self.mse_mode not in ("weighted_target", "per_teacher"):
-            raise ValueError("unknown mse_mode")
+            raise InvalidConfig("mse_mode", "must be 'weighted_target' or 'per_teacher'")
+        if self.kl_weight_mode != "per_teacher":
+            # Every strategy produces per-teacher weights.
+            raise InvalidConfig(
+                "kl_weight_mode", f"must be 'per_teacher', got {self.kl_weight_mode!r}"
+            )
+        if self.eval_bank != "student" and not self._valid_teacher_bank():
+            raise InvalidConfig(
+                "eval_bank",
+                f"must be 'student' or 'teacher:<j>' with 0 <= j < num_teachers="
+                f"{self.num_teachers} under a distilling strategy, got {self.eval_bank!r}",
+            )
+
+    def _valid_teacher_bank(self) -> bool:
+        prefix, _, j = self.eval_bank.partition(":")
+        return (
+            prefix == "teacher"
+            and j.isdecimal()
+            and int(j) < self.num_teachers
+            and self.strategy != "base"
+        )
 
 
 @dataclass
@@ -177,7 +214,6 @@ class EpochRecord:
     recall1: float
     recall5: float
     alphas: np.ndarray    # mean strategy weights over the epoch's batches
-    lsr_alphas: np.ndarray  # similarity-ratio stream, logged for comparison
     fw_iterations: float
     lr: float
     wall_ms: float
@@ -412,6 +448,46 @@ class _Projection:
         return grad @ self.maps[teacher_dim].T
 
 
+def _teacher_outputs(teacher: Teacher, image_rows, tau: float) -> distill.TeacherOutputs:
+    """A frozen teacher's eval-mode view of ``image_rows``."""
+    feats, _ = encode(teacher.image_params, image_rows, train_mode=False)
+    return distill.TeacherOutputs.from_features(feats, teacher.bank, tau)
+
+
+class _FrozenTeacherCache:
+    """One frozen teacher's eval-mode features and image-to-text rows for
+    the training rows ``image_raw[train_idx]``, indexed by position in
+    ``train_idx``. Built in blocks of ``block`` rows, so building needs no
+    more memory than a batch (see the module docstring)."""
+
+    def __init__(self, teacher: Teacher, image_raw, train_idx, block: int, tau: float):
+        n = train_idx.size
+        starts = list(range(0, n, block))
+        if len(starts) > 1 and n - starts[-1] == 1:
+            starts.pop()  # no one-row block
+        feats, i2t = [], []
+        for start, stop in zip(starts, starts[1:] + [n]):
+            out = _teacher_outputs(teacher, image_raw[train_idx[start:stop]], tau)
+            feats.append(out.image_features)
+            i2t.append(out.i2t_probs)
+        self.features = np.concatenate(feats)
+        self.i2t_probs = np.concatenate(i2t)
+        self.bank = teacher.bank
+        self.tau = tau
+
+    def outputs(self, rows: np.ndarray) -> distill.TeacherOutputs:
+        """The teacher's view of the batch at ``rows``; t2i is recomputed
+        because it normalizes over the batch."""
+        u = self.features[rows]
+        return distill.TeacherOutputs(
+            image_features=u,
+            text_features=self.bank,
+            i2t_probs=self.i2t_probs[rows],
+            t2i_probs=softmax_rows(pairwise_logits(self.bank, u), self.tau),
+            tau=self.tau,
+        )
+
+
 def distill_student(
     config: TrainConfig,
     teachers: Sequence[Teacher],
@@ -467,6 +543,14 @@ def distill_student(
     total_steps = config.epochs * batches_per_epoch
     r_clip, r_kl, r_mse = config.loss_ratios
     uniform = np.full(k, 1.0 / k) if k else np.zeros(0)
+    cache = None
+    if use_teachers and config.augmentation.kind == "none" and min(config.batch_size, n_train) > 1:
+        cache = [
+            _FrozenTeacherCache(
+                t, dataset.image_raw, train_idx, config.batch_size, config.tau_teacher
+            )
+            for t in teachers
+        ]
 
     metrics = RunMetrics(strategy=config.strategy, num_teachers=k)
     step = 0
@@ -482,7 +566,6 @@ def distill_student(
 
         sums = {"clip": 0.0, "kl": 0.0, "mse": 0.0, "total": 0.0, "fw": 0.0}
         alpha_sum = np.zeros(k)
-        lsr_sum = np.zeros(k)
         certified = True
         n_batches = 0
 
@@ -511,46 +594,43 @@ def distill_student(
             )
 
             if use_teachers:
-                t_feats, kl_parts = [], []
-                for t in teachers:
-                    u_t, _ = encode(t.image_params, batch.image_raw, train_mode=False)
-                    t_out = distill.TeacherOutputs.from_features(
-                        u_t, t.bank, config.tau_teacher
-                    )
-                    t_feats.append(u_t)
-                    kl_parts.append(
-                        distill.kl_pair_loss(t_out, feats_s, bank_s, config.tau_distill)
-                    )
+                if cache is not None and batch_pos.size > 1:
+                    t_outs = [c.outputs(batch_pos) for c in cache]
+                else:
+                    t_outs = [
+                        _teacher_outputs(t, batch.image_raw, config.tau_teacher)
+                        for t in teachers
+                    ]
+                t_feats = [o.image_features for o in t_outs]
+                kl_parts = [
+                    distill.kl_pair_loss(o, feats_s, bank_s, config.tau_distill)
+                    for o in t_outs
+                ]
 
-                lsr_res = weighting.lsr_weights(
-                    np.array(
-                        [
-                            weighting.teacher_label_similarity(
-                                t_feats[j],
-                                batch.labels_a,
-                                teachers[j].bank,
-                                batch.labels_b if batch.is_mixed else None,
-                                batch.lam if batch.is_mixed else None,
-                            )
-                            for j in range(k)
-                        ]
-                    )
-                )
                 fw_iters = 0.0
                 if config.strategy == "avg":
                     alpha = uniform
                 elif config.strategy == "lsr":
-                    alpha = lsr_res.weights
-                else:  # dsw
-                    rows = []
-                    for kp in kl_parts:
-                        pg_img, _ = vjp(tape_img, kp.grad_image)
-                        pg_txt, _ = vjp(tape_text, kp.grad_text)
-                        rows.append(
-                            np.concatenate([pg_img.flatten(), pg_txt.flatten()])
+                    alpha = weighting.lsr_weights(
+                        np.array(
+                            [
+                                weighting.teacher_label_similarity(
+                                    t_feats[j],
+                                    batch.labels_a,
+                                    teachers[j].bank,
+                                    batch.labels_b if batch.is_mixed else None,
+                                    batch.lam if batch.is_mixed else None,
+                                )
+                                for j in range(k)
+                            ]
                         )
+                    ).weights
+                else:  # dsw: one stacked reverse pass per tape
+                    pg_img, _ = vjp(tape_img, np.stack([kp.grad_image for kp in kl_parts]))
+                    pg_txt, _ = vjp(tape_text, np.stack([kp.grad_text for kp in kl_parts]))
                     gset = weighting.TeacherGradientSet.from_rows(
-                        rows, [kp.l_i2t + kp.l_t2i for kp in kl_parts]
+                        np.concatenate([pg_img.flatten(), pg_txt.flatten()], axis=1),
+                        [kp.l_i2t + kp.l_t2i for kp in kl_parts],
                     )
                     fw = weighting.frank_wolfe_min_norm(
                         gset, max_iter=weighting.DSW_MAX_ITER, tol=weighting.DSW_TOL
@@ -612,7 +692,6 @@ def distill_student(
                     g_w += r_kl * alpha[j] * kp.grad_text
 
                 alpha_sum += alpha
-                lsr_sum += lsr_res.weights
                 sums["fw"] += fw_iters
                 sums["kl"] += breakdown.l_kl_weighted
                 sums["mse"] += breakdown.l_mse
@@ -651,7 +730,7 @@ def distill_student(
                 txt_params, g_txt_params, with_lr(txt_adam, lr_now * n_batches)
             )
 
-        bank_eval = _eval_bank(config, txt_params, teachers, dataset)
+        bank_eval = _eval_bank(config, teachers)
         acc, r1, r5 = evaluate(
             img_params, txt_params, dataset, eval_idx, config.tau_student, bank_eval
         )
@@ -667,7 +746,6 @@ def distill_student(
                 recall1=r1,
                 recall5=r5,
                 alphas=(alpha_sum / nb) if use_teachers else uniform.copy(),
-                lsr_alphas=(lsr_sum / nb) if use_teachers else uniform.copy(),
                 fw_iterations=sums["fw"] / nb,
                 lr=lr_at(config.lr_schedule, config.lr, step - 1, total_steps),
                 wall_ms=(time.perf_counter() - t_start) * 1000.0,
@@ -678,13 +756,11 @@ def distill_student(
     return StudentModel(img_params, txt_params), metrics
 
 
-def _eval_bank(config: TrainConfig, txt_params, teachers, dataset):
+def _eval_bank(config: TrainConfig, teachers):
+    """The bank evaluation ranks against; TrainConfig validated the name."""
     if config.eval_bank == "student":
         return None  # evaluate() builds it from the student text encoder
-    if config.eval_bank.startswith("teacher:"):
-        j = int(config.eval_bank.split(":", 1)[1])
-        return teachers[j].bank
-    raise ValueError(f"unknown eval_bank {config.eval_bank!r}")
+    return teachers[int(config.eval_bank.split(":", 1)[1])].bank
 
 
 DEFAULT_TEACHER_ROSTER: tuple[TeacherSpec, ...] = (

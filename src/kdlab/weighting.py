@@ -38,7 +38,8 @@ class TeacherGradientSet:
 
     @classmethod
     def from_rows(cls, rows, objectives=None) -> "TeacherGradientSet":
-        g = as_matrix(np.vstack([np.asarray(r, dtype=np.float64) for r in rows]))
+        """From a K x P matrix, or a sequence of K gradient vectors."""
+        g = as_matrix(rows)
         obj = (
             np.zeros(g.shape[0])
             if objectives is None

@@ -58,6 +58,12 @@ class TestValidate:
         assert cli.main(["validate", str(p)]) == 2
         assert "loss_ratios" in capsys.readouterr().err
 
+    def test_kl_weight_mode_names_field(self, tmp_path, capsys):
+        p = tmp_path / "m.json"
+        write_manifest(p, train={**TINY_TRAIN, "kl_weight_mode": "per_direction"})
+        assert cli.main(["validate", str(p)]) == 2
+        assert "train.kl_weight_mode" in capsys.readouterr().err
+
     def test_missing_dataset_file(self, tmp_path):
         p = tmp_path / "m.json"
         write_manifest(p, dataset={"path": str(tmp_path / "absent.ds")})

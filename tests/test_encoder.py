@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from kdlab import encoder as enc
-from kdlab.errors import FormatVersionMismatch, ShapeMismatch, TapeReused, ZeroVector
+from kdlab.errors import (
+    FormatVersionMismatch,
+    NonFiniteInput,
+    ShapeMismatch,
+    TapeReused,
+    ZeroVector,
+)
 from kdlab.numerics import seeded_rng
 from oracles import central_diff_grad, fraction_within
 
@@ -75,6 +81,23 @@ class TestEncode:
             total += mask.size
         assert abs(zeros / total - 0.3) < 0.01
 
+    @pytest.mark.parametrize("hidden", [(96,), (80,), (64,), (112,)])
+    def test_eval_rows_independent_of_batch(self, hidden):
+        # The frozen-teacher cache relies on this: at teacher shapes, an
+        # eval-mode row has the same bits in a block of rows as in any
+        # permuted batch of two or more rows (one row takes BLAS's
+        # matrix-vector kernel and is not covered).
+        p = enc.init_params(enc.EncoderConfig(32, hidden, 8), seeded_rng(3))
+        rng = seeded_rng(4)
+        x = rng.normal(size=(200, 32))
+        block, _ = enc.encode(p, x[:64])
+        for size in (2, 3, 17, 63, 64, 65, 200):
+            rows = rng.permutation(200)[:size]
+            rows[0] = rng.integers(64)  # at least one row from the block
+            feats, _ = enc.encode(p, x[rows])
+            in_block = rows < 64
+            np.testing.assert_array_equal(feats[in_block], block[rows[in_block]])
+
     def test_input_shape_check(self):
         p = small_params()
         with pytest.raises(ShapeMismatch):
@@ -103,6 +126,35 @@ class TestBackward:
         g2, _ = enc.vjp(tape, feats)
         for a, b in zip(g1.weights, g2.weights):
             np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("dropout_p", [0.0, 0.5])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_stacked_vjp_matches_separate_calls(self, k, dropout_p):
+        cfg = enc.EncoderConfig(32, (48, 48), 8, "relu", dropout_p)
+        p = enc.init_params(cfg, seeded_rng(5))
+        rng = seeded_rng(6)
+        _, tape = enc.encode(p, rng.normal(size=(64, 32)), train_mode=True, rng=rng)
+        assert all((m is not None) == (dropout_p > 0) for m in tape.masks)
+        cots = rng.normal(size=(k, 64, 8))
+        stacked, gx = enc.vjp(tape, cots)
+        flat = stacked.flatten()
+        assert flat.shape == (k, p.n_params())
+        for j in range(k):
+            single, gx_j = enc.vjp(tape, cots[j])
+            for a, b in zip(single.weights + single.biases, stacked.weights + stacked.biases):
+                np.testing.assert_array_equal(a, b[j])
+            np.testing.assert_array_equal(gx_j, gx[j])
+            np.testing.assert_array_equal(single.flatten(), flat[j])
+
+    def test_stacked_vjp_checks_shape_and_finiteness(self, rng):
+        p = small_params()
+        _, tape = enc.encode(p, rng.normal(size=(5, 4)))
+        with pytest.raises(ShapeMismatch):
+            enc.vjp(tape, np.zeros((2, 4, 3)))
+        bad = np.zeros((2, 5, 3))
+        bad[1, 2, 0] = np.nan
+        with pytest.raises(NonFiniteInput):
+            enc.vjp(tape, bad)
 
     @pytest.mark.parametrize("activation", ["tanh", "relu", "identity"])
     def test_gradcheck_params(self, activation):

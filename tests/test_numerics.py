@@ -1,13 +1,51 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kdlab import numerics as nm
 from kdlab.errors import (
     DimensionMismatch,
+    NonFiniteInput,
     NonPositiveTemperature,
     NotADistribution,
     ZeroVector,
 )
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf])
+
+
+# The fast path sums the entries first; numpy warns when that sum
+# overflows or meets opposite infinities, and the entrywise check decides.
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+class TestFiniteCheck:
+    @given(
+        st.integers(1, 6), st.integers(1, 6), st.data(), NON_FINITE,
+    )
+    def test_any_non_finite_entry_rejected(self, rows, cols, data, bad):
+        a = np.array(data.draw(st.lists(FINITE, min_size=rows * cols, max_size=rows * cols)))
+        a[data.draw(st.integers(0, a.size - 1))] = bad
+        with pytest.raises(NonFiniteInput):
+            nm.as_vector(a)
+        with pytest.raises(NonFiniteInput):
+            nm.as_matrix(a.reshape(rows, cols))
+
+    @given(st.lists(FINITE, min_size=1, max_size=24))
+    def test_finite_accepted(self, values):
+        a = np.array(values)
+        np.testing.assert_array_equal(nm.as_vector(a), a)
+        np.testing.assert_array_equal(nm.as_matrix(a[None, :]), a[None, :])
+
+    def test_finite_entries_whose_sum_overflows_accepted(self):
+        for m in ([[1e308, 1e308]], [[-1.7e308], [-1.7e308]]):
+            np.testing.assert_array_equal(nm.as_matrix(m), m)
+        np.testing.assert_array_equal(nm.as_vector([1e308, 1e308]), [1e308, 1e308])
+
+    def test_empty_accepted(self):
+        assert nm.as_matrix(np.zeros((0, 3))).shape == (0, 3)
+        assert nm.as_vector([]).shape == (0,)
 
 
 class TestL2Normalize:

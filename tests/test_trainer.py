@@ -1,11 +1,12 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
-from kdlab import data, trainer
+from kdlab import data, distill, trainer
 from kdlab.encoder import param_fingerprint
-from kdlab.errors import StrategyTeacherMismatch
+from kdlab.errors import InvalidConfig, StrategyTeacherMismatch
 from kdlab.numerics import seeded_rng
 
 TINY_SPEC = data.SyntheticSpec(
@@ -38,6 +39,41 @@ def tiny_config(**kw):
     )
     base.update(kw)
     return trainer.TrainConfig(**base)
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("mode", ["per_direction", "per-teacher", ""])
+    def test_kl_weight_mode_only_per_teacher(self, mode):
+        with pytest.raises(InvalidConfig) as info:
+            tiny_config(kl_weight_mode=mode)
+        assert info.value.field == "kl_weight_mode"
+        assert tiny_config(kl_weight_mode="per_teacher").kl_weight_mode == "per_teacher"
+
+    @pytest.mark.parametrize(
+        "bank, strategy",
+        [
+            ("teacher:2", "avg"),    # only teachers 0 and 1 exist
+            ("teacher:9", "dsw"),
+            ("teacher:-1", "avg"),
+            ("teacher:", "avg"),
+            ("teacher:x", "avg"),
+            ("teacher", "avg"),
+            ("Student", "avg"),
+            ("teacher:0", "base"),   # base has no teachers
+        ],
+    )
+    def test_eval_bank_rejected(self, bank, strategy):
+        with pytest.raises(InvalidConfig) as info:
+            tiny_config(eval_bank=bank, strategy=strategy)
+        assert info.value.field == "eval_bank"
+
+    @pytest.mark.parametrize("bank", ["student", "teacher:0", "teacher:1"])
+    def test_eval_bank_accepted(self, bank):
+        assert tiny_config(eval_bank=bank).eval_bank == bank
+
+    def test_errors_stay_value_errors(self):
+        with pytest.raises(ValueError):
+            tiny_config(epochs=0)
 
 
 class TestLrAt:
@@ -318,6 +354,79 @@ class TestDistill:
         )
         _, m = trainer.distill_student(cfg, teachers, ds, train_idx, eval_idx)
         assert np.isfinite(m.final.total)
+
+
+class TestFrozenTeacherCache:
+    @staticmethod
+    def teacher_encode_sizes(monkeypatch, tiny, **kw):
+        """Row counts of every teacher encode in one distill run."""
+        ds, train_idx, eval_idx, teachers = tiny
+        teacher_params = [t.image_params for t in teachers]
+        real = trainer.encode
+        sizes = []
+
+        def counting(params, x, train_mode=False, rng=None):
+            if any(params is p for p in teacher_params):
+                assert not train_mode
+                sizes.append(np.shape(x)[0])
+            return real(params, x, train_mode=train_mode, rng=rng)
+
+        monkeypatch.setattr(trainer, "encode", counting)
+        trainer.distill_student(tiny_config(**kw), teachers, ds, train_idx, eval_idx)
+        return sizes
+
+    def test_no_augmentation_encodes_each_block_once(self, monkeypatch, tiny):
+        n_train = tiny[1].size
+        sizes = self.teacher_encode_sizes(monkeypatch, tiny, batch_size=30, strategy="dsw")
+        assert len(sizes) == 2 * math.ceil(n_train / 30)
+        assert sum(sizes) == 2 * n_train
+
+    def test_mixup_encodes_every_batch(self, monkeypatch, tiny):
+        n_train = tiny[1].size
+        sizes = self.teacher_encode_sizes(
+            monkeypatch, tiny, batch_size=30, strategy="lsr",
+            augmentation=trainer.Augmentation("mixup", beta=0.4),
+        )
+        assert len(sizes) == 3 * 2 * math.ceil(n_train / 30)
+
+    def test_one_row_batches_skip_the_cache(self, monkeypatch, tiny):
+        # n_train % batch_size == 1: the one-row tail joins the last block,
+        # and each epoch's one-row batch is encoded on its own.
+        n_train = tiny[1].size
+        sizes = self.teacher_encode_sizes(monkeypatch, tiny, batch_size=n_train - 1)
+        assert sizes == [n_train, n_train] + [1, 1] * 3
+
+    def test_cached_outputs_match_per_batch_outputs(self, tiny):
+        ds, train_idx, _, teachers = tiny
+        rows_raw = ds.image_raw[train_idx]
+        rng = np.random.default_rng(0)
+        for t in teachers:
+            cache = trainer._FrozenTeacherCache(t, ds.image_raw, train_idx, 30, 4.0)
+            for size in (2, 5, 30, 31, train_idx.size):
+                rows = rng.permutation(train_idx.size)[:size]
+                got = cache.outputs(rows)
+                feats, _ = trainer.encode(t.image_params, rows_raw[rows], train_mode=False)
+                want = distill.TeacherOutputs.from_features(feats, t.bank, 4.0)
+                for name in ("image_features", "text_features", "i2t_probs", "t2i_probs"):
+                    np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+    def test_dsw_uses_two_stacked_vjps_per_batch(self, monkeypatch, tiny):
+        ds, train_idx, eval_idx, teachers = tiny
+        real = trainer.vjp
+        shapes = []
+
+        def counting(tape, grad):
+            shapes.append(np.shape(grad))
+            return real(tape, grad)
+
+        monkeypatch.setattr(trainer, "vjp", counting)
+        trainer.distill_student(
+            tiny_config(strategy="dsw", epochs=1), teachers, ds, train_idx, eval_idx
+        )
+        batches = math.ceil(train_idx.size / 32)
+        stacked = [s for s in shapes if len(s) == 3]
+        assert len(stacked) == 2 * batches and all(s[0] == 2 for s in stacked)
+        assert len(shapes) == 3 * batches + 1  # plus the image step and one text step
 
 
 class TestRunSingle:
