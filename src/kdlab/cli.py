@@ -6,9 +6,11 @@ Verbs:
   report <dir>          aggregate completed runs into a ranked table
   gen-data <spec> <out> materialize a synthetic dataset file
 
-A manifest is a single JSON file with an explicit ``schema_version``; the
-four ablation suites (loss_ratio, strategy, teacher_count, student_size)
-expand into fixed grids over the base training config. Each run writes
+A manifest is a single JSON file with an explicit ``schema_version``. Its
+objects are read field by field into the config dataclasses of ``trainer``
+and ``data``, which own every default and every check. The four ablation
+suites (loss_ratio, strategy, teacher_count, student_size) expand into
+fixed grids over the base training config. Each run writes
 ``metrics.csv`` (one row per epoch, deterministic byte-for-byte for a
 given manifest and seed) and a ``run.json`` echo; the suite writes
 ``summary.csv`` and ``manifest.json`` with config echo, library version,
@@ -21,16 +23,26 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import sys
 import time
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .data import PairedDataset, SyntheticSpec, generate, load_dataset, save_dataset
+from .data import (
+    LABEL_SHUFFLE,
+    PairedDataset,
+    SyntheticSpec,
+    WeightNoise,
+    generate,
+    load_dataset,
+    save_dataset,
+)
 from .errors import (
     ChecksumMismatch,
     ConfigParseError,
@@ -44,8 +56,7 @@ from .errors import (
 )
 from .trainer import (
     DEFAULT_TEACHER_ROSTER,
-    Augmentation,
-    LrSchedule,
+    STRATEGIES,
     PretrainConfig,
     RunMetrics,
     StudentConfig,
@@ -53,7 +64,6 @@ from .trainer import (
     TrainConfig,
     run_single,
 )
-from .data import WeightNoise
 
 SCHEMA_VERSION = 1
 SUITES = ("single", "loss_ratio", "strategy", "teacher_count", "student_size")
@@ -64,7 +74,7 @@ LOSS_RATIO_GRID = (
     ("1:1:0.5", (1.0, 1.0, 0.5)),
     ("1:1:1", (1.0, 1.0, 1.0)),
 )
-STRATEGY_GRID = ("base", "avg", "lsr", "dsw")
+STRATEGY_GRID = STRATEGIES
 TEACHER_COUNT_GRID = (1, 2, 3, 4)
 STUDENT_SIZE_GRID = (
     ("2x48-d4", StudentConfig(hidden_widths=(48, 48), output_dim=4)),
@@ -80,6 +90,16 @@ METRIC_COLUMNS = (
     "fw_iters", "lr",
 )
 
+_MANIFEST_FIELDS = {
+    "schema_version", "suite", "seeds", "dataset", "train", "pretrain", "teachers",
+    "output_dir",
+}
+# TrainConfig fields a manifest does not set: a run's seed comes from
+# ``seeds``, and the CLI evaluates on the student bank and the default split.
+_RUN_ONLY_FIELDS = {
+    (TrainConfig, "seed"), (TrainConfig, "eval_bank"), (TrainConfig, "train_fraction"),
+}
+
 
 @dataclasses.dataclass
 class Manifest:
@@ -94,207 +114,191 @@ class Manifest:
     raw: dict
 
 
-def _fail(field: str, why: str):
-    raise ConfigParseError(f"manifest field {field!r}: {why}")
+def _fail(where: str, why: str):
+    raise ConfigParseError(f"{where!r}: {why}")
 
 
-def _expect(d: dict, field: str, typ, default=None, required=False):
-    if field not in d:
-        if required:
-            _fail(field, "missing")
-        return default
-    v = d[field]
-    if typ is float and isinstance(v, int):
-        v = float(v)
-    if not isinstance(v, typ):
-        _fail(field, f"expected {getattr(typ, '__name__', typ)}, got {type(v).__name__}")
-    return v
+def _path(where: str, key) -> str:
+    if type(key) is int:
+        return f"{where}[{key}]"
+    return f"{where}.{key}" if where else key
 
 
-def _parse_schedule(d: dict) -> LrSchedule:
-    kind = _expect(d, "kind", str, required=True)
-    if kind not in ("fixed", "cosine"):
-        _fail("train.lr_schedule.kind", f"must be fixed|cosine, got {kind!r}")
-    eta_min = d.get("eta_min")
-    return LrSchedule(kind=kind, eta_min=float(eta_min) if eta_min is not None else None)
+def _object(obj, where: str, known) -> dict:
+    """``obj`` as a manifest object each of whose keys is in ``known`` (a
+    set or a dict's keys)."""
+    if type(obj) is not dict:
+        _fail(where, f"expected an object, got {type(obj).__name__}")
+    if not obj.keys() <= known:
+        _fail(_path(where, next(k for k in obj if k not in known)), "unknown field")
+    return obj
 
 
-def _parse_augmentation(d: dict) -> Augmentation:
-    kind = _expect(d, "kind", str, required=True)
-    if kind not in ("none", "jitter", "mixup"):
-        _fail("train.augmentation.kind", f"must be none|jitter|mixup, got {kind!r}")
-    return Augmentation(
-        kind=kind,
-        sigma=float(d.get("sigma", 0.0)),
-        beta=float(d.get("beta", 0.4)),
-    )
+# A field's reader is its scalar type (int, float or str), or a function
+# ``read(v, where, key)`` for anything else. Paths are formatted only on
+# failure.
+def _read(read, v, where: str, key):
+    if type(v) is read:  # bool is no int here
+        return v
+    if read is float and type(v) is int:
+        return float(v)
+    if type(read) is type:
+        _fail(_path(where, key), f"expected {read.__name__}, got {type(v).__name__}")
+    return read(v, where, key)
 
 
-def _parse_student(d: dict) -> StudentConfig:
-    return StudentConfig(
-        hidden_widths=tuple(int(w) for w in d.get("hidden_widths", (32,))),
-        output_dim=int(d.get("output_dim", 16)),
-        activation=str(d.get("activation", "relu")),
-        dropout_p=float(d.get("dropout_p", 0.5)),
-    )
+def _sequence(item):
+    def read(v, where, key):
+        if type(v) is not list:
+            _fail(_path(where, key), f"expected a list, got {type(v).__name__}")
+        items = [
+            x if type(x) is item else _read(item, x, _path(where, key), i)
+            for i, x in enumerate(v)
+        ]
+        return tuple(items)
+
+    return read
 
 
-def _parse_corruption(d: dict | None):
-    if d is None:
+def _read_corruption(v, where, key):
+    if v is None:
         return None
-    kind = _expect(d, "kind", str, required=True)
-    if kind == "none":
-        return None
+    where = _path(where, key)
+    rest = dict(_object(v, where, {"kind", "sigma"}))
+    kind = rest.pop("kind", None)
     if kind == "weight_noise":
-        return WeightNoise(sigma=float(d.get("sigma", 1.0)))
-    if kind == "label_shuffle":
-        return "label_shuffle"
-    _fail("teachers[].corruption.kind", f"unknown kind {kind!r}")
+        return _build(WeightNoise, rest, where)
+    if kind not in ("none", LABEL_SHUFFLE):
+        _fail(f"{where}.kind", f"must be none, weight_noise or label_shuffle, got {kind!r}")
+    _object(rest, where, set())  # sigma belongs to weight_noise only
+    return None if kind == "none" else LABEL_SHUFFLE
 
 
-def _parse_teacher(d: dict) -> TeacherSpec:
-    return TeacherSpec(
-        hidden_widths=tuple(int(w) for w in d.get("hidden_widths", (96,))),
-        output_dim=int(d.get("output_dim", 16)),
-        activation=str(d.get("activation", "relu")),
-        dropout_p=float(d.get("dropout_p", 0.0)),
-        corruption=_parse_corruption(d.get("corruption")),
-    )
+def _reader(tp):
+    if dataclasses.is_dataclass(tp):
+        return lambda v, where, key: _build(tp, v, _path(where, key))
+    args = typing.get_args(tp)
+    if WeightNoise in args:
+        return _read_corruption
+    if typing.get_origin(tp) is tuple:
+        return _sequence(_reader(args[0]))
+    if type(None) in args:
+        inner = _reader(next(a for a in args if a is not type(None)))
+        return lambda v, where, key: None if v is None else _read(inner, v, where, key)
+    return tp
 
 
-def _parse_train(d: dict) -> TrainConfig:
-    ratios = d.get("loss_ratios", [1.0, 1.0, 1.0])
-    if not isinstance(ratios, (list, tuple)) or len(ratios) != 3:
-        _fail("train.loss_ratios", "expected three numbers (clip, kl, mse)")
-    ratios = tuple(float(r) for r in ratios)
-    for i, r in enumerate(ratios):
-        if r <= 0:
-            _fail(f"train.loss_ratios[{i}]", f"must be > 0, got {r}")
-    strategy = str(d.get("strategy", "avg"))
-    if strategy not in ("base", "avg", "lsr", "dsw"):
-        _fail("train.strategy", f"must be base|avg|lsr|dsw, got {strategy!r}")
-    taus = {
-        name: float(d.get(name, 4.0))
-        for name in ("tau_teacher", "tau_student", "tau_distill")
+@functools.cache
+def _readers(cls) -> dict:
+    """Field name -> reader for each manifest field of ``cls``, built on
+    first use (resolving the type hints is the costly part)."""
+    hints = typing.get_type_hints(cls)
+    return {
+        f.name: _reader(hints[f.name])
+        for f in dataclasses.fields(cls)
+        if (cls, f.name) not in _RUN_ONLY_FIELDS
     }
-    for name, tau in taus.items():
-        if tau <= 0:
-            _fail(f"train.{name}", f"must be > 0, got {tau}")
-    epochs = int(d.get("epochs", 40))
-    batch_size = int(d.get("batch_size", 64))
-    if epochs < 1:
-        _fail("train.epochs", "must be >= 1")
-    if batch_size < 1:
-        _fail("train.batch_size", "must be >= 1")
+
+
+def _build(cls, obj, where: str):
+    """The config dataclass ``cls`` built from the manifest object ``obj``
+    found at ``where``. A missing key takes the field's default; an
+    unknown key, a wrong type, or a value ``cls`` rejects fails naming
+    the field."""
+    readers = _readers(cls)
+    kwargs = {
+        key: v if type(v) is readers[key] else _read(readers[key], v, where, key)
+        for key, v in _object(obj, where, readers.keys()).items()
+    }
     try:
-        return TrainConfig(
-            epochs=epochs,
-            batch_size=batch_size,
-            lr=float(d.get("lr", 1e-4)),
-            lr_schedule=_parse_schedule(d.get("lr_schedule", {"kind": "fixed"})),
-            **taus,
-            loss_ratios=ratios,
-            strategy=strategy,
-            num_teachers=int(d.get("num_teachers", 2)),
-            augmentation=_parse_augmentation(d.get("augmentation", {"kind": "none"})),
-            student=_parse_student(d.get("student", {})),
-            seed=0,
-            text_bank_refresh=str(d.get("text_bank_refresh", "epoch")),
-            mse_mode=str(d.get("mse_mode", "weighted_target")),
-            kl_weight_mode=str(d.get("kl_weight_mode", "per_teacher")),
-        )
+        return cls(**kwargs)
     except InvalidConfig as e:
-        _fail(f"train.{e.field}", e.why)
-    except (ValueError, TypeError) as e:
-        raise ConfigParseError(f"train config invalid: {e}") from e
+        _fail(_path(where, e.field), e.why)
+    except InvalidSpec as e:
+        _fail(where, str(e))
+
+
+_read_roster = _sequence(_reader(TeacherSpec))
+
+
+def _read_json(path, what: str):
+    try:
+        return json.loads(Path(path).read_text())
+    except OSError as e:
+        raise ConfigParseError(f"cannot read {what} {path}: {e}") from e
+    except json.JSONDecodeError as e:
+        raise ConfigParseError(f"{what} {path} is not valid JSON: {e}") from e
 
 
 def load_manifest(path) -> Manifest:
-    try:
-        raw = json.loads(Path(path).read_text())
-    except OSError as e:
-        raise ConfigParseError(f"cannot read manifest {path}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise ConfigParseError(f"manifest {path} is not valid JSON: {e}") from e
-    if not isinstance(raw, dict):
+    raw = _read_json(path, "manifest")
+    if type(raw) is not dict:
         raise ConfigParseError("manifest must be a JSON object")
+    _object(raw, "", _MANIFEST_FIELDS)
 
-    version = _expect(raw, "schema_version", int, required=True)
+    if "schema_version" not in raw:
+        _fail("schema_version", "missing")
+    version = _read(int, raw["schema_version"], "", "schema_version")
     if version != SCHEMA_VERSION:
         _fail("schema_version", f"expected {SCHEMA_VERSION}, got {version}")
-    suite = _expect(raw, "suite", str, default="single")
+    suite = _read(str, raw.get("suite", "single"), "", "suite")
     if suite not in SUITES:
         _fail("suite", f"must be one of {SUITES}, got {suite!r}")
-    seeds = _expect(raw, "seeds", list, default=[0])
-    if not seeds or not all(isinstance(s, int) for s in seeds):
+    seeds = raw.get("seeds", [0])
+    if type(seeds) is not list or not seeds or any(type(s) is not int for s in seeds):
         _fail("seeds", "must be a non-empty list of integers")
 
-    dataset = _expect(raw, "dataset", dict, default={"spec": {}})
-    spec = None
-    dpath = None
+    dataset = _object(raw.get("dataset", {}), "dataset", {"spec", "path"})
+    spec = dpath = None
     if "path" in dataset:
-        dpath = str(dataset["path"])
+        if "spec" in dataset:
+            _fail("dataset", "give spec or path, not both")
+        dpath = _read(str, dataset["path"], "dataset", "path")
     else:
-        try:
-            spec = SyntheticSpec.from_dict({**SyntheticSpec().to_dict(), **dataset.get("spec", {})})
-        except InvalidSpec as e:
-            raise ConfigParseError(f"dataset.spec invalid: {e}") from e
+        spec = _build(SyntheticSpec, dataset.get("spec", {}), "dataset.spec")
 
-    train = _parse_train(_expect(raw, "train", dict, default={}))
-    pre_d = _expect(raw, "pretrain", dict, default={})
-    pretrain = PretrainConfig(
-        epochs=int(pre_d.get("epochs", 30)),
-        batch_size=int(pre_d.get("batch_size", 64)),
-        lr=float(pre_d.get("lr", 1e-3)),
-        tau=float(pre_d.get("tau", 4.0)),
-        accuracy_gate=float(pre_d.get("accuracy_gate", 0.95)),
-    )
-    roster_raw = _expect(raw, "teachers", list, default=None)
+    train = _build(TrainConfig, raw.get("train", {}), "train")
+    pretrain = _build(PretrainConfig, raw.get("pretrain", {}), "pretrain")
     roster = (
-        list(DEFAULT_TEACHER_ROSTER)
-        if roster_raw is None
-        else [_parse_teacher(t) for t in roster_raw]
+        list(_read_roster(raw["teachers"], "", "teachers"))
+        if "teachers" in raw
+        else list(DEFAULT_TEACHER_ROSTER)
     )
-    max_k = 4 if suite == "teacher_count" else train.num_teachers
-    if train.strategy != "base" and len(roster) < max_k:
-        _fail("teachers", f"suite needs {max_k} roster entries, got {len(roster)}")
-
-    output_dir = _expect(raw, "output_dir", str, default="runs")
     return Manifest(
         suite=suite,
-        seeds=[int(s) for s in seeds],
+        seeds=seeds,
         dataset_spec=spec,
         dataset_path=dpath,
         train=train,
         pretrain=pretrain,
         roster=roster,
-        output_dir=output_dir,
+        output_dir=_read(str, raw.get("output_dir", "runs"), "", "output_dir"),
         raw=raw,
     )
 
 
 def expand_grid(manifest: Manifest) -> list[tuple[str, TrainConfig]]:
-    base = manifest.train
-    if manifest.suite == "single":
-        return [("default", base)]
-    if manifest.suite == "loss_ratio":
-        return [
-            (label, dataclasses.replace(base, loss_ratios=ratios))
-            for label, ratios in LOSS_RATIO_GRID
-        ]
-    if manifest.suite == "strategy":
-        return [
-            (name, dataclasses.replace(base, strategy=name)) for name in STRATEGY_GRID
-        ]
-    if manifest.suite == "teacher_count":
-        return [
-            (f"K{k}", dataclasses.replace(base, num_teachers=k))
-            for k in TEACHER_COUNT_GRID
-        ]
-    return [
-        (label, dataclasses.replace(base, student=student))
-        for label, student in STUDENT_SIZE_GRID
-    ]
+    """The suite's (grid label, config) rows. A row the trainer would
+    reject, or one needing more teachers than the roster holds, fails
+    naming the field."""
+    base, replace = manifest.train, dataclasses.replace
+    try:
+        if manifest.suite == "single":
+            grid = [("default", base)]
+        elif manifest.suite == "loss_ratio":
+            grid = [(label, replace(base, loss_ratios=r)) for label, r in LOSS_RATIO_GRID]
+        elif manifest.suite == "strategy":
+            grid = [(name, replace(base, strategy=name)) for name in STRATEGY_GRID]
+        elif manifest.suite == "teacher_count":
+            grid = [(f"K{k}", replace(base, num_teachers=k)) for k in TEACHER_COUNT_GRID]
+        else:
+            grid = [(label, replace(base, student=s)) for label, s in STUDENT_SIZE_GRID]
+    except InvalidConfig as e:
+        _fail(f"train.{e.field}", f"{e.why} (in the {manifest.suite} suite)")
+    need = max((c.num_teachers for _, c in grid if c.strategy != "base"), default=0)
+    if len(manifest.roster) < need:
+        _fail("teachers", f"suite needs {need} roster entries, got {len(manifest.roster)}")
+    return grid
 
 
 def _resolve_dataset(manifest: Manifest) -> PairedDataset:
@@ -408,10 +412,10 @@ def _summarize(out_dir: Path, suite: str, grid_labels: list[str], seeds: list[in
 
 def cmd_run(args) -> int:
     manifest = load_manifest(args.manifest)
+    grid = expand_grid(manifest)
     out_dir = Path(args.output_dir or manifest.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     seeds = [int(args.seed_override)] if args.seed_override is not None else manifest.seeds
-    grid = expand_grid(manifest)
     _resolve_dataset(manifest)  # fail fast on data problems
 
     t0 = time.perf_counter()
@@ -540,16 +544,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_gen_data(args) -> int:
-    try:
-        raw = json.loads(Path(args.spec).read_text())
-    except OSError as e:
-        raise ConfigParseError(f"cannot read spec {args.spec}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise ConfigParseError(f"spec {args.spec} is not valid JSON: {e}") from e
-    try:
-        spec = SyntheticSpec.from_dict({**SyntheticSpec().to_dict(), **raw})
-    except InvalidSpec as e:
-        raise ConfigParseError(str(e)) from e
+    spec = _build(SyntheticSpec, _read_json(args.spec, "spec"), "spec")
     ds = generate(spec)
     try:
         save_dataset(ds, args.out)

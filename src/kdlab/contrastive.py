@@ -53,17 +53,12 @@ class ContrastiveBatch:
 
 @dataclass
 class LossValueWithGrad:
-    """Scalar loss plus gradients w.r.t. the two feature matrices.
-
-    ``value_i2t`` / ``value_t2i`` expose the per-direction cross-entropy
-    pieces separately; ``value`` is their average.
-    """
+    """Scalar loss (the mean of the two directions' cross-entropies) plus
+    gradients w.r.t. the two feature matrices."""
 
     value: float
     grad_image: np.ndarray
     grad_text: np.ndarray
-    value_i2t: float
-    value_t2i: float
 
 
 @dataclass(frozen=True)
@@ -73,20 +68,6 @@ class MixedLabels:
 
     labels_b: np.ndarray
     lam: np.ndarray
-
-
-def image_to_text_probs(batch: ContrastiveBatch) -> np.ndarray:
-    """Row i = softmax over text candidates j of (U_i . W_j) / tau."""
-    return softmax_rows(
-        pairwise_logits(batch.image_features, batch.text_features), batch.tau
-    )
-
-
-def text_to_image_probs(batch: ContrastiveBatch) -> np.ndarray:
-    """Row j = softmax over image candidates i of (W_j . U_i) / tau."""
-    return softmax_rows(
-        pairwise_logits(batch.text_features, batch.image_features), batch.tau
-    )
 
 
 def _check_labels(labels, n_rows: int, n_candidates: int, name: str) -> np.ndarray:
@@ -167,8 +148,6 @@ def clip_loss(
         value=0.5 * (l_i2t + l_t2i),
         grad_image=grad_u,
         grad_text=grad_w,
-        value_i2t=l_i2t,
-        value_t2i=l_t2i,
     )
 
 

@@ -15,13 +15,13 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .encoder import EncoderParams, encode
-from .errors import ChecksumMismatch, FormatVersionMismatch, InvalidSpec
+from .errors import ChecksumMismatch, FormatVersionMismatch, InvalidConfig, InvalidSpec
 from .numerics import seeded_rng
 
 _MAGIC = b"KDLAB-PAIRED-DS\x00"
@@ -171,7 +171,11 @@ def generate(spec: SyntheticSpec) -> PairedDataset:
 class WeightNoise:
     """Corruption mode: independent Gaussian noise on every weight matrix."""
 
-    sigma: float
+    sigma: float = 1.0
+
+    def __post_init__(self):
+        if self.sigma < 0:
+            raise InvalidConfig("sigma", "must be >= 0")
 
 
 LABEL_SHUFFLE = "label_shuffle"
@@ -268,7 +272,3 @@ def load_dataset(path) -> PairedDataset:
         labels=labels,
         probe_accuracy=float(header["probe_accuracy"]),
     )
-
-
-def with_seed(spec: SyntheticSpec, seed: int) -> SyntheticSpec:
-    return dc_replace(spec, seed=seed)

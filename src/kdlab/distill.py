@@ -44,26 +44,13 @@ class TeacherOutputs:
 
 @dataclass
 class KlPairLoss:
-    """Bidirectional KL losses for one teacher with student-side gradients.
-
-    Gradients are split per direction so direction-weighted assembly stays
-    possible; ``grad_image`` / ``grad_text`` sum both directions.
-    """
+    """Bidirectional KL losses for one teacher with student-side gradients,
+    each gradient summed over both directions."""
 
     l_i2t: float
     l_t2i: float
-    grad_image_i2t: np.ndarray
-    grad_text_i2t: np.ndarray
-    grad_image_t2i: np.ndarray
-    grad_text_t2i: np.ndarray
-
-    @property
-    def grad_image(self) -> np.ndarray:
-        return self.grad_image_i2t + self.grad_image_t2i
-
-    @property
-    def grad_text(self) -> np.ndarray:
-        return self.grad_text_i2t + self.grad_text_t2i
+    grad_image: np.ndarray
+    grad_text: np.ndarray
 
 
 def _mean_row_kl(p_teacher: np.ndarray, log_p_student: np.ndarray) -> float:
@@ -138,10 +125,8 @@ def kl_pair_loss(
     return KlPairLoss(
         l_i2t=l_i2t,
         l_t2i=l_t2i,
-        grad_image_i2t=grad_u_i2t,
-        grad_text_i2t=grad_w_i2t,
-        grad_image_t2i=grad_u_t2i,
-        grad_text_t2i=grad_w_t2i,
+        grad_image=grad_u_i2t + grad_u_t2i,
+        grad_text=grad_w_i2t + grad_w_t2i,
     )
 
 
@@ -199,7 +184,7 @@ def check_simplex(weights, k: int | None = None, tol: float = 1e-9) -> np.ndarra
         raise InvalidSimplex(f"expected {k} weights, got {w.shape[0]}")
     if w.size == 0:
         raise InvalidSimplex("weights must be non-empty")
-    if np.any(w < -tol) or abs(float(w.sum()) - 1.0) > tol:
+    if not (np.all(w >= -tol) and abs(float(w.sum()) - 1.0) <= tol):  # NaN fails too
         raise InvalidSimplex("weights must be nonnegative and sum to 1")
     return w
 
@@ -210,15 +195,12 @@ def total_loss(
     l_mse: float,
     ratios: tuple[float, float, float],
     weights,
-    weight_mode: str = "per_teacher",
 ) -> LossBreakdown:
     """Assemble the student objective.
 
     total = r_clip * l_clip + r_kl * KL + r_mse * l_mse, where KL is the
-    weighted bidirectional KL. In ``per_teacher`` mode each teacher's
-    (i2t + t2i) sum is weighted by its simplex coefficient; the
-    ``per_direction`` variant instead applies a two-point simplex to the
-    direction sums pooled over teachers.
+    weighted bidirectional KL: each teacher's (i2t + t2i) sum weighted by
+    its simplex coefficient.
     """
     r_clip, r_kl, r_mse = (float(r) for r in ratios)
     if r_clip <= 0.0 or r_kl <= 0.0 or r_mse <= 0.0:
@@ -226,14 +208,8 @@ def total_loss(
     l_i2t = [float(a) for a, _ in kl_terms]
     l_t2i = [float(b) for _, b in kl_terms]
 
-    if weight_mode == "per_teacher":
-        w = check_simplex(weights, k=len(kl_terms))
-        kl_weighted = float(np.dot(w, np.asarray(l_i2t) + np.asarray(l_t2i)))
-    elif weight_mode == "per_direction":
-        w = check_simplex(weights, k=2)
-        kl_weighted = float(w[0] * np.sum(l_i2t) + w[1] * np.sum(l_t2i))
-    else:
-        raise ValueError(f"unknown weight_mode {weight_mode!r}")
+    w = check_simplex(weights, k=len(kl_terms))
+    kl_weighted = float(np.dot(w, np.asarray(l_i2t) + np.asarray(l_t2i)))
 
     total = r_clip * float(l_clip) + r_kl * kl_weighted + r_mse * float(l_mse)
     return LossBreakdown(

@@ -7,10 +7,8 @@ vectors. The same type serves frozen teachers and the trainable student.
 
 ``encode`` returns the features together with a :class:`ForwardTape`
 caching everything the reverse pass needs, including the normalization
-Jacobian inputs. :func:`backward` consumes a tape exactly once;
-:func:`vjp` is the reusable pure core for callers (the multi-objective
-weighting path) that legitimately need several vector-Jacobian products
-through one forward pass.
+Jacobian inputs. :func:`vjp` is the pure reverse pass; a tape can be
+replayed, which the multi-objective weighting path relies on.
 
 ``vjp`` also takes a stack of K cotangents, shape ``(K, B, d)``, and runs
 them through the tape in one reverse pass; every returned array then
@@ -24,18 +22,34 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatVersionMismatch, ShapeMismatch, TapeReused, ZeroVector
+from .errors import FormatVersionMismatch, ShapeMismatch, ZeroVector
 from .numerics import ZERO_NORM_EPS, as_matrix
 
 ACTIVATIONS = ("relu", "tanh", "identity")
 
 _CKPT_MAGIC = b"KDLABENC"
 _CKPT_VERSION = 1
+
+
+def architecture_problem(arch) -> tuple[str, str] | None:
+    """The first field of ``arch`` no encoder can be built with, as
+    (field, why), or None. ``arch`` is an :class:`EncoderConfig` or any
+    config with its ``hidden_widths``, ``output_dim``, ``activation`` and
+    ``dropout_p``; this is the one rule for all of them."""
+    if any(w < 1 for w in arch.hidden_widths):
+        return "hidden_widths", f"must all be >= 1, got {tuple(arch.hidden_widths)}"
+    if arch.output_dim < 1:
+        return "output_dim", f"must be >= 1, got {arch.output_dim}"
+    if arch.activation not in ACTIVATIONS:
+        return "activation", f"must be one of {ACTIVATIONS}, got {arch.activation!r}"
+    if not 0.0 <= arch.dropout_p < 1.0:
+        return "dropout_p", f"must lie in [0, 1), got {arch.dropout_p}"
+    return None
 
 
 @dataclass(frozen=True)
@@ -50,13 +64,11 @@ class EncoderConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_widths", tuple(int(w) for w in self.hidden_widths))
-        dims = (self.input_dim, *self.hidden_widths, self.output_dim)
-        if any(d < 1 for d in dims):
-            raise ShapeMismatch(f"all layer dims must be >= 1, got {dims}")
-        if self.activation not in ACTIVATIONS:
-            raise ShapeMismatch(f"unknown activation {self.activation!r}")
-        if not (0.0 <= self.dropout_p < 1.0):
-            raise ShapeMismatch(f"dropout_p must lie in [0, 1), got {self.dropout_p}")
+        if self.input_dim < 1:
+            raise ShapeMismatch(f"input_dim must be >= 1, got {self.input_dim}")
+        problem = architecture_problem(self)
+        if problem:
+            raise ShapeMismatch("{} {}".format(*problem))
 
     @property
     def layer_dims(self) -> tuple[int, ...]:
@@ -112,7 +124,7 @@ class EncoderGrads:
 
 @dataclass
 class ForwardTape:
-    """Cached activations from one forward pass, consumed by one backward."""
+    """Cached activations from one forward pass, read by :func:`vjp`."""
 
     params: EncoderParams
     layer_inputs: list[np.ndarray]  # input to each affine layer
@@ -123,7 +135,6 @@ class ForwardTape:
     norms: np.ndarray               # row norms of raw_out, shape (B, 1)
     features: np.ndarray            # normalized output rows
     train_mode: bool
-    consumed: bool = field(default=False)
 
 
 def init_params(config: EncoderConfig, rng: np.random.Generator) -> EncoderParams:
@@ -159,7 +170,7 @@ def encode(
     train_mode: bool = False,
     rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, ForwardTape]:
-    """Forward pass producing unit-norm feature rows and a backward tape.
+    """Forward pass producing unit-norm feature rows and the tape :func:`vjp` reads.
 
     Dropout is applied to hidden activations only, with inverted scaling,
     and only when ``train_mode`` is set; evaluation passes never touch the
@@ -219,9 +230,9 @@ def vjp(tape: ForwardTape, grad_features) -> tuple[EncoderGrads, np.ndarray]:
     """Pure vector-Jacobian product through the pass recorded on ``tape``.
 
     Returns (parameter gradients, gradient w.r.t. the input batch). Safe to
-    call repeatedly on one tape; use :func:`backward` for the consume-once
-    contract. A stacked ``(K, B, d)`` cotangent gives K products in one
-    pass, each array with a leading K axis (see the module docstring).
+    call repeatedly on one tape. A stacked ``(K, B, d)`` cotangent gives K
+    products in one pass, each array with a leading K axis (see the module
+    docstring).
     """
     cfg = tape.params.config
     gy = np.ascontiguousarray(grad_features, dtype=np.float64)
@@ -255,15 +266,6 @@ def vjp(tape: ForwardTape, grad_features) -> tuple[EncoderGrads, np.ndarray]:
         g = g @ weights[i].T
 
     return EncoderGrads(list(g_w), list(g_b)), g
-
-
-def backward(tape: ForwardTape, grad_features) -> tuple[EncoderGrads, np.ndarray]:
-    """Consume a tape, returning (parameter gradients, input gradients)."""
-    if tape.consumed:
-        raise TapeReused("tape already consumed by a backward pass")
-    result = vjp(tape, grad_features)
-    tape.consumed = True
-    return result
 
 
 @dataclass(frozen=True)

@@ -31,10 +31,6 @@ class ShapeMismatch(KdlabError):
     """Array shapes inconsistent with the encoder configuration."""
 
 
-class TapeReused(KdlabError):
-    """A forward tape was consumed by more than one backward pass."""
-
-
 # contrastive
 class LabelOutOfRange(KdlabError):
     """A label does not index a row of the candidate feature matrix."""
@@ -81,7 +77,7 @@ class StrategyTeacherMismatch(KdlabError):
 
 
 class InvalidConfig(KdlabError, ValueError):
-    """A training configuration field holds a value the trainer cannot run."""
+    """A configuration field holds a value the library cannot run."""
 
     def __init__(self, field: str, why: str):
         super().__init__(f"{field} {why}")

@@ -83,15 +83,6 @@ def l2_normalize(v) -> np.ndarray:
     return a / norm
 
 
-def normalize_rows(m) -> np.ndarray:
-    """Row-wise L2 normalization of a matrix."""
-    a = as_matrix(m)
-    norms = np.linalg.norm(a, axis=1, keepdims=True)
-    if np.any(norms < ZERO_NORM_EPS):
-        raise ZeroVector("a row has near-zero norm")
-    return a / norms
-
-
 def cosine_sim(a, b) -> float:
     """Cosine of the angle between two vectors, clamped to [-1, 1]."""
     va = as_vector(a, "a")

@@ -35,7 +35,6 @@ draw comes from named PCG64 streams derived from the run seed.
 
 from __future__ import annotations
 
-import time
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -49,6 +48,7 @@ from .encoder import (
     EncoderConfig,
     EncoderParams,
     adam_step,
+    architecture_problem,
     encode,
     init_adam,
     init_params,
@@ -76,7 +76,9 @@ class LrSchedule:
 
     def __post_init__(self):
         if self.kind not in ("fixed", "cosine"):
-            raise ValueError(f"unknown lr schedule {self.kind!r}")
+            raise InvalidConfig("kind", f"must be 'fixed' or 'cosine', got {self.kind!r}")
+        if self.eta_min is not None and self.eta_min < 0:
+            raise InvalidConfig("eta_min", "must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -87,7 +89,19 @@ class Augmentation:
 
     def __post_init__(self):
         if self.kind not in ("none", "jitter", "mixup"):
-            raise ValueError(f"unknown augmentation {self.kind!r}")
+            raise InvalidConfig(
+                "kind", f"must be 'none', 'jitter' or 'mixup', got {self.kind!r}"
+            )
+        if self.sigma < 0:
+            raise InvalidConfig("sigma", "must be >= 0")
+        if self.beta <= 0:
+            raise InvalidConfig("beta", "must be > 0")
+
+
+def _check_architecture(spec) -> None:
+    problem = architecture_problem(spec)
+    if problem:
+        raise InvalidConfig(*problem)
 
 
 @dataclass(frozen=True)
@@ -96,6 +110,8 @@ class StudentConfig:
     output_dim: int = 8
     activation: str = "relu"
     dropout_p: float = 0.5
+
+    __post_init__ = _check_architecture
 
 
 @dataclass(frozen=True)
@@ -106,6 +122,8 @@ class TeacherSpec:
     dropout_p: float = 0.0
     corruption: WeightNoise | str | None = None  # WeightNoise | "label_shuffle" | None
 
+    __post_init__ = _check_architecture
+
 
 @dataclass(frozen=True)
 class PretrainConfig:
@@ -114,6 +132,17 @@ class PretrainConfig:
     lr: float = 1e-3
     tau: float = 4.0
     accuracy_gate: float = 0.95
+
+    def __post_init__(self):
+        if self.epochs < 0:
+            raise InvalidConfig("epochs", "must be >= 0")
+        if self.batch_size < 1:
+            raise InvalidConfig("batch_size", "must be >= 1")
+        for name in ("lr", "tau"):
+            if getattr(self, name) <= 0:
+                raise InvalidConfig(name, "must be > 0")
+        if not 0.0 <= self.accuracy_gate <= 1.0:
+            raise InvalidConfig("accuracy_gate", "must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -150,13 +179,18 @@ class TrainConfig:
         for name in ("epochs", "batch_size"):
             if getattr(self, name) < 1:
                 raise InvalidConfig(name, "must be >= 1")
-        for name in ("tau_teacher", "tau_student", "tau_distill"):
+        for name in ("lr", "tau_teacher", "tau_student", "tau_distill"):
             if getattr(self, name) <= 0:
                 raise InvalidConfig(name, "must be > 0")
-        if min(self.loss_ratios) <= 0:
-            raise InvalidConfig("loss_ratios", "must be > 0")
+        if len(self.loss_ratios) != 3 or min(self.loss_ratios) <= 0:
+            raise InvalidConfig("loss_ratios", "must be three numbers (clip, kl, mse), each > 0")
         if self.strategy not in STRATEGIES:
             raise InvalidConfig("strategy", f"must be one of {STRATEGIES}, got {self.strategy!r}")
+        least = 0 if self.strategy == "base" else 1
+        if self.num_teachers < least:
+            raise InvalidConfig(
+                "num_teachers", f"must be >= {least} under strategy {self.strategy!r}"
+            )
         if self.text_bank_refresh not in ("epoch", "batch"):
             raise InvalidConfig("text_bank_refresh", "must be 'epoch' or 'batch'")
         if self.mse_mode not in ("weighted_target", "per_teacher"):
@@ -216,7 +250,6 @@ class EpochRecord:
     alphas: np.ndarray    # mean strategy weights over the epoch's batches
     fw_iterations: float
     lr: float
-    wall_ms: float
     pareto_certified: bool
 
 
@@ -325,6 +358,20 @@ def evaluate(
     return acc, acc, r5
 
 
+def _init_encoder_pair(arch, dataset: PairedDataset, rng) -> tuple[EncoderParams, EncoderParams]:
+    """Fresh (image, text) encoders of the architecture ``arch`` (a
+    StudentConfig or TeacherSpec) for the dataset's two modalities."""
+    return tuple(
+        init_params(
+            EncoderConfig(
+                dim, arch.hidden_widths, arch.output_dim, arch.activation, arch.dropout_p
+            ),
+            rng,
+        )
+        for dim in (dataset.spec.image_dim, dataset.spec.text_dim)
+    )
+
+
 def _batches(n: int, batch_size: int, rng) -> list[np.ndarray]:
     order = rng.permutation(n)
     return [order[i : i + batch_size] for i in range(0, n, batch_size)]
@@ -350,16 +397,7 @@ def pretrain_teacher(
     rng_loop = seeded_rng(seed, _TAG_TEACHER, teacher_index, 1)
     rng_corrupt = seeded_rng(seed, _TAG_TEACHER, teacher_index, 2)
 
-    img_cfg = EncoderConfig(
-        dataset.spec.image_dim, spec.hidden_widths, spec.output_dim,
-        spec.activation, spec.dropout_p,
-    )
-    txt_cfg = EncoderConfig(
-        dataset.spec.text_dim, spec.hidden_widths, spec.output_dim,
-        spec.activation, spec.dropout_p,
-    )
-    img_params = init_params(img_cfg, rng_init)
-    txt_params = init_params(txt_cfg, rng_init)
+    img_params, txt_params = _init_encoder_pair(spec, dataset, rng_init)
     img_adam = init_adam(img_params, cfg.lr)
     txt_adam = init_adam(txt_params, cfg.lr)
 
@@ -499,7 +537,7 @@ def distill_student(
     for the strategy semantics and the text-bank caching contract."""
     k = config.num_teachers
     if config.strategy != "base":
-        if k == 0 or not teachers:
+        if not teachers:
             raise StrategyTeacherMismatch(
                 f"strategy {config.strategy!r} requires at least one teacher"
             )
@@ -514,18 +552,7 @@ def distill_student(
     rng_loop = seeded_rng(config.seed, _TAG_TRAIN_LOOP)
     rng_proj = seeded_rng(config.seed, _TAG_PROJECTION)
 
-    img_cfg = EncoderConfig(
-        dataset.spec.image_dim, config.student.hidden_widths,
-        config.student.output_dim, config.student.activation,
-        config.student.dropout_p,
-    )
-    txt_cfg = EncoderConfig(
-        dataset.spec.text_dim, config.student.hidden_widths,
-        config.student.output_dim, config.student.activation,
-        config.student.dropout_p,
-    )
-    img_params = init_params(img_cfg, rng_init)
-    txt_params = init_params(txt_cfg, rng_init)
+    img_params, txt_params = _init_encoder_pair(config.student, dataset, rng_init)
     img_adam = init_adam(img_params, config.lr)
     txt_adam = init_adam(txt_params, config.lr)
 
@@ -555,7 +582,6 @@ def distill_student(
     metrics = RunMetrics(strategy=config.strategy, num_teachers=k)
     step = 0
     for epoch in range(config.epochs):
-        t_start = time.perf_counter()
         # Cached student class bank for the epoch (see module docstring).
         per_batch_bank = config.text_bank_refresh == "batch"
         if not per_batch_bank:
@@ -683,7 +709,6 @@ def distill_student(
                     mse_val,
                     config.loss_ratios,
                     alpha,
-                    weight_mode=config.kl_weight_mode,
                 )
                 g_u = r_clip * loss_c.grad_image + r_mse * g_mse_u
                 g_w = r_clip * loss_c.grad_text + r_mse * g_mse_w
@@ -748,7 +773,6 @@ def distill_student(
                 alphas=(alpha_sum / nb) if use_teachers else uniform.copy(),
                 fw_iterations=sums["fw"] / nb,
                 lr=lr_at(config.lr_schedule, config.lr, step - 1, total_steps),
-                wall_ms=(time.perf_counter() - t_start) * 1000.0,
                 pareto_certified=certified,
             )
         )

@@ -264,19 +264,3 @@ def certify_pareto_stationarity(d, grads, tol: float) -> StationarityCertificate
 
 DSW_MAX_ITER = 100
 DSW_TOL = 1e-10
-
-
-def dsw_weights(grads) -> np.ndarray:
-    """Dynamic teacher weights: the min-norm simplex point at the training
-    defaults (a small fixed iteration budget per batch)."""
-    return frank_wolfe_min_norm(grads, max_iter=DSW_MAX_ITER, tol=DSW_TOL).weights
-
-
-def is_valid_simplex(weights, tol: float = 1e-9) -> bool:
-    w = np.asarray(weights, dtype=np.float64)
-    return (
-        w.ndim == 1
-        and w.size >= 1
-        and bool(np.all(w >= -tol))
-        and abs(float(w.sum()) - 1.0) <= tol
-    )

@@ -1,5 +1,8 @@
 import csv
+import dataclasses
 import json
+import re
+import typing
 from pathlib import Path
 
 import pytest
@@ -83,6 +86,91 @@ class TestValidate:
         p = tmp_path / "m.json"
         write_manifest(p, schema_version=99)
         assert cli.main(["validate", str(p)]) == 2
+
+
+def _set(manifest, path, value):
+    obj = manifest
+    for key in path[:-1]:
+        obj = obj[key]
+    obj[path[-1]] = value
+
+
+# (where in the manifest, bad value, field path the error must name)
+BAD_MANIFESTS = [
+    (("teachers", 0, "activation"), "gelu", "teachers[0].activation"),
+    (("train", "student", "activation"), "gelu", "train.student.activation"),
+    (("train", "student", "dropout_p"), 1.0, "train.student.dropout_p"),
+    (("pretrain", "batch_size"), 0, "pretrain.batch_size"),
+    (("train", "num_teachers"), -1, "train.num_teachers"),
+    (("pretrain", "epochs"), "x", "pretrain.epochs"),
+    (("teachers", 0, "hidden_widths"), ["x"], "teachers[0].hidden_widths[0]"),
+    (("dataset", "spec", "seed"), "x", "dataset.spec.seed"),
+    (("teachers",), ["a", "b"], "teachers[0]"),
+    (("train", "epoch"), 99, "train.epoch"),
+    (("train", "train_fraction"), 0.5, "train.train_fraction"),
+    (("train", "seed"), 3, "train.seed"),
+    (("dataset", "spec", "sed"), 3, "dataset.spec.sed"),
+    (("train", "lr"), -1, "train.lr"),
+    (("train", "augmentation"), {"kind": "jitter", "sigma": -1}, "train.augmentation.sigma"),
+    (("train", "augmentation"), {"kind": "cutout"}, "train.augmentation.kind"),
+    (("train", "lr_schedule"), {"kind": "cosine", "eta_min": -1}, "train.lr_schedule.eta_min"),
+    (("teachers", 1, "corruption"), {"kind": "weight_noise", "sigma": -1},
+     "teachers[1].corruption.sigma"),
+    (("trian",), {}, "trian"),
+    (("dataset", "url"), "x", "dataset.url"),
+]
+
+
+class TestManifestSchema:
+    @pytest.mark.parametrize(
+        "where, value, field", BAD_MANIFESTS, ids=[c[2] for c in BAD_MANIFESTS]
+    )
+    def test_bad_value_exits_2_naming_field(self, tmp_path, capsys, where, value, field):
+        p = tmp_path / "m.json"
+        manifest = json.loads(json.dumps(write_manifest(p)))
+        _set(manifest, where, value)
+        p.write_text(json.dumps(manifest))
+        assert cli.main(["run", str(p)]) == 2
+        assert repr(field) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_strategy_suite_needs_teachers_for_every_row(self, tmp_path, capsys):
+        p = tmp_path / "m.json"
+        train = {**TINY_TRAIN, "strategy": "base", "num_teachers": 0}
+        write_manifest(p, suite="strategy", train=train)
+        assert cli.main(["validate", str(p)]) == 2
+        assert "'train.num_teachers'" in capsys.readouterr().err
+
+    def test_omitted_fields_take_the_dataclass_defaults(self, tmp_path):
+        p = tmp_path / "m.json"
+        p.write_text(
+            json.dumps({"schema_version": 1, "train": {}, "pretrain": {}, "teachers": [{}, {}]})
+        )
+        m = cli.load_manifest(p)
+        assert m.train == cli.TrainConfig()
+        assert m.pretrain == cli.PretrainConfig()
+        assert m.roster == [cli.TeacherSpec(), cli.TeacherSpec()]
+        assert m.dataset_spec == SyntheticSpec()
+
+    def test_readme_lists_every_manifest_field(self):
+        def leaves(cls, prefix):
+            for name in cli._readers(cls):
+                hint = typing.get_type_hints(cls)[name]
+                if dataclasses.is_dataclass(hint):
+                    yield from leaves(hint, f"{prefix}{name}.")
+                elif name == "corruption":
+                    yield from (f"{prefix}corruption.kind", f"{prefix}corruption.sigma")
+                else:
+                    yield prefix + name
+
+        expected = {"schema_version", "suite", "seeds", "output_dir", "dataset.path"}
+        expected |= set(leaves(SyntheticSpec, "dataset.spec."))
+        expected |= set(leaves(cli.TrainConfig, "train."))
+        expected |= set(leaves(cli.TeacherSpec, "teachers[]."))
+        expected |= set(leaves(cli.PretrainConfig, "pretrain."))
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        listed = set(re.findall(r"^\| `([^`]+)` \|", readme, flags=re.M))
+        assert listed == expected
 
 
 class TestGrids:
@@ -235,3 +323,13 @@ class TestGenData:
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({"num_classes": 1}))
         assert cli.main(["gen-data", str(spec_path), str(tmp_path / "x.bin")]) == 2
+
+    @pytest.mark.parametrize(
+        "spec, field", [({"seed": "x"}, "spec.seed"), ({"sed": 3}, "spec.sed")]
+    )
+    def test_gen_data_names_field(self, tmp_path, capsys, spec, field):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        assert cli.main(["gen-data", str(spec_path), str(tmp_path / "x.bin")]) == 2
+        assert repr(field) in capsys.readouterr().err
+        assert not (tmp_path / "x.bin").exists()

@@ -3,6 +3,7 @@ import pytest
 
 from kdlab import contrastive as ct
 from kdlab import numerics as nm
+from kdlab.distill import TeacherOutputs
 from kdlab.errors import EmptyBank, LabelOutOfRange, NotADistribution
 from oracles import central_diff_grad, fraction_within
 
@@ -13,35 +14,35 @@ def unit_rows(rng, n, d):
 
 
 class TestProbs:
+    """The contrastive distributions, as ``TeacherOutputs.from_features``
+    computes them for every teacher."""
+
     def test_single_candidate(self):
-        b = ct.ContrastiveBatch(np.eye(1), np.eye(1), 1.0)
-        np.testing.assert_allclose(ct.image_to_text_probs(b), [[1.0]])
-        np.testing.assert_allclose(ct.text_to_image_probs(b), [[1.0]])
+        out = TeacherOutputs.from_features(np.eye(1), np.eye(1), 1.0)
+        np.testing.assert_allclose(out.i2t_probs, [[1.0]])
+        np.testing.assert_allclose(out.t2i_probs, [[1.0]])
 
     def test_orthonormal_hand_softmax(self):
         eye = np.eye(2)
-        b = ct.ContrastiveBatch(eye, eye, 1.0)
+        out = TeacherOutputs.from_features(eye, eye, 1.0)
         e = np.e
         expected = np.array(
             [[e / (e + 1), 1 / (e + 1)], [1 / (e + 1), e / (e + 1)]]
         )
-        np.testing.assert_allclose(ct.image_to_text_probs(b), expected, atol=1e-6)
+        np.testing.assert_allclose(out.i2t_probs, expected, atol=1e-6)
 
     def test_huge_tau_flattens(self, rng):
-        b = ct.ContrastiveBatch(unit_rows(rng, 6, 4), unit_rows(rng, 6, 4), 1e6)
-        p = ct.image_to_text_probs(b)
-        np.testing.assert_allclose(p, 1.0 / 6, atol=1e-5)
+        out = TeacherOutputs.from_features(unit_rows(rng, 6, 4), unit_rows(rng, 6, 4), 1e6)
+        np.testing.assert_allclose(out.i2t_probs, 1.0 / 6, atol=1e-5)
 
     def test_symmetric_inputs_transpose_consistent(self, rng):
         u = unit_rows(rng, 5, 3)
-        b = ct.ContrastiveBatch(u, u, 2.0)
-        np.testing.assert_allclose(
-            ct.text_to_image_probs(b), ct.image_to_text_probs(b)
-        )
+        out = TeacherOutputs.from_features(u, u, 2.0)
+        np.testing.assert_allclose(out.t2i_probs, out.i2t_probs)
 
     def test_rows_sum_to_one(self, rng):
-        b = ct.ContrastiveBatch(unit_rows(rng, 7, 5), unit_rows(rng, 4, 5), 0.7)
-        for p in (ct.image_to_text_probs(b), ct.text_to_image_probs(b)):
+        out = TeacherOutputs.from_features(unit_rows(rng, 7, 5), unit_rows(rng, 4, 5), 0.7)
+        for p in (out.i2t_probs, out.t2i_probs):
             np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-9)
 
     def test_composition_matches_primitives(self, rng):
@@ -50,10 +51,10 @@ class TestProbs:
         u = unit_rows(rng, 6, 4)
         w = unit_rows(rng, 9, 4)
         tau = 3.0
-        b = ct.ContrastiveBatch(u, w, tau)
+        out = TeacherOutputs.from_features(u, w, tau)
         sims = nm.pairwise_logits(u, w)
-        assert np.max(np.abs(ct.image_to_text_probs(b) - nm.softmax_rows(sims, tau))) < 1e-12
-        assert np.max(np.abs(ct.text_to_image_probs(b) - nm.softmax_rows(sims.T, tau))) < 1e-12
+        assert np.max(np.abs(out.i2t_probs - nm.softmax_rows(sims, tau))) < 1e-12
+        assert np.max(np.abs(out.t2i_probs - nm.softmax_rows(sims.T, tau))) < 1e-12
 
     def test_rejects_non_unit_rows(self, rng):
         with pytest.raises(NotADistribution):

@@ -150,13 +150,6 @@ class TestTotalLoss:
         )
         assert double.total == pytest.approx(single.total, abs=1e-12)
 
-    def test_per_direction_mode(self):
-        out = distill.total_loss(
-            0.5, [(1.0, 3.0), (2.0, 1.0)], 0.1, (1, 1, 1), [0.25, 0.75],
-            weight_mode="per_direction",
-        )
-        assert out.l_kl_weighted == pytest.approx(0.25 * 3.0 + 0.75 * 4.0)
-
     def test_errors(self):
         with pytest.raises(NonPositiveRatio):
             distill.total_loss(1.0, [(1.0, 1.0)], 1.0, (1, 0, 1), [1.0])
@@ -164,6 +157,8 @@ class TestTotalLoss:
             distill.total_loss(1.0, [(1.0, 1.0)], 1.0, (1, 1, 1), [0.4, 0.4])
         with pytest.raises(InvalidSimplex):
             distill.total_loss(1.0, [(1.0, 1.0), (1.0, 1.0)], 1.0, (1, 1, 1), [1.0])
+        with pytest.raises(InvalidSimplex):
+            distill.total_loss(1.0, [(1.0, 1.0), (1.0, 1.0)], 1.0, (1, 1, 1), [np.nan, 1.0])
 
     def test_total_recomputable(self, rng):
         for _ in range(30):

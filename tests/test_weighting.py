@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from kdlab import weighting as wt
+from kdlab.distill import check_simplex
 from kdlab.errors import DimensionMismatch, EmptyGradientSet, TooManyTeachers
 
 
@@ -147,7 +148,7 @@ class TestFrankWolfe:
             k = rng.integers(1, 6)
             g = rng.normal(size=(k, rng.integers(1, 10)))
             res = wt.frank_wolfe_min_norm(g)
-            assert wt.is_valid_simplex(res.weights)
+            check_simplex(res.weights)
 
 
 class TestBruteForce:
@@ -206,14 +207,19 @@ class TestCertify:
         assert not cert.passed
 
 
+def dsw_weights(g):
+    """The trainer's dsw weights: Frank-Wolfe at its per-batch budget."""
+    return wt.frank_wolfe_min_norm(g, max_iter=wt.DSW_MAX_ITER, tol=wt.DSW_TOL).weights
+
+
 class TestDswWeights:
     def test_identical_teachers_tie_break(self):
         g = np.tile(np.array([0.5, -1.0, 2.0]), (2, 1))
-        np.testing.assert_allclose(wt.dsw_weights(g), [0.5, 0.5])
+        np.testing.assert_allclose(dsw_weights(g), [0.5, 0.5])
 
     def test_zero_teacher_absorbs(self):
         g = np.array([[3.0, 4.0], [0.0, 0.0]])
-        np.testing.assert_allclose(wt.dsw_weights(g), [0.0, 1.0], atol=1e-12)
+        np.testing.assert_allclose(dsw_weights(g), [0.0, 1.0], atol=1e-12)
 
     def test_adversarial_teacher_damps_direction(self, rng):
         g1 = rng.normal(size=50)
