@@ -10,11 +10,19 @@ A manifest is a single JSON file with an explicit ``schema_version``. Its
 objects are read field by field into the config dataclasses of ``trainer``
 and ``data``, which own every default and every check. The four ablation
 suites (loss_ratio, strategy, teacher_count, student_size) expand into
-fixed grids over the base training config. Each run writes
-``metrics.csv`` (one row per epoch, deterministic byte-for-byte for a
-given manifest and seed) and a ``run.json`` echo; the suite writes
-``summary.csv`` and ``manifest.json`` with config echo, library version,
-and wall-clock. Exit codes: 0 ok, 2 config error, 3 data error,
+fixed grids over the base training config.
+
+``run`` reads the manifest and the dataset once. It pretrains each teacher
+the suite needs once per (run seed, roster index), the only inputs of a
+teacher that differ within a suite, then runs every (grid point, seed)
+against those frozen teachers; ``--threads N`` maps both phases over
+worker processes instead of a loop. Each run writes ``metrics.csv`` (one
+row per epoch, deterministic byte-for-byte for a given manifest and seed)
+and a ``run.json`` echo; the suite writes ``summary.csv`` and
+``manifest.json`` with config echo, library version, and wall-clock. A
+failed run (its teacher's pretraining or its distillation) leaves no run
+directory, the others still complete, and the first failure is raised
+after ``summary.csv``. Exit codes: 0 ok, 2 config error, 3 data error,
 4 numeric error.
 """
 
@@ -28,7 +36,7 @@ import json
 import sys
 import time
 import typing
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Executor, Future, ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -60,8 +68,11 @@ from .trainer import (
     PretrainConfig,
     RunMetrics,
     StudentConfig,
+    Teacher,
     TeacherSpec,
     TrainConfig,
+    dataset_split,
+    pretrain_teacher,
     run_single,
 )
 
@@ -337,14 +348,26 @@ def write_metrics_csv(path, suite: str, grid: str, seed: int, metrics: RunMetric
             )
 
 
+def _pretrain(task: tuple) -> Teacher:
+    """Roster entry ``j`` pretrained for run seed ``seed``; module-level so
+    worker processes can call it."""
+    manifest, dataset, seed, j = task
+    train_idx, eval_idx = dataset_split(dataset, manifest.train.train_fraction)
+    return pretrain_teacher(
+        manifest.pretrain, dataset, train_idx, eval_idx, manifest.roster[j], seed, j
+    )
+
+
 def _execute_run(payload: tuple) -> dict:
-    """One (grid point, seed) run; module-level so worker processes can call it."""
-    manifest_path, grid_label, seed, out_dir = payload
-    manifest = load_manifest(manifest_path)
+    """One (grid point, seed) run against its already pretrained teachers;
+    module-level so worker processes can call it. ``wall_seconds`` in
+    ``run.json`` times the distillation only."""
+    manifest, grid_label, seed, out_dir, dataset, teachers = payload
     config = dict(expand_grid(manifest))[grid_label]
-    dataset = _resolve_dataset(manifest)
     t0 = time.perf_counter()
-    result = run_single(dataset, manifest.pretrain, manifest.roster, config, seed=seed)
+    result = run_single(
+        dataset, manifest.pretrain, manifest.roster, config, seed=seed, teachers=teachers
+    )
     wall_s = time.perf_counter() - t0
 
     run_dir = Path(out_dir) / "runs" / _sanitize(grid_label) / f"seed_{seed}"
@@ -410,43 +433,55 @@ def _summarize(out_dir: Path, suite: str, grid_labels: list[str], seeds: list[in
     return rows
 
 
+class _InlineExecutor(Executor):
+    """The serial mapper: runs each task when it is submitted."""
+
+    def submit(self, fn, /, *args):
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as e:
+            future.set_exception(e)
+        return future
+
+
 def cmd_run(args) -> int:
     manifest = load_manifest(args.manifest)
     grid = expand_grid(manifest)
     out_dir = Path(args.output_dir or manifest.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     seeds = [int(args.seed_override)] if args.seed_override is not None else manifest.seeds
-    _resolve_dataset(manifest)  # fail fast on data problems
+    dataset = _resolve_dataset(manifest)
 
     t0 = time.perf_counter()
-    payloads = [
-        (str(args.manifest), label, seed, str(out_dir))
-        for label, _ in grid
-        for seed in seeds
-    ]
-    first_error: KdlabError | None = None
-    if args.threads > 1:
-        with ProcessPoolExecutor(max_workers=args.threads) as pool:
-            futures = [pool.submit(_execute_run, p) for p in payloads]
-            for fut, payload in zip(futures, payloads):
-                try:
-                    fut.result()
-                except KdlabError as e:
-                    first_error = first_error or _wrap_run_error(e, payload)
-                except Exception as e:  # numeric blowups surface per run
-                    first_error = first_error or NumericError(
-                        f"run {payload[1]}/seed_{payload[2]}: {e}"
+    # See the module docstring for the two phases. A run waits only for its
+    # own teachers, and fails with the error of one that failed.
+    need = max((c.num_teachers for _, c in grid if c.strategy != "base"), default=0)
+    pool = ProcessPoolExecutor(args.threads) if args.threads > 1 else _InlineExecutor()
+    with pool:
+        teachers = {
+            (seed, j): pool.submit(_pretrain, (manifest, dataset, seed, j))
+            for seed in seeds
+            for j in range(need)
+        }
+        runs = []
+        for label, config in grid:
+            k = 0 if config.strategy == "base" else config.num_teachers
+            for seed in seeds:
+                mine = [teachers[seed, j] for j in range(k)]
+                failed = [f for f in mine if f.exception() is not None]
+                if failed:
+                    run = failed[0]
+                else:
+                    mine = [f.result() for f in mine]
+                    run = pool.submit(
+                        _execute_run, (manifest, label, seed, str(out_dir), dataset, mine)
                     )
-    else:
-        for payload in payloads:
-            try:
-                _execute_run(payload)
-            except KdlabError as e:
-                first_error = first_error or _wrap_run_error(e, payload)
-            except Exception as e:
-                first_error = first_error or NumericError(
-                    f"run {payload[1]}/seed_{payload[2]}: {e}"
-                )
+                runs.append((label, seed, run))
+        first_error = next(
+            (_run_error(f.exception(), label, seed) for label, seed, f in runs if f.exception()),
+            None,
+        )
 
     rows = _summarize(out_dir, manifest.suite, [label for label, _ in grid], seeds)
     echo = {
@@ -471,10 +506,12 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _wrap_run_error(e: KdlabError, payload) -> KdlabError:
+def _run_error(e: Exception, label: str, seed: int) -> KdlabError:
+    """The error ``cmd_run`` raises for a failed run: config, data and
+    numeric errors as they are, anything else a NumericError naming the run."""
     if isinstance(e, (ConfigParseError, DataError, NumericError)):
         return e
-    return NumericError(f"run {payload[1]}/seed_{payload[2]}: {e}")
+    return NumericError(f"run {label}/seed_{seed}: {e}")
 
 
 def cmd_validate(args) -> int:

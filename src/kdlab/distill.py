@@ -9,7 +9,7 @@ a teacher); gradients are returned for the student side only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -164,16 +164,11 @@ def mse_align(u_teacher, u_student, w_teacher, w_student) -> MseAlign:
 
 @dataclass
 class LossBreakdown:
-    """All student loss components with the recomputable weighted total."""
+    """The student objective and the parts of it a run logs."""
 
-    l_clip: float
-    l_kl_i2t: list[float]
-    l_kl_t2i: list[float]
+    l_kl_weighted: float  # the kl part entering total
     l_mse: float
     total: float
-    ratios: tuple[float, float, float]       # (clip, kl, mse)
-    weights: np.ndarray                      # simplex point over teachers
-    l_kl_weighted: float = field(default=0.0)  # the kl part entering total
 
 
 def check_simplex(weights, k: int | None = None, tol: float = 1e-9) -> np.ndarray:
@@ -205,20 +200,10 @@ def total_loss(
     r_clip, r_kl, r_mse = (float(r) for r in ratios)
     if r_clip <= 0.0 or r_kl <= 0.0 or r_mse <= 0.0:
         raise NonPositiveRatio(f"loss ratios must be > 0, got {ratios}")
-    l_i2t = [float(a) for a, _ in kl_terms]
-    l_t2i = [float(b) for _, b in kl_terms]
+    terms = np.asarray(kl_terms, dtype=np.float64).reshape(-1, 2)  # rows (i2t, t2i)
 
-    w = check_simplex(weights, k=len(kl_terms))
-    kl_weighted = float(np.dot(w, np.asarray(l_i2t) + np.asarray(l_t2i)))
+    w = check_simplex(weights, k=len(terms))
+    kl_weighted = float(np.dot(w, terms[:, 0] + terms[:, 1]))
 
     total = r_clip * float(l_clip) + r_kl * kl_weighted + r_mse * float(l_mse)
-    return LossBreakdown(
-        l_clip=float(l_clip),
-        l_kl_i2t=l_i2t,
-        l_kl_t2i=l_t2i,
-        l_mse=float(l_mse),
-        total=total,
-        ratios=(r_clip, r_kl, r_mse),
-        weights=np.asarray(weights, dtype=np.float64),
-        l_kl_weighted=kl_weighted,
-    )
+    return LossBreakdown(l_kl_weighted=kl_weighted, l_mse=float(l_mse), total=total)

@@ -809,29 +809,29 @@ def run_single(
     roster: Sequence[TeacherSpec],
     config: TrainConfig,
     seed: int | None = None,
+    teachers: Sequence[Teacher] | None = None,
 ) -> RunResult:
-    """Pretrain the first ``num_teachers`` roster entries, freeze them, and
-    distill the student. ``seed`` overrides ``config.seed`` when given."""
+    """Distill the student against the first ``num_teachers`` roster
+    entries, frozen. ``teachers`` are those entries already pretrained for
+    this run's seed; without them they are pretrained here. ``seed``
+    overrides ``config.seed`` when given."""
     if seed is not None:
         config = replace(config, seed=seed)
     train_idx, eval_idx = dataset_split(dataset, config.train_fraction)
-    teachers: list[Teacher] = []
-    if config.strategy != "base":
-        if config.num_teachers > len(roster):
-            raise StrategyTeacherMismatch(
-                f"num_teachers={config.num_teachers} exceeds roster size {len(roster)}"
+    if teachers is None:
+        k = 0 if config.strategy == "base" else config.num_teachers
+        if k > len(roster):
+            raise StrategyTeacherMismatch(f"num_teachers={k} exceeds roster size {len(roster)}")
+        teachers = [
+            pretrain_teacher(
+                pretrain_cfg, dataset, train_idx, eval_idx, roster[j], config.seed, j
             )
-        for j in range(config.num_teachers):
-            teachers.append(
-                pretrain_teacher(
-                    pretrain_cfg, dataset, train_idx, eval_idx, roster[j],
-                    config.seed, j,
-                )
-            )
+            for j in range(k)
+        ]
     student, metrics = distill_student(config, teachers, dataset, train_idx, eval_idx)
     return RunResult(
         metrics=metrics,
         student=student,
-        teachers=teachers,
+        teachers=list(teachers),
         teacher_accuracies=[t.accuracy for t in teachers],
     )

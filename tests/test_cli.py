@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from kdlab import cli
+from kdlab import cli, trainer
 from kdlab.data import SyntheticSpec, generate, save_dataset
 
 TINY_DATASET = {
@@ -256,15 +256,40 @@ class TestRun:
         assert [r["grid_point"] for r in rows] == ["base", "avg", "lsr", "dsw"]
 
     def test_parallel_workers_match_serial(self, tmp_path):
+        # Grid points share teachers in both modes; every output byte agrees.
+        for suite, labels in (
+            ("single", ["default"]),
+            ("strategy", list(cli.STRATEGY_GRID)),
+            ("teacher_count", [f"K{k}" for k in cli.TEACHER_COUNT_GRID]),
+        ):
+            p = tmp_path / f"{suite}.json"
+            write_manifest(p, suite=suite, seeds=[0, 1])
+            serial, parallel = tmp_path / suite / "s", tmp_path / suite / "p"
+            assert cli.main(["run", str(p), "--output-dir", str(serial)]) == 0
+            assert cli.main(["run", str(p), "--threads", "2", "--output-dir", str(parallel)]) == 0
+            assert (serial / "summary.csv").read_bytes() == (parallel / "summary.csv").read_bytes()
+            for label in labels:
+                for seed in (0, 1):
+                    run = Path("runs") / label / f"seed_{seed}" / "metrics.csv"
+                    assert (serial / run).read_bytes() == (parallel / run).read_bytes(), run
+
+    @pytest.mark.parametrize("suite, distinct", [("strategy", 2), ("teacher_count", 4)])
+    def test_each_teacher_pretrained_once(self, tmp_path, monkeypatch, suite, distinct):
+        keys = []
+        real = trainer.pretrain_teacher
+
+        def counted(cfg, dataset, train_idx, eval_idx, spec, seed, teacher_index):
+            keys.append((seed, teacher_index))
+            return real(cfg, dataset, train_idx, eval_idx, spec, seed, teacher_index)
+
+        for module in (cli, trainer):
+            monkeypatch.setattr(module, "pretrain_teacher", counted)
         p = tmp_path / "m.json"
-        write_manifest(p, seeds=[0, 1])
-        serial, parallel = tmp_path / "s", tmp_path / "p"
-        assert cli.main(["run", str(p), "--output-dir", str(serial)]) == 0
-        assert cli.main(["run", str(p), "--threads", "2", "--output-dir", str(parallel)]) == 0
-        for seed in (0, 1):
-            a = (serial / "runs" / "default" / f"seed_{seed}" / "metrics.csv").read_bytes()
-            b = (parallel / "runs" / "default" / f"seed_{seed}" / "metrics.csv").read_bytes()
-            assert a == b
+        write_manifest(p, suite=suite)
+        assert cli.main(["run", str(p), "--output-dir", str(tmp_path / "o")]) == 0
+        # Without sharing: 6 pretrains for strategy (avg, lsr, dsw x 2
+        # teachers), 10 for teacher_count (1 + 2 + 3 + 4).
+        assert sorted(keys) == [(0, j) for j in range(distinct)]
 
     def test_partial_failure_completes_remaining_runs(self, tmp_path, monkeypatch):
         p = tmp_path / "m.json"
@@ -286,6 +311,30 @@ class TestRun:
         with open(out / "summary.csv", newline="") as f:
             rows = list(csv.DictReader(f))
         assert rows and int(rows[0]["n_seeds"]) == 2
+
+    def test_failed_teacher_fails_only_the_runs_that_need_it(self, tmp_path, monkeypatch, capsys):
+        real = trainer.pretrain_teacher
+
+        def flaky(cfg, dataset, train_idx, eval_idx, spec, seed, teacher_index):
+            if (seed, teacher_index) == (1, 1):
+                raise RuntimeError("synthetic pretrain blowup")
+            return real(cfg, dataset, train_idx, eval_idx, spec, seed, teacher_index)
+
+        for module in (cli, trainer):
+            monkeypatch.setattr(module, "pretrain_teacher", flaky)
+        p = tmp_path / "m.json"
+        write_manifest(p, suite="strategy", seeds=[0, 1])
+        out = tmp_path / "o"
+        assert cli.main(["run", str(p), "--output-dir", str(out)]) == 4
+        # The first failing run in grid order is named; base needs no teacher.
+        assert "run avg/seed_1: synthetic pretrain blowup" in capsys.readouterr().err
+        for label in cli.STRATEGY_GRID:
+            assert (out / "runs" / label / "seed_0" / "metrics.csv").exists()
+            assert (out / "runs" / label / "seed_1").exists() == (label == "base")
+        with open(out / "summary.csv", newline="") as f:
+            n_seeds = {r["grid_point"]: int(r["n_seeds"]) for r in csv.DictReader(f)}
+        assert n_seeds == {"base": 2, "avg": 1, "lsr": 1, "dsw": 1}
+        assert (out / "manifest.json").exists()
 
 
 class TestReport:

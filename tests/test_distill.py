@@ -161,16 +161,18 @@ class TestTotalLoss:
             distill.total_loss(1.0, [(1.0, 1.0), (1.0, 1.0)], 1.0, (1, 1, 1), [np.nan, 1.0])
 
     def test_total_recomputable(self, rng):
+        b, n, d = 6, 4, 5
         for _ in range(30):
             k = rng.integers(1, 5)
             w = rng.dirichlet(np.ones(k))
-            terms = [(float(a), float(b)) for a, b in rng.uniform(0, 2, size=(k, 2))]
+            u_s, w_s = unit_rows(rng, b, d), unit_rows(rng, n, d)
+            parts = [
+                distill.kl_pair_loss(make_teacher(rng, b, n, d), u_s, w_s, 4.0) for _ in range(k)
+            ]
             ratios = tuple(rng.uniform(0.2, 2.0, size=3))
             lc, lm = rng.uniform(0, 2, size=2)
-            out = distill.total_loss(lc, terms, lm, ratios, w)
-            recomputed = (
-                ratios[0] * out.l_clip
-                + ratios[1] * float(np.dot(w, np.asarray(out.l_kl_i2t) + np.asarray(out.l_kl_t2i)))
-                + ratios[2] * out.l_mse
-            )
+            out = distill.total_loss(lc, [(p.l_i2t, p.l_t2i) for p in parts], lm, ratios, w)
+            kl = sum(w[j] * (parts[j].l_i2t + parts[j].l_t2i) for j in range(k))
+            assert out.l_kl_weighted == pytest.approx(kl, abs=1e-9)
+            recomputed = ratios[0] * lc + ratios[1] * kl + ratios[2] * lm
             assert out.total == pytest.approx(recomputed, abs=1e-9)

@@ -287,11 +287,21 @@ class TestDistill:
             np.testing.assert_array_equal(a.alphas, b.alphas)
 
     def test_teachers_frozen_through_distillation(self, tiny):
+        # kdlab run hands the same Teacher objects to every grid point.
         ds, train_idx, eval_idx, teachers = tiny
-        before = [t.fingerprints() for t in teachers]
-        trainer.distill_student(tiny_config(strategy="dsw"), teachers, ds, train_idx, eval_idx)
-        after = [t.fingerprints() for t in teachers]
-        assert before == after
+
+        def state():
+            return [(t.fingerprints(), t.bank.tobytes(), t.accuracy) for t in teachers]
+
+        before = state()
+        for strategy, augmentation in (
+            ("avg", "none"), ("lsr", "none"), ("dsw", "none"), ("dsw", "jitter"), ("lsr", "mixup"),
+        ):
+            config = tiny_config(
+                strategy=strategy, augmentation=trainer.Augmentation(augmentation, sigma=0.1)
+            )
+            trainer.distill_student(config, teachers, ds, train_idx, eval_idx)
+            assert state() == before, (strategy, augmentation)
 
     def test_total_recomputable_from_parts(self, tiny):
         ds, train_idx, eval_idx, teachers = tiny
@@ -438,6 +448,22 @@ class TestRunSingle:
         )
         assert len(result.metrics.epochs) == 3
         assert len(result.teachers) == 2
+
+    def test_given_teachers_are_not_pretrained_again(self, monkeypatch, tiny):
+        ds, train_idx, eval_idx, teachers = tiny
+        roster = [t.spec for t in teachers]
+        pretrained = trainer.run_single(ds, TINY_PRETRAIN, roster, tiny_config(), seed=0)
+
+        def no_pretrain(*args, **kwargs):
+            raise AssertionError("pretrain_teacher called although teachers were given")
+
+        monkeypatch.setattr(trainer, "pretrain_teacher", no_pretrain)
+        given = trainer.run_single(
+            ds, TINY_PRETRAIN, roster, tiny_config(), seed=0, teachers=teachers
+        )
+        assert given.teachers == teachers
+        for a, b in zip(pretrained.metrics.epochs, given.metrics.epochs):
+            assert (a.total, a.accuracy) == (b.total, b.accuracy)
 
     def test_base_skips_pretraining(self, tiny):
         ds, *_ = tiny
