@@ -18,8 +18,9 @@ teacher that differ within a suite, then runs every (grid point, seed)
 against those frozen teachers; ``--threads N`` maps both phases over
 worker processes instead of a loop. Each run writes ``metrics.csv`` (one
 row per epoch, deterministic byte-for-byte for a given manifest and seed)
-and a ``run.json`` echo; the suite writes ``summary.csv`` and
-``manifest.json`` with config echo, library version, and wall-clock. A
+and a ``run.json`` echo; the suite writes ``summary.csv``, over the runs
+that completed in this call, and ``manifest.json`` with config echo,
+library version, and wall-clock. A
 failed run (its teacher's pretraining or its distillation) leaves no run
 directory, the others still complete, and the first failure is raised
 after ``summary.csv``. Exit codes: 0 ok, 2 config error, 3 data error,
@@ -392,31 +393,24 @@ def _execute_run(payload: tuple) -> dict:
     return run_info
 
 
-def _summarize(out_dir: Path, suite: str, grid_labels: list[str], seeds: list[int]) -> list[dict]:
+def _summarize(out_dir: Path, suite: str, grid_labels: list[str], infos: list[dict]) -> list[dict]:
+    """Write ``summary.csv`` over the ``run.json`` dicts of the runs that
+    completed in this call, one row per grid point with at least one."""
     rows = []
     for label in grid_labels:
-        finals = []
-        r5s = []
-        totals = []
-        for seed in seeds:
-            p = out_dir / "runs" / _sanitize(label) / f"seed_{seed}" / "run.json"
-            if p.exists():
-                info = json.loads(p.read_text())
-                finals.append(info["final_accuracy"])
-                r5s.append(info["final_recall5"])
-                totals.append(info["final_total"])
-        if not finals:
+        mine = [info for info in infos if info["grid_point"] == label]
+        if not mine:
             continue
-        acc = np.asarray(finals)
+        acc = np.asarray([info["final_accuracy"] for info in mine])
         rows.append(
             {
                 "suite": suite,
                 "grid_point": label,
-                "n_seeds": len(finals),
+                "n_seeds": len(mine),
                 "acc_mean": float(acc.mean()),
                 "acc_std": float(acc.std(ddof=1)) if acc.size > 1 else 0.0,
-                "recall5_mean": float(np.mean(r5s)),
-                "total_mean": float(np.mean(totals)),
+                "recall5_mean": float(np.mean([info["final_recall5"] for info in mine])),
+                "total_mean": float(np.mean([info["final_total"] for info in mine])),
             }
         )
     with open(out_dir / "summary.csv", "w", newline="") as f:
@@ -483,7 +477,8 @@ def cmd_run(args) -> int:
             None,
         )
 
-    rows = _summarize(out_dir, manifest.suite, [label for label, _ in grid], seeds)
+    infos = [f.result() for _, _, f in runs if f.exception() is None]
+    rows = _summarize(out_dir, manifest.suite, [label for label, _ in grid], infos)
     echo = {
         "schema_version": SCHEMA_VERSION,
         "library_version": __version__,

@@ -1,5 +1,5 @@
 """Batch contrastive distributions, the symmetric contrastive loss, and
-retrieval-style classification against a class text bank.
+the rank of each sample's true class against a class text bank.
 
 Two modes share one code path: in-batch mode pairs each image row with the
 text row of the same index (``labels = 0..B-1``); class-bank mode scores a
@@ -149,21 +149,6 @@ def clip_loss(
         grad_image=grad_u,
         grad_text=grad_w,
     )
-
-
-def classify(u, bank, tau: float) -> tuple[np.ndarray, np.ndarray]:
-    """Predicted class per image row plus its probability.
-
-    Predictions take the argmax of the image-to-text probability row; ties
-    break toward the lowest class index.
-    """
-    um = as_matrix(u, "u")
-    bm = as_matrix(bank, "bank")
-    if bm.shape[0] == 0:
-        raise EmptyBank("class bank has no rows")
-    probs = softmax_rows(pairwise_logits(um, bm), tau)
-    pred = np.argmax(probs, axis=1).astype(np.int64)
-    return pred, probs[np.arange(um.shape[0]), pred]
 
 
 def rank_of_label(u, bank, labels, tau: float) -> np.ndarray:

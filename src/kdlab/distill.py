@@ -20,14 +20,13 @@ from .numerics import as_matrix, log_softmax_rows, pairwise_logits, softmax_rows
 
 @dataclass(frozen=True)
 class TeacherOutputs:
-    """One frozen teacher's view of a batch: unit-row features plus its
-    image-to-text and text-to-image contrastive distributions."""
+    """One frozen teacher's view of a batch: unit-row image features plus
+    its image-to-text and text-to-image contrastive distributions against
+    N text rows (a class bank, or the batch's own B rows)."""
 
     image_features: np.ndarray   # B x d_T
-    text_features: np.ndarray    # N x d_T (class bank) or B x d_T (in-batch)
     i2t_probs: np.ndarray        # B x N
     t2i_probs: np.ndarray        # N x B
-    tau: float
 
     @classmethod
     def from_features(cls, image_features, text_features, tau: float) -> "TeacherOutputs":
@@ -35,10 +34,8 @@ class TeacherOutputs:
         w = as_matrix(text_features, "text_features")
         return cls(
             image_features=u,
-            text_features=w,
             i2t_probs=softmax_rows(pairwise_logits(u, w), tau),
             t2i_probs=softmax_rows(pairwise_logits(w, u), tau),
-            tau=tau,
         )
 
 
@@ -65,21 +62,6 @@ def kl_grad_wrt_logits(p_student: np.ndarray, p_teacher: np.ndarray) -> np.ndarr
     if p_student.shape != p_teacher.shape:
         raise ShapeMismatch("distribution shapes differ")
     return (p_student - p_teacher) / p_student.shape[0]
-
-
-def ce_grad_wrt_logits(p_student: np.ndarray, p_teacher: np.ndarray) -> np.ndarray:
-    """Gradient of mean-row cross-entropy CE(teacher, student) w.r.t. the
-    student logits, composed through the full softmax Jacobian.
-
-    Independent derivation used to confirm it coincides with
-    :func:`kl_grad_wrt_logits` (the teacher entropy term is constant):
-    J_softmax^T v with v = -p_T / p_S gives p * v - p (p . v) per row.
-    """
-    if p_student.shape != p_teacher.shape:
-        raise ShapeMismatch("distribution shapes differ")
-    v = -p_teacher / np.maximum(p_student, 1e-300)
-    pv = np.sum(p_student * v, axis=1, keepdims=True)
-    return (p_student * v - p_student * pv) / p_student.shape[0]
 
 
 def kl_pair_loss(

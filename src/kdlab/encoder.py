@@ -19,21 +19,15 @@ product per slice, and every reduction keeps its order.
 
 from __future__ import annotations
 
-import json
 import math
-import struct
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatVersionMismatch, ShapeMismatch, ZeroVector
+from .errors import ShapeMismatch, ZeroVector
 from .numerics import ZERO_NORM_EPS, as_matrix
 
 ACTIVATIONS = ("relu", "tanh", "identity")
-
-_CKPT_MAGIC = b"KDLABENC"
-_CKPT_VERSION = 1
 
 
 def architecture_problem(arch) -> tuple[str, str] | None:
@@ -74,10 +68,6 @@ class EncoderConfig:
     def layer_dims(self) -> tuple[int, ...]:
         return (self.input_dim, *self.hidden_widths, self.output_dim)
 
-    @property
-    def n_layers(self) -> int:
-        return len(self.hidden_widths) + 1
-
 
 @dataclass
 class EncoderParams:
@@ -93,9 +83,6 @@ class EncoderParams:
             [w.copy() for w in self.weights],
             [b.copy() for b in self.biases],
         )
-
-    def n_params(self) -> int:
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
 
 
 @dataclass
@@ -339,84 +326,3 @@ def adam_step(
     new_params = EncoderParams(params.config, new_w, new_b)
     new_state = replace(state, t=t, m=EncoderGrads(m_w, m_b), v=EncoderGrads(v_w, v_b))
     return new_params, new_state
-
-
-def param_fingerprint(params: EncoderParams) -> str:
-    """Hash of config plus raw parameter bytes; detects any mutation."""
-    import hashlib
-
-    h = hashlib.sha256()
-    h.update(json.dumps(_config_dict(params.config), sort_keys=True).encode())
-    for a in params.weights + params.biases:
-        h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
-    return h.hexdigest()
-
-
-def _config_dict(cfg: EncoderConfig) -> dict:
-    return {
-        "input_dim": cfg.input_dim,
-        "hidden_widths": list(cfg.hidden_widths),
-        "output_dim": cfg.output_dim,
-        "activation": cfg.activation,
-        "dropout_p": cfg.dropout_p,
-    }
-
-
-def save_params(params: EncoderParams, path) -> None:
-    """Write a checkpoint: magic, version, JSON manifest, then per-layer blobs.
-
-    Blobs are little-endian float64, C order, one flat blob per layer array
-    in the order W0, b0, W1, b1, ...; the manifest records shapes.
-    """
-    manifest = {
-        "config": _config_dict(params.config),
-        "shapes": [list(a.shape) for a in _layer_arrays(params)],
-    }
-    mbytes = json.dumps(manifest, sort_keys=True).encode()
-    with open(path, "wb") as f:
-        f.write(_CKPT_MAGIC)
-        f.write(struct.pack("<II", _CKPT_VERSION, len(mbytes)))
-        f.write(mbytes)
-        for a in _layer_arrays(params):
-            f.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
-
-
-def load_params(path) -> EncoderParams:
-    """Read a checkpoint written by :func:`save_params`."""
-    blob = Path(path).read_bytes()
-    if len(blob) < len(_CKPT_MAGIC) + 8 or blob[: len(_CKPT_MAGIC)] != _CKPT_MAGIC:
-        raise FormatVersionMismatch("not an encoder checkpoint file")
-    off = len(_CKPT_MAGIC)
-    version, mlen = struct.unpack_from("<II", blob, off)
-    if version != _CKPT_VERSION:
-        raise FormatVersionMismatch(f"unsupported checkpoint version {version}")
-    off += 8
-    manifest = json.loads(blob[off : off + mlen].decode())
-    off += mlen
-    cfg = EncoderConfig(
-        input_dim=manifest["config"]["input_dim"],
-        hidden_widths=tuple(manifest["config"]["hidden_widths"]),
-        output_dim=manifest["config"]["output_dim"],
-        activation=manifest["config"]["activation"],
-        dropout_p=manifest["config"]["dropout_p"],
-    )
-    arrays = []
-    for shape in manifest["shapes"]:
-        n = int(np.prod(shape)) if shape else 1
-        a = np.frombuffer(blob, dtype="<f8", count=n, offset=off).reshape(shape)
-        arrays.append(a.astype(np.float64))
-        off += n * 8
-    weights = arrays[0::2]
-    biases = arrays[1::2]
-    params = EncoderParams(cfg, weights, biases)
-    dims = cfg.layer_dims
-    for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
-        if weights[i].shape != (fan_in, fan_out) or biases[i].shape != (fan_out,):
-            raise ShapeMismatch("checkpoint shapes inconsistent with config")
-    return params
-
-
-def _layer_arrays(params: EncoderParams):
-    for w, b in zip(params.weights, params.biases):
-        yield w
-        yield b

@@ -54,10 +54,6 @@ class EmptyGradientSet(KdlabError):
     """A gradient set with zero teachers cannot be solved."""
 
 
-class TooManyTeachers(KdlabError):
-    """Brute-force simplex enumeration is capped at four teachers."""
-
-
 # data / file formats
 class InvalidSpec(KdlabError):
     """A synthetic dataset specification violates its invariants."""

@@ -52,7 +52,6 @@ from .encoder import (
     encode,
     init_adam,
     init_params,
-    param_fingerprint,
     vjp,
     with_lr,
 )
@@ -226,9 +225,6 @@ class Teacher:
     bank: np.ndarray
     accuracy: float
     spec: TeacherSpec
-
-    def fingerprints(self) -> tuple[str, str]:
-        return param_fingerprint(self.image_params), param_fingerprint(self.text_params)
 
 
 @dataclass
@@ -519,10 +515,8 @@ class _FrozenTeacherCache:
         u = self.features[rows]
         return distill.TeacherOutputs(
             image_features=u,
-            text_features=self.bank,
             i2t_probs=self.i2t_probs[rows],
             t2i_probs=softmax_rows(pairwise_logits(self.bank, u), self.tau),
-            tau=self.tau,
         )
 
 
@@ -654,18 +648,15 @@ def distill_student(
                 else:  # dsw: one stacked reverse pass per tape
                     pg_img, _ = vjp(tape_img, np.stack([kp.grad_image for kp in kl_parts]))
                     pg_txt, _ = vjp(tape_text, np.stack([kp.grad_text for kp in kl_parts]))
-                    gset = weighting.TeacherGradientSet.from_rows(
-                        np.concatenate([pg_img.flatten(), pg_txt.flatten()], axis=1),
-                        [kp.l_i2t + kp.l_t2i for kp in kl_parts],
-                    )
+                    grads = np.concatenate([pg_img.flatten(), pg_txt.flatten()], axis=1)
                     fw = weighting.frank_wolfe_min_norm(
-                        gset, max_iter=weighting.DSW_MAX_ITER, tol=weighting.DSW_TOL
+                        grads, max_iter=weighting.DSW_MAX_ITER, tol=weighting.DSW_TOL
                     )
                     alpha = fw.weights
                     fw_iters = float(fw.iterations)
                     if fw.converged:
                         cert = weighting.certify_pareto_stationarity(
-                            fw.direction, gset, tol=1e-6
+                            fw.direction, grads, tol=1e-6
                         )
                         certified = certified and cert.passed
 

@@ -1,11 +1,23 @@
 """Independent numerical oracles used to check analytic results.
 
-These stay deliberately naive: central finite differences for gradients
-and direct elementwise arithmetic for values, so they share no code with
-the implementations they verify.
+The finite-difference helpers stay deliberately naive: central
+differences for gradients and direct elementwise arithmetic for values,
+so they share no code with the implementations they verify. The reference
+implementations below them are what the tests compare the library
+against: the closed-form two-teacher min-norm point, the exhaustive
+simplex-grid min-norm search, a scalar KL divergence, the
+probability-matrix invariants, the cross-entropy logit gradient, and a
+parameter fingerprint. No run calls them, so they live here, not in
+``kdlab``.
 """
 
+import hashlib
+from itertools import combinations
+
 import numpy as np
+
+from kdlab.errors import DimensionMismatch, EmptyGradientSet, NotADistribution, ShapeMismatch
+from kdlab.numerics import as_matrix, as_vector
 
 FD_STEP = 1e-5
 REL_FLOOR = 1e-3
@@ -40,3 +52,140 @@ def rel_errors(analytic, numeric, floor=REL_FLOOR):
 def fraction_within(analytic, numeric, tol=1e-5, floor=REL_FLOOR):
     errs = rel_errors(analytic, numeric, floor)
     return float(np.mean(errs <= tol)) if errs.size else 1.0
+
+
+_SEGMENT_TIE_EPS = 1e-18
+
+
+def min_norm_2(g1, g2) -> tuple[float, np.ndarray]:
+    """Closed-form min-norm point on the segment [g1, g2].
+
+    Returns (gamma, d) with d = gamma * g1 + (1 - gamma) * g2 and gamma the
+    clamped minimizer ((g2 - g1) . g2) / ||g1 - g2||^2; coincident
+    endpoints tie-break to gamma = 0.5.
+    """
+    a = as_vector(g1, "g1")
+    b = as_vector(g2, "g2")
+    if a.shape != b.shape:
+        raise DimensionMismatch(f"lengths differ: {a.size} vs {b.size}")
+    diff = a - b
+    denom = float(diff @ diff)
+    if denom < _SEGMENT_TIE_EPS:
+        gamma = 0.5
+    else:
+        gamma = float(np.clip((b - a) @ b / denom, 0.0, 1.0))
+    return gamma, gamma * a + (1.0 - gamma) * b
+
+
+_MAX_BRUTE_TEACHERS = 4
+_GRID_CACHE: dict[tuple[int, int], np.ndarray] = {}
+
+
+def simplex_grid(k: int, steps: int) -> np.ndarray:
+    """All lattice points with coordinates i/steps on the (k-1)-simplex."""
+    key = (k, steps)
+    if key not in _GRID_CACHE:
+        points = []
+        for cuts in combinations(range(steps + k - 1), k - 1):
+            prev = -1
+            counts = []
+            for c in cuts:
+                counts.append(c - prev - 1)
+                prev = c
+            counts.append(steps + k - 2 - prev)
+            points.append(counts)
+        _GRID_CACHE[key] = np.asarray(points, dtype=np.float64) / steps
+    return _GRID_CACHE[key]
+
+
+def brute_force_min_norm(grads, grid_step: float) -> tuple[np.ndarray, float]:
+    """Exhaustive min-norm search over the simplex lattice.
+
+    Capped at four teachers; the lattice is a subset of the simplex so the
+    returned objective upper-bounds the true minimum.
+    """
+    g = np.asarray(grads, dtype=np.float64)
+    if g.ndim != 2:
+        raise DimensionMismatch("gradient set must be a K x P matrix")
+    k = g.shape[0]
+    if k == 0:
+        raise EmptyGradientSet("gradient set has zero teachers")
+    if k > _MAX_BRUTE_TEACHERS:
+        raise ValueError(f"brute force capped at {_MAX_BRUTE_TEACHERS} teachers")
+    steps = round(1.0 / grid_step)
+    if abs(steps * grid_step - 1.0) > 1e-9 or steps < 1:
+        raise ValueError(f"grid_step {grid_step} must divide 1")
+    lattice = simplex_grid(k, steps)
+    gram = g @ g.T
+    objectives = 0.5 * np.einsum("ij,jk,ik->i", lattice, gram, lattice)
+    best = int(np.argmin(objectives))
+    return lattice[best].copy(), float(objectives[best])
+
+
+ROW_SUM_TOL = 1e-9
+KL_FLOOR = 1e-12
+
+
+def check_prob_matrix(p, tol: float = ROW_SUM_TOL) -> np.ndarray:
+    """Validate the probability-matrix invariants: entries in [0, 1] and
+    rows summing to 1 within ``tol``. Returns the array."""
+    a = as_matrix(p, "prob matrix")
+    if a.size == 0:
+        return a
+    if np.any(a < 0.0) or np.any(a > 1.0):
+        raise NotADistribution("entries outside [0, 1]")
+    sums = a.sum(axis=1)
+    if np.any(np.abs(sums - 1.0) > tol):
+        raise NotADistribution(f"row sums deviate from 1 beyond {tol:.0e}")
+    return a
+
+
+def _check_prob_row(p, name: str) -> np.ndarray:
+    a = as_vector(p, name)
+    if np.any(a < -ROW_SUM_TOL):
+        raise NotADistribution(f"{name} has negative entries")
+    if abs(float(a.sum()) - 1.0) > ROW_SUM_TOL:
+        raise NotADistribution(f"{name} does not sum to 1")
+    return a
+
+
+def kl_divergence(p, q) -> float:
+    """KL divergence sum_j p_j ln(p_j / q_j) between two probability rows.
+
+    Uses the 0 * ln(0/q) = 0 convention and floors q at ``KL_FLOOR`` before
+    the log so zero teacher probabilities cannot produce infinities. The
+    result is clamped at zero against rounding (true KL is nonnegative).
+    """
+    vp = _check_prob_row(p, "p")
+    vq = _check_prob_row(q, "q")
+    if vp.shape != vq.shape:
+        raise DimensionMismatch(f"lengths differ: {vp.size} vs {vq.size}")
+    qc = np.maximum(vq, KL_FLOOR)
+    mask = vp > 0.0
+    val = float(np.sum(vp[mask] * (np.log(vp[mask]) - np.log(qc[mask]))))
+    return max(val, 0.0)
+
+
+def ce_grad_wrt_logits(p_student: np.ndarray, p_teacher: np.ndarray) -> np.ndarray:
+    """Gradient of mean-row cross-entropy CE(teacher, student) w.r.t. the
+    student logits, composed through the full softmax Jacobian.
+
+    Independent derivation used to confirm it coincides with
+    ``distill.kl_grad_wrt_logits`` (the teacher entropy term is constant):
+    J_softmax^T v with v = -p_T / p_S gives p * v - p (p . v) per row.
+    """
+    if p_student.shape != p_teacher.shape:
+        raise ShapeMismatch("distribution shapes differ")
+    v = -p_teacher / np.maximum(p_student, 1e-300)
+    pv = np.sum(p_student * v, axis=1, keepdims=True)
+    return (p_student * v - p_student * pv) / p_student.shape[0]
+
+
+def param_fingerprint(params) -> str:
+    """Hash of an encoder's config plus raw parameter bytes; detects any
+    mutation."""
+    h = hashlib.sha256()
+    h.update(repr(params.config).encode())
+    for a in params.weights + params.biases:
+        h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    return h.hexdigest()

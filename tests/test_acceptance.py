@@ -17,8 +17,16 @@ import pytest
 from kdlab import cli, contrastive as ct, data, distill, trainer, weighting as wt
 from kdlab.encoder import EncoderConfig, encode, init_params, vjp
 from kdlab.errors import ChecksumMismatch, FormatVersionMismatch
-from kdlab.numerics import check_prob_matrix, kl_divergence, seeded_rng, softmax_rows
-from oracles import central_diff_grad, fraction_within
+from kdlab.numerics import seeded_rng, softmax_rows
+from oracles import (
+    brute_force_min_norm,
+    central_diff_grad,
+    ce_grad_wrt_logits,
+    check_prob_matrix,
+    fraction_within,
+    kl_divergence,
+    min_norm_2,
+)
 
 
 def _report(num, elapsed, desc):
@@ -45,8 +53,9 @@ def test_01_min_norm_two_teachers_exact():
         dim = int(rng.integers(2, 51))
         g = rng.normal(size=(2, dim))
         res = wt.frank_wolfe_min_norm(g)
-        _, d = wt.min_norm_2(g[0], g[1])
-        worst = max(worst, abs(res.objective - 0.5 * float(d @ d)))
+        _, d = min_norm_2(g[0], g[1])
+        fw_obj = 0.5 * float(res.direction @ res.direction)
+        worst = max(worst, abs(fw_obj - 0.5 * float(d @ d)))
     elapsed = time.perf_counter() - t0
     assert worst <= 1e-10
     assert elapsed < 1.0
@@ -62,8 +71,9 @@ def test_02_min_norm_vs_brute_force():
             dim = int(rng.integers(4, 11))
             g = rng.normal(size=(k, dim)) / np.sqrt(dim)
             res = wt.frank_wolfe_min_norm(g, max_iter=20000, tol=1e-12)
-            _, obj = wt.brute_force_min_norm(g, 0.01)
-            worst = max(worst, abs(obj - res.objective))
+            _, obj = brute_force_min_norm(g, 0.01)
+            fw_obj = 0.5 * float(res.direction @ res.direction)
+            worst = max(worst, abs(obj - fw_obj))
     elapsed = time.perf_counter() - t0
     assert worst <= 1e-3
     assert elapsed < 30.0
@@ -203,7 +213,7 @@ def test_05_ce_kl_gradient_equivalence():
         p_s = rng.dirichlet(np.ones(n), size=rows)
         p_t = rng.dirichlet(np.ones(n), size=rows)
         diff = np.max(
-            np.abs(distill.kl_grad_wrt_logits(p_s, p_t) - distill.ce_grad_wrt_logits(p_s, p_t))
+            np.abs(distill.kl_grad_wrt_logits(p_s, p_t) - ce_grad_wrt_logits(p_s, p_t))
         )
         worst = max(worst, float(diff))
     elapsed = time.perf_counter() - t0

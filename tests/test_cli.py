@@ -312,6 +312,22 @@ class TestRun:
             rows = list(csv.DictReader(f))
         assert rows and int(rows[0]["n_seeds"]) == 2
 
+    def test_summary_ignores_runs_left_by_an_earlier_call(self, tmp_path, monkeypatch):
+        p = tmp_path / "m.json"
+        write_manifest(p)
+        out = tmp_path / "o"
+        assert cli.main(["run", str(p), "--output-dir", str(out)]) == 0
+
+        def failing(payload):
+            raise cli.NumericError("run default/seed_0: synthetic blowup")
+
+        monkeypatch.setattr(cli, "_execute_run", failing)
+        assert cli.main(["run", str(p), "--output-dir", str(out)]) == 4
+        # The first call's run.json is still on disk; this call completed no run.
+        assert (out / "runs" / "default" / "seed_0" / "run.json").exists()
+        with open(out / "summary.csv", newline="") as f:
+            assert list(csv.DictReader(f)) == []
+
     def test_failed_teacher_fails_only_the_runs_that_need_it(self, tmp_path, monkeypatch, capsys):
         real = trainer.pretrain_teacher
 

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from kdlab import data, distill, trainer
-from kdlab.encoder import param_fingerprint
 from kdlab.errors import InvalidConfig, StrategyTeacherMismatch
 from kdlab.numerics import seeded_rng
+from oracles import param_fingerprint
 
 TINY_SPEC = data.SyntheticSpec(
     num_classes=4, image_dim=10, text_dim=8, samples_per_class=40,
@@ -291,7 +291,11 @@ class TestDistill:
         ds, train_idx, eval_idx, teachers = tiny
 
         def state():
-            return [(t.fingerprints(), t.bank.tobytes(), t.accuracy) for t in teachers]
+            return [
+                (param_fingerprint(t.image_params), param_fingerprint(t.text_params),
+                 t.bank.tobytes(), t.accuracy)
+                for t in teachers
+            ]
 
         before = state()
         for strategy, augmentation in (
@@ -417,7 +421,7 @@ class TestFrozenTeacherCache:
                 got = cache.outputs(rows)
                 feats, _ = trainer.encode(t.image_params, rows_raw[rows], train_mode=False)
                 want = distill.TeacherOutputs.from_features(feats, t.bank, 4.0)
-                for name in ("image_features", "text_features", "i2t_probs", "t2i_probs"):
+                for name in ("image_features", "i2t_probs", "t2i_probs"):
                     np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
     def test_dsw_uses_two_stacked_vjps_per_batch(self, monkeypatch, tiny):

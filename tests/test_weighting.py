@@ -3,7 +3,13 @@ import pytest
 
 from kdlab import weighting as wt
 from kdlab.distill import check_simplex
-from kdlab.errors import DimensionMismatch, EmptyGradientSet, TooManyTeachers
+from kdlab.errors import DimensionMismatch, EmptyGradientSet, NonFiniteInput
+from oracles import brute_force_min_norm, min_norm_2
+
+
+def objective(res):
+    """0.5 * ||d||^2 at the solver's direction."""
+    return 0.5 * float(res.direction @ res.direction)
 
 
 class TestLsrWeights:
@@ -61,30 +67,30 @@ class TestTeacherLabelSimilarity:
 
 class TestMinNorm2:
     def test_orthogonal_unit(self):
-        gamma, d = wt.min_norm_2([1.0, 0.0], [0.0, 1.0])
+        gamma, d = min_norm_2([1.0, 0.0], [0.0, 1.0])
         assert gamma == pytest.approx(0.5)
         np.testing.assert_allclose(d, [0.5, 0.5])
 
     def test_ray_shorter_endpoint(self):
-        gamma, d = wt.min_norm_2([1.0, 0.0], [2.0, 0.0])
+        gamma, d = min_norm_2([1.0, 0.0], [2.0, 0.0])
         assert gamma == 1.0
         np.testing.assert_allclose(d, [1.0, 0.0])
 
     def test_opposed_cancels(self):
         g = np.array([0.3, -0.4, 1.0])
-        gamma, d = wt.min_norm_2(g, -g)
+        gamma, d = min_norm_2(g, -g)
         assert gamma == pytest.approx(0.5)
         np.testing.assert_allclose(d, 0.0, atol=1e-15)
 
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            wt.min_norm_2([1.0, 0.0], [1.0, 0.0, 0.0])
+            min_norm_2([1.0, 0.0], [1.0, 0.0, 0.0])
 
     def test_is_segment_minimum(self, rng):
         for _ in range(100):
             g1 = rng.normal(size=6)
             g2 = rng.normal(size=6)
-            gamma, d = wt.min_norm_2(g1, g2)
+            gamma, d = min_norm_2(g1, g2)
             norm = d @ d
             for t in np.linspace(0, 1, 21):
                 alt = t * g1 + (1 - t) * g2
@@ -103,15 +109,15 @@ class TestFrankWolfe:
         for _ in range(100):
             g = rng.normal(size=(2, rng.integers(2, 51)))
             res = wt.frank_wolfe_min_norm(g)
-            _, d = wt.min_norm_2(g[0], g[1])
-            assert abs(res.objective - 0.5 * float(d @ d)) <= 1e-10
+            _, d = min_norm_2(g[0], g[1])
+            assert abs(objective(res) - 0.5 * float(d @ d)) <= 1e-10
 
     def test_three_teachers_match_brute_force(self, rng):
         for _ in range(10):
             g = rng.normal(size=(3, 5)) / np.sqrt(5)
             res = wt.frank_wolfe_min_norm(g, max_iter=10000)
-            _, obj = wt.brute_force_min_norm(g, 0.01)
-            assert abs(obj - res.objective) <= 1e-3
+            _, obj = brute_force_min_norm(g, 0.01)
+            assert abs(obj - objective(res)) <= 1e-3
 
     def test_identical_teachers_stay_uniform(self):
         g = np.tile(np.array([1.0, 2.0]), (2, 1))
@@ -126,10 +132,19 @@ class TestFrankWolfe:
         np.testing.assert_allclose(res.direction, 0.0, atol=1e-12)
 
     def test_objective_monotone(self, rng):
+        # The solver is deterministic, so stopping it after m iterations
+        # replays one run up to its m-th step. The trace starts at the
+        # uniform point and covers every step of dsw's budget; past it,
+        # consecutive steps (m, m + 1) are sampled up to the run's last.
         for _ in range(30):
             g = rng.normal(size=(rng.integers(2, 6), 8))
-            res = wt.frank_wolfe_min_norm(g)
-            trace = np.asarray(res.objective_trace)
+            n = wt.frank_wolfe_min_norm(g).iterations
+            stops = set(range(1, min(n, wt.DSW_MAX_ITER + 1) + 1))
+            if n > wt.DSW_MAX_ITER + 1:
+                for m in np.linspace(wt.DSW_MAX_ITER + 1, n - 1, 12).astype(int):
+                    stops.update((int(m), int(m) + 1))
+            start = 0.5 * float(g.mean(axis=0) @ g.mean(axis=0))
+            trace = [start] + [objective(wt.frank_wolfe_min_norm(g, max_iter=m)) for m in sorted(stops)]
             assert np.all(np.diff(trace) <= 1e-12)
 
     def test_scale_robustness(self, rng):
@@ -143,6 +158,12 @@ class TestFrankWolfe:
         with pytest.raises(EmptyGradientSet):
             wt.frank_wolfe_min_norm(np.zeros((0, 3)))
 
+    def test_non_finite_gradient_rejected(self):
+        g = np.array([[1.0, 0.0], [0.0, np.nan]])
+        with pytest.raises(NonFiniteInput):
+            wt.frank_wolfe_min_norm(g)
+        assert not wt.certify_pareto_stationarity(np.array([1.0, 0.0]), g, tol=1e-9).passed
+
     def test_weights_always_valid_simplex(self, rng):
         for _ in range(200):
             k = rng.integers(1, 6)
@@ -154,12 +175,12 @@ class TestFrankWolfe:
 class TestBruteForce:
     def test_matches_closed_form_k2(self):
         g = np.array([[1.0, 0.0], [0.0, 1.0]])
-        weights, obj = wt.brute_force_min_norm(g, 0.01)
+        weights, obj = brute_force_min_norm(g, 0.01)
         np.testing.assert_allclose(weights, [0.5, 0.5], atol=0.01)
         assert obj == pytest.approx(0.25, abs=1e-3)
 
     def test_single_teacher(self):
-        weights, obj = wt.brute_force_min_norm(np.array([[2.0, 0.0]]), 0.5)
+        weights, obj = brute_force_min_norm(np.array([[2.0, 0.0]]), 0.5)
         np.testing.assert_allclose(weights, [1.0])
         assert obj == pytest.approx(2.0)
 
@@ -169,22 +190,22 @@ class TestBruteForce:
         for _ in range(10):
             g = rng.normal(size=(3, 4))
             res = wt.frank_wolfe_min_norm(g, max_iter=10000)
-            _, obj = wt.brute_force_min_norm(g, 0.05)
-            assert obj >= res.objective - max(res.gap, 1e-9)
+            _, obj = brute_force_min_norm(g, 0.05)
+            assert obj >= objective(res) - max(res.gap, 1e-9)
 
     def test_too_many_teachers(self):
-        with pytest.raises(TooManyTeachers):
-            wt.brute_force_min_norm(np.zeros((5, 3)), 0.1)
+        with pytest.raises(ValueError):
+            brute_force_min_norm(np.zeros((5, 3)), 0.1)
 
     def test_bad_grid_step(self):
         with pytest.raises(ValueError):
-            wt.brute_force_min_norm(np.ones((2, 2)), 0.03)
+            brute_force_min_norm(np.ones((2, 2)), 0.03)
 
 
 class TestCertify:
     def test_orthogonal_pair_passes(self):
         g = np.array([[1.0, 0.0], [0.0, 1.0]])
-        _, d = wt.min_norm_2(g[0], g[1])
+        _, d = min_norm_2(g[0], g[1])
         cert = wt.certify_pareto_stationarity(d, g, tol=1e-9)
         assert cert.passed and not cert.stationary
         np.testing.assert_allclose(cert.slacks, 0.0, atol=1e-12)
