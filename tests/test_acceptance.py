@@ -374,29 +374,31 @@ def test_10_loss_ratio_suite(default_world, tmp_path):
     )
 
 
+ACCEPTANCE_11_MANIFEST = {
+    "schema_version": 1,
+    "suite": "single",
+    "seeds": [3],
+    "dataset": {
+        "spec": {
+            "num_classes": 4, "image_dim": 10, "text_dim": 8,
+            "samples_per_class": 30, "noise_sigma": 0.25,
+            "anchor_scale": 1.0, "seed": 9,
+        }
+    },
+    "train": {
+        "epochs": 4, "batch_size": 32, "strategy": "dsw", "num_teachers": 2,
+        "student": {"hidden_widths": [16], "output_dim": 6, "dropout_p": 0.3},
+    },
+    "teachers": [
+        {"hidden_widths": [20], "output_dim": 6},
+        {"hidden_widths": [18], "output_dim": 6},
+    ],
+    "pretrain": {"epochs": 6, "batch_size": 32, "lr": 3e-3, "accuracy_gate": 0.5},
+}
+
+
 def test_11_determinism_byte_identical(tmp_path):
-    manifest = {
-        "schema_version": 1,
-        "suite": "single",
-        "seeds": [3],
-        "dataset": {
-            "spec": {
-                "num_classes": 4, "image_dim": 10, "text_dim": 8,
-                "samples_per_class": 30, "noise_sigma": 0.25,
-                "anchor_scale": 1.0, "seed": 9,
-            }
-        },
-        "train": {
-            "epochs": 4, "batch_size": 32, "strategy": "dsw", "num_teachers": 2,
-            "student": {"hidden_widths": [16], "output_dim": 6, "dropout_p": 0.3},
-        },
-        "teachers": [
-            {"hidden_widths": [20], "output_dim": 6},
-            {"hidden_widths": [18], "output_dim": 6},
-        ],
-        "pretrain": {"epochs": 6, "batch_size": 32, "lr": 3e-3, "accuracy_gate": 0.5},
-        "output_dir": str(tmp_path / "unused"),
-    }
+    manifest = {**ACCEPTANCE_11_MANIFEST, "output_dir": str(tmp_path / "unused")}
     mpath = tmp_path / "m.json"
     mpath.write_text(json.dumps(manifest))
     t0 = time.perf_counter()
