@@ -537,13 +537,14 @@ def cmd_report(args) -> int:
     summary = out_dir / "summary.csv"
     if not summary.exists():
         raise NoRunsFound(f"no summary.csv under {out_dir}")
-    with open(summary, newline="") as f:
-        rows = list(csv.DictReader(f))
+    rows = _read_csv(
+        summary, ("suite", "grid_point", "n_seeds", "acc_mean", "acc_std", "recall5_mean")
+    )
     if not rows:
         raise NoRunsFound(f"summary.csv under {out_dir} is empty")
     for r in rows:
-        r["acc_mean"] = float(r["acc_mean"])
-        r["acc_std"] = float(r["acc_std"])
+        r["acc_mean"] = _csv_float(summary, r, "acc_mean")
+        r["acc_std"] = _csv_float(summary, r, "acc_std")
     rows.sort(key=lambda r: -r["acc_mean"])
 
     lines = [
@@ -554,7 +555,7 @@ def cmd_report(args) -> int:
         flag = "  *best*" if rank == 1 else ""
         lines.append(
             f"{rank:<5}{r['grid_point']:<16}{r['acc_mean']:>10.4f}"
-            f"{r['acc_std']:>10.4f}{float(r['recall5_mean']):>10.4f}{flag}"
+            f"{r['acc_std']:>10.4f}{_csv_float(summary, r, 'recall5_mean'):>10.4f}{flag}"
         )
     text = "\n".join(lines)
     print(text)
@@ -565,14 +566,36 @@ def cmd_report(args) -> int:
     with open(long_path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["grid_point", "seed", "epoch", "metric", "value"])
+        long_metrics = ("l_clip", "l_kl", "l_mse", "total", "acc", "recall1", "recall5")
         for metrics_csv in sorted(out_dir.glob("runs/*/seed_*/metrics.csv")):
-            with open(metrics_csv, newline="") as mf:
-                for row in csv.DictReader(mf):
-                    for metric in ("l_clip", "l_kl", "l_mse", "total", "acc", "recall1", "recall5"):
-                        writer.writerow(
-                            [row["grid_point"], row["seed"], row["epoch"], metric, row[metric]]
-                        )
+            for row in _read_csv(metrics_csv, ("grid_point", "seed", "epoch") + long_metrics):
+                for metric in long_metrics:
+                    writer.writerow(
+                        [row["grid_point"], row["seed"], row["epoch"], metric, row[metric]]
+                    )
     return 0
+
+
+def _read_csv(path: Path, columns: tuple[str, ...]) -> list[dict]:
+    """The rows of a CSV that kdlab wrote, raising DataError naming the file
+    when a column it needs is missing or a row is cut short."""
+    with open(path, newline="") as f:
+        reader = csv.DictReader(f)
+        rows = list(reader)
+        missing = [c for c in columns if c not in (reader.fieldnames or ())]
+    if missing:
+        raise DataError(f"{path} has no column {missing[0]!r}")
+    for line, row in enumerate(rows, start=2):
+        if None in row.values():
+            raise DataError(f"{path} line {line} has fewer fields than its header")
+    return rows
+
+
+def _csv_float(path: Path, row: dict, column: str) -> float:
+    try:
+        return float(row[column])
+    except ValueError:
+        raise DataError(f"{path} column {column!r} holds {row[column]!r}, not a number") from None
 
 
 def cmd_gen_data(args) -> int:

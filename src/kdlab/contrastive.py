@@ -96,48 +96,66 @@ def clip_loss(
     """
     u = batch.image_features
     w = batch.text_features
-    tau = batch.tau
-    b_sz, _ = u.shape
+    b_sz = u.shape[0]
     n_cand = w.shape[0]
     if b_sz == 0:
         raise DimensionMismatch("clip_loss needs at least one sample")
 
     labels_a = _check_labels(labels, b_sz, n_cand, "labels")
-    if mix is None:
-        labels_b = labels_a
-        lam = np.ones(b_sz)
-    else:
-        labels_b = _check_labels(mix.labels_b, b_sz, n_cand, "mix labels")
-        lam = np.asarray(mix.lam, dtype=np.float64)
-        if lam.shape != (b_sz,):
+    if mix is not None:
+        mix = MixedLabels(
+            _check_labels(mix.labels_b, b_sz, n_cand, "mix labels"),
+            np.asarray(mix.lam, dtype=np.float64),
+        )
+        if mix.lam.shape != (b_sz,):
             raise DimensionMismatch("mix.lam must have one coefficient per sample")
-    wa, wb = lam, 1.0 - lam
+    log_p = log_softmax_rows(pairwise_logits(u, w), batch.tau)
+    log_q = log_softmax_rows(pairwise_logits(w, u), batch.tau)
+    dists = (log_p, np.exp(log_p), log_q, np.exp(log_q))
+    return _clip_loss(u, w, batch.tau, dists, labels_a, mix)
 
-    # Soft target matrix over text candidates, one row per image.
+
+def _clip_loss(
+    u: np.ndarray,
+    w: np.ndarray,
+    tau: float,
+    dists: tuple[np.ndarray, ...],
+    labels_a: np.ndarray,
+    mix: MixedLabels | None,
+) -> LossValueWithGrad:
+    """:func:`clip_loss` on checked inputs, given the distributions
+    ``numerics._pair_log_softmax(u, w, tau)``. Without ``mix`` the targets are
+    one-hot, which is what the soft formulas give at lam = 1."""
+    log_p, p, log_q, q = dists
+    b_sz = u.shape[0]
+    n_cand = w.shape[0]
+    idx = np.arange(b_sz)
+
+    # Soft target matrix over text candidates, one row per image; for the
+    # text-to-image direction, each anchor row is the labelled text
+    # candidate and its target is the sample position that selected it.
     target = np.zeros((b_sz, n_cand))
-    np.add.at(target, (np.arange(b_sz), labels_a), wa)
-    np.add.at(target, (np.arange(b_sz), labels_b), wb)
+    sel = np.zeros((n_cand, b_sz))
+    if mix is None:
+        target[idx, labels_a] = 1.0
+        sel[labels_a, idx] = 1.0
+        counts = np.bincount(labels_a, minlength=n_cand).astype(np.float64)
+        t2i_sum = np.sum(log_q[labels_a, idx])
+    else:
+        labels_b, wa = mix.labels_b, mix.lam
+        wb = 1.0 - wa
+        np.add.at(target, (idx, labels_a), wa)
+        np.add.at(target, (idx, labels_b), wb)
+        np.add.at(sel, (labels_a, idx), wa)
+        np.add.at(sel, (labels_b, idx), wb)
+        counts = np.zeros(n_cand)
+        np.add.at(counts, labels_a, wa)
+        np.add.at(counts, labels_b, wb)
+        t2i_sum = np.sum(wa * log_q[labels_a, idx]) + np.sum(wb * log_q[labels_b, idx])
 
-    sims = pairwise_logits(u, w)
-    log_p = log_softmax_rows(sims, tau)
-    p = np.exp(log_p)
     l_i2t = float(-np.sum(target * log_p) / b_sz)
     grad_logits_i2t = (p - target) / b_sz
-
-    # Text-to-image: anchor rows are the labelled text candidates; each
-    # anchor's target is the sample position that selected it.
-    log_q = log_softmax_rows(pairwise_logits(w, u), tau)
-    q = np.exp(log_q)
-    idx = np.arange(b_sz)
-    l_t2i = float(
-        -(np.sum(wa * log_q[labels_a, idx]) + np.sum(wb * log_q[labels_b, idx])) / b_sz
-    )
-    counts = np.zeros(n_cand)
-    np.add.at(counts, labels_a, wa)
-    np.add.at(counts, labels_b, wb)
-    sel = np.zeros((n_cand, b_sz))
-    np.add.at(sel, (labels_a, idx), wa)
-    np.add.at(sel, (labels_b, idx), wb)
+    l_t2i = float(-t2i_sum / b_sz)
     grad_logits_t2i = (counts[:, None] * q - sel) / b_sz
 
     scale = 0.5 / tau

@@ -50,16 +50,11 @@ class KlPairLoss:
     grad_text: np.ndarray
 
 
-def _mean_row_kl(p_teacher: np.ndarray, log_p_student: np.ndarray) -> float:
-    safe = np.where(p_teacher > 0.0, p_teacher, 1.0)
-    val = np.sum(p_teacher * (np.log(safe) - log_p_student)) / p_teacher.shape[0]
-    return max(float(val), 0.0)
-
-
 def kl_grad_wrt_logits(p_student: np.ndarray, p_teacher: np.ndarray) -> np.ndarray:
     """Gradient of mean-row KL(teacher || student) w.r.t. the student's
-    softmax input logits: (p_S - p_T) / rows."""
-    if p_student.shape != p_teacher.shape:
+    softmax input logits: (p_S - p_T) / rows. ``p_teacher`` may be a stack
+    of K teachers' distributions, giving K gradients."""
+    if p_student.shape != p_teacher.shape[-2:]:
         raise ShapeMismatch("distribution shapes differ")
     return (p_student - p_teacher) / p_student.shape[0]
 
@@ -79,37 +74,47 @@ def kl_pair_loss(
     """
     u = as_matrix(student_image_features, "student_image_features")
     w = as_matrix(student_text_features, "student_text_features")
-    p_t_i2t = teacher.i2t_probs
-    p_t_t2i = teacher.t2i_probs
-    if p_t_i2t.shape != (u.shape[0], w.shape[0]):
+    if teacher.i2t_probs.shape != (u.shape[0], w.shape[0]):
         raise ShapeMismatch(
-            f"teacher i2t shape {p_t_i2t.shape} != student {(u.shape[0], w.shape[0])}"
+            f"teacher i2t shape {teacher.i2t_probs.shape} != student {(u.shape[0], w.shape[0])}"
         )
-    if p_t_t2i.shape != (w.shape[0], u.shape[0]):
+    if teacher.t2i_probs.shape != (w.shape[0], u.shape[0]):
         raise ShapeMismatch(
-            f"teacher t2i shape {p_t_t2i.shape} != student {(w.shape[0], u.shape[0])}"
+            f"teacher t2i shape {teacher.t2i_probs.shape} != student {(w.shape[0], u.shape[0])}"
         )
-
-    log_p_i2t = log_softmax_rows(pairwise_logits(u, w), tau_student)
-    p_s_i2t = np.exp(log_p_i2t)
-    l_i2t = _mean_row_kl(p_t_i2t, log_p_i2t)
-    g_logits = kl_grad_wrt_logits(p_s_i2t, p_t_i2t) / tau_student
-    grad_u_i2t = g_logits @ w
-    grad_w_i2t = g_logits.T @ u
-
-    log_p_t2i = log_softmax_rows(pairwise_logits(w, u), tau_student)
-    p_s_t2i = np.exp(log_p_t2i)
-    l_t2i = _mean_row_kl(p_t_t2i, log_p_t2i)
-    g_logits = kl_grad_wrt_logits(p_s_t2i, p_t_t2i) / tau_student
-    grad_w_t2i = g_logits @ u
-    grad_u_t2i = g_logits.T @ w
-
-    return KlPairLoss(
-        l_i2t=l_i2t,
-        l_t2i=l_t2i,
-        grad_image=grad_u_i2t + grad_u_t2i,
-        grad_text=grad_w_i2t + grad_w_t2i,
+    log_p = log_softmax_rows(pairwise_logits(u, w), tau_student)
+    log_q = log_softmax_rows(pairwise_logits(w, u), tau_student)
+    dists = (log_p, np.exp(log_p), log_q, np.exp(log_q))
+    l_i2t, l_t2i, grad_u, grad_w = _kl_stack(
+        teacher.i2t_probs[None], teacher.t2i_probs[None], u, w, tau_student, dists
     )
+    return KlPairLoss(l_i2t=l_i2t[0], l_t2i=l_t2i[0], grad_image=grad_u[0], grad_text=grad_w[0])
+
+
+def _kl_stack(p_i2t, p_t2i, u, w, tau: float, dists):
+    """:func:`kl_pair_loss` for K teachers at once, on checked inputs.
+
+    ``p_i2t`` (K x B x N) and ``p_t2i`` (K x N x B) stack the teachers'
+    distributions; ``dists`` is ``numerics._pair_log_softmax(u, w, tau)``.
+    Returns the K i2t and K t2i losses and the K x B x d and K x N x d
+    student gradients. Each teacher's slice has the bits a call with that
+    teacher alone gives: the products run per slice, and each loss sums its
+    own slice.
+    """
+    log_p, p, log_q, q = dists
+    g_i2t = kl_grad_wrt_logits(p, p_i2t) / tau
+    g_t2i = kl_grad_wrt_logits(q, p_t2i) / tau
+    grad_u = g_i2t @ w + g_t2i.transpose(0, 2, 1) @ w
+    grad_w = g_i2t.transpose(0, 2, 1) @ u + g_t2i @ u
+    return _mean_row_kls(p_i2t, log_p), _mean_row_kls(p_t2i, log_q), grad_u, grad_w
+
+
+def _mean_row_kls(p_teacher: np.ndarray, log_p_student: np.ndarray) -> list[float]:
+    """Mean-row KL(teacher || student) for each teacher of a K x rows x N stack."""
+    safe = np.where(p_teacher > 0.0, p_teacher, 1.0)
+    terms = p_teacher * (np.log(safe) - log_p_student)
+    rows = p_teacher.shape[1]
+    return [max(float(np.sum(t) / rows), 0.0) for t in terms]
 
 
 @dataclass
@@ -133,7 +138,11 @@ def mse_align(u_teacher, u_student, w_teacher, w_student) -> MseAlign:
         raise ShapeMismatch(f"image blocks differ: {ut.shape} vs {us.shape}")
     if wt.shape != ws.shape:
         raise ShapeMismatch(f"text blocks differ: {wt.shape} vs {ws.shape}")
+    return _mse_align(ut, us, wt, ws)
 
+
+def _mse_align(ut, us, wt, ws) -> MseAlign:
+    """:func:`mse_align` on checked matrices."""
     du = us - ut
     dw = ws - wt
     value = float(np.mean(du * du) + np.mean(dw * dw))

@@ -15,6 +15,15 @@ them through the tape in one reverse pass; every returned array then
 carries the leading K axis. Each slice is bit-identical to a separate
 2-D call with that cotangent: the stacked matmuls run the same BLAS
 product per slice, and every reduction keeps its order.
+
+The training step calls the private kernels behind ``encode``, ``vjp``
+and ``adam_step`` on inputs it checked once, at its entry. ``_encode`` is
+the forward pass. ``_backward`` writes the parameter gradients straight
+into a flat (P,) or (K, P) buffer in :meth:`EncoderGrads.flatten`'s order
+and skips the input gradient. ``_FlatAdam`` holds an encoder's parameters
+and Adam moments as flat buffers and updates them in place, one
+elementwise pass per encoder; each entry rounds as it would in
+``adam_step``.
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ShapeMismatch, ZeroVector
+from .errors import NonFiniteInput, ShapeMismatch, ZeroVector
 from .numerics import ZERO_NORM_EPS, as_matrix
 
 ACTIVATIONS = ("relu", "tanh", "identity")
@@ -151,6 +160,14 @@ def _activation_deriv(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.ones_like(z)
 
 
+def _checked_input(params: EncoderParams, x) -> np.ndarray:
+    """``x`` as a finite float64 matrix of the encoder's input width."""
+    xm = as_matrix(x, "x")
+    if xm.shape[1] != params.config.input_dim:
+        raise ShapeMismatch(f"input dim {xm.shape[1]} != config {params.config.input_dim}")
+    return xm
+
+
 def encode(
     params: EncoderParams,
     x,
@@ -163,22 +180,26 @@ def encode(
     and only when ``train_mode`` is set; evaluation passes never touch the
     rng, so repeated eval calls are identical.
     """
-    cfg = params.config
-    xm = as_matrix(x, "x")
-    if xm.shape[1] != cfg.input_dim:
-        raise ShapeMismatch(f"input dim {xm.shape[1]} != config {cfg.input_dim}")
-
-    use_dropout = train_mode and cfg.dropout_p > 0.0
-    if use_dropout and rng is None:
+    xm = _checked_input(params, x)
+    if train_mode and params.config.dropout_p > 0.0 and rng is None:
         raise ValueError("train_mode with dropout requires an rng")
+    return _encode(params, xm, train_mode, rng)
 
+
+def _encode(
+    params: EncoderParams, xm: np.ndarray, train_mode: bool, rng
+) -> tuple[np.ndarray, ForwardTape]:
+    """:func:`encode` on an input it has checked. The normalization raises
+    on a row whose norm is near zero or not finite, so every feature row it
+    returns is a finite unit vector, whatever the parameters."""
+    cfg = params.config
+    use_dropout = train_mode and cfg.dropout_p > 0.0
     h = xm
     layer_inputs: list[np.ndarray] = []
     pre_acts: list[np.ndarray] = []
     act_values: list[np.ndarray] = []
     masks: list[np.ndarray | None] = []
-    n_hidden = len(cfg.hidden_widths)
-    for i in range(n_hidden):
+    for i in range(len(cfg.hidden_widths)):
         layer_inputs.append(h)
         z = h @ params.weights[i] + params.biases[i]
         a = _activate(cfg.activation, z)
@@ -195,8 +216,11 @@ def encode(
     layer_inputs.append(h)
     raw = h @ params.weights[-1] + params.biases[-1]
     norms = np.linalg.norm(raw, axis=1, keepdims=True)
-    if raw.shape[0] and float(norms.min()) < ZERO_NORM_EPS:
-        raise ZeroVector("a pre-normalization output row has near-zero norm")
+    if raw.shape[0]:
+        if float(norms.min()) < ZERO_NORM_EPS:
+            raise ZeroVector("a pre-normalization output row has near-zero norm")
+        if not math.isfinite(float(norms.max())):
+            raise NonFiniteInput("a pre-normalization output row has a non-finite norm")
     features = raw / norms if raw.shape[0] else raw.copy()
 
     tape = ForwardTape(
@@ -221,38 +245,71 @@ def vjp(tape: ForwardTape, grad_features) -> tuple[EncoderGrads, np.ndarray]:
     products in one pass, each array with a leading K axis (see the module
     docstring).
     """
-    cfg = tape.params.config
     gy = np.ascontiguousarray(grad_features, dtype=np.float64)
     as_matrix(gy.reshape(-1, gy.shape[-1]) if gy.ndim == 3 else gy, "grad_features")
     if gy.shape[-2:] != tape.features.shape:
         raise ShapeMismatch(
             f"grad shape {gy.shape} != features shape {tape.features.shape}"
         )
+    layout = _Layout(tape.params.config)
+    flat = np.empty(gy.shape[:-2] + (layout.size,))
+    g = _backward(tape, gy, flat)
+    weights, biases = layout.views(flat)
+    return EncoderGrads(weights, biases), g @ tape.params.weights[0].T
 
+
+def _backward(tape: ForwardTape, gy: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """:func:`vjp` on a checked cotangent, writing the parameter gradients
+    into ``out`` ((P,), or (K, P) for a stacked cotangent) in
+    :meth:`EncoderGrads.flatten`'s order. Returns the cotangent of the first
+    layer's output; the input gradient, which training never reads, is left
+    to the caller."""
+    cfg = tape.params.config
     # Through y = v / ||v||: dv = (dy - (dy . y) y) / ||v||.
     y = tape.features
     rowdot = np.sum(gy * y, axis=-1, keepdims=True)
     g = (gy - rowdot * y) / tape.norms
 
     weights = tape.params.weights
-    biases = tape.params.biases
-    n_hidden = len(cfg.hidden_widths)
-    g_w = [None] * len(weights)
-    g_b = [None] * len(biases)
-
+    n = len(weights)
+    g_w = [None] * n
+    g_b = [None] * n
     g_w[-1] = tape.layer_inputs[-1].T @ g
     g_b[-1] = g.sum(axis=-2)
-    g = g @ weights[-1].T
-
-    for i in range(n_hidden - 1, -1, -1):
+    for i in range(n - 2, -1, -1):
+        g = g @ weights[i + 1].T
         if tape.masks[i] is not None:
             g = g * tape.masks[i]
         g = g * _activation_deriv(cfg.activation, tape.pre_acts[i], tape.act_values[i])
         g_w[i] = tape.layer_inputs[i].T @ g
         g_b[i] = g.sum(axis=-2)
-        g = g @ weights[i].T
+    lead = gy.shape[:-2]
+    np.concatenate([a.reshape(*lead, -1) for a in g_w + g_b], axis=-1, out=out)
+    return g
 
-    return EncoderGrads(list(g_w), list(g_b)), g
+
+class _Layout:
+    """Where each weight and bias of an encoder sits in one flat float64
+    vector: W0, W1, ..., b0, b1, ..., as :meth:`EncoderGrads.flatten` orders
+    them."""
+
+    def __init__(self, config: EncoderConfig):
+        dims = config.layer_dims
+        shapes = list(zip(dims[:-1], dims[1:])) + [(d,) for d in dims[1:]]
+        self.n_layers = len(dims) - 1
+        self.spans: list[tuple[int, int, tuple[int, ...]]] = []
+        start = 0
+        for shape in shapes:
+            stop = start + math.prod(shape)
+            self.spans.append((start, stop, shape))
+            start = stop
+        self.size = start
+
+    def views(self, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """(weights, biases) as views into ``flat``, with its leading axes."""
+        lead = flat.shape[:-1]
+        arrays = [flat[..., a:b].reshape(*lead, *shape) for a, b, shape in self.spans]
+        return arrays[: self.n_layers], arrays[self.n_layers :]
 
 
 @dataclass(frozen=True)
@@ -286,11 +343,6 @@ def init_adam(
     )
 
 
-def with_lr(state: AdamState, lr: float) -> AdamState:
-    """Copy of the state with a different learning rate (for schedules)."""
-    return replace(state, lr=lr)
-
-
 def adam_step(
     params: EncoderParams, grads: EncoderGrads, state: AdamState
 ) -> tuple[EncoderParams, AdamState]:
@@ -298,31 +350,53 @@ def adam_step(
     for p, g in zip(params.weights + params.biases, grads.weights + grads.biases):
         if p.shape != g.shape:
             raise ShapeMismatch(f"param shape {p.shape} != grad shape {g.shape}")
-
+    layout = _Layout(params.config)
+    p = EncoderGrads(params.weights, params.biases).flatten()
+    m, v = state.m.flatten(), state.v.flatten()
     t = state.t + 1
-    b1, b2 = state.beta1, state.beta2
+    _adam_update(p, grads.flatten(), m, v, t, state.lr, state)
+    new_params = EncoderParams(params.config, *layout.views(p))
+    new_state = replace(
+        state, t=t, m=EncoderGrads(*layout.views(m)), v=EncoderGrads(*layout.views(v))
+    )
+    return new_params, new_state
+
+
+def _adam_update(p, g, m, v, t: int, lr: float, hyper: AdamState) -> None:
+    """One bias-corrected Adam update of the flat buffers ``p``, ``m`` and
+    ``v`` in place: step ``t`` at rate ``lr``, with ``hyper``'s betas and
+    eps. Each entry rounds as it would in a separate update of its array."""
+    b1, b2 = hyper.beta1, hyper.beta2
     c1 = 1.0 - b1**t
     c2 = 1.0 - b2**t
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * g * g
+    p -= lr * (m / c1) / (np.sqrt(v / c2) + hyper.eps)
 
-    def upd(p, g, m, v):
-        m_new = b1 * m + (1.0 - b1) * g
-        v_new = b2 * v + (1.0 - b2) * g * g
-        p_new = p - state.lr * (m_new / c1) / (np.sqrt(v_new / c2) + state.eps)
-        return p_new, m_new, v_new
 
-    new_w, new_b = [], []
-    m_w, m_b, v_w, v_b = [], [], [], []
-    for p, g, m, v in zip(params.weights, grads.weights, state.m.weights, state.v.weights):
-        pn, mn, vn = upd(p, g, m, v)
-        new_w.append(pn)
-        m_w.append(mn)
-        v_w.append(vn)
-    for p, g, m, v in zip(params.biases, grads.biases, state.m.biases, state.v.biases):
-        pn, mn, vn = upd(p, g, m, v)
-        new_b.append(pn)
-        m_b.append(mn)
-        v_b.append(vn)
+class _FlatAdam:
+    """An encoder in training: its parameters and Adam moments as flat
+    float64 buffers that each step updates in place. ``params`` holds views
+    into the parameter buffer, laid out once; ``grad`` is the buffer the
+    step's gradient is written into."""
 
-    new_params = EncoderParams(params.config, new_w, new_b)
-    new_state = replace(state, t=t, m=EncoderGrads(m_w, m_b), v=EncoderGrads(v_w, v_b))
-    return new_params, new_state
+    def __init__(self, params: EncoderParams, state: AdamState):
+        self.layout = _Layout(params.config)
+        self.hyper = state
+        self.t = state.t
+        self.p = EncoderGrads(params.weights, params.biases).flatten()
+        self.m = state.m.flatten()
+        self.v = state.v.flatten()
+        self.params = EncoderParams(params.config, *self.layout.views(self.p))
+        self.grad = np.empty(self.layout.size)
+
+    def step(self, lr: float) -> None:
+        """Apply ``grad`` at learning rate ``lr``."""
+        self.t += 1
+        _adam_update(self.p, self.grad, self.m, self.v, self.t, lr, self.hyper)
+
+    def result(self) -> EncoderParams:
+        """The trained parameters, in arrays of their own."""
+        return self.params.copy()

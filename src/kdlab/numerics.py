@@ -69,29 +69,49 @@ def pairwise_logits(u, w) -> np.ndarray:
     return mu @ mw.T
 
 
+def _check_tau(tau: float) -> None:
+    if not np.isfinite(tau) or tau <= 0.0:
+        raise NonPositiveTemperature(f"tau must be > 0, got {tau}")
+
+
 def softmax_rows(logits, tau: float) -> np.ndarray:
     """Row-wise temperature softmax, ``softmax(logits / tau)`` per row.
 
     Computed with per-row max subtraction so extreme logits stay finite.
     """
-    if not np.isfinite(tau) or tau <= 0.0:
-        raise NonPositiveTemperature(f"tau must be > 0, got {tau}")
+    _check_tau(tau)
     z = as_matrix(logits, "logits")
-    if z.size == 0:
-        return z.copy()
-    z = z / tau
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return z.copy() if z.size == 0 else _softmax(z, tau)
 
 
 def log_softmax_rows(logits, tau: float) -> np.ndarray:
     """Row-wise log of the temperature softmax (stable against underflow)."""
-    if not np.isfinite(tau) or tau <= 0.0:
-        raise NonPositiveTemperature(f"tau must be > 0, got {tau}")
+    _check_tau(tau)
     z = as_matrix(logits, "logits")
-    if z.size == 0:
-        return z.copy()
-    z = z / tau
-    z = z - z.max(axis=1, keepdims=True)
+    return z.copy() if z.size == 0 else _log_softmax(z, tau)
+
+
+# Unchecked kernels: the public functions above and the training step call
+# these on arrays already checked at the boundary.
+
+
+def _softmax(logits: np.ndarray, tau: float) -> np.ndarray:
+    z = logits / tau
+    z -= z.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _log_softmax(logits: np.ndarray, tau: float) -> np.ndarray:
+    z = logits / tau
+    z -= z.max(axis=1, keepdims=True)
     return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+
+
+def _pair_log_softmax(u: np.ndarray, w: np.ndarray, tau: float) -> tuple[np.ndarray, ...]:
+    """The contrastive distributions of image rows ``u`` against text rows
+    ``w`` at ``tau``: image-to-text log-probabilities (B x N) and their exp,
+    then text-to-image (N x B) and their exp."""
+    log_p = _log_softmax(u @ w.T, tau)
+    log_q = _log_softmax(w @ u.T, tau)
+    return log_p, np.exp(log_p), log_q, np.exp(log_q)

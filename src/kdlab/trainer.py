@@ -29,12 +29,32 @@ before it, and a one-row batch is encoded on its own as before; the cached
 run computes the same bits as encoding every batch. ``jitter`` and
 ``mixup`` produce new rows every batch and encode them per batch.
 
+The training step: ``pretrain_teacher`` and ``distill_student`` check their
+inputs once, at entry. The dataset's image rows, class text anchors and
+labels are checked against the encoders, and the teachers' banks against
+the dataset. Each batch then runs the private, unchecked kernels behind
+the public ``encode``, ``vjp``, ``adam_step``, ``clip_loss``,
+``kl_pair_loss`` and ``mse_align``, so it gets the same bits. Two checks
+stay in the step, where a diverging run would otherwise go on silently:
+the encoder's normalization rejects a row whose norm is near zero or not
+finite, and each step's total loss must be finite.
+- The student's image-to-text and text-to-image log-distributions are
+  computed once per batch. The contrastive loss and every teacher's KL
+  share them when ``tau_distill == tau_student``.
+- The KL terms of the K teachers run as one stacked pass over (K, B, N)
+  and (K, N, B) distributions. Each teacher's loss still sums its own
+  slice.
+- Each encoder's parameters and Adam moments live in flat float64
+  buffers that every step updates in place. ``dsw``'s stacked reverse
+  passes write the K x P gradient matrix directly.
+
 Single-threaded runs are bit-deterministic in (config, seed): every random
 draw comes from named PCG64 streams derived from the run seed.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -42,21 +62,34 @@ from typing import Sequence
 import numpy as np
 
 from . import distill, weighting
-from .contrastive import ContrastiveBatch, MixedLabels, clip_loss, rank_of_label
+from .contrastive import MixedLabels, _check_labels, _clip_loss, rank_of_label
 from .data import LABEL_SHUFFLE, PairedDataset, WeightNoise, build_class_bank, corrupt_teacher
 from .encoder import (
     EncoderConfig,
     EncoderParams,
-    adam_step,
+    _backward,
+    _checked_input,
+    _encode,
+    _FlatAdam,
     architecture_problem,
     encode,
     init_adam,
     init_params,
-    vjp,
-    with_lr,
 )
-from .errors import InvalidConfig, PretrainBelowGate, ShapeMismatch, StrategyTeacherMismatch
-from .numerics import pairwise_logits, seeded_rng, softmax_rows
+from .errors import (
+    InvalidConfig,
+    NonFiniteInput,
+    PretrainBelowGate,
+    ShapeMismatch,
+    StrategyTeacherMismatch,
+)
+from .numerics import _pair_log_softmax, _softmax, as_matrix, seeded_rng
+
+# perfbench's tracer wraps these public functions at every module that
+# binds them (EXPECTED_BINDINGS in perfbench/tracer.py). The training step
+# calls their unchecked kernels instead, so nothing here calls them.
+from .contrastive import clip_loss  # noqa: E402,F401
+from .encoder import adam_step, vjp  # noqa: E402,F401
 
 STRATEGIES = ("base", "avg", "lsr", "dsw")
 
@@ -373,6 +406,24 @@ def _batches(n: int, batch_size: int, rng) -> list[np.ndarray]:
     return [order[i : i + batch_size] for i in range(0, n, batch_size)]
 
 
+def _checked_inputs(
+    img_params: EncoderParams, txt_params: EncoderParams, dataset: PairedDataset
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The dataset's image rows, class text anchors and labels, checked
+    once against the encoders they feed: the training step's kernels do
+    not check them again."""
+    image_raw = _checked_input(img_params, dataset.image_raw)
+    anchors = _checked_input(txt_params, dataset.text_anchors)
+    labels = _check_labels(dataset.labels, image_raw.shape[0], anchors.shape[0], "labels")
+    return image_raw, anchors, labels
+
+
+def _check_loss(value: float, epoch: int) -> None:
+    """Stop a diverged run: a step's total loss must be finite."""
+    if not math.isfinite(value):
+        raise NonFiniteInput(f"training loss is {value} in epoch {epoch}")
+
+
 def pretrain_teacher(
     cfg: PretrainConfig,
     dataset: PairedDataset,
@@ -394,32 +445,30 @@ def pretrain_teacher(
     rng_corrupt = seeded_rng(seed, _TAG_TEACHER, teacher_index, 2)
 
     img_params, txt_params = _init_encoder_pair(spec, dataset, rng_init)
-    img_adam = init_adam(img_params, cfg.lr)
-    txt_adam = init_adam(txt_params, cfg.lr)
+    img = _FlatAdam(img_params, init_adam(img_params, cfg.lr))
+    txt = _FlatAdam(txt_params, init_adam(txt_params, cfg.lr))
+    image_raw, anchors, labels = _checked_inputs(img_params, txt_params, dataset)
 
     train_idx = np.asarray(train_idx, dtype=np.int64)
-    labels = dataset.labels.copy()
+    labels = labels.copy()
     if spec.corruption == LABEL_SHUFFLE:
         shuffled = labels[train_idx]
         labels[train_idx] = shuffled[rng_corrupt.permutation(shuffled.size)]
 
-    for _ in range(cfg.epochs):
+    for epoch in range(cfg.epochs):
         for batch in _batches(train_idx.size, cfg.batch_size, rng_loop):
             idx = train_idx[batch]
-            feats, tape_i = encode(
-                img_params, dataset.image_raw[idx], train_mode=True, rng=rng_loop
-            )
-            bank, tape_t = encode(
-                txt_params, dataset.text_anchors, train_mode=True, rng=rng_loop
-            )
-            loss = clip_loss(
-                ContrastiveBatch(feats, bank, cfg.tau), labels[idx]
-            )
-            g_img, _ = vjp(tape_i, loss.grad_image)
-            g_txt, _ = vjp(tape_t, loss.grad_text)
-            img_params, img_adam = adam_step(img_params, g_img, img_adam)
-            txt_params, txt_adam = adam_step(txt_params, g_txt, txt_adam)
+            feats, tape_i = _encode(img.params, image_raw[idx], True, rng_loop)
+            bank, tape_t = _encode(txt.params, anchors, True, rng_loop)
+            dists = _pair_log_softmax(feats, bank, cfg.tau)
+            loss = _clip_loss(feats, bank, cfg.tau, dists, labels[idx], None)
+            _check_loss(loss.value, epoch)
+            _backward(tape_i, loss.grad_image, img.grad)
+            _backward(tape_t, loss.grad_text, txt.grad)
+            img.step(cfg.lr)
+            txt.step(cfg.lr)
 
+    img_params, txt_params = img.result(), txt.result()
     acc, _, _ = evaluate(img_params, txt_params, dataset, eval_idx, cfg.tau)
     if spec.corruption != LABEL_SHUFFLE and acc < cfg.accuracy_gate:
         warnings.warn(
@@ -442,19 +491,24 @@ def pretrain_teacher(
     )
 
 
-def _soft_gather(bank: np.ndarray, batch: AugmentedBatch) -> np.ndarray:
-    """Per-sample text rows under soft labels: lam * bank[a] + (1-lam) * bank[b]."""
-    return (
-        batch.lam[:, None] * bank[batch.labels_a]
-        + (1.0 - batch.lam)[:, None] * bank[batch.labels_b]
-    )
+def _soft_gather(bank: np.ndarray, batch: AugmentedBatch, mix: MixedLabels | None) -> np.ndarray:
+    """Per-sample text rows under soft labels: lam * bank[a] + (1-lam) * bank[b],
+    which is bank[a], bit for bit, when the batch is not mixed."""
+    if mix is None:
+        return bank[batch.labels_a]
+    return mix.lam[:, None] * bank[batch.labels_a] + (1.0 - mix.lam)[:, None] * bank[mix.labels_b]
 
 
-def _soft_scatter(grad_rows: np.ndarray, batch: AugmentedBatch, n_rows: int) -> np.ndarray:
+def _soft_scatter(
+    grad_rows: np.ndarray, batch: AugmentedBatch, mix: MixedLabels | None, n_rows: int
+) -> np.ndarray:
     """Adjoint of :func:`_soft_gather`: scatter row gradients back to the bank."""
     out = np.zeros((n_rows, grad_rows.shape[1]))
-    np.add.at(out, batch.labels_a, batch.lam[:, None] * grad_rows)
-    np.add.at(out, batch.labels_b, (1.0 - batch.lam)[:, None] * grad_rows)
+    if mix is None:
+        np.add.at(out, batch.labels_a, grad_rows)
+    else:
+        np.add.at(out, batch.labels_a, mix.lam[:, None] * grad_rows)
+        np.add.at(out, mix.labels_b, (1.0 - mix.lam)[:, None] * grad_rows)
     return out
 
 
@@ -482,10 +536,28 @@ class _Projection:
         return grad @ self.maps[teacher_dim].T
 
 
+def _checked_teachers(teachers: Sequence[Teacher], image_dim: int, n_classes: int) -> list[Teacher]:
+    """The teachers with their banks checked against the dataset; the
+    training step encodes with them unchecked."""
+    out = []
+    for j, t in enumerate(teachers):
+        cfg = t.image_params.config
+        bank = as_matrix(t.bank, f"teachers[{j}].bank")
+        if cfg.input_dim != image_dim or bank.shape != (n_classes, cfg.output_dim):
+            raise ShapeMismatch(
+                f"teacher {j} takes {cfg.input_dim}-dim images to {cfg.output_dim} dims "
+                f"with a {bank.shape} bank; the dataset has {image_dim}-dim images "
+                f"and {n_classes} classes"
+            )
+        out.append(replace(t, bank=bank))
+    return out
+
+
 def _teacher_outputs(teacher: Teacher, image_rows, tau: float) -> distill.TeacherOutputs:
-    """A frozen teacher's eval-mode view of ``image_rows``."""
-    feats, _ = encode(teacher.image_params, image_rows, train_mode=False)
-    return distill.TeacherOutputs.from_features(feats, teacher.bank, tau)
+    """A frozen teacher's eval-mode view of checked ``image_rows``."""
+    u, _ = _encode(teacher.image_params, image_rows, False, None)
+    w = teacher.bank
+    return distill.TeacherOutputs(u, _softmax(u @ w.T, tau), _softmax(w @ u.T, tau))
 
 
 class _FrozenTeacherCache:
@@ -501,7 +573,8 @@ class _FrozenTeacherCache:
             starts.pop()  # no one-row block
         feats, i2t = [], []
         for start, stop in zip(starts, starts[1:] + [n]):
-            out = _teacher_outputs(teacher, image_raw[train_idx[start:stop]], tau)
+            f, _ = encode(teacher.image_params, image_raw[train_idx[start:stop]])
+            out = distill.TeacherOutputs.from_features(f, teacher.bank, tau)
             feats.append(out.image_features)
             i2t.append(out.i2t_probs)
         self.features = np.concatenate(feats)
@@ -516,7 +589,7 @@ class _FrozenTeacherCache:
         return distill.TeacherOutputs(
             image_features=u,
             i2t_probs=self.i2t_probs[rows],
-            t2i_probs=softmax_rows(pairwise_logits(self.bank, u), self.tau),
+            t2i_probs=_softmax(self.bank @ u.T, self.tau),
         )
 
 
@@ -528,7 +601,8 @@ def distill_student(
     eval_idx,
 ) -> tuple[StudentModel, RunMetrics]:
     """Distill a student against frozen teachers; see the module docstring
-    for the strategy semantics and the text-bank caching contract."""
+    for the strategy semantics, the text-bank caching contract and the
+    training step."""
     k = config.num_teachers
     if config.strategy != "base":
         if not teachers:
@@ -539,7 +613,6 @@ def distill_student(
             raise ShapeMismatch(
                 f"config.num_teachers={k} but {len(teachers)} teachers supplied"
             )
-    teachers = list(teachers[:k])
     use_teachers = config.strategy != "base"
 
     rng_init = seeded_rng(config.seed, _TAG_STUDENT_INIT)
@@ -547,8 +620,11 @@ def distill_student(
     rng_proj = seeded_rng(config.seed, _TAG_PROJECTION)
 
     img_params, txt_params = _init_encoder_pair(config.student, dataset, rng_init)
-    img_adam = init_adam(img_params, config.lr)
-    txt_adam = init_adam(txt_params, config.lr)
+    img = _FlatAdam(img_params, init_adam(img_params, config.lr))
+    txt = _FlatAdam(txt_params, init_adam(txt_params, config.lr))
+    image_raw, anchors, labels = _checked_inputs(img_params, txt_params, dataset)
+    n_classes = anchors.shape[0]
+    teachers = _checked_teachers(teachers[:k], image_raw.shape[1], n_classes)
 
     teacher_dims = [t.spec.output_dim for t in teachers]
     proj = _Projection(config.student.output_dim, teacher_dims, rng_proj)
@@ -564,12 +640,13 @@ def distill_student(
     total_steps = config.epochs * batches_per_epoch
     r_clip, r_kl, r_mse = config.loss_ratios
     uniform = np.full(k, 1.0 / k) if k else np.zeros(0)
+    per_batch_bank = config.text_bank_refresh == "batch"
+    shared_tau = config.tau_distill == config.tau_student
+    n_img = img.layout.size
     cache = None
     if use_teachers and config.augmentation.kind == "none" and min(config.batch_size, n_train) > 1:
         cache = [
-            _FrozenTeacherCache(
-                t, dataset.image_raw, train_idx, config.batch_size, config.tau_teacher
-            )
+            _FrozenTeacherCache(t, image_raw, train_idx, config.batch_size, config.tau_teacher)
             for t in teachers
         ]
 
@@ -577,11 +654,8 @@ def distill_student(
     step = 0
     for epoch in range(config.epochs):
         # Cached student class bank for the epoch (see module docstring).
-        per_batch_bank = config.text_bank_refresh == "batch"
         if not per_batch_bank:
-            bank_s, tape_text = encode(
-                txt_params, dataset.text_anchors, train_mode=True, rng=rng_loop
-            )
+            bank_s, tape_text = _encode(txt.params, anchors, True, rng_loop)
             text_grad_acc = np.zeros_like(bank_s)
 
         sums = {"clip": 0.0, "kl": 0.0, "mse": 0.0, "total": 0.0, "fw": 0.0}
@@ -593,39 +667,34 @@ def distill_student(
             lr_now = lr_at(config.lr_schedule, config.lr, step, total_steps)
             idx = train_idx[batch_pos]
             batch = augment(
-                dataset.image_raw[idx],
-                dataset.text_raw[idx],
-                dataset.labels[idx],
-                config.augmentation,
-                rng_loop,
+                image_raw[idx], dataset.text_raw[idx], labels[idx], config.augmentation, rng_loop
             )
+            mix = batch.mix()
             if per_batch_bank:
-                bank_s, tape_text = encode(
-                    txt_params, dataset.text_anchors, train_mode=True, rng=rng_loop
-                )
-            feats_s, tape_img = encode(
-                img_params, batch.image_raw, train_mode=True, rng=rng_loop
-            )
+                bank_s, tape_text = _encode(txt.params, anchors, True, rng_loop)
+            feats_s, tape_img = _encode(img.params, batch.image_raw, True, rng_loop)
 
-            loss_c = clip_loss(
-                ContrastiveBatch(feats_s, bank_s, config.tau_student),
-                batch.labels_a,
-                batch.mix(),
-            )
+            # The student's distributions, shared by the contrastive loss
+            # and, at the same temperature, by every teacher's KL.
+            dists = _pair_log_softmax(feats_s, bank_s, config.tau_student)
+            loss_c = _clip_loss(feats_s, bank_s, config.tau_student, dists, batch.labels_a, mix)
 
             if use_teachers:
                 if cache is not None and batch_pos.size > 1:
                     t_outs = [c.outputs(batch_pos) for c in cache]
                 else:
                     t_outs = [
-                        _teacher_outputs(t, batch.image_raw, config.tau_teacher)
-                        for t in teachers
+                        _teacher_outputs(t, batch.image_raw, config.tau_teacher) for t in teachers
                     ]
                 t_feats = [o.image_features for o in t_outs]
-                kl_parts = [
-                    distill.kl_pair_loss(o, feats_s, bank_s, config.tau_distill)
-                    for o in t_outs
-                ]
+                kl_i2t, kl_t2i, kl_grad_u, kl_grad_w = distill._kl_stack(
+                    np.stack([o.i2t_probs for o in t_outs]),
+                    np.stack([o.t2i_probs for o in t_outs]),
+                    feats_s,
+                    bank_s,
+                    config.tau_distill,
+                    dists if shared_tau else _pair_log_softmax(feats_s, bank_s, config.tau_distill),
+                )
 
                 fw_iters = 0.0
                 if config.strategy == "avg":
@@ -638,17 +707,17 @@ def distill_student(
                                     t_feats[j],
                                     batch.labels_a,
                                     teachers[j].bank,
-                                    batch.labels_b if batch.is_mixed else None,
-                                    batch.lam if batch.is_mixed else None,
+                                    None if mix is None else mix.labels_b,
+                                    None if mix is None else mix.lam,
                                 )
                                 for j in range(k)
                             ]
                         )
                     ).weights
-                else:  # dsw: one stacked reverse pass per tape
-                    pg_img, _ = vjp(tape_img, np.stack([kp.grad_image for kp in kl_parts]))
-                    pg_txt, _ = vjp(tape_text, np.stack([kp.grad_text for kp in kl_parts]))
-                    grads = np.concatenate([pg_img.flatten(), pg_txt.flatten()], axis=1)
+                else:  # dsw: one stacked reverse pass per tape, into one K x P matrix
+                    grads = np.empty((k, n_img + txt.layout.size))
+                    _backward(tape_img, kl_grad_u, grads[:, :n_img])
+                    _backward(tape_text, kl_grad_w, grads[:, n_img:])
                     fw = weighting.frank_wolfe_min_norm(
                         grads, max_iter=weighting.DSW_MAX_ITER, tol=weighting.DSW_TOL
                     )
@@ -661,19 +730,19 @@ def distill_student(
                         certified = certified and cert.passed
 
                 # MSE block: imitate the (weighted) teacher features.
-                w_s_rows = _soft_gather(bank_s, batch)
+                w_s_rows = _soft_gather(bank_s, batch, mix)
                 if config.mse_mode == "weighted_target":
                     d_t = teacher_dims[0]
                     u_target = sum(
                         alpha[j] * t_feats[j] for j in range(k)
                     )
                     w_target = sum(
-                        alpha[j] * _soft_gather(teachers[j].bank, batch)
+                        alpha[j] * _soft_gather(teachers[j].bank, batch, mix)
                         for j in range(k)
                     )
                     u_s_eff = proj.forward(feats_s, d_t)
                     w_s_eff = proj.forward(w_s_rows, d_t)
-                    mse = distill.mse_align(u_target, u_s_eff, w_target, w_s_eff)
+                    mse = distill._mse_align(u_target, u_s_eff, w_target, w_s_eff)
                     mse_val = mse.value
                     g_mse_u = proj.backward(mse.grad_image, d_t)
                     g_mse_w_rows = proj.backward(mse.grad_text, d_t)
@@ -683,29 +752,29 @@ def distill_student(
                     g_mse_w_rows = np.zeros_like(w_s_rows)
                     for j, t in enumerate(teachers):
                         d_t = teacher_dims[j]
-                        m = distill.mse_align(
+                        m = distill._mse_align(
                             t_feats[j],
                             proj.forward(feats_s, d_t),
-                            _soft_gather(t.bank, batch),
+                            _soft_gather(t.bank, batch, mix),
                             proj.forward(w_s_rows, d_t),
                         )
                         mse_val += alpha[j] * m.value
                         g_mse_u += alpha[j] * proj.backward(m.grad_image, d_t)
                         g_mse_w_rows += alpha[j] * proj.backward(m.grad_text, d_t)
-                g_mse_w = _soft_scatter(g_mse_w_rows, batch, bank_s.shape[0])
+                g_mse_w = _soft_scatter(g_mse_w_rows, batch, mix, n_classes)
 
                 breakdown = distill.total_loss(
                     loss_c.value,
-                    [(kp.l_i2t, kp.l_t2i) for kp in kl_parts],
+                    list(zip(kl_i2t, kl_t2i)),
                     mse_val,
                     config.loss_ratios,
                     alpha,
                 )
                 g_u = r_clip * loss_c.grad_image + r_mse * g_mse_u
                 g_w = r_clip * loss_c.grad_text + r_mse * g_mse_w
-                for j, kp in enumerate(kl_parts):
-                    g_u += r_kl * alpha[j] * kp.grad_image
-                    g_w += r_kl * alpha[j] * kp.grad_text
+                for j in range(k):
+                    g_u += r_kl * alpha[j] * kl_grad_u[j]
+                    g_w += r_kl * alpha[j] * kl_grad_w[j]
 
                 alpha_sum += alpha
                 sums["fw"] += fw_iters
@@ -717,16 +786,13 @@ def distill_student(
                 g_u = r_clip * loss_c.grad_image
                 g_w = r_clip * loss_c.grad_text
                 total_val = r_clip * loss_c.value
+            _check_loss(total_val, epoch)
 
-            g_img_params, _ = vjp(tape_img, g_u)
-            img_params, img_adam = adam_step(
-                img_params, g_img_params, with_lr(img_adam, lr_now)
-            )
+            _backward(tape_img, g_u, img.grad)
+            img.step(lr_now)
             if per_batch_bank:
-                g_txt_params, _ = vjp(tape_text, g_w)
-                txt_params, txt_adam = adam_step(
-                    txt_params, g_txt_params, with_lr(txt_adam, lr_now)
-                )
+                _backward(tape_text, g_w, txt.grad)
+                txt.step(lr_now)
             else:
                 text_grad_acc += g_w
 
@@ -740,15 +806,13 @@ def distill_student(
             # scale away, so the batch count multiplies the learning rate to
             # keep the text pathway's total step budget comparable to the
             # per-batch image pathway.
-            g_txt_params, _ = vjp(tape_text, text_grad_acc)
+            _backward(tape_text, text_grad_acc, txt.grad)
             lr_now = lr_at(config.lr_schedule, config.lr, step - 1, total_steps)
-            txt_params, txt_adam = adam_step(
-                txt_params, g_txt_params, with_lr(txt_adam, lr_now * n_batches)
-            )
+            txt.step(lr_now * n_batches)
 
         bank_eval = _eval_bank(config, teachers)
         acc, r1, r5 = evaluate(
-            img_params, txt_params, dataset, eval_idx, config.tau_student, bank_eval
+            img.params, txt.params, dataset, eval_idx, config.tau_student, bank_eval
         )
         nb = max(n_batches, 1)
         metrics.epochs.append(
@@ -768,7 +832,7 @@ def distill_student(
             )
         )
 
-    return StudentModel(img_params, txt_params), metrics
+    return StudentModel(img.result(), txt.result()), metrics
 
 
 def _eval_bank(config: TrainConfig, teachers):

@@ -371,6 +371,32 @@ class TestReport:
     def test_no_runs_found(self, tmp_path):
         assert cli.main(["report", str(tmp_path)]) == 3
 
+    @staticmethod
+    def drop_column(path, column):
+        with open(path, newline="") as f:
+            rows = list(csv.DictReader(f))
+        with open(path, "w", newline="") as f:
+            fields = [c for c in rows[0] if c != column]
+            writer = csv.DictWriter(f, fieldnames=fields, extrasaction="ignore")
+            writer.writeheader()
+            writer.writerows(rows)
+
+    @pytest.mark.parametrize(
+        "rel, column",
+        [("summary.csv", "acc_std"), ("runs/default/seed_0/metrics.csv", "l_kl")],
+    )
+    def test_missing_column_is_a_data_error(self, tmp_path, capsys, rel, column):
+        p = tmp_path / "m.json"
+        write_manifest(p)
+        out = tmp_path / "o"
+        assert cli.main(["run", str(p), "--output-dir", str(out)]) == 0
+        self.drop_column(out / rel, column)
+        capsys.readouterr()
+        assert cli.main(["report", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:")
+        assert str(out / rel) in err and repr(column) in err
+
 
 class TestGenData:
     def test_gen_data_writes_loadable_file(self, tmp_path, capsys):

@@ -7,7 +7,12 @@ Names are matched by their final part only, without type inference: a
 class member counts as used if any attribute read or keyword argument
 carries its name, whatever object it is read from, so a member that shares
 its name with a used member of another class is not caught. A local
-variable of the same name does not count for a member."""
+variable of the same name does not count for a member.
+
+The benchmark's tracer also uses names it never calls: it binds each name
+in its ``EXPECTED_BINDINGS`` by its qualified name and reports per-layer
+metrics under it, and ``test_bindings`` fails when one is missing. Those
+names count as used by the benchmark."""
 
 import ast
 from pathlib import Path
@@ -48,8 +53,20 @@ def _referenced(tree):
             yield n.name, False
 
 
+def _traced_names():
+    """Final parts of the qualified names in the tracer's EXPECTED_BINDINGS."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    for n in tree.body:
+        if isinstance(n, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "EXPECTED_BINDINGS" for t in n.targets
+        ):
+            return {key.value.rpartition(".")[2] for key in n.value.keys}
+    raise AssertionError("perfbench/tracer.py defines no EXPECTED_BINDINGS")
+
+
 def test_every_public_name_is_used_outside_tests():
     refs = {ref for p in USERS for ref in _referenced(ast.parse(p.read_text()))}
+    refs |= {(name, True) for name in _traced_names()}
     any_use = {name for name, _ in refs}
     member_use = {name for name, member in refs if member}
     unused = []

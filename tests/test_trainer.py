@@ -1,13 +1,15 @@
 import dataclasses
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from kdlab import data, distill, trainer
-from kdlab.errors import InvalidConfig, StrategyTeacherMismatch
+from kdlab import cli, contrastive, data, distill, encoder, numerics, trainer
+from kdlab.errors import InvalidConfig, KdlabError, StrategyTeacherMismatch
 from kdlab.numerics import seeded_rng
 from oracles import param_fingerprint
+from test_cli import TINY_TRAIN, write_manifest
 
 TINY_SPEC = data.SyntheticSpec(
     num_classes=4, image_dim=10, text_dim=8, samples_per_class=40,
@@ -373,19 +375,24 @@ class TestDistill:
 class TestFrozenTeacherCache:
     @staticmethod
     def teacher_encode_sizes(monkeypatch, tiny, **kw):
-        """Row counts of every teacher encode in one distill run."""
+        """Row counts of every teacher encode in one distill run: the cache
+        is built through ``encode``, a batch's rows go through its kernel
+        ``_encode``."""
         ds, train_idx, eval_idx, teachers = tiny
         teacher_params = [t.image_params for t in teachers]
-        real = trainer.encode
         sizes = []
 
-        def counting(params, x, train_mode=False, rng=None):
-            if any(params is p for p in teacher_params):
-                assert not train_mode
-                sizes.append(np.shape(x)[0])
-            return real(params, x, train_mode=train_mode, rng=rng)
+        def counting(real):
+            def wrapper(params, x, *args, **kwargs):
+                if any(params is p for p in teacher_params):
+                    assert not (args[0] if args else kwargs.get("train_mode", False))
+                    sizes.append(np.shape(x)[0])
+                return real(params, x, *args, **kwargs)
 
-        monkeypatch.setattr(trainer, "encode", counting)
+            return wrapper
+
+        for name in ("encode", "_encode"):
+            monkeypatch.setattr(trainer, name, counting(getattr(trainer, name)))
         trainer.distill_student(tiny_config(**kw), teachers, ds, train_idx, eval_idx)
         return sizes
 
@@ -426,14 +433,14 @@ class TestFrozenTeacherCache:
 
     def test_dsw_uses_two_stacked_vjps_per_batch(self, monkeypatch, tiny):
         ds, train_idx, eval_idx, teachers = tiny
-        real = trainer.vjp
+        real = trainer._backward
         shapes = []
 
-        def counting(tape, grad):
+        def counting(tape, grad, out):
             shapes.append(np.shape(grad))
-            return real(tape, grad)
+            return real(tape, grad, out)
 
-        monkeypatch.setattr(trainer, "vjp", counting)
+        monkeypatch.setattr(trainer, "_backward", counting)
         trainer.distill_student(
             tiny_config(strategy="dsw", epochs=1), teachers, ds, train_idx, eval_idx
         )
@@ -475,3 +482,126 @@ class TestRunSingle:
             ds, TINY_PRETRAIN, [], tiny_config(strategy="base", num_teachers=0), seed=3
         )
         assert result.teachers == []
+
+
+class TestDivergence:
+    """A run whose parameters blow up stops with a kdlab error instead of
+    finishing on garbage. At lr 1e150 the raw features are finite but their
+    row norms overflow; at 1e300 the parameters themselves overflow."""
+
+    CASES = {
+        "base": dict(strategy="base", num_teachers=0),
+        "avg": dict(strategy="avg"),
+        "lsr": dict(strategy="lsr"),
+        "dsw": dict(strategy="dsw"),
+        "lsr-mixup": dict(strategy="lsr", augmentation=trainer.Augmentation("mixup", beta=0.4)),
+    }
+
+    @pytest.mark.parametrize("lr", [1e300, 1e150])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_distill_raises(self, tiny, case, lr):
+        ds, train_idx, eval_idx, teachers = tiny
+        cfg = tiny_config(lr=lr, **self.CASES[case])
+        with pytest.raises(KdlabError):
+            trainer.distill_student(cfg, teachers[: cfg.num_teachers], ds, train_idx, eval_idx)
+
+    @pytest.mark.parametrize("lr", [1e300, 1e150])
+    def test_pretrain_raises(self, tiny, lr):
+        ds, train_idx, eval_idx, _ = tiny
+        cfg = dataclasses.replace(TINY_PRETRAIN, lr=lr)
+        with pytest.raises(KdlabError):
+            trainer.pretrain_teacher(cfg, ds, train_idx, eval_idx, TINY_TEACHER, 0, 0)
+
+    @pytest.mark.parametrize("lr", [1e300, 1e150])
+    def test_kdlab_run_exits_4(self, tmp_path, capsys, lr):
+        p = tmp_path / "m.json"
+        write_manifest(p, suite="strategy", train={**TINY_TRAIN, "lr": lr})
+        assert cli.main(["run", str(p), "--output-dir", str(tmp_path / "o")]) == 4
+        assert "error" in capsys.readouterr().err
+
+
+class TestStepKernels:
+    """The training step calls unchecked kernels; each public function is
+    its checks plus the same kernel, so both give the same bits."""
+
+    @staticmethod
+    def student():
+        cfg = encoder.EncoderConfig(10, (24, 16), 6, "relu", 0.2)
+        params = encoder.init_params(cfg, seeded_rng(5))
+        rng = seeded_rng(6)
+        feats, tape = encoder.encode(params, rng.normal(size=(9, 10)), train_mode=True, rng=rng)
+        return params, feats, tape, rng
+
+    @pytest.mark.parametrize("lead", [(), (1,), (2,), (3,)])
+    def test_vjp(self, lead):
+        params, feats, tape, rng = self.student()
+        cot = rng.normal(size=lead + feats.shape)
+        grads, grad_x = encoder.vjp(tape, cot)
+        layout = encoder._Layout(params.config)
+        out = np.empty(lead + (layout.size,))
+        g = encoder._backward(tape, cot, out)
+        np.testing.assert_array_equal(grads.flatten(), out)
+        np.testing.assert_array_equal(grad_x, g @ params.weights[0].T)
+
+    def test_adam_step(self):
+        params, _, _, rng = self.student()
+        state = encoder.init_adam(params, 1e-2)
+        flat = encoder._FlatAdam(params, state)
+        for lr in (1e-2, 3e-3, 1e-3):
+            grads = encoder.EncoderGrads(
+                [rng.normal(size=w.shape) for w in params.weights],
+                [rng.normal(size=b.shape) for b in params.biases],
+            )
+            params, state = encoder.adam_step(params, grads, replace(state, lr=lr))
+            flat.grad[:] = grads.flatten()
+            flat.step(lr)
+        for a, b in zip(params.weights + params.biases, flat.result().weights + flat.result().biases):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(state.m.flatten(), flat.m)
+        np.testing.assert_array_equal(state.v.flatten(), flat.v)
+
+    @staticmethod
+    def unit_rows(rng, n, d):
+        m = rng.normal(size=(n, d))
+        return m / np.linalg.norm(m, axis=1, keepdims=True)
+
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_clip_loss(self, mixed):
+        rng = seeded_rng(7)
+        u, w = self.unit_rows(rng, 9, 6), self.unit_rows(rng, 4, 6)
+        labels = rng.integers(0, 4, 9)
+        mix = contrastive.MixedLabels(rng.integers(0, 4, 9), rng.uniform(size=9)) if mixed else None
+        public = contrastive.clip_loss(contrastive.ContrastiveBatch(u, w, 2.0), labels, mix)
+        kernel = contrastive._clip_loss(
+            u, w, 2.0, numerics._pair_log_softmax(u, w, 2.0), labels, mix
+        )
+        assert public.value == kernel.value
+        np.testing.assert_array_equal(public.grad_image, kernel.grad_image)
+        np.testing.assert_array_equal(public.grad_text, kernel.grad_text)
+        if not mixed:
+            # The one-hot targets equal the soft ones at lam = 1, bit for bit.
+            soft = contrastive._clip_loss(
+                u, w, 2.0, numerics._pair_log_softmax(u, w, 2.0), labels,
+                contrastive.MixedLabels(labels, np.ones(9)),
+            )
+            assert soft.value == kernel.value
+            np.testing.assert_array_equal(soft.grad_image, kernel.grad_image)
+            np.testing.assert_array_equal(soft.grad_text, kernel.grad_text)
+
+    def test_kl_pair_loss(self):
+        rng = seeded_rng(8)
+        u, w = self.unit_rows(rng, 9, 6), self.unit_rows(rng, 4, 6)
+        teachers = [
+            distill.TeacherOutputs.from_features(self.unit_rows(rng, 9, 5), self.unit_rows(rng, 4, 5), 4.0)
+            for _ in range(3)
+        ]
+        l_i2t, l_t2i, grad_u, grad_w = distill._kl_stack(
+            np.stack([t.i2t_probs for t in teachers]),
+            np.stack([t.t2i_probs for t in teachers]),
+            u, w, 2.0, numerics._pair_log_softmax(u, w, 2.0),
+        )
+        for j, t in enumerate(teachers):
+            public = distill.kl_pair_loss(t, u, w, 2.0)
+            assert (public.l_i2t, public.l_t2i) == (l_i2t[j], l_t2i[j])
+            np.testing.assert_array_equal(public.grad_image, grad_u[j])
+            np.testing.assert_array_equal(public.grad_text, grad_w[j])
