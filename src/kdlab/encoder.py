@@ -22,8 +22,8 @@ the forward pass. ``_backward`` writes the parameter gradients straight
 into a flat (P,) or (K, P) buffer in :meth:`EncoderGrads.flatten`'s order
 and skips the input gradient. ``_FlatAdam`` holds an encoder's parameters
 and Adam moments as flat buffers and updates them in place, one
-elementwise pass per encoder; each entry rounds as it would in
-``adam_step``.
+elementwise pass per encoder; each entry rounds as it would in an update
+of its own array.
 """
 
 from __future__ import annotations
@@ -350,37 +350,18 @@ def adam_step(
     for p, g in zip(params.weights + params.biases, grads.weights + grads.biases):
         if p.shape != g.shape:
             raise ShapeMismatch(f"param shape {p.shape} != grad shape {g.shape}")
-    layout = _Layout(params.config)
-    p = EncoderGrads(params.weights, params.biases).flatten()
-    m, v = state.m.flatten(), state.v.flatten()
-    t = state.t + 1
-    _adam_update(p, grads.flatten(), m, v, t, state.lr, state)
-    new_params = EncoderParams(params.config, *layout.views(p))
-    new_state = replace(
-        state, t=t, m=EncoderGrads(*layout.views(m)), v=EncoderGrads(*layout.views(v))
-    )
-    return new_params, new_state
-
-
-def _adam_update(p, g, m, v, t: int, lr: float, hyper: AdamState) -> None:
-    """One bias-corrected Adam update of the flat buffers ``p``, ``m`` and
-    ``v`` in place: step ``t`` at rate ``lr``, with ``hyper``'s betas and
-    eps. Each entry rounds as it would in a separate update of its array."""
-    b1, b2 = hyper.beta1, hyper.beta2
-    c1 = 1.0 - b1**t
-    c2 = 1.0 - b2**t
-    m *= b1
-    m += (1.0 - b1) * g
-    v *= b2
-    v += (1.0 - b2) * g * g
-    p -= lr * (m / c1) / (np.sqrt(v / c2) + hyper.eps)
+    opt = _FlatAdam(params, state)
+    opt.grad[:] = grads.flatten()
+    opt.step(state.lr)
+    m, v = (EncoderGrads(*opt.layout.views(a)) for a in (opt.m, opt.v))
+    return opt.params, replace(state, t=opt.t, m=m, v=v)
 
 
 class _FlatAdam:
     """An encoder in training: its parameters and Adam moments as flat
-    float64 buffers that each step updates in place. ``params`` holds views
-    into the parameter buffer, laid out once; ``grad`` is the buffer the
-    step's gradient is written into."""
+    float64 buffers (copies of those given) that each step updates in
+    place. ``params`` holds views into the parameter buffer, laid out once;
+    ``grad`` is the buffer the step's gradient is written into."""
 
     def __init__(self, params: EncoderParams, state: AdamState):
         self.layout = _Layout(params.config)
@@ -393,9 +374,19 @@ class _FlatAdam:
         self.grad = np.empty(self.layout.size)
 
     def step(self, lr: float) -> None:
-        """Apply ``grad`` at learning rate ``lr``."""
+        """One bias-corrected Adam update with ``grad`` at rate ``lr``, one
+        elementwise pass over all the encoder's entries; each entry rounds
+        as it would in a separate update of its own array."""
         self.t += 1
-        _adam_update(self.p, self.grad, self.m, self.v, self.t, lr, self.hyper)
+        b1, b2 = self.hyper.beta1, self.hyper.beta2
+        c1 = 1.0 - b1**self.t
+        c2 = 1.0 - b2**self.t
+        g, m, v = self.grad, self.m, self.v
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        self.p -= lr * (m / c1) / (np.sqrt(v / c2) + self.hyper.eps)
 
     def result(self) -> EncoderParams:
         """The trained parameters, in arrays of their own."""

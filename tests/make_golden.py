@@ -15,7 +15,9 @@ The digests cover two kinds of output:
   teacher counts, text-bank refresh modes, MSE modes and learning-rate
   schedules, a distillation temperature that differs from the student's,
   and batch sizes that leave a one-row tail; plus the teachers' parameters,
-  banks and accuracies.
+  banks and accuracies;
+- the same for a short ``dsw`` run at the default dataset and student
+  shapes.
 
 The bits hold only on the platform they were recorded on, which is stored
 with them as perfbench's ``run.platform_key()``.
@@ -152,6 +154,7 @@ def distill_digests() -> dict[str, str]:
         )
         for j, t in enumerate(teachers + [tail])
     }
+    out.update(default_shape_digests())
     for name, overrides in DISTILL_RUNS.items():
         cfg = trainer.TrainConfig(
             **{"epochs": 2, "batch_size": 32, "student": STUDENT, "seed": 1, **overrides}
@@ -166,6 +169,30 @@ def distill_digests() -> dict[str, str]:
         ]
         out[name] = _sha(*fields, *_params(student.image_params), *_params(student.text_params))
     return out
+
+
+def default_shape_digests() -> dict[str, str]:
+    """A short ``dsw`` run at the default dataset and student shapes, with
+    the benchmark's first two teachers: 64-row batches through 96-, 80-
+    and 48-wide layers, where BLAS may pick other kernels than at the tiny
+    shapes above."""
+    ds = data.generate(data.SyntheticSpec())
+    train_idx, eval_idx = trainer.dataset_split(ds)
+    pretrain = trainer.PretrainConfig(epochs=2, accuracy_gate=0.0)
+    teachers = [
+        trainer.pretrain_teacher(pretrain, ds, train_idx, eval_idx, trainer.TeacherSpec(hidden_widths=(w,)), 0, j)
+        for j, w in enumerate((96, 80))
+    ]
+    student, metrics = trainer.distill_student(
+        trainer.TrainConfig(epochs=2, strategy="dsw"), teachers, ds, train_idx, eval_idx
+    )
+    fields = [np.asarray(getattr(r, f.name)) for r in metrics.epochs for f in dataclasses.fields(r)]
+    return {
+        "default-shapes-dsw": _sha(
+            *fields, *_params(student.image_params), *_params(student.text_params),
+            *(a for t in teachers for a in _params(t.image_params) + [t.bank]),
+        )
+    }
 
 
 def compute() -> dict[str, str]:

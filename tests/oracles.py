@@ -6,8 +6,8 @@ so they share no code with the implementations they verify. The reference
 implementations below them are what the tests compare the library
 against: the closed-form two-teacher min-norm point, the exhaustive
 simplex-grid min-norm search, a scalar KL divergence, the
-probability-matrix invariants, the cross-entropy logit gradient, and a
-parameter fingerprint. No run calls them, so they live here, not in
+probability-matrix invariants, the cross-entropy logit gradient, a
+per-array Adam update, and a parameter fingerprint. No run calls them, so they live here, not in
 ``kdlab``.
 """
 
@@ -189,3 +189,20 @@ def param_fingerprint(params) -> str:
     for a in params.weights + params.biases:
         h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
     return h.hexdigest()
+
+
+def adam_per_array(weights, biases, grads_w, grads_b, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """One bias-corrected Adam update (step ``t``) of each array on its own:
+    the reference the flat, in-place update must match bit for bit. ``m``
+    and ``v`` are lists of the moment arrays, weights then biases. Returns
+    the new (params, m, v) lists in the same order."""
+    c1 = 1.0 - beta1**t
+    c2 = 1.0 - beta2**t
+    out_p, out_m, out_v = [], [], []
+    for p, g, mi, vi in zip(list(weights) + list(biases), list(grads_w) + list(grads_b), m, v):
+        m_new = beta1 * mi + (1.0 - beta1) * g
+        v_new = beta2 * vi + (1.0 - beta2) * g * g
+        out_p.append(p - lr * (m_new / c1) / (np.sqrt(v_new / c2) + eps))
+        out_m.append(m_new)
+        out_v.append(v_new)
+    return out_p, out_m, out_v

@@ -397,6 +397,18 @@ class TestReport:
         assert err.startswith("data error:")
         assert str(out / rel) in err and repr(column) in err
 
+    def test_truncated_row_is_a_data_error(self, tmp_path, capsys):
+        p = tmp_path / "m.json"
+        write_manifest(p)
+        out = tmp_path / "o"
+        assert cli.main(["run", str(p), "--output-dir", str(out)]) == 0
+        summary = out / "summary.csv"
+        text = summary.read_text()
+        summary.write_text(text[: text.rindex(",")])  # cut the last row short
+        capsys.readouterr()
+        assert cli.main(["report", str(out)]) == 3
+        assert capsys.readouterr().err.startswith(f"data error: {summary} line 2")
+
 
 class TestGenData:
     def test_gen_data_writes_loadable_file(self, tmp_path, capsys):

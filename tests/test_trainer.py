@@ -8,7 +8,7 @@ import pytest
 from kdlab import cli, contrastive, data, distill, encoder, numerics, trainer
 from kdlab.errors import InvalidConfig, KdlabError, StrategyTeacherMismatch
 from kdlab.numerics import seeded_rng
-from oracles import param_fingerprint
+from oracles import adam_per_array, param_fingerprint
 from test_cli import TINY_TRAIN, write_manifest
 
 TINY_SPEC = data.SyntheticSpec(
@@ -544,10 +544,16 @@ class TestStepKernels:
         np.testing.assert_array_equal(grad_x, g @ params.weights[0].T)
 
     def test_adam_step(self):
+        # The public step, the trainer's flat step and a per-array update
+        # give the same bits.
         params, _, _, rng = self.student()
         state = encoder.init_adam(params, 1e-2)
         flat = encoder._FlatAdam(params, state)
-        for lr in (1e-2, 3e-3, 1e-3):
+        ref = list(params.weights + params.biases)
+        ref_m = [np.zeros_like(a) for a in ref]
+        ref_v = [np.zeros_like(a) for a in ref]
+        n = len(params.weights)
+        for t, lr in enumerate((1e-2, 3e-3, 1e-3), start=1):
             grads = encoder.EncoderGrads(
                 [rng.normal(size=w.shape) for w in params.weights],
                 [rng.normal(size=b.shape) for b in params.biases],
@@ -555,10 +561,17 @@ class TestStepKernels:
             params, state = encoder.adam_step(params, grads, replace(state, lr=lr))
             flat.grad[:] = grads.flatten()
             flat.step(lr)
-        for a, b in zip(params.weights + params.biases, flat.result().weights + flat.result().biases):
-            np.testing.assert_array_equal(a, b)
+            ref, ref_m, ref_v = adam_per_array(
+                ref[:n], ref[n:], grads.weights, grads.biases, ref_m, ref_v, t, lr
+            )
+        got = flat.result()
+        for a, b, c in zip(params.weights + params.biases, got.weights + got.biases, ref):
+            np.testing.assert_array_equal(a, c)
+            np.testing.assert_array_equal(b, c)
         np.testing.assert_array_equal(state.m.flatten(), flat.m)
         np.testing.assert_array_equal(state.v.flatten(), flat.v)
+        np.testing.assert_array_equal(flat.m, np.concatenate([a.ravel() for a in ref_m]))
+        np.testing.assert_array_equal(flat.v, np.concatenate([a.ravel() for a in ref_v]))
 
     @staticmethod
     def unit_rows(rng, n, d):
