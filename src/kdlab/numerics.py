@@ -62,11 +62,13 @@ def pairwise_logits(u, w) -> np.ndarray:
     """All inner products between rows of ``u`` (B x d) and rows of ``w`` (N x d)."""
     mu = as_matrix(u, "u")
     mw = as_matrix(w, "w")
-    if mu.shape[1] != mw.shape[1]:
-        raise DimensionMismatch(
-            f"feature dims differ: {mu.shape[1]} vs {mw.shape[1]}"
-        )
+    _check_dims(mu, mw)
     return mu @ mw.T
+
+
+def _check_dims(u: np.ndarray, w: np.ndarray) -> None:
+    if u.shape[1] != w.shape[1]:
+        raise DimensionMismatch(f"feature dims differ: {u.shape[1]} vs {w.shape[1]}")
 
 
 def _check_tau(tau: float) -> None:
@@ -80,15 +82,13 @@ def softmax_rows(logits, tau: float) -> np.ndarray:
     Computed with per-row max subtraction so extreme logits stay finite.
     """
     _check_tau(tau)
-    z = as_matrix(logits, "logits")
-    return z.copy() if z.size == 0 else _softmax(z, tau)
+    return _softmax(as_matrix(logits, "logits"), tau)
 
 
 def log_softmax_rows(logits, tau: float) -> np.ndarray:
     """Row-wise log of the temperature softmax (stable against underflow)."""
     _check_tau(tau)
-    z = as_matrix(logits, "logits")
-    return z.copy() if z.size == 0 else _log_softmax(z, tau)
+    return _log_softmax(as_matrix(logits, "logits"), tau)
 
 
 # Unchecked kernels: the public functions above and the training step call
@@ -96,6 +96,8 @@ def log_softmax_rows(logits, tau: float) -> np.ndarray:
 
 
 def _softmax(logits: np.ndarray, tau: float) -> np.ndarray:
+    if logits.size == 0:
+        return logits.copy()
     z = logits / tau
     z -= z.max(axis=1, keepdims=True)
     e = np.exp(z)
@@ -103,6 +105,8 @@ def _softmax(logits: np.ndarray, tau: float) -> np.ndarray:
 
 
 def _log_softmax(logits: np.ndarray, tau: float) -> np.ndarray:
+    if logits.size == 0:
+        return logits.copy()
     z = logits / tau
     z -= z.max(axis=1, keepdims=True)
     return z - np.log(np.exp(z).sum(axis=1, keepdims=True))

@@ -34,10 +34,12 @@ inputs once, at entry. The dataset's image rows, class text anchors and
 labels are checked against the encoders, and the teachers' banks against
 the dataset. Each batch then runs the private, unchecked kernels behind
 the public ``encode``, ``vjp``, ``adam_step``, ``clip_loss``,
-``kl_pair_loss`` and ``mse_align``, so it gets the same bits. Two checks
-stay in the step, where a diverging run would otherwise go on silently:
-the encoder's normalization rejects a row whose norm is near zero or not
-finite, and each step's total loss must be finite.
+``kl_pair_loss`` and ``mse_align``, so it gets the same bits. The kernels
+divide by temperatures unchecked; the configs reject one that is not
+finite and above 0. Two checks stay in the step, where a diverging run
+would otherwise go on silently: the encoder's normalization rejects a row
+whose norm is near zero or not finite, and each step's total loss must be
+finite.
 - The student's image-to-text and text-to-image log-distributions are
   computed once per batch. The contrastive loss and every teacher's KL
   share them when ``tau_distill == tau_student``.
@@ -83,7 +85,7 @@ from .errors import (
     ShapeMismatch,
     StrategyTeacherMismatch,
 )
-from .numerics import _pair_log_softmax, _softmax, as_matrix, seeded_rng
+from .numerics import _pair_log_softmax, as_matrix, seeded_rng
 
 # perfbench's tracer wraps these public functions at every module that
 # binds them (EXPECTED_BINDINGS in perfbench/tracer.py). The training step
@@ -157,6 +159,14 @@ class TeacherSpec:
     __post_init__ = _check_architecture
 
 
+def _check_positive(config, name: str) -> None:
+    """A learning rate or temperature must be finite and > 0: the training
+    step divides by temperatures unchecked, and JSON admits Infinity/NaN."""
+    value = getattr(config, name)
+    if not (math.isfinite(value) and value > 0):
+        raise InvalidConfig(name, "must be finite and > 0")
+
+
 @dataclass(frozen=True)
 class PretrainConfig:
     epochs: int = 30
@@ -171,8 +181,7 @@ class PretrainConfig:
         if self.batch_size < 1:
             raise InvalidConfig("batch_size", "must be >= 1")
         for name in ("lr", "tau"):
-            if getattr(self, name) <= 0:
-                raise InvalidConfig(name, "must be > 0")
+            _check_positive(self, name)
         if not 0.0 <= self.accuracy_gate <= 1.0:
             raise InvalidConfig("accuracy_gate", "must lie in [0, 1]")
 
@@ -212,8 +221,7 @@ class TrainConfig:
             if getattr(self, name) < 1:
                 raise InvalidConfig(name, "must be >= 1")
         for name in ("lr", "tau_teacher", "tau_student", "tau_distill"):
-            if getattr(self, name) <= 0:
-                raise InvalidConfig(name, "must be > 0")
+            _check_positive(self, name)
         if len(self.loss_ratios) != 3 or min(self.loss_ratios) <= 0:
             raise InvalidConfig("loss_ratios", "must be three numbers (clip, kl, mse), each > 0")
         if self.strategy not in STRATEGIES:
@@ -556,8 +564,7 @@ def _checked_teachers(teachers: Sequence[Teacher], image_dim: int, n_classes: in
 def _teacher_outputs(teacher: Teacher, image_rows, tau: float) -> distill.TeacherOutputs:
     """A frozen teacher's eval-mode view of checked ``image_rows``."""
     u, _ = _encode(teacher.image_params, image_rows, False, None)
-    w = teacher.bank
-    return distill.TeacherOutputs(u, _softmax(u @ w.T, tau), _softmax(w @ u.T, tau))
+    return distill.TeacherOutputs(u, *distill._teacher_dists(u, teacher.bank, tau))
 
 
 class _FrozenTeacherCache:
@@ -589,7 +596,7 @@ class _FrozenTeacherCache:
         return distill.TeacherOutputs(
             image_features=u,
             i2t_probs=self.i2t_probs[rows],
-            t2i_probs=_softmax(self.bank @ u.T, self.tau),
+            t2i_probs=distill._t2i_probs(u, self.bank, self.tau),
         )
 
 

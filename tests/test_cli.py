@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import math
 import re
 import typing
 from pathlib import Path
@@ -111,6 +112,9 @@ BAD_MANIFESTS = [
     (("train", "seed"), 3, "train.seed"),
     (("dataset", "spec", "sed"), 3, "dataset.spec.sed"),
     (("train", "lr"), -1, "train.lr"),
+    (("train", "tau_distill"), math.inf, "train.tau_distill"),
+    (("train", "tau_teacher"), math.nan, "train.tau_teacher"),
+    (("pretrain", "tau"), math.inf, "pretrain.tau"),
     (("train", "augmentation"), {"kind": "jitter", "sigma": -1}, "train.augmentation.sigma"),
     (("train", "augmentation"), {"kind": "cutout"}, "train.augmentation.kind"),
     (("train", "lr_schedule"), {"kind": "cosine", "eta_min": -1}, "train.lr_schedule.eta_min"),

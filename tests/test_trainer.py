@@ -77,6 +77,29 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             tiny_config(epochs=0)
 
+    # The training step divides by temperatures without checking them, so
+    # an infinite one would train to completion on uniform distributions.
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "field, kw",
+        [
+            ("tau_distill", {}),
+            ("tau_teacher", dict(augmentation=trainer.Augmentation("mixup", beta=0.4))),
+            ("tau_student", {}),
+            ("lr", {}),
+        ],
+    )
+    def test_non_finite_rejected(self, field, kw, value):
+        with pytest.raises(InvalidConfig) as info:
+            tiny_config(**{field: value}, **kw)
+        assert info.value.field == field
+
+    @pytest.mark.parametrize("field", ["tau", "lr"])
+    def test_pretrain_non_finite_rejected(self, field):
+        with pytest.raises(InvalidConfig) as info:
+            dataclasses.replace(TINY_PRETRAIN, **{field: math.inf})
+        assert info.value.field == field
+
 
 class TestLrAt:
     def test_cosine_endpoints(self):
@@ -600,6 +623,29 @@ class TestStepKernels:
             assert soft.value == kernel.value
             np.testing.assert_array_equal(soft.grad_image, kernel.grad_image)
             np.testing.assert_array_equal(soft.grad_text, kernel.grad_text)
+
+    def test_teacher_outputs(self):
+        # from_features, the per-batch kernel and the cache's t2i kernel
+        # give the bits of the checked softmax over the pairwise logits.
+        rng = seeded_rng(9)
+        u, w = self.unit_rows(rng, 9, 6), self.unit_rows(rng, 4, 6)
+        out = distill.TeacherOutputs.from_features(u, w, 4.0)
+        i2t, t2i = distill._teacher_dists(u, w, 4.0)
+        np.testing.assert_array_equal(out.i2t_probs, i2t)
+        np.testing.assert_array_equal(out.t2i_probs, t2i)
+        np.testing.assert_array_equal(t2i, distill._t2i_probs(u, w, 4.0))
+        np.testing.assert_array_equal(i2t, numerics.softmax_rows(numerics.pairwise_logits(u, w), 4.0))
+        np.testing.assert_array_equal(t2i, numerics.softmax_rows(numerics.pairwise_logits(w, u), 4.0))
+        empty = distill.TeacherOutputs.from_features(u[:0], w, 4.0)
+        assert (empty.i2t_probs.shape, empty.t2i_probs.shape) == ((0, 4), (4, 0))
+
+    def test_mse_align(self):
+        rng = seeded_rng(10)
+        ut, us, wt, ws = (rng.normal(size=s) for s in ((9, 6), (9, 6), (4, 6), (4, 6)))
+        public, kernel = distill.mse_align(ut, us, wt, ws), distill._mse_align(ut, us, wt, ws)
+        assert public.value == kernel.value
+        np.testing.assert_array_equal(public.grad_image, kernel.grad_image)
+        np.testing.assert_array_equal(public.grad_text, kernel.grad_text)
 
     def test_kl_pair_loss(self):
         rng = seeded_rng(8)
