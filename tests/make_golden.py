@@ -16,8 +16,10 @@ The digests cover two kinds of output:
   schedules, a distillation temperature that differs from the student's,
   and batch sizes that leave a one-row tail; plus the teachers' parameters,
   banks and accuracies;
-- the same for a short ``dsw`` run at the default dataset and student
-  shapes.
+- the same for short runs at the default dataset and student shapes: a
+  ``dsw`` run, the benchmark's mixup ``lsr`` K=3 run, a ``jitter`` ``avg``
+  run, and a batch size of 48, whose epoch spans several blocks of batches
+  plus a 16-row tail.
 
 The bits hold only on the platform they were recorded on, which is stored
 with them as perfbench's ``run.platform_key()``.
@@ -172,27 +174,43 @@ def distill_digests() -> dict[str, str]:
 
 
 def default_shape_digests() -> dict[str, str]:
-    """A short ``dsw`` run at the default dataset and student shapes, with
-    the benchmark's first two teachers: 64-row batches through 96-, 80-
-    and 48-wide layers, where BLAS may pick other kernels than at the tiny
-    shapes above."""
+    """Short runs at the default dataset and student shapes, with the
+    benchmark's teachers: 64-row batches through 96-, 80-, 64- and 48-wide
+    layers, where BLAS may pick other kernels than at the tiny shapes above.
+    ``default-shapes-dsw`` also digests its two teachers."""
     ds = data.generate(data.SyntheticSpec())
     train_idx, eval_idx = trainer.dataset_split(ds)
     pretrain = trainer.PretrainConfig(epochs=2, accuracy_gate=0.0)
     teachers = [
         trainer.pretrain_teacher(pretrain, ds, train_idx, eval_idx, trainer.TeacherSpec(hidden_widths=(w,)), 0, j)
-        for j, w in enumerate((96, 80))
+        for j, w in enumerate((96, 80, 64))
     ]
-    student, metrics = trainer.distill_student(
-        trainer.TrainConfig(epochs=2, strategy="dsw"), teachers, ds, train_idx, eval_idx
-    )
-    fields = [np.asarray(getattr(r, f.name)) for r in metrics.epochs for f in dataclasses.fields(r)]
-    return {
-        "default-shapes-dsw": _sha(
-            *fields, *_params(student.image_params), *_params(student.text_params),
-            *(a for t in teachers for a in _params(t.image_params) + [t.bank]),
-        )
+    runs = {
+        "default-shapes-dsw": dict(strategy="dsw"),
+        "default-shapes-lsr-k3-mixup-batchbank-perteacher": dict(
+            strategy="lsr", num_teachers=3, augmentation=MIXUP,
+            text_bank_refresh="batch", mse_mode="per_teacher",
+        ),
+        "default-shapes-avg-k2-jitter": dict(strategy="avg", augmentation=JITTER),
+        # 1600 training rows: 33 batches of 48 and a 16-row tail.
+        "default-shapes-lsr-k2-mixup-batch48": dict(
+            strategy="lsr", augmentation=MIXUP, batch_size=48,
+        ),
     }
+    out = {}
+    for name, overrides in runs.items():
+        cfg = trainer.TrainConfig(**{"epochs": 2, **overrides})
+        used = teachers[: cfg.num_teachers]
+        student, metrics = trainer.distill_student(cfg, used, ds, train_idx, eval_idx)
+        fields = [np.asarray(getattr(r, f.name)) for r in metrics.epochs for f in dataclasses.fields(r)]
+        frozen = (
+            (a for t in used for a in _params(t.image_params) + [t.bank])
+            if name == "default-shapes-dsw" else ()
+        )
+        out[name] = _sha(
+            *fields, *_params(student.image_params), *_params(student.text_params), *frozen
+        )
+    return out
 
 
 def compute() -> dict[str, str]:
