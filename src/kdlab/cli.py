@@ -23,8 +23,9 @@ that completed in this call, and ``manifest.json`` with config echo,
 library version, and wall-clock. A
 failed run (its teacher's pretraining or its distillation) leaves no run
 directory, the others still complete, and the first failure is raised
-after ``summary.csv``. Exit codes: 0 ok, 2 config error, 3 data error,
-4 numeric error.
+after ``summary.csv``. Exit codes: 0 ok, 1 internal error (a run raised an
+exception kdlab does not declare), 2 config error, 3 data error, 4 numeric
+error.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ from .errors import (
     ConfigParseError,
     DataError,
     FormatVersionMismatch,
+    InternalError,
     InvalidConfig,
     InvalidSpec,
     KdlabError,
@@ -503,10 +505,14 @@ def cmd_run(args) -> int:
 
 def _run_error(e: Exception, label: str, seed: int) -> KdlabError:
     """The error ``cmd_run`` raises for a failed run: config, data and
-    numeric errors as they are, anything else a NumericError naming the run."""
+    numeric errors as they are, any other kdlab error a NumericError naming
+    the run, and an exception kdlab does not declare an InternalError naming
+    the run and the exception's type."""
     if isinstance(e, (ConfigParseError, DataError, NumericError)):
         return e
-    return NumericError(f"run {label}/seed_{seed}: {e}")
+    if isinstance(e, KdlabError):
+        return NumericError(f"run {label}/seed_{seed}: {e}")
+    return InternalError(f"run {label}/seed_{seed}: {type(e).__name__}: {e}")
 
 
 def cmd_validate(args) -> int:
@@ -653,6 +659,9 @@ def main(argv=None) -> int:
     except NumericError as e:
         print(f"numeric error: {e}", file=sys.stderr)
         return 4
+    except InternalError as e:
+        print(f"internal error: {e}", file=sys.stderr)
+        return 1
     except KdlabError as e:
         print(f"error: {e}", file=sys.stderr)
         return 4

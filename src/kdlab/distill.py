@@ -15,7 +15,14 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidSimplex, NonPositiveRatio, ShapeMismatch
-from .numerics import _check_dims, _check_tau, _pair_log_softmax, _softmax, as_matrix
+from .numerics import (
+    _check_dims,
+    _check_tau,
+    _checked_stack,
+    _pair_log_softmax,
+    _softmax,
+    as_matrix,
+)
 
 # perfbench's tracer wraps these public functions at every module that
 # binds them (EXPECTED_BINDINGS in perfbench/tracer.py); this module calls
@@ -27,30 +34,28 @@ from .numerics import log_softmax_rows, pairwise_logits, softmax_rows  # noqa: E
 class TeacherOutputs:
     """One frozen teacher's view of a batch: unit-row image features plus
     its image-to-text and text-to-image contrastive distributions against
-    N text rows (a class bank, or the batch's own B rows)."""
+    N text rows (a class bank, or the batch's own B rows). A block of n
+    batches of B rows stacks them along a leading axis; t2i then
+    normalizes over each batch's own rows."""
 
-    image_features: np.ndarray   # B x d_T
-    i2t_probs: np.ndarray        # B x N
-    t2i_probs: np.ndarray        # N x B
+    image_features: np.ndarray   # B x d_T, or n x B x d_T
+    i2t_probs: np.ndarray        # B x N, or n x B x N
+    t2i_probs: np.ndarray        # N x B, or n x N x B
 
     @classmethod
     def from_features(cls, image_features, text_features, tau: float) -> "TeacherOutputs":
-        u = as_matrix(image_features, "image_features")
+        u = _checked_stack(image_features, "image_features")
         w = as_matrix(text_features, "text_features")
-        _check_dims(u, w)
+        _check_dims(u.reshape(-1, u.shape[-1]), w)
         _check_tau(tau)
         return cls(u, *_teacher_dists(u, w, tau))
 
 
 def _teacher_dists(u: np.ndarray, w: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
     """The image-to-text (B x N) and text-to-image (N x B) distributions of
-    checked unit rows ``u`` against ``w`` at ``tau``."""
-    return _softmax(u @ w.T, tau), _t2i_probs(u, w, tau)
-
-
-def _t2i_probs(u: np.ndarray, w: np.ndarray, tau: float) -> np.ndarray:
-    """The text-to-image half of :func:`_teacher_dists`."""
-    return _softmax(w @ u.T, tau)
+    checked unit rows ``u`` against ``w`` at ``tau``; with a leading block
+    axis on ``u``, one pair per batch, each with the bits it has alone."""
+    return _softmax(u @ w.T, tau), _softmax(w @ u.swapaxes(-1, -2), tau)
 
 
 @dataclass

@@ -18,9 +18,13 @@ product per slice, and every reduction keeps its order.
 
 The training step calls the private kernels behind ``encode``, ``vjp``
 and ``adam_step`` on inputs it checked once, at its entry. ``_encode`` is
-the forward pass. ``_backward`` writes the parameter gradients straight
-into a flat (P,) or (K, P) buffer in :meth:`EncoderGrads.flatten`'s order
-and skips the input gradient. ``_FlatAdam`` holds an encoder's parameters
+the forward pass; it takes dropout keep-masks drawn ahead by
+``_dropout_masks``, which draws exactly what ``encode`` draws from its rng,
+so a caller can draw a step's randomness before running it.
+``_eval_features`` is the eval-mode forward without a tape, computed in
+place, for frozen encoders. ``_backward`` writes the parameter gradients
+straight into a flat (P,) or (K, P) buffer in :meth:`EncoderGrads.flatten`'s
+order and skips the input gradient. ``_FlatAdam`` holds an encoder's parameters
 and Adam moments as flat buffers and updates them in place, one
 elementwise pass per encoder; each entry rounds as it would in an update
 of its own array.
@@ -34,7 +38,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NonFiniteInput, ShapeMismatch, ZeroVector
-from .numerics import ZERO_NORM_EPS, as_matrix
+from .numerics import ZERO_NORM_EPS, _checked_stack, as_matrix
 
 ACTIVATIONS = ("relu", "tanh", "identity")
 
@@ -130,7 +134,6 @@ class ForwardTape:
     raw_out: np.ndarray             # pre-normalization output rows
     norms: np.ndarray               # row norms of raw_out, shape (B, 1)
     features: np.ndarray            # normalized output rows
-    train_mode: bool
 
 
 def init_params(config: EncoderConfig, rng: np.random.Generator) -> EncoderParams:
@@ -144,11 +147,11 @@ def init_params(config: EncoderConfig, rng: np.random.Generator) -> EncoderParam
     return EncoderParams(config, weights, biases)
 
 
-def _activate(name: str, z: np.ndarray) -> np.ndarray:
+def _activate(name: str, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     if name == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=out)
     if name == "tanh":
-        return np.tanh(z)
+        return np.tanh(z, out=out)
     return z
 
 
@@ -183,44 +186,47 @@ def encode(
     xm = _checked_input(params, x)
     if train_mode and params.config.dropout_p > 0.0 and rng is None:
         raise ValueError("train_mode with dropout requires an rng")
-    return _encode(params, xm, train_mode, rng)
+    masks = _dropout_masks(params.config, xm.shape[0], rng) if train_mode else None
+    return _encode(params, xm, masks)
+
+
+def _dropout_masks(cfg: EncoderConfig, rows: int, rng) -> list[np.ndarray] | None:
+    """The dropout keep-masks of a train-mode pass over ``rows`` input rows,
+    one boolean (rows, width) mask per hidden layer in layer order, or None
+    without dropout. Drawing them ahead of the pass draws what the pass
+    itself would, in the same order."""
+    if cfg.dropout_p == 0.0:
+        return None
+    return [rng.random((rows, w)) >= cfg.dropout_p for w in cfg.hidden_widths]
 
 
 def _encode(
-    params: EncoderParams, xm: np.ndarray, train_mode: bool, rng
+    params: EncoderParams, xm: np.ndarray, masks: list[np.ndarray] | None
 ) -> tuple[np.ndarray, ForwardTape]:
-    """:func:`encode` on an input it has checked. The normalization raises
-    on a row whose norm is near zero or not finite, so every feature row it
-    returns is a finite unit vector, whatever the parameters."""
+    """:func:`encode` on an input it has checked, with the keep-masks of
+    :func:`_dropout_masks` (None: no dropout), scaled here by 1 / (1 - p).
+    The normalization raises on a row whose norm is near zero or not
+    finite, so every feature row it returns is a finite unit vector,
+    whatever the parameters."""
     cfg = params.config
-    use_dropout = train_mode and cfg.dropout_p > 0.0
     h = xm
     layer_inputs: list[np.ndarray] = []
     pre_acts: list[np.ndarray] = []
     act_values: list[np.ndarray] = []
-    masks: list[np.ndarray | None] = []
+    scaled: list[np.ndarray | None] = []
     for i in range(len(cfg.hidden_widths)):
         layer_inputs.append(h)
         z = h @ params.weights[i] + params.biases[i]
         a = _activate(cfg.activation, z)
-        if use_dropout:
-            mask = (rng.random(a.shape) >= cfg.dropout_p) / (1.0 - cfg.dropout_p)
-            h = a * mask
-        else:
-            mask = None
-            h = a
+        mask = None if masks is None else masks[i] / (1.0 - cfg.dropout_p)
+        h = a if mask is None else a * mask
         pre_acts.append(z)
         act_values.append(a)
-        masks.append(mask)
+        scaled.append(mask)
 
     layer_inputs.append(h)
     raw = h @ params.weights[-1] + params.biases[-1]
-    norms = np.linalg.norm(raw, axis=1, keepdims=True)
-    if raw.shape[0]:
-        if float(norms.min()) < ZERO_NORM_EPS:
-            raise ZeroVector("a pre-normalization output row has near-zero norm")
-        if not math.isfinite(float(norms.max())):
-            raise NonFiniteInput("a pre-normalization output row has a non-finite norm")
+    norms = _row_norms(raw)
     features = raw / norms if raw.shape[0] else raw.copy()
 
     tape = ForwardTape(
@@ -228,13 +234,43 @@ def _encode(
         layer_inputs=layer_inputs,
         pre_acts=pre_acts,
         act_values=act_values,
-        masks=masks,
+        masks=scaled,
         raw_out=raw,
         norms=norms,
         features=features,
-        train_mode=train_mode,
     )
     return features, tape
+
+
+def _eval_features(params: EncoderParams, xm: np.ndarray) -> np.ndarray:
+    """The eval-mode features of checked rows ``xm`` without a tape, each
+    layer updated in place: the bits of ``_encode(params, xm, None)[0]``.
+    A stack of batches, (n, B, d_in), gives (n, B, d_out): numpy runs one
+    BLAS product per batch, so each batch gets the bits it has alone, and
+    no product grows past a batch."""
+    act = params.config.activation
+    h = xm
+    for w, b in zip(params.weights[:-1], params.biases[:-1]):
+        h = h @ w
+        h += b
+        h = _activate(act, h, out=h)
+    h = h @ params.weights[-1]
+    h += params.biases[-1]
+    if h.size:
+        h /= _row_norms(h)
+    return h
+
+
+def _row_norms(raw: np.ndarray) -> np.ndarray:
+    """The row norms of pre-normalization outputs, (B, 1) or (n, B, 1);
+    each must be finite and not near zero."""
+    norms = np.linalg.norm(raw, axis=-1, keepdims=True)
+    if raw.size:
+        if float(norms.min()) < ZERO_NORM_EPS:
+            raise ZeroVector("a pre-normalization output row has near-zero norm")
+        if not math.isfinite(float(norms.max())):
+            raise NonFiniteInput("a pre-normalization output row has a non-finite norm")
+    return norms
 
 
 def vjp(tape: ForwardTape, grad_features) -> tuple[EncoderGrads, np.ndarray]:
@@ -245,8 +281,7 @@ def vjp(tape: ForwardTape, grad_features) -> tuple[EncoderGrads, np.ndarray]:
     products in one pass, each array with a leading K axis (see the module
     docstring).
     """
-    gy = np.ascontiguousarray(grad_features, dtype=np.float64)
-    as_matrix(gy.reshape(-1, gy.shape[-1]) if gy.ndim == 3 else gy, "grad_features")
+    gy = _checked_stack(grad_features, "grad_features")
     if gy.shape[-2:] != tape.features.shape:
         raise ShapeMismatch(
             f"grad shape {gy.shape} != features shape {tape.features.shape}"

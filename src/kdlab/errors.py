@@ -98,5 +98,10 @@ class NumericError(KdlabError):
     """A numeric failure occurred while executing a run."""
 
 
+class InternalError(KdlabError):
+    """A run failed with an exception kdlab does not declare: a bug in the
+    program, not a property of the inputs."""
+
+
 class NoRunsFound(KdlabError):
     """A report was requested on a directory without completed runs."""

@@ -49,6 +49,16 @@ def as_matrix(x, name: str = "matrix") -> np.ndarray:
     return a
 
 
+def _checked_stack(x, name: str) -> np.ndarray:
+    """``x`` as a finite float64 matrix, or a stack of them along one
+    leading axis, which :func:`as_matrix` checks as one matrix."""
+    a = np.ascontiguousarray(x, dtype=np.float64)
+    if a.ndim != 3:
+        return as_matrix(a, name)
+    as_matrix(a.reshape(-1, a.shape[-1]), name)
+    return a
+
+
 def as_vector(x, name: str = "vector") -> np.ndarray:
     a = np.ascontiguousarray(x, dtype=np.float64)
     if a.ndim != 1:
@@ -96,12 +106,14 @@ def log_softmax_rows(logits, tau: float) -> np.ndarray:
 
 
 def _softmax(logits: np.ndarray, tau: float) -> np.ndarray:
+    """Softmax over the last axis; a stack of matrices gives each row the
+    bits it has in a matrix of its own."""
     if logits.size == 0:
         return logits.copy()
     z = logits / tau
-    z -= z.max(axis=1, keepdims=True)
+    z -= z.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _log_softmax(logits: np.ndarray, tau: float) -> np.ndarray:

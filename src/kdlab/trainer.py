@@ -15,19 +15,38 @@ step), trading exactness for cached class vectors; ``text_bank_refresh =
 "batch"`` switches to exact per-batch recomputation. Teacher banks are
 always computed once, after freezing.
 
-Frozen-teacher cache: with ``augmentation.kind == "none"`` a batch's
-image rows are plain training rows, so each ``distill_student`` call
-encodes every teacher's training rows once, in eval mode and in blocks of
-``batch_size`` rows, and keeps their features and image-to-text rows.
-Each batch gathers its rows from the cache and recomputes only the
-text-to-image distribution, which depends on the batch's rows. The cache
-lives for one call and nothing is kept between calls. An eval-mode row's
-bits do not depend on the rows encoded beside it, as long as there are at
-least two: BLAS computes a one-row product with its matrix-vector kernel,
-which rounds differently. So a one-row tail block is folded into the block
-before it, and a one-row batch is encoded on its own as before; the cached
-run computes the same bits as encoding every batch. ``jitter`` and
-``mixup`` produce new rows every batch and encode them per batch.
+Blocks of batches: the teachers are frozen, and the random draws that
+shape a batch do not depend on the parameters, so ``distill_student``
+walks each epoch in blocks of consecutive batches of equal size, at most
+``_BLOCK_ROWS`` = 512 rows (8 batches of 64). A shorter tail batch is a
+block of its own, and so is every one-row batch.
+- Draws: at the start of an epoch, the epoch-mode text bank's dropout
+  masks, then the epoch's permutation; at the start of each block, per
+  batch in order, ``augment``'s draws, the per-batch text bank's masks and
+  the image rows' masks. That is the order the per-batch step used to draw
+  them in, so every draw keeps its bits.
+- Per block, one stacked pass per teacher over (n batches, B rows, .):
+  its features, its image-to-text and text-to-image distributions (t2i
+  normalizes over each batch's own rows), its label-similarity scores
+  under ``lsr``, and its soft-gathered bank rows for the MSE. Under
+  ``none`` the features are gathered from a cache of the teacher's
+  features of every training row, computed once per call in eval mode, in
+  chunks of ``batch_size`` rows with no one-row chunk. Otherwise the
+  block's augmented rows go through one tapeless eval-mode forward pass.
+- Per batch, the student's step reads slice i of the block: encode,
+  contrastive loss, stacked KL, the ``lsr`` weights or ``dsw``'s reverse
+  passes and Frank-Wolfe, MSE, reverse pass, Adam.
+Each stacked product runs one BLAS call per batch, with the bits the
+batch gets alone. A single 512-row product crosses OpenBLAS's threading
+threshold; measured, it ran on both cores and doubled a run's CPU time.
+An eval-mode row's bits do not depend on the rows beside it, as long as
+there are at least two: BLAS computes a one-row product with its
+matrix-vector kernel, which rounds differently. So the cache has no
+one-row chunk and a one-row batch is encoded alone. The cap bounds
+memory. On a 2-core Xeon, the benchmark's mixup ``lsr`` K=3 run made
+1330 student steps/s batch by batch, and 1440, 1550, 1650 and 1750 with
+caps of 128, 256, 512 rows and a whole epoch; its peak RSS grew 0%, 2%,
+3% and 11%, against a 5% bound.
 
 The training step: ``pretrain_teacher`` and ``distill_student`` check their
 inputs once, at entry. The dataset's image rows, class text anchors and
@@ -71,7 +90,9 @@ from .encoder import (
     EncoderParams,
     _backward,
     _checked_input,
+    _dropout_masks,
     _encode,
+    _eval_features,
     _FlatAdam,
     architecture_problem,
     encode,
@@ -101,6 +122,9 @@ _TAG_STUDENT_INIT = 2
 _TAG_TRAIN_LOOP = 3
 _TAG_PROJECTION = 4
 _TAG_SPLIT = 5
+
+# The most rows a block of batches holds (see the module docstring).
+_BLOCK_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -304,7 +328,6 @@ class RunMetrics:
 @dataclass
 class AugmentedBatch:
     image_raw: np.ndarray
-    text_raw: np.ndarray
     labels_a: np.ndarray
     labels_b: np.ndarray
     lam: np.ndarray  # per-sample weight on labels_a
@@ -350,29 +373,29 @@ def dataset_split(dataset: PairedDataset, train_fraction: float = 0.8):
 
 
 def augment(image_raw, text_raw, labels, mode: Augmentation, rng) -> AugmentedBatch:
-    """Vector-space batch augmentation.
+    """Vector-space batch augmentation of the image rows.
 
-    jitter adds Gaussian noise to both raw modalities; mixup convexly
-    combines each sample with a random in-batch partner using per-sample
-    Beta(beta, beta) coefficients, applied to raw vectors and tracked as a
-    soft label pair.
+    jitter adds Gaussian noise; mixup convexly combines each sample with a
+    random in-batch partner using per-sample Beta(beta, beta) coefficients,
+    tracked as a soft label pair. The student encodes the class anchors, not
+    the batch's text rows, so no text rows are built: ``text_raw`` only
+    gives the shape of jitter's text noise.
     """
     img = np.asarray(image_raw, dtype=np.float64)
-    txt = np.asarray(text_raw, dtype=np.float64)
     lab = np.asarray(labels, dtype=np.int64)
     b_sz = img.shape[0]
     if mode.kind == "none":
-        return AugmentedBatch(img, txt, lab, lab, np.ones(b_sz))
+        return AugmentedBatch(img, lab, lab, np.ones(b_sz))
     if mode.kind == "jitter":
         img = img + mode.sigma * rng.standard_normal(img.shape)
-        txt = txt + mode.sigma * rng.standard_normal(txt.shape)
-        return AugmentedBatch(img, txt, lab, lab, np.ones(b_sz))
+        # Nothing reads the text noise; drawing it keeps every later draw's bits.
+        rng.standard_normal(np.shape(text_raw))
+        return AugmentedBatch(img, lab, lab, np.ones(b_sz))
     # mixup
     partner = rng.permutation(b_sz)
     lam = rng.beta(mode.beta, mode.beta, size=b_sz)
     img = lam[:, None] * img + (1.0 - lam)[:, None] * img[partner]
-    txt = lam[:, None] * txt + (1.0 - lam)[:, None] * txt[partner]
-    return AugmentedBatch(img, txt, lab, lab[partner], lam)
+    return AugmentedBatch(img, lab, lab[partner], lam)
 
 
 def evaluate(
@@ -456,6 +479,7 @@ def pretrain_teacher(
     img = _FlatAdam(img_params, init_adam(img_params, cfg.lr))
     txt = _FlatAdam(txt_params, init_adam(txt_params, cfg.lr))
     image_raw, anchors, labels = _checked_inputs(img_params, txt_params, dataset)
+    img_cfg, txt_cfg = img_params.config, txt_params.config
 
     train_idx = np.asarray(train_idx, dtype=np.int64)
     labels = labels.copy()
@@ -466,8 +490,12 @@ def pretrain_teacher(
     for epoch in range(cfg.epochs):
         for batch in _batches(train_idx.size, cfg.batch_size, rng_loop):
             idx = train_idx[batch]
-            feats, tape_i = _encode(img.params, image_raw[idx], True, rng_loop)
-            bank, tape_t = _encode(txt.params, anchors, True, rng_loop)
+            feats, tape_i = _encode(
+                img.params, image_raw[idx], _dropout_masks(img_cfg, idx.size, rng_loop)
+            )
+            bank, tape_t = _encode(
+                txt.params, anchors, _dropout_masks(txt_cfg, anchors.shape[0], rng_loop)
+            )
             dists = _pair_log_softmax(feats, bank, cfg.tau)
             loss = _clip_loss(feats, bank, cfg.tau, dists, labels[idx], None)
             _check_loss(loss.value, epoch)
@@ -499,23 +527,24 @@ def pretrain_teacher(
     )
 
 
-def _soft_gather(bank: np.ndarray, batch: AugmentedBatch, mix: MixedLabels | None) -> np.ndarray:
+def _soft_gather(bank: np.ndarray, labels: np.ndarray, mix: MixedLabels | None) -> np.ndarray:
     """Per-sample text rows under soft labels: lam * bank[a] + (1-lam) * bank[b],
-    which is bank[a], bit for bit, when the batch is not mixed."""
+    and bank[a] without ``mix``. Labels may carry a leading block axis. Where
+    b = a and lam = 1 the soft rows are bank[a], bit for bit."""
     if mix is None:
-        return bank[batch.labels_a]
-    return mix.lam[:, None] * bank[batch.labels_a] + (1.0 - mix.lam)[:, None] * bank[mix.labels_b]
+        return bank[labels]
+    return mix.lam[..., None] * bank[labels] + (1.0 - mix.lam)[..., None] * bank[mix.labels_b]
 
 
 def _soft_scatter(
-    grad_rows: np.ndarray, batch: AugmentedBatch, mix: MixedLabels | None, n_rows: int
+    grad_rows: np.ndarray, labels: np.ndarray, mix: MixedLabels | None, n_rows: int
 ) -> np.ndarray:
     """Adjoint of :func:`_soft_gather`: scatter row gradients back to the bank."""
     out = np.zeros((n_rows, grad_rows.shape[1]))
     if mix is None:
-        np.add.at(out, batch.labels_a, grad_rows)
+        np.add.at(out, labels, grad_rows)
     else:
-        np.add.at(out, batch.labels_a, mix.lam[:, None] * grad_rows)
+        np.add.at(out, labels, mix.lam[:, None] * grad_rows)
         np.add.at(out, mix.labels_b, (1.0 - mix.lam)[:, None] * grad_rows)
     return out
 
@@ -561,43 +590,127 @@ def _checked_teachers(teachers: Sequence[Teacher], image_dim: int, n_classes: in
     return out
 
 
-def _teacher_outputs(teacher: Teacher, image_rows, tau: float) -> distill.TeacherOutputs:
-    """A frozen teacher's eval-mode view of checked ``image_rows``."""
-    u, _ = _encode(teacher.image_params, image_rows, False, None)
-    return distill.TeacherOutputs(u, *distill._teacher_dists(u, teacher.bank, tau))
+def _blocks(batches: list[np.ndarray]) -> list[list[np.ndarray]]:
+    """An epoch's batches in blocks of consecutive batches of the first
+    batch's size, at most ``_BLOCK_ROWS`` rows a block. A shorter tail batch
+    is a block of its own, and so is every one-row batch."""
+    size = batches[0].size if batches else 0
+    per = max(_BLOCK_ROWS // size, 1) if size > 1 else 1
+    n_full = sum(b.size == size for b in batches)
+    return [batches[i : min(i + per, n_full)] for i in range(0, n_full, per)] + [
+        [b] for b in batches[n_full:]
+    ]
 
 
-class _FrozenTeacherCache:
-    """One frozen teacher's eval-mode features and image-to-text rows for
-    the training rows ``image_raw[train_idx]``, indexed by position in
-    ``train_idx``. Built in blocks of ``block`` rows, so building needs no
-    more memory than a batch (see the module docstring)."""
+@dataclass
+class _BatchDraws:
+    """One batch's randomness, drawn ahead of its step."""
 
-    def __init__(self, teacher: Teacher, image_raw, train_idx, block: int, tau: float):
-        n = train_idx.size
-        starts = list(range(0, n, block))
-        if len(starts) > 1 and n - starts[-1] == 1:
-            starts.pop()  # no one-row block
-        feats, i2t = [], []
-        for start, stop in zip(starts, starts[1:] + [n]):
-            f, _ = encode(teacher.image_params, image_raw[train_idx[start:stop]])
-            out = distill.TeacherOutputs.from_features(f, teacher.bank, tau)
-            feats.append(out.image_features)
-            i2t.append(out.i2t_probs)
-        self.features = np.concatenate(feats)
-        self.i2t_probs = np.concatenate(i2t)
-        self.bank = teacher.bank
-        self.tau = tau
+    rows: np.ndarray                      # positions in train_idx
+    batch: AugmentedBatch
+    text_masks: list[np.ndarray] | None   # the per-batch text bank's keep-masks
+    image_masks: list[np.ndarray] | None
 
-    def outputs(self, rows: np.ndarray) -> distill.TeacherOutputs:
-        """The teacher's view of the batch at ``rows``; t2i is recomputed
-        because it normalizes over the batch."""
-        u = self.features[rows]
-        return distill.TeacherOutputs(
-            image_features=u,
-            i2t_probs=self.i2t_probs[rows],
-            t2i_probs=distill._t2i_probs(u, self.bank, self.tau),
+
+@dataclass
+class _TeacherBlock:
+    """The frozen teachers' side of each batch of a block of n batches of B
+    rows; batch i reads index i of every array."""
+
+    feats: list[np.ndarray]       # per teacher, n x B x d_j features
+    bank_rows: list[np.ndarray]   # per teacher, n x B x d_j soft-gathered bank rows
+    i2t: np.ndarray               # n x K x B x N
+    t2i: np.ndarray               # n x K x N x B
+    lsr_scores: np.ndarray | None  # n x K label-similarity scores under lsr
+
+
+class _TeacherPass:
+    """The frozen teachers' side of distillation, one stacked pass per
+    teacher and block (see the module docstring). Under ``none`` every
+    teacher's features of the training rows ``train_rows`` are computed
+    once, in chunks of ``batch_size`` rows with no one-row chunk, and each
+    block gathers its rows; otherwise a block's augmented rows go through
+    one tapeless eval-mode forward pass per teacher."""
+
+    def __init__(self, config: TrainConfig, teachers: list[Teacher], train_rows: np.ndarray):
+        self.teachers = teachers
+        self.tau = config.tau_teacher
+        self.lsr = config.strategy == "lsr"
+        self.mixup = config.augmentation.kind == "mixup"
+        self.frozen = None
+        n, size = train_rows.shape[0], config.batch_size
+        if config.augmentation.kind == "none" and min(size, n) > 1:
+            cuts = list(range(size, n, size))
+            if cuts and n - cuts[-1] == 1:
+                cuts.pop()  # no one-row chunk
+            parts = np.split(train_rows, cuts)
+            self.frozen = [
+                np.concatenate([_eval_features(t.image_params, x) for x in parts])
+                for t in teachers
+            ]
+
+    def block(self, draws: list[_BatchDraws]) -> _TeacherBlock:
+        batches = [d.batch for d in draws]
+        labels = np.stack([b.labels_a for b in batches])
+        # Every mixup batch takes the soft formulas; an unmixed one, with
+        # b = a and lam = 1, gets the hard labels' bits from them.
+        mix = None
+        if self.mixup:
+            mix = MixedLabels(
+                np.stack([b.labels_b for b in batches]), np.stack([b.lam for b in batches])
+            )
+        if self.frozen is not None and labels.shape[1] > 1:
+            rows = np.stack([d.rows for d in draws])
+            feats = [f[rows] for f in self.frozen]
+        else:
+            images = np.stack([b.image_raw for b in batches])
+            feats = [_eval_features(t.image_params, images) for t in self.teachers]
+        outs = [
+            distill.TeacherOutputs.from_features(f, t.bank, self.tau)
+            for f, t in zip(feats, self.teachers)
+        ]
+        lsr_scores = None
+        if self.lsr:
+            soft = () if mix is None else (mix.labels_b, mix.lam)
+            lsr_scores = np.stack(
+                [
+                    weighting.teacher_label_similarity(f, labels, t.bank, *soft)
+                    for f, t in zip(feats, self.teachers)
+                ],
+                axis=-1,
+            )
+        return _TeacherBlock(
+            feats=feats,
+            bank_rows=[_soft_gather(t.bank, labels, mix) for t in self.teachers],
+            i2t=np.stack([o.i2t_probs for o in outs], axis=1),
+            t2i=np.stack([o.t2i_probs for o in outs], axis=1),
+            lsr_scores=lsr_scores,
         )
+
+
+def _mse_terms(mode: str, proj: _Projection, alpha, feats_s, w_s_rows, t_feats, t_rows):
+    """The MSE imitation term and its gradients with respect to the
+    student's image features and soft-gathered text rows: against the
+    alpha-weighted teacher targets, or against each teacher's own, weighted
+    by alpha."""
+    if mode == "weighted_target":
+        d_t = t_feats[0].shape[-1]
+        u_target = sum(alpha[j] * u for j, u in enumerate(t_feats))
+        w_target = sum(alpha[j] * w for j, w in enumerate(t_rows))
+        m = distill._mse_align(
+            u_target, proj.forward(feats_s, d_t), w_target, proj.forward(w_s_rows, d_t)
+        )
+        return m.value, proj.backward(m.grad_image, d_t), proj.backward(m.grad_text, d_t)
+    value = 0.0
+    g_u = np.zeros_like(feats_s)
+    g_w = np.zeros_like(w_s_rows)
+    for a, u_t, w_t in zip(alpha, t_feats, t_rows):
+        d_t = u_t.shape[-1]
+        m = distill._mse_align(u_t, proj.forward(feats_s, d_t), w_t, proj.forward(w_s_rows, d_t))
+        value += a * m.value
+        g_u += a * proj.backward(m.grad_image, d_t)
+        g_w += a * proj.backward(m.grad_text, d_t)
+    return value, g_u, g_w
 
 
 def distill_student(
@@ -608,8 +721,8 @@ def distill_student(
     eval_idx,
 ) -> tuple[StudentModel, RunMetrics]:
     """Distill a student against frozen teachers; see the module docstring
-    for the strategy semantics, the text-bank caching contract and the
-    training step."""
+    for the strategy semantics, the text-bank caching contract, the blocks
+    of batches and the training step."""
     k = config.num_teachers
     if config.strategy != "base":
         if not teachers:
@@ -650,19 +763,17 @@ def distill_student(
     per_batch_bank = config.text_bank_refresh == "batch"
     shared_tau = config.tau_distill == config.tau_student
     n_img = img.layout.size
-    cache = None
-    if use_teachers and config.augmentation.kind == "none" and min(config.batch_size, n_train) > 1:
-        cache = [
-            _FrozenTeacherCache(t, image_raw, train_idx, config.batch_size, config.tau_teacher)
-            for t in teachers
-        ]
+    img_cfg, txt_cfg = img_params.config, txt_params.config
+    teacher_pass = _TeacherPass(config, teachers, image_raw[train_idx]) if use_teachers else None
 
     metrics = RunMetrics(strategy=config.strategy, num_teachers=k)
     step = 0
     for epoch in range(config.epochs):
         # Cached student class bank for the epoch (see module docstring).
         if not per_batch_bank:
-            bank_s, tape_text = _encode(txt.params, anchors, True, rng_loop)
+            bank_s, tape_text = _encode(
+                txt.params, anchors, _dropout_masks(txt_cfg, n_classes, rng_loop)
+            )
             text_grad_acc = np.zeros_like(bank_s)
 
         sums = {"clip": 0.0, "kl": 0.0, "mse": 0.0, "total": 0.0, "fw": 0.0}
@@ -670,143 +781,113 @@ def distill_student(
         certified = True
         n_batches = 0
 
-        for batch_pos in _batches(n_train, config.batch_size, rng_loop):
-            lr_now = lr_at(config.lr_schedule, config.lr, step, total_steps)
-            idx = train_idx[batch_pos]
-            batch = augment(
-                image_raw[idx], dataset.text_raw[idx], labels[idx], config.augmentation, rng_loop
-            )
-            mix = batch.mix()
-            if per_batch_bank:
-                bank_s, tape_text = _encode(txt.params, anchors, True, rng_loop)
-            feats_s, tape_img = _encode(img.params, batch.image_raw, True, rng_loop)
-
-            # The student's distributions, shared by the contrastive loss
-            # and, at the same temperature, by every teacher's KL.
-            dists = _pair_log_softmax(feats_s, bank_s, config.tau_student)
-            loss_c = _clip_loss(feats_s, bank_s, config.tau_student, dists, batch.labels_a, mix)
-
-            if use_teachers:
-                if cache is not None and batch_pos.size > 1:
-                    t_outs = [c.outputs(batch_pos) for c in cache]
-                else:
-                    t_outs = [
-                        _teacher_outputs(t, batch.image_raw, config.tau_teacher) for t in teachers
-                    ]
-                t_feats = [o.image_features for o in t_outs]
-                kl_i2t, kl_t2i, kl_grad_u, kl_grad_w = distill._kl_stack(
-                    np.stack([o.i2t_probs for o in t_outs]),
-                    np.stack([o.t2i_probs for o in t_outs]),
-                    feats_s,
-                    bank_s,
-                    config.tau_distill,
-                    dists if shared_tau else _pair_log_softmax(feats_s, bank_s, config.tau_distill),
+        for block in _blocks(_batches(n_train, config.batch_size, rng_loop)):
+            # The block's randomness, in the order each step used to draw it.
+            draws = []
+            for rows in block:
+                idx = train_idx[rows]
+                batch = augment(
+                    image_raw[idx], dataset.text_raw[idx], labels[idx], config.augmentation, rng_loop
                 )
-
-                fw_iters = 0.0
-                if config.strategy == "avg":
-                    alpha = uniform
-                elif config.strategy == "lsr":
-                    alpha = weighting.lsr_weights(
-                        np.array(
-                            [
-                                weighting.teacher_label_similarity(
-                                    t_feats[j],
-                                    batch.labels_a,
-                                    teachers[j].bank,
-                                    None if mix is None else mix.labels_b,
-                                    None if mix is None else mix.lam,
-                                )
-                                for j in range(k)
-                            ]
-                        )
-                    ).weights
-                else:  # dsw: one stacked reverse pass per tape, into one K x P matrix
-                    grads = np.empty((k, n_img + txt.layout.size))
-                    _backward(tape_img, kl_grad_u, grads[:, :n_img])
-                    _backward(tape_text, kl_grad_w, grads[:, n_img:])
-                    fw = weighting.frank_wolfe_min_norm(
-                        grads, max_iter=weighting.DSW_MAX_ITER, tol=weighting.DSW_TOL
-                    )
-                    alpha = fw.weights
-                    fw_iters = float(fw.iterations)
-                    if fw.converged:
-                        cert = weighting.certify_pareto_stationarity(
-                            fw.direction, grads, tol=1e-6
-                        )
-                        certified = certified and cert.passed
-
-                # MSE block: imitate the (weighted) teacher features.
-                w_s_rows = _soft_gather(bank_s, batch, mix)
-                if config.mse_mode == "weighted_target":
-                    d_t = teacher_dims[0]
-                    u_target = sum(
-                        alpha[j] * t_feats[j] for j in range(k)
-                    )
-                    w_target = sum(
-                        alpha[j] * _soft_gather(teachers[j].bank, batch, mix)
-                        for j in range(k)
-                    )
-                    u_s_eff = proj.forward(feats_s, d_t)
-                    w_s_eff = proj.forward(w_s_rows, d_t)
-                    mse = distill._mse_align(u_target, u_s_eff, w_target, w_s_eff)
-                    mse_val = mse.value
-                    g_mse_u = proj.backward(mse.grad_image, d_t)
-                    g_mse_w_rows = proj.backward(mse.grad_text, d_t)
-                else:
-                    mse_val = 0.0
-                    g_mse_u = np.zeros_like(feats_s)
-                    g_mse_w_rows = np.zeros_like(w_s_rows)
-                    for j, t in enumerate(teachers):
-                        d_t = teacher_dims[j]
-                        m = distill._mse_align(
-                            t_feats[j],
-                            proj.forward(feats_s, d_t),
-                            _soft_gather(t.bank, batch, mix),
-                            proj.forward(w_s_rows, d_t),
-                        )
-                        mse_val += alpha[j] * m.value
-                        g_mse_u += alpha[j] * proj.backward(m.grad_image, d_t)
-                        g_mse_w_rows += alpha[j] * proj.backward(m.grad_text, d_t)
-                g_mse_w = _soft_scatter(g_mse_w_rows, batch, mix, n_classes)
-
-                breakdown = distill.total_loss(
-                    loss_c.value,
-                    list(zip(kl_i2t, kl_t2i)),
-                    mse_val,
-                    config.loss_ratios,
-                    alpha,
+                text_masks = _dropout_masks(txt_cfg, n_classes, rng_loop) if per_batch_bank else None
+                draws.append(
+                    _BatchDraws(rows, batch, text_masks, _dropout_masks(img_cfg, rows.size, rng_loop))
                 )
-                g_u = r_clip * loss_c.grad_image + r_mse * g_mse_u
-                g_w = r_clip * loss_c.grad_text + r_mse * g_mse_w
-                for j in range(k):
-                    g_u += r_kl * alpha[j] * kl_grad_u[j]
-                    g_w += r_kl * alpha[j] * kl_grad_w[j]
+            t_block = teacher_pass.block(draws) if use_teachers else None
 
-                alpha_sum += alpha
-                sums["fw"] += fw_iters
-                sums["kl"] += breakdown.l_kl_weighted
-                sums["mse"] += breakdown.l_mse
-                total_val = breakdown.total
-            else:
-                # base: clip-only, distillation terms removed
-                g_u = r_clip * loss_c.grad_image
-                g_w = r_clip * loss_c.grad_text
-                total_val = r_clip * loss_c.value
-            _check_loss(total_val, epoch)
+            for i, d in enumerate(draws):
+                lr_now = lr_at(config.lr_schedule, config.lr, step, total_steps)
+                batch = d.batch
+                mix = batch.mix()
+                if per_batch_bank:
+                    bank_s, tape_text = _encode(txt.params, anchors, d.text_masks)
+                feats_s, tape_img = _encode(img.params, batch.image_raw, d.image_masks)
 
-            _backward(tape_img, g_u, img.grad)
-            img.step(lr_now)
-            if per_batch_bank:
-                _backward(tape_text, g_w, txt.grad)
-                txt.step(lr_now)
-            else:
-                text_grad_acc += g_w
+                # The student's distributions, shared by the contrastive loss
+                # and, at the same temperature, by every teacher's KL.
+                dists = _pair_log_softmax(feats_s, bank_s, config.tau_student)
+                loss_c = _clip_loss(feats_s, bank_s, config.tau_student, dists, batch.labels_a, mix)
 
-            sums["clip"] += loss_c.value
-            sums["total"] += total_val
-            n_batches += 1
-            step += 1
+                if use_teachers:
+                    kl_i2t, kl_t2i, kl_grad_u, kl_grad_w = distill._kl_stack(
+                        t_block.i2t[i],
+                        t_block.t2i[i],
+                        feats_s,
+                        bank_s,
+                        config.tau_distill,
+                        dists if shared_tau else _pair_log_softmax(feats_s, bank_s, config.tau_distill),
+                    )
+
+                    fw_iters = 0.0
+                    if config.strategy == "avg":
+                        alpha = uniform
+                    elif config.strategy == "lsr":
+                        alpha = weighting.lsr_weights(t_block.lsr_scores[i]).weights
+                    else:  # dsw: one stacked reverse pass per tape, into one K x P matrix
+                        grads = np.empty((k, n_img + txt.layout.size))
+                        _backward(tape_img, kl_grad_u, grads[:, :n_img])
+                        _backward(tape_text, kl_grad_w, grads[:, n_img:])
+                        fw = weighting.frank_wolfe_min_norm(
+                            grads, max_iter=weighting.DSW_MAX_ITER, tol=weighting.DSW_TOL
+                        )
+                        alpha = fw.weights
+                        fw_iters = float(fw.iterations)
+                        if fw.converged:
+                            cert = weighting.certify_pareto_stationarity(
+                                fw.direction, grads, tol=1e-6
+                            )
+                            certified = certified and cert.passed
+
+                    # MSE block: imitate the (weighted) teacher features.
+                    w_s_rows = _soft_gather(bank_s, batch.labels_a, mix)
+                    mse_val, g_mse_u, g_mse_w_rows = _mse_terms(
+                        config.mse_mode,
+                        proj,
+                        alpha,
+                        feats_s,
+                        w_s_rows,
+                        [f[i] for f in t_block.feats],
+                        [r[i] for r in t_block.bank_rows],
+                    )
+                    g_mse_w = _soft_scatter(g_mse_w_rows, batch.labels_a, mix, n_classes)
+
+                    breakdown = distill.total_loss(
+                        loss_c.value,
+                        list(zip(kl_i2t, kl_t2i)),
+                        mse_val,
+                        config.loss_ratios,
+                        alpha,
+                    )
+                    g_u = r_clip * loss_c.grad_image + r_mse * g_mse_u
+                    g_w = r_clip * loss_c.grad_text + r_mse * g_mse_w
+                    for j in range(k):
+                        g_u += r_kl * alpha[j] * kl_grad_u[j]
+                        g_w += r_kl * alpha[j] * kl_grad_w[j]
+
+                    alpha_sum += alpha
+                    sums["fw"] += fw_iters
+                    sums["kl"] += breakdown.l_kl_weighted
+                    sums["mse"] += breakdown.l_mse
+                    total_val = breakdown.total
+                else:
+                    # base: clip-only, distillation terms removed
+                    g_u = r_clip * loss_c.grad_image
+                    g_w = r_clip * loss_c.grad_text
+                    total_val = r_clip * loss_c.value
+                _check_loss(total_val, epoch)
+
+                _backward(tape_img, g_u, img.grad)
+                img.step(lr_now)
+                if per_batch_bank:
+                    _backward(tape_text, g_w, txt.grad)
+                    txt.step(lr_now)
+                else:
+                    text_grad_acc += g_w
+
+                sums["clip"] += loss_c.value
+                sums["total"] += total_val
+                n_batches += 1
+                step += 1
 
         if not per_batch_bank:
             # One accumulated text step per epoch; Adam normalizes gradient

@@ -21,14 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyGradientSet
-from .numerics import as_matrix, as_vector
+from .errors import DimensionMismatch, EmptyGradientSet, NonFiniteInput
+from .numerics import _checked_stack, as_matrix, as_vector
 
 _TIE_EPS = 1e-18
 
 
 def _grad_matrix(grads) -> np.ndarray:
-    g = np.asarray(grads, dtype=np.float64)
+    g = np.ascontiguousarray(grads, dtype=np.float64)
     if g.ndim != 2:
         raise DimensionMismatch("gradient set must be a K x P matrix")
     if g.shape[0] == 0:
@@ -65,24 +65,25 @@ def teacher_label_similarity(
     class_bank,
     labels_b=None,
     lam=None,
-) -> float:
+):
     """Mean clamped cosine between each teacher image feature and the
     teacher's own class text vector for the sample's true label.
 
     Features and bank rows are unit-norm, so the cosine is a plain dot
     product; negative similarities clamp to zero. Soft (mixup) batches pass
-    a secondary label set with per-sample mixing coefficients.
+    a secondary label set with per-sample mixing coefficients. Features of
+    a block of n batches, (n, B, d) with (n, B) labels, give n scores.
     """
-    u = as_matrix(teacher_image_features, "teacher_image_features")
+    u = _checked_stack(teacher_image_features, "teacher_image_features")
     bank = as_matrix(class_bank, "class_bank")
     lab = np.asarray(labels, dtype=np.int64)
-    sims_a = np.maximum(np.sum(u * bank[lab], axis=1), 0.0)
+    sims_a = np.maximum(np.sum(u * bank[lab], axis=-1), 0.0)
     if labels_b is None:
-        return float(np.mean(sims_a))
+        return np.mean(sims_a, axis=-1)
     lab_b = np.asarray(labels_b, dtype=np.int64)
     lam = np.asarray(lam, dtype=np.float64)
-    sims_b = np.maximum(np.sum(u * bank[lab_b], axis=1), 0.0)
-    return float(np.mean(lam * sims_a + (1.0 - lam) * sims_b))
+    sims_b = np.maximum(np.sum(u * bank[lab_b], axis=-1), 0.0)
+    return np.mean(lam * sims_a + (1.0 - lam) * sims_b, axis=-1)
 
 
 @dataclass
@@ -102,13 +103,16 @@ def frank_wolfe_min_norm(grads, max_iter: int = 2000, tol: float = 1e-10) -> Fra
     closed-form two-point solution. Stops when the gap <d, d - g_t> drops
     to ``tol`` or the iteration budget runs out. Exact line search makes
     the objective non-increasing. Raises ``NonFiniteInput`` on a
-    non-finite gradient.
+    non-finite gradient: its entry makes a diagonal entry of the Gram
+    matrix non-finite, so checking the K x K Gram checks the K x P matrix.
     """
-    g = _grad_matrix(as_matrix(grads, "gradients"))
+    g = _grad_matrix(grads)
     k = g.shape[0]
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     gram = g @ g.T
+    if not np.isfinite(gram).all():
+        raise NonFiniteInput("gradients contain non-finite entries")
     alpha = np.full(k, 1.0 / k)
 
     iterations = 0

@@ -332,6 +332,18 @@ class TestRun:
         with open(out / "summary.csv", newline="") as f:
             assert list(csv.DictReader(f)) == []
 
+    def test_code_bug_in_a_run_is_an_internal_error(self, tmp_path, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise TypeError("unsupported operand")
+
+        monkeypatch.setattr(cli, "run_single", broken)
+        p = tmp_path / "m.json"
+        write_manifest(p)
+        assert cli.main(["run", str(p), "--output-dir", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "internal error: run default/seed_0: TypeError: unsupported operand" in err
+        assert "numeric error" not in err
+
     def test_failed_teacher_fails_only_the_runs_that_need_it(self, tmp_path, monkeypatch, capsys):
         real = trainer.pretrain_teacher
 
@@ -345,9 +357,10 @@ class TestRun:
         p = tmp_path / "m.json"
         write_manifest(p, suite="strategy", seeds=[0, 1])
         out = tmp_path / "o"
-        assert cli.main(["run", str(p), "--output-dir", str(out)]) == 4
+        assert cli.main(["run", str(p), "--output-dir", str(out)]) == 1
         # The first failing run in grid order is named; base needs no teacher.
-        assert "run avg/seed_1: synthetic pretrain blowup" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "internal error: run avg/seed_1: RuntimeError: synthetic pretrain blowup" in err
         for label in cli.STRATEGY_GRID:
             assert (out / "runs" / label / "seed_0" / "metrics.csv").exists()
             assert (out / "runs" / label / "seed_1").exists() == (label == "base")

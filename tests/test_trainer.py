@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from kdlab import cli, contrastive, data, distill, encoder, numerics, trainer
+from kdlab import cli, contrastive, data, distill, encoder, numerics, trainer, weighting
 from kdlab.errors import InvalidConfig, KdlabError, StrategyTeacherMismatch
 from kdlab.numerics import seeded_rng
 from oracles import adam_per_array, param_fingerprint
@@ -150,12 +150,16 @@ class TestAugment:
 
     def test_zero_jitter_is_identity(self, rng):
         img, txt = rng.normal(size=(5, 4)), rng.normal(size=(5, 3))
+        drawn = seeded_rng(0)
         out = trainer.augment(
             img, txt, np.zeros(5, dtype=int),
-            trainer.Augmentation("jitter", sigma=0.0), seeded_rng(0),
+            trainer.Augmentation("jitter", sigma=0.0), drawn,
         )
         np.testing.assert_array_equal(out.image_raw, img)
-        np.testing.assert_array_equal(out.text_raw, txt)
+        # No text rows are built, but the text noise is still drawn.
+        ref = seeded_rng(0)
+        ref.standard_normal(img.shape), ref.standard_normal(txt.shape)
+        assert drawn.random() == ref.random()
 
     def test_mixup_endpoint_keeps_first_element(self, rng):
         img, txt = rng.normal(size=(4, 3)), rng.normal(size=(4, 2))
@@ -398,61 +402,113 @@ class TestDistill:
 class TestFrozenTeacherCache:
     @staticmethod
     def teacher_encode_sizes(monkeypatch, tiny, **kw):
-        """Row counts of every teacher encode in one distill run: the cache
-        is built through ``encode``, a batch's rows go through its kernel
-        ``_encode``."""
+        """Input shapes, less the feature axis, of every teacher forward
+        pass in one distill run. The teachers go through the tapeless
+        ``_eval_features`` only: under ``none`` once per chunk of the cache,
+        otherwise once per block, on an (n batches, B rows) stack."""
         ds, train_idx, eval_idx, teachers = tiny
         teacher_params = [t.image_params for t in teachers]
         sizes = []
 
-        def counting(real):
+        def counting(real, name):
             def wrapper(params, x, *args, **kwargs):
                 if any(params is p for p in teacher_params):
-                    assert not (args[0] if args else kwargs.get("train_mode", False))
-                    sizes.append(np.shape(x)[0])
+                    assert name == "_eval_features"
+                    sizes.append(np.shape(x)[:-1])
                 return real(params, x, *args, **kwargs)
 
             return wrapper
 
-        for name in ("encode", "_encode"):
-            monkeypatch.setattr(trainer, name, counting(getattr(trainer, name)))
-        trainer.distill_student(tiny_config(**kw), teachers, ds, train_idx, eval_idx)
+        with monkeypatch.context() as m:
+            for name in ("encode", "_encode", "_eval_features"):
+                m.setattr(trainer, name, counting(getattr(trainer, name), name))
+            trainer.distill_student(tiny_config(**kw), teachers, ds, train_idx, eval_idx)
         return sizes
 
     def test_no_augmentation_encodes_each_block_once(self, monkeypatch, tiny):
+        # The cache is built once, in chunks of batch_size rows.
         n_train = tiny[1].size
         sizes = self.teacher_encode_sizes(monkeypatch, tiny, batch_size=30, strategy="dsw")
         assert len(sizes) == 2 * math.ceil(n_train / 30)
-        assert sum(sizes) == 2 * n_train
+        assert sum(s[0] for s in sizes) == 2 * n_train
 
-    def test_mixup_encodes_every_batch(self, monkeypatch, tiny):
-        n_train = tiny[1].size
+    def test_mixup_encodes_each_block_once(self, monkeypatch, tiny):
+        # 128 rows in batches of 30: blocks of two 30-row batches under a
+        # 64-row cap, then the 8-row tail on its own, in each of 3 epochs.
+        assert tiny[1].size == 128
+        monkeypatch.setattr(trainer, "_BLOCK_ROWS", 64)
         sizes = self.teacher_encode_sizes(
             monkeypatch, tiny, batch_size=30, strategy="lsr",
             augmentation=trainer.Augmentation("mixup", beta=0.4),
         )
-        assert len(sizes) == 3 * 2 * math.ceil(n_train / 30)
+        assert sizes == [(2, 30), (2, 30), (2, 30), (2, 30), (1, 8), (1, 8)] * 3
 
     def test_one_row_batches_skip_the_cache(self, monkeypatch, tiny):
-        # n_train % batch_size == 1: the one-row tail joins the last block,
-        # and each epoch's one-row batch is encoded on its own.
+        # n_train % batch_size == 1: the cache's one-row chunk joins the
+        # chunk before it, and each epoch's one-row batch is encoded on its
+        # own.
         n_train = tiny[1].size
         sizes = self.teacher_encode_sizes(monkeypatch, tiny, batch_size=n_train - 1)
-        assert sizes == [n_train, n_train] + [1, 1] * 3
+        assert sizes == [(n_train,), (n_train,)] + [(1, 1), (1, 1)] * 3
 
-    def test_cached_outputs_match_per_batch_outputs(self, tiny):
+    def test_blocks_cap_rows_and_split_the_tail(self):
+        order = np.arange(130)
+        sizes = lambda bs: [
+            [b.size for b in blk]
+            for blk in trainer._blocks([order[i : i + bs] for i in range(0, order.size, bs)])
+        ]
+        assert sizes(48) == [[48, 48], [34]]
+        assert sizes(64) == [[64, 64], [2]]
+        assert sizes(129) == [[129], [1]]
+        assert sizes(1) == [[1]] * 130
+        assert sizes(500) == [[130]]
+        big = np.arange(2000)
+        blocks = trainer._blocks([big[i : i + 64] for i in range(0, 2000, 64)])
+        assert [len(b) for b in blocks] == [8, 8, 8, 7, 1]
+
+    @pytest.mark.parametrize("kind", ["none", "jitter", "mixup"])
+    def test_block_outputs_match_per_batch_outputs(self, tiny, kind):
+        # Every array of a block equals what the public functions give for
+        # each of its batches alone.
         ds, train_idx, _, teachers = tiny
+        cfg = tiny_config(
+            strategy="lsr", augmentation=trainer.Augmentation(kind, sigma=0.1, beta=0.4)
+        )
         rows_raw = ds.image_raw[train_idx]
-        rng = np.random.default_rng(0)
-        for t in teachers:
-            cache = trainer._FrozenTeacherCache(t, ds.image_raw, train_idx, 30, 4.0)
-            for size in (2, 5, 30, 31, train_idx.size):
-                rows = rng.permutation(train_idx.size)[:size]
-                got = cache.outputs(rows)
-                feats, _ = trainer.encode(t.image_params, rows_raw[rows], train_mode=False)
-                want = distill.TeacherOutputs.from_features(feats, t.bank, 4.0)
-                for name in ("image_features", "i2t_probs", "t2i_probs"):
-                    np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+        teacher_pass = trainer._TeacherPass(cfg, teachers, rows_raw)
+        rng = seeded_rng(0)
+        for size, n in ((1, 1), (2, 3), (5, 3), (30, 4)):
+            positions = rng.permutation(train_idx.size)[: n * size].reshape(n, size)
+            draws = [
+                trainer._BatchDraws(
+                    p,
+                    trainer.augment(
+                        rows_raw[p], ds.text_raw[train_idx[p]], ds.labels[train_idx[p]],
+                        cfg.augmentation, rng,
+                    ),
+                    None,
+                    None,
+                )
+                for p in positions
+            ]
+            block = teacher_pass.block(draws)
+            for i, d in enumerate(draws):
+                mix = d.batch.mix()
+                soft = () if mix is None else (mix.labels_b, mix.lam)
+                scores = []
+                for j, t in enumerate(teachers):
+                    feats, _ = trainer.encode(t.image_params, d.batch.image_raw)
+                    want = distill.TeacherOutputs.from_features(feats, t.bank, cfg.tau_teacher)
+                    np.testing.assert_array_equal(block.feats[j][i], feats)
+                    np.testing.assert_array_equal(block.i2t[i, j], want.i2t_probs)
+                    np.testing.assert_array_equal(block.t2i[i, j], want.t2i_probs)
+                    np.testing.assert_array_equal(
+                        block.bank_rows[j][i], trainer._soft_gather(t.bank, d.batch.labels_a, mix)
+                    )
+                    scores.append(
+                        weighting.teacher_label_similarity(feats, d.batch.labels_a, t.bank, *soft)
+                    )
+                np.testing.assert_array_equal(block.lsr_scores[i], scores)
 
     def test_dsw_uses_two_stacked_vjps_per_batch(self, monkeypatch, tiny):
         ds, train_idx, eval_idx, teachers = tiny
@@ -633,7 +689,9 @@ class TestStepKernels:
         i2t, t2i = distill._teacher_dists(u, w, 4.0)
         np.testing.assert_array_equal(out.i2t_probs, i2t)
         np.testing.assert_array_equal(out.t2i_probs, t2i)
-        np.testing.assert_array_equal(t2i, distill._t2i_probs(u, w, 4.0))
+        block = distill.TeacherOutputs.from_features(np.stack([u, u[::-1]]), w, 4.0)
+        np.testing.assert_array_equal(block.i2t_probs[0], i2t)
+        np.testing.assert_array_equal(block.t2i_probs[0], t2i)
         np.testing.assert_array_equal(i2t, numerics.softmax_rows(numerics.pairwise_logits(u, w), 4.0))
         np.testing.assert_array_equal(t2i, numerics.softmax_rows(numerics.pairwise_logits(w, u), 4.0))
         empty = distill.TeacherOutputs.from_features(u[:0], w, 4.0)
