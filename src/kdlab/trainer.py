@@ -627,23 +627,23 @@ class _TeacherBlock:
 class _TeacherPass:
     """The frozen teachers' side of distillation, one stacked pass per
     teacher and block (see the module docstring). Under ``none`` every
-    teacher's features of the training rows ``train_rows`` are computed
-    once, in chunks of ``batch_size`` rows with no one-row chunk, and each
-    block gathers its rows; otherwise a block's augmented rows go through
-    one tapeless eval-mode forward pass per teacher."""
+    teacher's features of the training rows ``image_raw[train_idx]`` are
+    computed once, in chunks of ``batch_size`` rows with no one-row chunk,
+    and each block gathers its rows; otherwise a block's augmented rows go
+    through one tapeless eval-mode forward pass per teacher."""
 
-    def __init__(self, config: TrainConfig, teachers: list[Teacher], train_rows: np.ndarray):
+    def __init__(self, config: TrainConfig, teachers: list[Teacher], image_raw, train_idx):
         self.teachers = teachers
         self.tau = config.tau_teacher
         self.lsr = config.strategy == "lsr"
         self.mixup = config.augmentation.kind == "mixup"
         self.frozen = None
-        n, size = train_rows.shape[0], config.batch_size
+        n, size = train_idx.size, config.batch_size
         if config.augmentation.kind == "none" and min(size, n) > 1:
             cuts = list(range(size, n, size))
             if cuts and n - cuts[-1] == 1:
                 cuts.pop()  # no one-row chunk
-            parts = np.split(train_rows, cuts)
+            parts = np.split(image_raw[train_idx], cuts)
             self.frozen = [
                 np.concatenate([_eval_features(t.image_params, x) for x in parts])
                 for t in teachers
@@ -764,7 +764,7 @@ def distill_student(
     shared_tau = config.tau_distill == config.tau_student
     n_img = img.layout.size
     img_cfg, txt_cfg = img_params.config, txt_params.config
-    teacher_pass = _TeacherPass(config, teachers, image_raw[train_idx]) if use_teachers else None
+    teacher_pass = _TeacherPass(config, teachers, image_raw, train_idx) if use_teachers else None
 
     metrics = RunMetrics(strategy=config.strategy, num_teachers=k)
     step = 0
@@ -787,12 +787,14 @@ def distill_student(
             for rows in block:
                 idx = train_idx[rows]
                 batch = augment(
-                    image_raw[idx], dataset.text_raw[idx], labels[idx], config.augmentation, rng_loop
+                    image_raw[idx], dataset.text_raw[idx], labels[idx],
+                    config.augmentation, rng_loop,
                 )
-                text_masks = _dropout_masks(txt_cfg, n_classes, rng_loop) if per_batch_bank else None
-                draws.append(
-                    _BatchDraws(rows, batch, text_masks, _dropout_masks(img_cfg, rows.size, rng_loop))
-                )
+                text_masks = None
+                if per_batch_bank:
+                    text_masks = _dropout_masks(txt_cfg, n_classes, rng_loop)
+                image_masks = _dropout_masks(img_cfg, rows.size, rng_loop)
+                draws.append(_BatchDraws(rows, batch, text_masks, image_masks))
             t_block = teacher_pass.block(draws) if use_teachers else None
 
             for i, d in enumerate(draws):
@@ -815,7 +817,8 @@ def distill_student(
                         feats_s,
                         bank_s,
                         config.tau_distill,
-                        dists if shared_tau else _pair_log_softmax(feats_s, bank_s, config.tau_distill),
+                        dists if shared_tau
+                        else _pair_log_softmax(feats_s, bank_s, config.tau_distill),
                     )
 
                     fw_iters = 0.0

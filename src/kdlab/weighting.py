@@ -102,9 +102,10 @@ def frank_wolfe_min_norm(grads, max_iter: int = 2000, tol: float = 1e-10) -> Fra
     (lowest index on ties) and line-searches along [d, g_t] with the
     closed-form two-point solution. Stops when the gap <d, d - g_t> drops
     to ``tol`` or the iteration budget runs out. Exact line search makes
-    the objective non-increasing. Raises ``NonFiniteInput`` on a
-    non-finite gradient: its entry makes a diagonal entry of the Gram
-    matrix non-finite, so checking the K x K Gram checks the K x P matrix.
+    the objective non-increasing. Raises ``NonFiniteInput`` when the
+    K x K Gram matrix is not finite: a non-finite gradient entry makes a
+    diagonal entry non-finite, and so do finite entries whose squares
+    overflow.
     """
     g = _grad_matrix(grads)
     k = g.shape[0]

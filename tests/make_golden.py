@@ -202,7 +202,9 @@ def default_shape_digests() -> dict[str, str]:
         cfg = trainer.TrainConfig(**{"epochs": 2, **overrides})
         used = teachers[: cfg.num_teachers]
         student, metrics = trainer.distill_student(cfg, used, ds, train_idx, eval_idx)
-        fields = [np.asarray(getattr(r, f.name)) for r in metrics.epochs for f in dataclasses.fields(r)]
+        fields = [
+            np.asarray(getattr(r, f.name)) for r in metrics.epochs for f in dataclasses.fields(r)
+        ]
         frozen = (
             (a for t in used for a in _params(t.image_params) + [t.bank])
             if name == "default-shapes-dsw" else ()

@@ -475,7 +475,7 @@ class TestFrozenTeacherCache:
             strategy="lsr", augmentation=trainer.Augmentation(kind, sigma=0.1, beta=0.4)
         )
         rows_raw = ds.image_raw[train_idx]
-        teacher_pass = trainer._TeacherPass(cfg, teachers, rows_raw)
+        teacher_pass = trainer._TeacherPass(cfg, teachers, ds.image_raw, train_idx)
         rng = seeded_rng(0)
         for size, n in ((1, 1), (2, 3), (5, 3), (30, 4)):
             positions = rng.permutation(train_idx.size)[: n * size].reshape(n, size)

@@ -164,6 +164,11 @@ class TestFrankWolfe:
             wt.frank_wolfe_min_norm(g)
         assert not wt.certify_pareto_stationarity(np.array([1.0, 0.0]), g, tol=1e-9).passed
 
+    def test_overflowing_gram_rejected(self):
+        # Finite entries whose squares overflow would give NaN weights.
+        with pytest.raises(NonFiniteInput):
+            wt.frank_wolfe_min_norm(np.array([[1e200, 0.0], [0.0, 1.0]]))
+
     def test_weights_always_valid_simplex(self, rng):
         for _ in range(200):
             k = rng.integers(1, 6)
