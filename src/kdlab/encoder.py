@@ -20,9 +20,9 @@ The training step calls the private kernels behind ``encode``, ``vjp``
 and ``adam_step`` on inputs it checked once, at its entry. ``_encode`` is
 the forward pass; it takes dropout keep-masks drawn ahead by
 ``_dropout_masks``, which draws exactly what ``encode`` draws from its rng,
-so a caller can draw a step's randomness before running it.
-``_eval_features`` is the eval-mode forward without a tape, computed in
-place, for frozen encoders. ``_backward`` writes the parameter gradients
+so a caller can draw a step's randomness before running it. It also runs
+a stack of batches, (n, B, d_in): numpy runs one BLAS product per batch,
+so each batch gets the bits it has alone. ``_backward`` writes the parameter gradients
 straight into a flat (P,) or (K, P) buffer in :meth:`EncoderGrads.flatten`'s
 order and skips the input gradient. ``_FlatAdam`` holds an encoder's parameters
 and Adam moments as flat buffers and updates them in place, one
@@ -147,11 +147,11 @@ def init_params(config: EncoderConfig, rng: np.random.Generator) -> EncoderParam
     return EncoderParams(config, weights, biases)
 
 
-def _activate(name: str, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _activate(name: str, z: np.ndarray) -> np.ndarray:
     if name == "relu":
-        return np.maximum(z, 0.0, out=out)
+        return np.maximum(z, 0.0)
     if name == "tanh":
-        return np.tanh(z, out=out)
+        return np.tanh(z)
     return z
 
 
@@ -240,25 +240,6 @@ def _encode(
         features=features,
     )
     return features, tape
-
-
-def _eval_features(params: EncoderParams, xm: np.ndarray) -> np.ndarray:
-    """The eval-mode features of checked rows ``xm`` without a tape, each
-    layer updated in place: the bits of ``_encode(params, xm, None)[0]``.
-    A stack of batches, (n, B, d_in), gives (n, B, d_out): numpy runs one
-    BLAS product per batch, so each batch gets the bits it has alone, and
-    no product grows past a batch."""
-    act = params.config.activation
-    h = xm
-    for w, b in zip(params.weights[:-1], params.biases[:-1]):
-        h = h @ w
-        h += b
-        h = _activate(act, h, out=h)
-    h = h @ params.weights[-1]
-    h += params.biases[-1]
-    if h.size:
-        h /= _row_norms(h)
-    return h
 
 
 def _row_norms(raw: np.ndarray) -> np.ndarray:

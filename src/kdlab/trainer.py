@@ -32,7 +32,7 @@ block of its own, and so is every one-row batch.
   ``none`` the features are gathered from a cache of the teacher's
   features of every training row, computed once per call in eval mode, in
   chunks of ``batch_size`` rows with no one-row chunk. Otherwise the
-  block's augmented rows go through one tapeless eval-mode forward pass.
+  block's augmented rows go through one eval-mode forward pass.
 - Per batch, the student's step reads slice i of the block: encode,
   contrastive loss, stacked KL, the ``lsr`` weights or ``dsw``'s reverse
   passes and Frank-Wolfe, MSE, reverse pass, Adam.
@@ -92,7 +92,6 @@ from .encoder import (
     _checked_input,
     _dropout_masks,
     _encode,
-    _eval_features,
     _FlatAdam,
     architecture_problem,
     encode,
@@ -630,7 +629,7 @@ class _TeacherPass:
     teacher's features of the training rows ``image_raw[train_idx]`` are
     computed once, in chunks of ``batch_size`` rows with no one-row chunk,
     and each block gathers its rows; otherwise a block's augmented rows go
-    through one tapeless eval-mode forward pass per teacher."""
+    through one eval-mode forward pass per teacher."""
 
     def __init__(self, config: TrainConfig, teachers: list[Teacher], image_raw, train_idx):
         self.teachers = teachers
@@ -645,7 +644,7 @@ class _TeacherPass:
                 cuts.pop()  # no one-row chunk
             parts = np.split(image_raw[train_idx], cuts)
             self.frozen = [
-                np.concatenate([_eval_features(t.image_params, x) for x in parts])
+                np.concatenate([_encode(t.image_params, x, None)[0] for x in parts])
                 for t in teachers
             ]
 
@@ -664,7 +663,7 @@ class _TeacherPass:
             feats = [f[rows] for f in self.frozen]
         else:
             images = np.stack([b.image_raw for b in batches])
-            feats = [_eval_features(t.image_params, images) for t in self.teachers]
+            feats = [_encode(t.image_params, images, None)[0] for t in self.teachers]
         outs = [
             distill.TeacherOutputs.from_features(f, t.bank, self.tau)
             for f, t in zip(feats, self.teachers)
@@ -787,7 +786,7 @@ def distill_student(
             for rows in block:
                 idx = train_idx[rows]
                 batch = augment(
-                    image_raw[idx], dataset.text_raw[idx], labels[idx],
+                    image_raw[idx], dataset.text_raw[: idx.size], labels[idx],
                     config.augmentation, rng_loop,
                 )
                 text_masks = None

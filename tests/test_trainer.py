@@ -403,9 +403,9 @@ class TestFrozenTeacherCache:
     @staticmethod
     def teacher_encode_sizes(monkeypatch, tiny, **kw):
         """Input shapes, less the feature axis, of every teacher forward
-        pass in one distill run. The teachers go through the tapeless
-        ``_eval_features`` only: under ``none`` once per chunk of the cache,
-        otherwise once per block, on an (n batches, B rows) stack."""
+        pass in one distill run. The teachers go through ``_encode`` only,
+        in eval mode: under ``none`` once per chunk of the cache, otherwise
+        once per block, on an (n batches, B rows) stack."""
         ds, train_idx, eval_idx, teachers = tiny
         teacher_params = [t.image_params for t in teachers]
         sizes = []
@@ -413,14 +413,14 @@ class TestFrozenTeacherCache:
         def counting(real, name):
             def wrapper(params, x, *args, **kwargs):
                 if any(params is p for p in teacher_params):
-                    assert name == "_eval_features"
+                    assert name == "_encode" and args[0] is None
                     sizes.append(np.shape(x)[:-1])
                 return real(params, x, *args, **kwargs)
 
             return wrapper
 
         with monkeypatch.context() as m:
-            for name in ("encode", "_encode", "_eval_features"):
+            for name in ("encode", "_encode"):
                 m.setattr(trainer, name, counting(getattr(trainer, name), name))
             trainer.distill_student(tiny_config(**kw), teachers, ds, train_idx, eval_idx)
         return sizes
