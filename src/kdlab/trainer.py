@@ -38,15 +38,16 @@ block of its own, and so is every one-row batch.
   passes and Frank-Wolfe, MSE, reverse pass, Adam.
 Each stacked product runs one BLAS call per batch, with the bits the
 batch gets alone. A single 512-row product crosses OpenBLAS's threading
-threshold; measured, it ran on both cores and doubled a run's CPU time.
-An eval-mode row's bits do not depend on the rows beside it, as long as
-there are at least two: BLAS computes a one-row product with its
-matrix-vector kernel, which rounds differently. So the cache has no
+threshold; measured, it ran on both cores and raised a run's CPU time by
+about 60%. An eval-mode row's bits do not depend on the rows beside it,
+as long as there are at least two: BLAS computes a one-row product with
+its matrix-vector kernel, which rounds differently. So the cache has no
 one-row chunk and a one-row batch is encoded alone. The cap bounds
-memory. On a 2-core Xeon, the benchmark's mixup ``lsr`` K=3 run made
-1330 student steps/s batch by batch, and 1440, 1550, 1650 and 1750 with
-caps of 128, 256, 512 rows and a whole epoch; its peak RSS grew 0%, 2%,
-3% and 11%, against a 5% bound.
+memory. On a 2-core Xeon (``BENCH_8.json``, two 30 s runs each), the
+benchmark's mixup ``lsr`` K=3 run made 533 student steps/s batch by
+batch, and 602, 635, 687 and 697 with caps of 128, 256 and 512 rows and
+a whole epoch; its peak RSS grew 0.4%, 1.2%, 3.1% and 11.1%, against the
+benchmark's 5% bound.
 
 The training step: ``pretrain_teacher`` and ``distill_student`` check their
 inputs once, at entry. The dataset's image rows, class text anchors and
