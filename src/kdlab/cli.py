@@ -20,7 +20,8 @@ worker processes instead of a loop. Each run writes ``metrics.csv`` (one
 row per epoch, deterministic byte-for-byte for a given manifest and seed)
 and a ``run.json`` echo; the suite writes ``summary.csv``, over the runs
 that completed in this call, and ``manifest.json`` with config echo,
-library version, and wall-clock. A
+library version, and wall-clock. Every output file is written atomically
+(``_atomic_open``). A
 failed run (its teacher's pretraining or its distillation) leaves no run
 directory, the others still complete, and the first failure is raised
 after ``summary.csv``. Exit codes: 0 ok, 1 internal error (a run raised an
@@ -31,10 +32,12 @@ error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import functools
 import json
+import os
 import sys
 import time
 import typing
@@ -334,8 +337,24 @@ def _fmt(x) -> str:
     return str(x)
 
 
+@contextlib.contextmanager
+def _atomic_open(path):
+    """``path`` opened for writing text through a temp file in its
+    directory, which replaces ``path`` (``os.replace``) once the block has
+    written it all. A write that raises leaves the previous file as it was
+    and no temp file behind. Lines end in "\n", as csv and json write them."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="") as f:
+            yield f
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def write_metrics_csv(path, suite: str, grid: str, seed: int, metrics: RunMetrics) -> None:
-    with open(path, "w", newline="") as f:
+    with _atomic_open(path) as f:
         writer = csv.writer(f)
         writer.writerow(METRIC_COLUMNS)
         for rec in metrics.epochs:
@@ -391,7 +410,8 @@ def _execute_run(payload: tuple) -> dict:
         else [],
         "pareto_certified": all(r.pareto_certified for r in result.metrics.epochs),
     }
-    (run_dir / "run.json").write_text(json.dumps(run_info, indent=2, sort_keys=True))
+    with _atomic_open(run_dir / "run.json") as f:
+        f.write(json.dumps(run_info, indent=2, sort_keys=True))
     return run_info
 
 
@@ -415,7 +435,7 @@ def _summarize(out_dir: Path, suite: str, grid_labels: list[str], infos: list[di
                 "total_mean": float(np.mean([info["final_total"] for info in mine])),
             }
         )
-    with open(out_dir / "summary.csv", "w", newline="") as f:
+    with _atomic_open(out_dir / "summary.csv") as f:
         writer = csv.DictWriter(
             f,
             fieldnames=[
@@ -496,7 +516,8 @@ def cmd_run(args) -> int:
             "observed_best": best,
             "matches": best == "1:1:1",
         }
-    (out_dir / "manifest.json").write_text(json.dumps(echo, indent=2, sort_keys=True))
+    with _atomic_open(out_dir / "manifest.json") as f:
+        f.write(json.dumps(echo, indent=2, sort_keys=True))
 
     if first_error is not None:
         raise first_error
@@ -565,11 +586,11 @@ def cmd_report(args) -> int:
         )
     text = "\n".join(lines)
     print(text)
-    (out_dir / "report.txt").write_text(text + "\n")
+    with _atomic_open(out_dir / "report.txt") as f:
+        f.write(text + "\n")
 
     # Long-format per-epoch CSV for external plotting.
-    long_path = out_dir / "long.csv"
-    with open(long_path, "w", newline="") as f:
+    with _atomic_open(out_dir / "long.csv") as f:
         writer = csv.writer(f)
         writer.writerow(["grid_point", "seed", "epoch", "metric", "value"])
         long_metrics = ("l_clip", "l_kl", "l_mse", "total", "acc", "recall1", "recall5")

@@ -18,7 +18,6 @@ from .errors import InvalidSimplex, NonPositiveRatio, ShapeMismatch
 from .numerics import (
     _check_dims,
     _check_tau,
-    _checked_stack,
     _pair_log_softmax,
     _softmax,
     as_matrix,
@@ -34,19 +33,17 @@ from .numerics import log_softmax_rows, pairwise_logits, softmax_rows  # noqa: E
 class TeacherOutputs:
     """One frozen teacher's view of a batch: unit-row image features plus
     its image-to-text and text-to-image contrastive distributions against
-    N text rows (a class bank, or the batch's own B rows). A block of n
-    batches of B rows stacks them along a leading axis; t2i then
-    normalizes over each batch's own rows."""
+    N text rows (a class bank, or the batch's own B rows)."""
 
-    image_features: np.ndarray   # B x d_T, or n x B x d_T
-    i2t_probs: np.ndarray        # B x N, or n x B x N
-    t2i_probs: np.ndarray        # N x B, or n x N x B
+    image_features: np.ndarray   # B x d_T
+    i2t_probs: np.ndarray        # B x N
+    t2i_probs: np.ndarray        # N x B
 
     @classmethod
     def from_features(cls, image_features, text_features, tau: float) -> "TeacherOutputs":
-        u = _checked_stack(image_features, "image_features")
+        u = as_matrix(image_features, "image_features")
         w = as_matrix(text_features, "text_features")
-        _check_dims(u.reshape(-1, u.shape[-1]), w)
+        _check_dims(u, w)
         _check_tau(tau)
         return cls(u, *_teacher_dists(u, w, tau))
 
@@ -121,19 +118,28 @@ def _kl_stack(p_i2t, p_t2i, u, w, tau: float, dists):
     own slice.
     """
     log_p, p, log_q, q = dists
-    g_i2t = kl_grad_wrt_logits(p, p_i2t) / tau
-    g_t2i = kl_grad_wrt_logits(q, p_t2i) / tau
-    grad_u = g_i2t @ w + g_t2i.transpose(0, 2, 1) @ w
-    grad_w = g_i2t.transpose(0, 2, 1) @ u + g_t2i @ u
+    g_i2t = kl_grad_wrt_logits(p, p_i2t)
+    g_i2t /= tau
+    g_t2i = kl_grad_wrt_logits(q, p_t2i)
+    g_t2i /= tau
+    grad_u = g_i2t @ w
+    grad_u += g_t2i.transpose(0, 2, 1) @ w
+    grad_w = g_i2t.transpose(0, 2, 1) @ u
+    grad_w += g_t2i @ u
     return _mean_row_kls(p_i2t, log_p), _mean_row_kls(p_t2i, log_q), grad_u, grad_w
 
 
 def _mean_row_kls(p_teacher: np.ndarray, log_p_student: np.ndarray) -> list[float]:
-    """Mean-row KL(teacher || student) for each teacher of a K x rows x N stack."""
-    safe = np.where(p_teacher > 0.0, p_teacher, 1.0)
-    terms = p_teacher * (np.log(safe) - log_p_student)
-    rows = p_teacher.shape[1]
-    return [max(float(np.sum(t) / rows), 0.0) for t in terms]
+    """Mean-row KL(teacher || student) for each teacher of a K x rows x N
+    stack. One reduction sums each teacher's rows x N terms, in the order a
+    sum over that teacher's slice alone takes."""
+    terms = np.where(p_teacher > 0.0, p_teacher, 1.0)
+    np.log(terms, out=terms)
+    terms -= log_p_student
+    terms *= p_teacher
+    k, rows = p_teacher.shape[:2]
+    sums = np.add.reduce(terms.reshape(k, -1), axis=1)
+    return [max(float(s) / rows, 0.0) for s in sums]
 
 
 @dataclass
@@ -164,12 +170,16 @@ def _mse_align(ut, us, wt, ws) -> MseAlign:
     """:func:`mse_align` on checked matrices."""
     du = us - ut
     dw = ws - wt
-    value = float(np.mean(du * du) + np.mean(dw * dw))
-    return MseAlign(
-        value=value,
-        grad_image=2.0 * du / du.size,
-        grad_text=2.0 * dw / dw.size,
+    # Each block's mean as np.mean takes it: one sum, then a division.
+    value = (
+        float(np.add.reduce(du * du, axis=None)) / du.size
+        + float(np.add.reduce(dw * dw, axis=None)) / dw.size
     )
+    du *= 2.0
+    du /= du.size
+    dw *= 2.0
+    dw /= dw.size
+    return MseAlign(value=value, grad_image=du, grad_text=dw)
 
 
 @dataclass

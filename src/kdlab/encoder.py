@@ -22,10 +22,18 @@ the forward pass; it takes dropout keep-masks drawn ahead by
 ``_dropout_masks``, which draws exactly what ``encode`` draws from its rng,
 so a caller can draw a step's randomness before running it. It also runs
 a stack of batches, (n, B, d_in): numpy runs one BLAS product per batch,
-so each batch gets the bits it has alone. ``_backward`` writes the parameter gradients
-straight into a flat (P,) or (K, P) buffer in :meth:`EncoderGrads.flatten`'s
-order and skips the input gradient. ``_FlatAdam`` holds an encoder's parameters
-and Adam moments as flat buffers and updates them in place, one
+so each batch gets the bits it has alone. A train-mode row that dropout
+leaves with a near-zero output is passed again with every hidden unit
+kept (see ``_encode``).
+
+``_backward`` writes each weight and bias gradient straight into the
+matching array of an :class:`EncoderGrads` given by the caller (with a
+leading K axis for a stacked cotangent) and overwrites every entry; it
+skips the input gradient. Those arrays are views into one flat buffer in
+:meth:`EncoderGrads.flatten`'s order (``_Layout.views``), laid out once by
+their owner: ``_FlatAdam`` for its (P,) gradient, the trainer for ``dsw``'s
+K x P matrix. ``_FlatAdam`` holds an encoder's parameters and Adam moments
+as flat buffers and updates them in place through two scratch buffers, one
 elementwise pass per encoder; each entry rounds as it would in an update
 of its own array.
 """
@@ -131,8 +139,7 @@ class ForwardTape:
     pre_acts: list[np.ndarray]      # hidden pre-activations
     act_values: list[np.ndarray]    # hidden activations before dropout
     masks: list[np.ndarray | None]  # inverted dropout masks (None when off)
-    raw_out: np.ndarray             # pre-normalization output rows
-    norms: np.ndarray               # row norms of raw_out, shape (B, 1)
+    norms: np.ndarray               # pre-normalization output row norms, (B, 1)
     features: np.ndarray            # normalized output rows
 
 
@@ -155,14 +162,6 @@ def _activate(name: str, z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _activation_deriv(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
-    if name == "relu":
-        return (z > 0.0).astype(np.float64)
-    if name == "tanh":
-        return 1.0 - a * a
-    return np.ones_like(z)
-
-
 def _checked_input(params: EncoderParams, x) -> np.ndarray:
     """``x`` as a finite float64 matrix of the encoder's input width."""
     xm = as_matrix(x, "x")
@@ -181,7 +180,8 @@ def encode(
 
     Dropout is applied to hidden activations only, with inverted scaling,
     and only when ``train_mode`` is set; evaluation passes never touch the
-    rng, so repeated eval calls are identical.
+    rng, so repeated eval calls are identical. A row that dropout leaves
+    with a near-zero output is passed again with every hidden unit kept.
     """
     xm = _checked_input(params, x)
     if train_mode and params.config.dropout_p > 0.0 and rng is None:
@@ -207,8 +207,12 @@ def _encode(
     :func:`_dropout_masks` (None: no dropout), scaled here by 1 / (1 - p).
     The normalization raises on a row whose norm is near zero or not
     finite, so every feature row it returns is a finite unit vector,
-    whatever the parameters."""
+    whatever the parameters. One exception: a row whose norm is near zero
+    in a pass with dropout is passed again with every hidden unit kept
+    (its keep-masks set to all True); it raises only if it is still near
+    zero. Rows that pass the check keep their bits."""
     cfg = params.config
+    keep = 1.0 - cfg.dropout_p
     h = xm
     layer_inputs: list[np.ndarray] = []
     pre_acts: list[np.ndarray] = []
@@ -216,18 +220,29 @@ def _encode(
     scaled: list[np.ndarray | None] = []
     for i in range(len(cfg.hidden_widths)):
         layer_inputs.append(h)
-        z = h @ params.weights[i] + params.biases[i]
+        z = h @ params.weights[i]
+        z += params.biases[i]
         a = _activate(cfg.activation, z)
-        mask = None if masks is None else masks[i] / (1.0 - cfg.dropout_p)
+        mask = None if masks is None else masks[i] / keep
         h = a if mask is None else a * mask
         pre_acts.append(z)
         act_values.append(a)
         scaled.append(mask)
 
     layer_inputs.append(h)
-    raw = h @ params.weights[-1] + params.biases[-1]
-    norms = _row_norms(raw)
-    features = raw / norms if raw.shape[0] else raw.copy()
+    raw = h @ params.weights[-1]
+    raw += params.biases[-1]
+    # What np.linalg.norm computes, without its wrapper.
+    norms = np.sqrt(np.add.reduce(raw * raw, axis=-1, keepdims=True))
+    if raw.size:
+        if float(norms.min()) < ZERO_NORM_EPS:
+            low = norms[..., 0] < ZERO_NORM_EPS
+            if masks is None or all(m[low].all() for m in masks):
+                raise ZeroVector("a pre-normalization output row has near-zero norm")
+            return _encode(params, xm, [np.where(low[..., None], True, m) for m in masks])
+        if not math.isfinite(float(norms.max())):
+            raise NonFiniteInput("a pre-normalization output row has a non-finite norm")
+    raw /= norms
 
     tape = ForwardTape(
         params=params,
@@ -235,23 +250,10 @@ def _encode(
         pre_acts=pre_acts,
         act_values=act_values,
         masks=scaled,
-        raw_out=raw,
         norms=norms,
-        features=features,
+        features=raw,
     )
-    return features, tape
-
-
-def _row_norms(raw: np.ndarray) -> np.ndarray:
-    """The row norms of pre-normalization outputs, (B, 1) or (n, B, 1);
-    each must be finite and not near zero."""
-    norms = np.linalg.norm(raw, axis=-1, keepdims=True)
-    if raw.size:
-        if float(norms.min()) < ZERO_NORM_EPS:
-            raise ZeroVector("a pre-normalization output row has near-zero norm")
-        if not math.isfinite(float(norms.max())):
-            raise NonFiniteInput("a pre-normalization output row has a non-finite norm")
-    return norms
+    return raw, tape
 
 
 def vjp(tape: ForwardTape, grad_features) -> tuple[EncoderGrads, np.ndarray]:
@@ -268,39 +270,41 @@ def vjp(tape: ForwardTape, grad_features) -> tuple[EncoderGrads, np.ndarray]:
             f"grad shape {gy.shape} != features shape {tape.features.shape}"
         )
     layout = _Layout(tape.params.config)
-    flat = np.empty(gy.shape[:-2] + (layout.size,))
-    g = _backward(tape, gy, flat)
-    weights, biases = layout.views(flat)
-    return EncoderGrads(weights, biases), g @ tape.params.weights[0].T
+    grads = EncoderGrads(*layout.views(np.empty(gy.shape[:-2] + (layout.size,))))
+    g = _backward(tape, gy, grads)
+    return grads, g @ tape.params.weights[0].T
 
 
-def _backward(tape: ForwardTape, gy: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """:func:`vjp` on a checked cotangent, writing the parameter gradients
-    into ``out`` ((P,), or (K, P) for a stacked cotangent) in
-    :meth:`EncoderGrads.flatten`'s order. Returns the cotangent of the first
-    layer's output; the input gradient, which training never reads, is left
-    to the caller."""
+def _backward(tape: ForwardTape, gy: np.ndarray, out: EncoderGrads) -> np.ndarray:
+    """:func:`vjp` on a checked cotangent, writing each parameter gradient
+    into its array of ``out`` (arrays with a leading K axis for a stacked
+    cotangent), which may be views into one flat buffer laid out once; every
+    entry is overwritten. Returns the cotangent of the first layer's output;
+    the input gradient, which training never reads, is left to the caller."""
     cfg = tape.params.config
     # Through y = v / ||v||: dv = (dy - (dy . y) y) / ||v||.
     y = tape.features
-    rowdot = np.sum(gy * y, axis=-1, keepdims=True)
-    g = (gy - rowdot * y) / tape.norms
+    g = gy * y
+    rowdot = np.add.reduce(g, axis=-1, keepdims=True)
+    np.multiply(rowdot, y, out=g)
+    np.subtract(gy, g, out=g)
+    g /= tape.norms
 
     weights = tape.params.weights
     n = len(weights)
-    g_w = [None] * n
-    g_b = [None] * n
-    g_w[-1] = tape.layer_inputs[-1].T @ g
-    g_b[-1] = g.sum(axis=-2)
+    np.matmul(tape.layer_inputs[-1].T, g, out=out.weights[-1])
+    np.add.reduce(g, axis=-2, out=out.biases[-1])
     for i in range(n - 2, -1, -1):
         g = g @ weights[i + 1].T
         if tape.masks[i] is not None:
-            g = g * tape.masks[i]
-        g = g * _activation_deriv(cfg.activation, tape.pre_acts[i], tape.act_values[i])
-        g_w[i] = tape.layer_inputs[i].T @ g
-        g_b[i] = g.sum(axis=-2)
-    lead = gy.shape[:-2]
-    np.concatenate([a.reshape(*lead, -1) for a in g_w + g_b], axis=-1, out=out)
+            g *= tape.masks[i]
+        if cfg.activation == "relu":
+            g *= tape.pre_acts[i] > 0.0
+        elif cfg.activation == "tanh":
+            a = tape.act_values[i]
+            g *= 1.0 - a * a
+        np.matmul(tape.layer_inputs[i].T, g, out=out.weights[i])
+        np.add.reduce(g, axis=-2, out=out.biases[i])
     return g
 
 
@@ -322,7 +326,11 @@ class _Layout:
         self.size = start
 
     def views(self, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """(weights, biases) as views into ``flat``, with its leading axes."""
+        """(weights, biases) as views into ``flat``, with its leading axes.
+        Its last axis must have unit stride, as a column slice of a matrix
+        has, so that each reshape is a view."""
+        if flat.strides[-1] != flat.itemsize:
+            raise ValueError("the flat buffer's last axis must have unit stride")
         lead = flat.shape[:-1]
         arrays = [flat[..., a:b].reshape(*lead, *shape) for a, b, shape in self.spans]
         return arrays[: self.n_layers], arrays[self.n_layers :]
@@ -376,8 +384,9 @@ def adam_step(
 class _FlatAdam:
     """An encoder in training: its parameters and Adam moments as flat
     float64 buffers (copies of those given) that each step updates in
-    place. ``params`` holds views into the parameter buffer, laid out once;
-    ``grad`` is the buffer the step's gradient is written into."""
+    place. ``params`` holds views into the parameter buffer and ``grads``
+    views into ``grad``, the buffer the step's gradient is written into;
+    both are laid out once."""
 
     def __init__(self, params: EncoderParams, state: AdamState):
         self.layout = _Layout(params.config)
@@ -388,21 +397,35 @@ class _FlatAdam:
         self.v = state.v.flatten()
         self.params = EncoderParams(params.config, *self.layout.views(self.p))
         self.grad = np.empty(self.layout.size)
+        self.grads = EncoderGrads(*self.layout.views(self.grad))
+        self._scratch = (np.empty(self.layout.size), np.empty(self.layout.size))
 
     def step(self, lr: float) -> None:
         """One bias-corrected Adam update with ``grad`` at rate ``lr``, one
-        elementwise pass over all the encoder's entries; each entry rounds
-        as it would in a separate update of its own array."""
+        elementwise pass over all the encoder's entries, through two scratch
+        buffers; each entry rounds as it would in a separate update of its
+        own array, m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g,
+        p -= lr (m / c1) / (sqrt(v / c2) + eps)."""
         self.t += 1
         b1, b2 = self.hyper.beta1, self.hyper.beta2
         c1 = 1.0 - b1**self.t
         c2 = 1.0 - b2**self.t
         g, m, v = self.grad, self.m, self.v
+        s, r = self._scratch
+        np.multiply(g, 1.0 - b1, out=s)
         m *= b1
-        m += (1.0 - b1) * g
+        m += s
+        np.multiply(g, 1.0 - b2, out=s)
+        s *= g
         v *= b2
-        v += (1.0 - b2) * g * g
-        self.p -= lr * (m / c1) / (np.sqrt(v / c2) + self.hyper.eps)
+        v += s
+        np.divide(m, c1, out=s)
+        s *= lr
+        np.divide(v, c2, out=r)
+        np.sqrt(r, out=r)
+        r += self.hyper.eps
+        s /= r
+        self.p -= s
 
     def result(self) -> EncoderParams:
         """The trained parameters, in arrays of their own."""

@@ -59,16 +59,28 @@ divide by temperatures unchecked; the configs reject one that is not
 finite and above 0. Two checks stay in the step, where a diverging run
 would otherwise go on silently: the encoder's normalization rejects a row
 whose norm is near zero or not finite, and each step's total loss must be
-finite.
+finite. One rule relaxes the first check: a train-mode row with dropout
+whose norm is near zero is passed again with every hidden unit kept. While
+the biases are zero, as at initialization, a row whose hidden units
+dropout all drops has an output of exactly zero; that is a draw, not
+divergence. The rule runs only after the check fails, so every row that
+passes it keeps its bits; a row still near zero, and any such row in eval
+mode or without dropout, raises ``ZeroVector``.
 - The student's image-to-text and text-to-image log-distributions are
   computed once per batch. The contrastive loss and every teacher's KL
   share them when ``tau_distill == tau_student``.
 - The KL terms of the K teachers run as one stacked pass over (K, B, N)
-  and (K, N, B) distributions. Each teacher's loss still sums its own
-  slice.
-- Each encoder's parameters and Adam moments live in flat float64
-  buffers that every step updates in place. ``dsw``'s stacked reverse
-  passes write the K x P gradient matrix directly.
+  and (K, N, B) distributions, whose losses one reduction sums, each
+  teacher over its own slice.
+- Each encoder's parameters, gradient and Adam moments live in flat
+  float64 buffers, laid out once per run, that every step updates in
+  place. Each reverse pass writes its gradients into views of the
+  gradient buffer; ``dsw``'s stacked passes write into views of one K x P
+  matrix, also allocated once per run. Adam runs through two scratch
+  buffers per encoder.
+- The kernels skip numpy's wrappers where a ufunc or plain float
+  arithmetic does the same (``np.mean``, ``np.linalg.norm``, ``np.clip``
+  on a scalar).
 
 Single-threaded runs are bit-deterministic in (config, seed): every random
 draw comes from named PCG64 streams derived from the run seed.
@@ -88,6 +100,7 @@ from .contrastive import MixedLabels, _check_labels, _clip_loss, rank_of_label
 from .data import LABEL_SHUFFLE, PairedDataset, WeightNoise, build_class_bank, corrupt_teacher
 from .encoder import (
     EncoderConfig,
+    EncoderGrads,
     EncoderParams,
     _backward,
     _checked_input,
@@ -499,8 +512,8 @@ def pretrain_teacher(
             dists = _pair_log_softmax(feats, bank, cfg.tau)
             loss = _clip_loss(feats, bank, cfg.tau, dists, labels[idx], None)
             _check_loss(loss.value, epoch)
-            _backward(tape_i, loss.grad_image, img.grad)
-            _backward(tape_t, loss.grad_text, txt.grad)
+            _backward(tape_i, loss.grad_image, img.grads)
+            _backward(tape_t, loss.grad_text, txt.grads)
             img.step(cfg.lr)
             txt.step(cfg.lr)
 
@@ -665,9 +678,8 @@ class _TeacherPass:
         else:
             images = np.stack([b.image_raw for b in batches])
             feats = [_encode(t.image_params, images, None)[0] for t in self.teachers]
-        outs = [
-            distill.TeacherOutputs.from_features(f, t.bank, self.tau)
-            for f, t in zip(feats, self.teachers)
+        dists = [
+            distill._teacher_dists(f, t.bank, self.tau) for f, t in zip(feats, self.teachers)
         ]
         lsr_scores = None
         if self.lsr:
@@ -682,8 +694,8 @@ class _TeacherPass:
         return _TeacherBlock(
             feats=feats,
             bank_rows=[_soft_gather(t.bank, labels, mix) for t in self.teachers],
-            i2t=np.stack([o.i2t_probs for o in outs], axis=1),
-            t2i=np.stack([o.t2i_probs for o in outs], axis=1),
+            i2t=np.stack([i2t for i2t, _ in dists], axis=1),
+            t2i=np.stack([t2i for _, t2i in dists], axis=1),
             lsr_scores=lsr_scores,
         )
 
@@ -762,7 +774,12 @@ def distill_student(
     uniform = np.full(k, 1.0 / k) if k else np.zeros(0)
     per_batch_bank = config.text_bank_refresh == "batch"
     shared_tau = config.tau_distill == config.tau_student
-    n_img = img.layout.size
+    if config.strategy == "dsw":
+        # The K x P matrix of the per-teacher KL gradients, image encoder's
+        # columns first, and each encoder's views into it, laid out once.
+        grads = np.empty((k, img.layout.size + txt.layout.size))
+        kl_img = EncoderGrads(*img.layout.views(grads[:, : img.layout.size]))
+        kl_txt = EncoderGrads(*txt.layout.views(grads[:, img.layout.size :]))
     img_cfg, txt_cfg = img_params.config, txt_params.config
     teacher_pass = _TeacherPass(config, teachers, image_raw, train_idx) if use_teachers else None
 
@@ -827,9 +844,8 @@ def distill_student(
                     elif config.strategy == "lsr":
                         alpha = weighting.lsr_weights(t_block.lsr_scores[i]).weights
                     else:  # dsw: one stacked reverse pass per tape, into one K x P matrix
-                        grads = np.empty((k, n_img + txt.layout.size))
-                        _backward(tape_img, kl_grad_u, grads[:, :n_img])
-                        _backward(tape_text, kl_grad_w, grads[:, n_img:])
+                        _backward(tape_img, kl_grad_u, kl_img)
+                        _backward(tape_text, kl_grad_w, kl_txt)
                         fw = weighting.frank_wolfe_min_norm(
                             grads, max_iter=weighting.DSW_MAX_ITER, tol=weighting.DSW_TOL
                         )
@@ -879,10 +895,10 @@ def distill_student(
                     total_val = r_clip * loss_c.value
                 _check_loss(total_val, epoch)
 
-                _backward(tape_img, g_u, img.grad)
+                _backward(tape_img, g_u, img.grads)
                 img.step(lr_now)
                 if per_batch_bank:
-                    _backward(tape_text, g_w, txt.grad)
+                    _backward(tape_text, g_w, txt.grads)
                     txt.step(lr_now)
                 else:
                     text_grad_acc += g_w
@@ -897,7 +913,7 @@ def distill_student(
             # scale away, so the batch count multiplies the learning rate to
             # keep the text pathway's total step budget comparable to the
             # per-batch image pathway.
-            _backward(tape_text, text_grad_acc, txt.grad)
+            _backward(tape_text, text_grad_acc, txt.grads)
             lr_now = lr_at(config.lr_schedule, config.lr, step - 1, total_steps)
             txt.step(lr_now * n_batches)
 

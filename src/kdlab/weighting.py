@@ -17,6 +17,7 @@ student parameters per row.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,18 +124,21 @@ def frank_wolfe_min_norm(grads, max_iter: int = 2000, tol: float = 1e-10) -> Fra
         ga = gram @ alpha
         obj2 = float(alpha @ ga)          # <d, d>
         t = int(np.argmin(ga))
-        gap = obj2 - float(ga[t])         # <d, d - g_t>
+        ga_t, g_tt = float(ga[t]), float(gram[t, t])
+        gap = obj2 - ga_t                 # <d, d - g_t>
         if gap <= tol:
             converged = True
             break
         # The closed-form min-norm point of the segment [d, g_t],
         # evaluated on the Gram matrix.
-        denom = obj2 - 2.0 * float(ga[t]) + float(gram[t, t])
+        denom = obj2 - 2.0 * ga_t + g_tt
         if denom < _TIE_EPS:
             gamma = 0.5
         else:
-            gamma = float(np.clip((gram[t, t] - ga[t]) / denom, 0.0, 1.0))
-        alpha = gamma * alpha
+            # np.clip to [0, 1] in plain floats: -0.0 clips to 0.0, NaN stays.
+            gamma = (g_tt - ga_t) / denom
+            gamma = 0.0 if gamma <= 0.0 else min(gamma, 1.0)
+        alpha *= gamma
         alpha[t] += 1.0 - gamma
         iterations += 1
 
@@ -169,13 +173,14 @@ def certify_pareto_stationarity(d, grads, tol: float) -> StationarityCertificate
         raise DimensionMismatch("direction length does not match gradients")
     d_norm_sq = float(dv @ dv)
     slacks = g @ dv - d_norm_sq
-    stationary = bool(np.sqrt(d_norm_sq) <= tol)
-    passed = stationary or bool(np.all(slacks >= -tol))
+    d_norm = math.sqrt(d_norm_sq)
+    stationary = d_norm <= tol
+    passed = stationary or bool((slacks >= -tol).all())
     return StationarityCertificate(
         passed=passed,
         stationary=stationary,
         slacks=slacks,
-        d_norm=float(np.sqrt(d_norm_sq)),
+        d_norm=d_norm,
     )
 
 

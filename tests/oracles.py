@@ -7,8 +7,9 @@ implementations below them are what the tests compare the library
 against: the closed-form two-teacher min-norm point, the exhaustive
 simplex-grid min-norm search, a scalar KL divergence, the
 probability-matrix invariants, the cross-entropy logit gradient, a
-per-array Adam update, and a parameter fingerprint. No run calls them, so they live here, not in
-``kdlab``.
+per-array Adam update, a parameter fingerprint, and the mixup soft-label
+contrastive loss and bank scatter written with ``np.add.at``. No run calls
+them, so they live here, not in ``kdlab``.
 """
 
 import hashlib
@@ -206,3 +207,46 @@ def adam_per_array(weights, biases, grads_w, grads_b, m, v, t, lr, beta1=0.9, be
         out_m.append(m_new)
         out_v.append(v_new)
     return out_p, out_m, out_v
+
+
+def mixed_clip_loss_add_at(u, w, tau, labels_a, labels_b, lam):
+    """The contrastive loss under mixup soft labels, with its soft targets
+    and counts accumulated by ``np.add.at`` into zeros, weights a then b:
+    (value, grad_image, grad_text)."""
+    logits = u @ w.T / tau
+    logits -= logits.max(axis=1, keepdims=True)
+    log_p = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
+    logits = w @ u.T / tau
+    logits -= logits.max(axis=1, keepdims=True)
+    log_q = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
+    p, q = np.exp(log_p), np.exp(log_q)
+    b_sz, n_cand = u.shape[0], w.shape[0]
+    idx = np.arange(b_sz)
+    wa, wb = lam, 1.0 - lam
+    target = np.zeros((b_sz, n_cand))
+    sel = np.zeros((n_cand, b_sz))
+    counts = np.zeros(n_cand)
+    np.add.at(target, (idx, labels_a), wa)
+    np.add.at(target, (idx, labels_b), wb)
+    np.add.at(sel, (labels_a, idx), wa)
+    np.add.at(sel, (labels_b, idx), wb)
+    np.add.at(counts, labels_a, wa)
+    np.add.at(counts, labels_b, wb)
+    t2i_sum = np.sum(wa * log_q[labels_a, idx]) + np.sum(wb * log_q[labels_b, idx])
+    l_i2t = float(-np.sum(target * log_p) / b_sz)
+    l_t2i = float(-t2i_sum / b_sz)
+    g_i2t = (p - target) / b_sz
+    g_t2i = (counts[:, None] * q - sel) / b_sz
+    scale = 0.5 / tau
+    grad_u = scale * (g_i2t @ w + g_t2i.T @ w)
+    grad_w = scale * (g_i2t.T @ u + g_t2i @ u)
+    return 0.5 * (l_i2t + l_t2i), grad_u, grad_w
+
+
+def soft_scatter_add_at(grad_rows, labels_a, labels_b, lam, n_rows):
+    """Row gradients of soft-gathered bank rows scattered back to the bank
+    by two ``np.add.at`` calls, the a-weighted rows then the b-weighted."""
+    out = np.zeros((n_rows, grad_rows.shape[1]))
+    np.add.at(out, labels_a, lam[:, None] * grad_rows)
+    np.add.at(out, labels_b, (1.0 - lam)[:, None] * grad_rows)
+    return out

@@ -369,6 +369,29 @@ class TestRun:
         assert n_seeds == {"base": 2, "avg": 1, "lsr": 1, "dsw": 1}
         assert (out / "manifest.json").exists()
 
+    def test_dropout_zeroed_row_runs(self, tmp_path):
+        # A (12,)->5 student at dropout 0.5 zeroes every hidden unit of a
+        # class-anchor row while its biases are still zero; that row is
+        # passed again with every unit kept instead of stopping the run.
+        p = tmp_path / "m.json"
+        student = {"hidden_widths": [12], "output_dim": 5, "dropout_p": 0.5}
+        write_manifest(
+            p, train={**TINY_TRAIN, "student": student}, pretrain={**TINY_PRETRAIN, "epochs": 1}
+        )
+        assert cli.main(["run", str(p), "--output-dir", str(tmp_path / "o")]) == 0
+
+    def test_write_that_raises_leaves_the_previous_file(self, tmp_path):
+        path = tmp_path / "metrics.csv"
+        path.write_bytes(b"previous\n")
+        record = trainer.EpochRecord(
+            0, 1.0, 0.5, 0.25, 1.75, 0.5, 0.5, 1.0, [0.5, 0.5], 0.0, 1e-4, True
+        )
+        broken = trainer.RunMetrics("avg", 2, [record, None])  # raises after one row
+        with pytest.raises(AttributeError):
+            cli.write_metrics_csv(path, "single", "default", 0, broken)
+        assert path.read_bytes() == b"previous\n"
+        assert [f.name for f in tmp_path.iterdir()] == ["metrics.csv"]
+
 
 class TestReport:
     def test_report_after_run(self, tmp_path, capsys):
@@ -413,6 +436,21 @@ class TestReport:
         err = capsys.readouterr().err
         assert err.startswith("data error:")
         assert str(out / rel) in err and repr(column) in err
+
+    def test_failed_report_leaves_the_previous_files(self, tmp_path, capsys):
+        # report.txt and long.csv are replaced only once written in full: a
+        # metrics.csv that fails midway through long.csv leaves both as the
+        # last report wrote them, and no temp file.
+        p = tmp_path / "m.json"
+        write_manifest(p, seeds=[0, 1])
+        out = tmp_path / "o"
+        assert cli.main(["run", str(p), "--output-dir", str(out)]) == 0
+        assert cli.main(["report", str(out)]) == 0
+        before = {f.name: f.read_bytes() for f in out.iterdir() if f.is_file()}
+        self.drop_column(out / "runs/default/seed_1/metrics.csv", "l_kl")
+        assert cli.main(["report", str(out)]) == 3
+        assert {f.name: f.read_bytes() for f in out.iterdir() if f.is_file()} == before
+        assert {"long.csv", "report.txt"} <= set(before)
 
     def test_truncated_row_is_a_data_error(self, tmp_path, capsys):
         p = tmp_path / "m.json"

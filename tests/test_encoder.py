@@ -62,6 +62,30 @@ class TestEncode:
         with pytest.raises(ZeroVector):
             enc.encode(p, [[0.0, 0.0]])
 
+    def test_dropout_zeroed_row_keeps_every_unit(self, rng):
+        # Biases start at zero, so a row whose hidden units dropout zeroes
+        # has a zero output. Such a row is passed again with every unit
+        # kept; the other rows keep their bits.
+        cfg = enc.EncoderConfig(4, (6,), 3, "relu", 0.5)
+        p = enc.init_params(cfg, seeded_rng(1))
+        x = rng.normal(size=(5, 4))
+        masks = [rng.random((5, 6)) >= 0.5]
+        masks[0][2] = False
+        feats, tape = enc._encode(p, x, masks)
+        kept = [masks[0].copy()]
+        kept[0][2] = True
+        want, want_tape = enc._encode(p, x, kept)
+        np.testing.assert_array_equal(feats, want)
+        np.testing.assert_array_equal(tape.masks[0], want_tape.masks[0])
+        np.testing.assert_allclose(np.linalg.norm(feats, axis=1), 1.0, atol=1e-12)
+        # A row near zero with every unit kept, and any near-zero row of an
+        # eval pass, still raise.
+        x[2] = 0.0
+        with pytest.raises(ZeroVector):
+            enc._encode(p, x, masks)
+        with pytest.raises(ZeroVector):
+            enc.encode(p, x)
+
     def test_dropout_zero_rate(self):
         cfg = enc.EncoderConfig(4, (100,), 3, "tanh", 0.3)
         p = enc.init_params(cfg, seeded_rng(2))

@@ -22,7 +22,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 LIBRARY = sorted((ROOT / "src" / "kdlab").glob("*.py"))
 USERS = LIBRARY + sorted((ROOT / "perfbench").glob("*.py"))
-TRACED_ONLY = {"distill.kl_pair_loss", "distill.mse_align"}
+TRACED_ONLY = {
+    "distill.TeacherOutputs.from_features",
+    "distill.kl_pair_loss",
+    "distill.mse_align",
+}
 
 
 def _defined(nodes):

@@ -6,9 +6,14 @@ import numpy as np
 import pytest
 
 from kdlab import cli, contrastive, data, distill, encoder, numerics, trainer, weighting
-from kdlab.errors import InvalidConfig, KdlabError, StrategyTeacherMismatch
+from kdlab.errors import DimensionMismatch, InvalidConfig, KdlabError, StrategyTeacherMismatch
 from kdlab.numerics import seeded_rng
-from oracles import adam_per_array, param_fingerprint
+from oracles import (
+    adam_per_array,
+    mixed_clip_loss_add_at,
+    param_fingerprint,
+    soft_scatter_add_at,
+)
 from test_cli import TINY_TRAIN, write_manifest
 
 TINY_SPEC = data.SyntheticSpec(
@@ -468,8 +473,8 @@ class TestFrozenTeacherCache:
 
     @pytest.mark.parametrize("kind", ["none", "jitter", "mixup"])
     def test_block_outputs_match_per_batch_outputs(self, tiny, kind):
-        # Every array of a block equals what the public functions give for
-        # each of its batches alone.
+        # Every array of a block equals what the public functions, and the
+        # distributions' kernel, give for each of its batches alone.
         ds, train_idx, _, teachers = tiny
         cfg = tiny_config(
             strategy="lsr", augmentation=trainer.Augmentation(kind, sigma=0.1, beta=0.4)
@@ -498,10 +503,10 @@ class TestFrozenTeacherCache:
                 scores = []
                 for j, t in enumerate(teachers):
                     feats, _ = trainer.encode(t.image_params, d.batch.image_raw)
-                    want = distill.TeacherOutputs.from_features(feats, t.bank, cfg.tau_teacher)
+                    i2t, t2i = distill._teacher_dists(feats, t.bank, cfg.tau_teacher)
                     np.testing.assert_array_equal(block.feats[j][i], feats)
-                    np.testing.assert_array_equal(block.i2t[i, j], want.i2t_probs)
-                    np.testing.assert_array_equal(block.t2i[i, j], want.t2i_probs)
+                    np.testing.assert_array_equal(block.i2t[i, j], i2t)
+                    np.testing.assert_array_equal(block.t2i[i, j], t2i)
                     np.testing.assert_array_equal(
                         block.bank_rows[j][i], trainer._soft_gather(t.bank, d.batch.labels_a, mix)
                     )
@@ -604,8 +609,8 @@ class TestStepKernels:
     its checks plus the same kernel, so both give the same bits."""
 
     @staticmethod
-    def student():
-        cfg = encoder.EncoderConfig(10, (24, 16), 6, "relu", 0.2)
+    def student(activation="relu", dropout_p=0.2):
+        cfg = encoder.EncoderConfig(10, (24, 16), 6, activation, dropout_p)
         params = encoder.init_params(cfg, seeded_rng(5))
         rng = seeded_rng(6)
         feats, tape = encoder.encode(params, rng.normal(size=(9, 10)), train_mode=True, rng=rng)
@@ -613,44 +618,73 @@ class TestStepKernels:
 
     @pytest.mark.parametrize("lead", [(), (1,), (2,), (3,)])
     def test_vjp(self, lead):
-        params, feats, tape, rng = self.student()
-        cot = rng.normal(size=lead + feats.shape)
-        grads, grad_x = encoder.vjp(tape, cot)
+        # The kernel overwrites every entry of its destination: two calls
+        # into the same views, laid out once as the trainer lays them out
+        # (a column slice of a wider matrix, first filled with NaN), give
+        # the second call's bits, for each activation, with and without
+        # dropout.
+        for activation in encoder.ACTIVATIONS:
+            for dropout_p in (0.2, 0.0):
+                params, feats, tape, rng = self.student(activation, dropout_p)
+                first = rng.normal(size=lead + feats.shape)
+                cot = rng.normal(size=lead + feats.shape)
+                grads, grad_x = encoder.vjp(tape, cot)
+                layout = encoder._Layout(params.config)
+                buffer = np.full(lead + (layout.size + 3,), np.nan)
+                out = encoder.EncoderGrads(*layout.views(buffer[..., : layout.size]))
+                encoder._backward(tape, first, out)
+                g = encoder._backward(tape, cot, out)
+                np.testing.assert_array_equal(grads.flatten(), buffer[..., : layout.size])
+                assert np.isnan(buffer[..., layout.size :]).all()
+                np.testing.assert_array_equal(grad_x, g @ params.weights[0].T)
+
+    def test_layout_views_share_the_buffer(self):
+        params, *_ = self.student()
         layout = encoder._Layout(params.config)
-        out = np.empty(lead + (layout.size,))
-        g = encoder._backward(tape, cot, out)
-        np.testing.assert_array_equal(grads.flatten(), out)
-        np.testing.assert_array_equal(grad_x, g @ params.weights[0].T)
+        flat = np.zeros((2, layout.size))
+        weights, biases = layout.views(flat)
+        for a in weights + biases:
+            a[...] = 1.0
+        assert (flat == 1.0).all()
+        with pytest.raises(ValueError):
+            layout.views(np.zeros((layout.size, 2))[:, 0])
 
     def test_adam_step(self):
-        # The public step, the trainer's flat step and a per-array update
-        # give the same bits.
-        params, _, _, rng = self.student()
-        state = encoder.init_adam(params, 1e-2)
-        flat = encoder._FlatAdam(params, state)
-        ref = list(params.weights + params.biases)
-        ref_m = [np.zeros_like(a) for a in ref]
-        ref_v = [np.zeros_like(a) for a in ref]
-        n = len(params.weights)
-        for t, lr in enumerate((1e-2, 3e-3, 1e-3), start=1):
-            grads = encoder.EncoderGrads(
-                [rng.normal(size=w.shape) for w in params.weights],
-                [rng.normal(size=b.shape) for b in params.biases],
-            )
-            params, state = encoder.adam_step(params, grads, replace(state, lr=lr))
-            flat.grad[:] = grads.flatten()
-            flat.step(lr)
-            ref, ref_m, ref_v = adam_per_array(
-                ref[:n], ref[n:], grads.weights, grads.biases, ref_m, ref_v, t, lr
-            )
-        got = flat.result()
-        for a, b, c in zip(params.weights + params.biases, got.weights + got.biases, ref):
-            np.testing.assert_array_equal(a, c)
-            np.testing.assert_array_equal(b, c)
-        np.testing.assert_array_equal(state.m.flatten(), flat.m)
-        np.testing.assert_array_equal(state.v.flatten(), flat.v)
-        np.testing.assert_array_equal(flat.m, np.concatenate([a.ravel() for a in ref_m]))
-        np.testing.assert_array_equal(flat.v, np.concatenate([a.ravel() for a in ref_v]))
+        # The public step, the trainer's flat step with its scratch buffers
+        # and a per-array update give the same bits, over four steps at two
+        # base rates.
+        for lr0 in (1e-2, 1e-4):
+            params, _, _, rng = self.student()
+            state = encoder.init_adam(params, lr0)
+            flat = encoder._FlatAdam(params, state)
+            ref = list(params.weights + params.biases)
+            ref_m = [np.zeros_like(a) for a in ref]
+            ref_v = [np.zeros_like(a) for a in ref]
+            n = len(params.weights)
+            for t, lr in enumerate((lr0, lr0 / 3, lr0 / 10, lr0), start=1):
+                grads = encoder.EncoderGrads(
+                    [rng.normal(size=w.shape) for w in params.weights],
+                    [rng.normal(size=b.shape) for b in params.biases],
+                )
+                params, state = encoder.adam_step(params, grads, replace(state, lr=lr))
+                flat.grad[:] = grads.flatten()
+                flat.step(lr)
+                ref, ref_m, ref_v = adam_per_array(
+                    ref[:n], ref[n:], grads.weights, grads.biases, ref_m, ref_v, t, lr
+                )
+            got = flat.result()
+            for a, b, c in zip(params.weights + params.biases, got.weights + got.biases, ref):
+                np.testing.assert_array_equal(a, c)
+                np.testing.assert_array_equal(b, c)
+            np.testing.assert_array_equal(state.m.flatten(), flat.m)
+            np.testing.assert_array_equal(state.v.flatten(), flat.v)
+            np.testing.assert_array_equal(flat.m, np.concatenate([a.ravel() for a in ref_m]))
+            np.testing.assert_array_equal(flat.v, np.concatenate([a.ravel() for a in ref_v]))
+            # The views laid out once still alias their buffers.
+            grads_views = flat.grads.weights + flat.grads.biases
+            assert all(np.shares_memory(a, flat.grad) for a in grads_views)
+            param_views = flat.params.weights + flat.params.biases
+            assert all(np.shares_memory(a, flat.p) for a in param_views)
 
     @staticmethod
     def unit_rows(rng, n, d):
@@ -680,22 +714,57 @@ class TestStepKernels:
             np.testing.assert_array_equal(soft.grad_image, kernel.grad_image)
             np.testing.assert_array_equal(soft.grad_text, kernel.grad_text)
 
+    @pytest.mark.parametrize("lam_kind", ["zero", "one", "beta", "some_each"])
+    def test_mixed_kernels_match_add_at(self, lam_kind):
+        # The soft-label contrastive loss and bank scatter give the bits of
+        # the add.at formulas written out on their own: with repeated
+        # labels, rows whose b label is their a label, and lam at 0, at 1
+        # and drawn from Beta.
+        rng = seeded_rng(11)
+        u, w = self.unit_rows(rng, 12, 6), self.unit_rows(rng, 4, 6)
+        labels_a = rng.integers(0, 4, 12)
+        labels_b = np.where(np.arange(12) % 3 == 0, labels_a, rng.integers(0, 4, 12))
+        beta = rng.beta(0.4, 0.4, 12)
+        lam = {
+            "zero": np.zeros(12),
+            "one": np.ones(12),
+            "beta": beta,
+            "some_each": np.choose(np.arange(12) % 3, [beta, np.zeros(12), np.ones(12)]),
+        }[lam_kind]
+        mix = contrastive.MixedLabels(labels_b, lam)
+        got = contrastive._clip_loss(
+            u, w, 2.0, numerics._pair_log_softmax(u, w, 2.0), labels_a, mix
+        )
+        value, grad_u, grad_w = mixed_clip_loss_add_at(u, w, 2.0, labels_a, labels_b, lam)
+        assert got.value == value
+        np.testing.assert_array_equal(got.grad_image, grad_u)
+        np.testing.assert_array_equal(got.grad_text, grad_w)
+        rows = rng.normal(size=(12, 6))
+        np.testing.assert_array_equal(
+            trainer._soft_scatter(rows, labels_a, mix, 4),
+            soft_scatter_add_at(rows, labels_a, labels_b, lam, 4),
+        )
+
     def test_teacher_outputs(self):
-        # from_features, the per-batch kernel and the cache's t2i kernel
-        # give the bits of the checked softmax over the pairwise logits.
+        # The block pass's kernel on a stack of batches gives each batch the
+        # bits it gets alone, which are the public functions' bits.
         rng = seeded_rng(9)
         u, w = self.unit_rows(rng, 9, 6), self.unit_rows(rng, 4, 6)
-        out = distill.TeacherOutputs.from_features(u, w, 4.0)
         i2t, t2i = distill._teacher_dists(u, w, 4.0)
+        out = distill.TeacherOutputs.from_features(u, w, 4.0)
         np.testing.assert_array_equal(out.i2t_probs, i2t)
         np.testing.assert_array_equal(out.t2i_probs, t2i)
-        block = distill.TeacherOutputs.from_features(np.stack([u, u[::-1]]), w, 4.0)
-        np.testing.assert_array_equal(block.i2t_probs[0], i2t)
-        np.testing.assert_array_equal(block.t2i_probs[0], t2i)
+        block_i2t, block_t2i = distill._teacher_dists(np.stack([u, u[::-1]]), w, 4.0)
+        for b, rows in enumerate((u, u[::-1])):
+            want_i2t, want_t2i = distill._teacher_dists(rows, w, 4.0)
+            np.testing.assert_array_equal(block_i2t[b], want_i2t)
+            np.testing.assert_array_equal(block_t2i[b], want_t2i)
         np.testing.assert_array_equal(i2t, numerics.softmax_rows(numerics.pairwise_logits(u, w), 4.0))
         np.testing.assert_array_equal(t2i, numerics.softmax_rows(numerics.pairwise_logits(w, u), 4.0))
         empty = distill.TeacherOutputs.from_features(u[:0], w, 4.0)
         assert (empty.i2t_probs.shape, empty.t2i_probs.shape) == ((0, 4), (4, 0))
+        with pytest.raises(DimensionMismatch):
+            distill.TeacherOutputs.from_features(np.stack([u, u]), w, 4.0)
 
     def test_mse_align(self):
         rng = seeded_rng(10)
