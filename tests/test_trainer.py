@@ -637,17 +637,8 @@ class TestStepKernels:
                 np.testing.assert_array_equal(grads.flatten(), buffer[..., : layout.size])
                 assert np.isnan(buffer[..., layout.size :]).all()
                 np.testing.assert_array_equal(grad_x, g @ params.weights[0].T)
-
-    def test_layout_views_share_the_buffer(self):
-        params, *_ = self.student()
-        layout = encoder._Layout(params.config)
-        flat = np.zeros((2, layout.size))
-        weights, biases = layout.views(flat)
-        for a in weights + biases:
-            a[...] = 1.0
-        assert (flat == 1.0).all()
-        with pytest.raises(ValueError):
-            layout.views(np.zeros((layout.size, 2))[:, 0])
+        with pytest.raises(ValueError):  # a reshape of this buffer would copy
+            layout.views(np.zeros(lead + (layout.size, 2))[..., 0])
 
     def test_adam_step(self):
         # The public step, the trainer's flat step with its scratch buffers
