@@ -138,8 +138,8 @@ def _mean_row_kls(p_teacher: np.ndarray, log_p_student: np.ndarray) -> list[floa
     terms -= log_p_student
     terms *= p_teacher
     k, rows = p_teacher.shape[:2]
-    sums = np.add.reduce(terms.reshape(k, -1), axis=1)
-    return [max(float(s) / rows, 0.0) for s in sums]
+    means = np.add.reduce(terms.reshape(k, -1), axis=1) / rows
+    return [max(float(m), 0.0) for m in means]
 
 
 @dataclass
@@ -171,9 +171,8 @@ def _mse_align(ut, us, wt, ws) -> MseAlign:
     du = us - ut
     dw = ws - wt
     # Each block's mean as np.mean takes it: one sum, then a division.
-    value = (
-        float(np.add.reduce(du * du, axis=None)) / du.size
-        + float(np.add.reduce(dw * dw, axis=None)) / dw.size
+    value = float(
+        np.add.reduce(du * du, axis=None) / du.size + np.add.reduce(dw * dw, axis=None) / dw.size
     )
     du *= 2.0
     du /= du.size
