@@ -15,15 +15,27 @@ fixed grids over the base training config.
 ``run`` reads the manifest and the dataset once. It pretrains each teacher
 the suite needs once per (run seed, roster index), the only inputs of a
 teacher that differ within a suite, then runs every (grid point, seed)
-against those frozen teachers; ``--threads N`` maps both phases over
-worker processes instead of a loop. Each run writes ``metrics.csv`` (one
-row per epoch, deterministic byte-for-byte for a given manifest and seed)
-and a ``run.json`` echo; the suite writes ``summary.csv``, over the runs
-that completed in this call, and ``manifest.json`` with config echo,
-library version, and wall-clock. Every output file is written atomically
-(``_atomic_open``). A
-failed run (its teacher's pretraining or its distillation) leaves no run
-directory, the others still complete, and the first failure is raised
+against those frozen teachers. The runs of one seed whose configs differ
+only in strategy and loss ratios form a group, which trains in lockstep
+(``trainer.distill_students``), each run with the bits it gets alone: a
+``strategy`` or ``loss_ratio`` suite makes one group per seed, and every
+other suite one-run groups. ``--threads N`` maps both phases over worker
+processes instead of a loop, one task per group; with fewer groups than
+workers the largest groups are halved until every worker has one. A group
+whose lockstep training raises runs each of its runs alone, so each
+completes or fails as it does alone.
+
+Each run writes ``metrics.csv`` (one row per epoch, deterministic
+byte-for-byte for a given manifest and seed) and a ``run.json`` echo,
+whose ``group`` lists the grid points that trained with it and whose
+``wall_seconds`` times their distillation. The suite writes
+``summary.csv``, over the runs that completed in this call, and
+``manifest.json`` with config echo, library version, wall-clock and the
+failed runs. Every output file is written atomically (``_atomic_open``).
+A failed run (its teacher's pretraining or its distillation) leaves
+``error.json`` (type, message, traceback) in its directory, in place of
+any ``metrics.csv`` and ``run.json`` an earlier call left there; the
+others still complete, and the first failure in grid order is raised
 after ``summary.csv``. Exit codes: 0 ok, 1 internal error (a run raised an
 exception kdlab does not declare), 2 config error, 3 data error, 4 numeric
 error.
@@ -40,6 +52,7 @@ import json
 import os
 import sys
 import time
+import traceback
 import typing
 from concurrent.futures import Executor, Future, ProcessPoolExecutor
 from pathlib import Path
@@ -77,7 +90,9 @@ from .trainer import (
     Teacher,
     TeacherSpec,
     TrainConfig,
+    _group_key,
     dataset_split,
+    distill_students,
     pretrain_teacher,
     run_single,
 )
@@ -380,10 +395,63 @@ def _pretrain(task: tuple) -> Teacher:
     )
 
 
+def _run_dir(out_dir, label: str, seed: int) -> Path:
+    return Path(out_dir) / "runs" / _sanitize(label) / f"seed_{seed}"
+
+
+def _run_teachers(config: TrainConfig, teachers: list[Teacher]) -> list[Teacher]:
+    """The teachers a run is given: none under ``base``."""
+    return [] if config.strategy == "base" else teachers
+
+
+def _write_run(manifest, label, seed, out_dir, metrics: RunMetrics, teachers, wall_s, group) -> dict:
+    """Write a completed run's ``metrics.csv`` and ``run.json``, drop any
+    ``error.json`` an earlier call left, and return the ``run.json`` dict."""
+    run_dir = _run_dir(out_dir, label, seed)
+    run_dir.mkdir(parents=True, exist_ok=True)
+    write_metrics_csv(run_dir / "metrics.csv", manifest.suite, label, seed, metrics)
+    final = metrics.final
+    run_info = {
+        "suite": manifest.suite,
+        "grid_point": label,
+        "seed": seed,
+        "group": list(group),
+        "wall_seconds": wall_s,
+        "final_accuracy": final.accuracy,
+        "final_recall5": final.recall5,
+        "final_total": final.total,
+        "teacher_accuracies": [t.accuracy for t in teachers],
+        "mean_alphas": list(np.mean([r.alphas for r in metrics.epochs], axis=0))
+        if metrics.num_teachers
+        else [],
+        "pareto_certified": all(r.pareto_certified for r in metrics.epochs),
+    }
+    with _atomic_open(run_dir / "run.json") as f:
+        f.write(json.dumps(run_info, indent=2, sort_keys=True))
+    (run_dir / "error.json").unlink(missing_ok=True)
+    return run_info
+
+
+def _record_failure(run_dir: Path, e: BaseException) -> BaseException:
+    """Leave a failed run's record: ``error.json`` (type, message,
+    traceback) in its directory, in place of any ``metrics.csv`` or
+    ``run.json`` an earlier call left there. Returns ``e``."""
+    run_dir.mkdir(parents=True, exist_ok=True)
+    for name in ("metrics.csv", "run.json"):
+        (run_dir / name).unlink(missing_ok=True)
+    record = {
+        "type": type(e).__name__,
+        "message": str(e),
+        "traceback": "".join(traceback.format_exception(e)),
+    }
+    with _atomic_open(run_dir / "error.json") as f:
+        f.write(json.dumps(record, indent=2, sort_keys=True))
+    return e
+
+
 def _execute_run(payload: tuple) -> dict:
-    """One (grid point, seed) run against its already pretrained teachers;
-    module-level so worker processes can call it. ``wall_seconds`` in
-    ``run.json`` times the distillation only."""
+    """One (grid point, seed) run alone, against its already pretrained
+    teachers. ``wall_seconds`` in ``run.json`` times the distillation only."""
     manifest, grid_label, seed, out_dir, dataset, teachers = payload
     config = dict(expand_grid(manifest))[grid_label]
     t0 = time.perf_counter()
@@ -391,28 +459,61 @@ def _execute_run(payload: tuple) -> dict:
         dataset, manifest.pretrain, manifest.roster, config, seed=seed, teachers=teachers
     )
     wall_s = time.perf_counter() - t0
+    return _write_run(
+        manifest, grid_label, seed, out_dir, result.metrics, result.teachers, wall_s, [grid_label]
+    )
 
-    run_dir = Path(out_dir) / "runs" / _sanitize(grid_label) / f"seed_{seed}"
-    run_dir.mkdir(parents=True, exist_ok=True)
-    write_metrics_csv(run_dir / "metrics.csv", manifest.suite, grid_label, seed, result.metrics)
-    final = result.metrics.final
-    run_info = {
-        "suite": manifest.suite,
-        "grid_point": grid_label,
-        "seed": seed,
-        "wall_seconds": wall_s,
-        "final_accuracy": final.accuracy,
-        "final_recall5": final.recall5,
-        "final_total": final.total,
-        "teacher_accuracies": result.teacher_accuracies,
-        "mean_alphas": list(np.mean([r.alphas for r in result.metrics.epochs], axis=0))
-        if result.metrics.num_teachers
-        else [],
-        "pareto_certified": all(r.pareto_certified for r in result.metrics.epochs),
-    }
-    with _atomic_open(run_dir / "run.json") as f:
-        f.write(json.dumps(run_info, indent=2, sort_keys=True))
-    return run_info
+
+def _execute_group(payload: tuple) -> list:
+    """One group's runs: grid points of one seed whose configs differ only
+    in strategy and loss ratios, trained in lockstep against the group's
+    teachers; module-level so worker processes can call it. A one-run
+    group, or a group whose lockstep training raised, runs each run alone
+    (``_execute_run``), so each completes or fails as it does alone.
+    Returns, per run in order, its ``run.json`` dict or the exception it
+    failed with, already recorded in its directory."""
+    manifest, labels, seed, out_dir, dataset, teachers = payload
+    grid = dict(expand_grid(manifest))
+    configs = [dataclasses.replace(grid[label], seed=seed) for label in labels]
+    if len(labels) > 1:
+        split = dataset_split(dataset, configs[0].train_fraction)
+        t0 = time.perf_counter()
+        try:
+            results = distill_students(configs, teachers, dataset, *split)
+        except Exception:
+            pass  # each run alone meets its own outcome
+        else:
+            wall_s = time.perf_counter() - t0
+            return [
+                _write_run(
+                    manifest, label, seed, out_dir, metrics,
+                    _run_teachers(config, teachers), wall_s, labels,
+                )
+                for label, config, (_, metrics) in zip(labels, configs, results)
+            ]
+    outcomes = []
+    for label, config in zip(labels, configs):
+        payload = (manifest, label, seed, out_dir, dataset, _run_teachers(config, teachers))
+        try:
+            outcomes.append(_execute_run(payload))
+        except Exception as e:
+            outcomes.append(_record_failure(_run_dir(out_dir, label, seed), e))
+    return outcomes
+
+
+def _split_groups(groups: list[tuple[int, list[str]]], workers: int) -> list[tuple[int, list[str]]]:
+    """(seed, grid labels) groups, the largest halved (the first of equal
+    size first) until there are ``workers`` of them or none has two runs,
+    so that every worker has a task."""
+    groups = list(groups)
+    while len(groups) < workers:
+        i = max(range(len(groups)), key=lambda i: len(groups[i][1]), default=None)
+        if i is None or len(groups[i][1]) < 2:
+            break
+        seed, labels = groups[i]
+        half = (len(labels) + 1) // 2
+        groups[i : i + 1] = [(seed, labels[:half]), (seed, labels[half:])]
+    return groups
 
 
 def _summarize(out_dir: Path, suite: str, grid_labels: list[str], infos: list[dict]) -> list[dict]:
@@ -470,36 +571,57 @@ def cmd_run(args) -> int:
     dataset = _resolve_dataset(manifest)
 
     t0 = time.perf_counter()
-    # See the module docstring for the two phases. A run waits only for its
-    # own teachers, and fails with the error of one that failed.
+    # See the module docstring for the two phases and the groups. A run
+    # waits only for its own teachers, and fails with the error of one that
+    # failed, outside any group.
     need = max((c.num_teachers for _, c in grid if c.strategy != "base"), default=0)
     pool = ProcessPoolExecutor(args.threads) if args.threads > 1 else _InlineExecutor()
+    outcomes = {}  # (label, seed) -> run.json dict, or the exception the run failed with
     with pool:
         teachers = {
             (seed, j): pool.submit(_pretrain, (manifest, dataset, seed, j))
             for seed in seeds
             for j in range(need)
         }
-        runs = []
+        groups = {}  # (seed, shared config fields) -> labels
         for label, config in grid:
             k = 0 if config.strategy == "base" else config.num_teachers
             for seed in seeds:
-                mine = [teachers[seed, j] for j in range(k)]
-                failed = [f for f in mine if f.exception() is not None]
+                failed = [teachers[seed, j].exception() for j in range(k)]
+                failed = [e for e in failed if e is not None]
                 if failed:
-                    run = failed[0]
-                else:
-                    mine = [f.result() for f in mine]
-                    run = pool.submit(
-                        _execute_run, (manifest, label, seed, str(out_dir), dataset, mine)
+                    outcomes[label, seed] = _record_failure(
+                        _run_dir(out_dir, label, seed), failed[0]
                     )
-                runs.append((label, seed, run))
-        first_error = next(
-            (_run_error(f.exception(), label, seed) for label, seed, f in runs if f.exception()),
-            None,
-        )
+                else:
+                    groups.setdefault((seed, _group_key(config)), []).append(label)
+        configs = dict(grid)
+        tasks = []
+        for seed, labels in _split_groups(
+            [(seed, labels) for (seed, _), labels in groups.items()], args.threads
+        ):
+            k = max(
+                (configs[label].num_teachers for label in labels
+                 if configs[label].strategy != "base"),
+                default=0,
+            )
+            mine = [teachers[seed, j].result() for j in range(k)]
+            task = pool.submit(
+                _execute_group, (manifest, labels, seed, str(out_dir), dataset, mine)
+            )
+            tasks.append((seed, labels, task))
+        for seed, labels, task in tasks:
+            e = task.exception()
+            for i, label in enumerate(labels):
+                outcomes[label, seed] = (
+                    task.result()[i] if e is None
+                    else _record_failure(_run_dir(out_dir, label, seed), e)
+                )
 
-    infos = [f.result() for _, _, f in runs if f.exception() is None]
+    runs = [(label, seed, outcomes[label, seed]) for label, _ in grid for seed in seeds]
+    failures = [(label, seed, o) for label, seed, o in runs if isinstance(o, BaseException)]
+    first_error = _run_error(failures[0][2], *failures[0][:2]) if failures else None
+    infos = [o for _, _, o in runs if not isinstance(o, BaseException)]
     rows = _summarize(out_dir, manifest.suite, [label for label, _ in grid], infos)
     echo = {
         "schema_version": SCHEMA_VERSION,
@@ -508,6 +630,10 @@ def cmd_run(args) -> int:
         "seeds": seeds,
         "grid_points": [label for label, _ in grid],
         "wall_seconds": time.perf_counter() - t0,
+        "failed_runs": [
+            {"grid_point": label, "seed": seed, "error": type(e).__name__}
+            for label, seed, e in failures
+        ],
     }
     if manifest.suite == "loss_ratio" and rows:
         best = max(rows, key=lambda r: r["acc_mean"])["grid_point"]

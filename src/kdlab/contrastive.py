@@ -16,7 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyBank, LabelOutOfRange, NotADistribution
-from .numerics import _check_tau, _pair_log_softmax, as_matrix, pairwise_logits, softmax_rows
+from .numerics import (
+    _check_tau,
+    _pair_log_softmax,
+    _row_sums,
+    as_matrix,
+    pairwise_logits,
+    softmax_rows,
+)
 
 # perfbench's tracer wraps log_softmax_rows at every module that binds it
 # (EXPECTED_BINDINGS in perfbench/tracer.py); clip_loss calls its kernel.
@@ -122,10 +129,15 @@ def _clip_loss(
 ) -> LossValueWithGrad:
     """:func:`clip_loss` on checked inputs, given the distributions
     ``numerics._pair_log_softmax(u, w, tau)``. Without ``mix`` the targets are
-    one-hot, which is what the soft formulas give at lam = 1."""
+    one-hot, which is what the soft formulas give at lam = 1.
+
+    ``u``, ``w`` and the distributions may carry a leading member axis, (S,
+    B, d) and (S, N, d), sharing the labels; the value and the gradients
+    then carry it too, and each member's slice has the bits it gets alone."""
     log_p, p, log_q, q = dists
-    b_sz = u.shape[0]
-    n_cand = w.shape[0]
+    lead = u.shape[:-2]
+    b_sz = u.shape[-2]
+    n_cand = w.shape[-2]
     idx = np.arange(b_sz)
 
     # Soft target matrix over text candidates, one row per image; for the
@@ -137,7 +149,7 @@ def _clip_loss(
         target[idx, labels_a] = 1.0
         sel[labels_a, idx] = 1.0
         counts = np.bincount(labels_a, minlength=n_cand).astype(np.float64)
-        t2i_sum = np.sum(log_q[labels_a, idx])
+        t2i_sum = _row_sums(log_q[..., labels_a, idx])
     else:
         labels_b, wa = mix.labels_b, mix.lam
         wb = 1.0 - wa
@@ -148,16 +160,18 @@ def _clip_loss(
         counts = np.zeros(n_cand)
         np.add.at(counts, labels_a, wa)
         np.add.at(counts, labels_b, wb)
-        t2i_sum = np.sum(wa * log_q[labels_a, idx]) + np.sum(wb * log_q[labels_b, idx])
+        t2i_sum = _row_sums(wa * log_q[..., labels_a, idx]) + _row_sums(
+            wb * log_q[..., labels_b, idx]
+        )
 
-    l_i2t = float(-np.sum(target * log_p) / b_sz)
+    l_i2t = -_row_sums((target * log_p).reshape(*lead, -1)) / b_sz
     grad_logits_i2t = (p - target) / b_sz
-    l_t2i = float(-t2i_sum / b_sz)
+    l_t2i = -t2i_sum / b_sz
     grad_logits_t2i = (counts[:, None] * q - sel) / b_sz
 
     scale = 0.5 / tau
-    grad_u = scale * (grad_logits_i2t @ w + grad_logits_t2i.T @ w)
-    grad_w = scale * (grad_logits_i2t.T @ u + grad_logits_t2i @ u)
+    grad_u = scale * (grad_logits_i2t @ w + grad_logits_t2i.swapaxes(-1, -2) @ w)
+    grad_w = scale * (grad_logits_i2t.swapaxes(-1, -2) @ u + grad_logits_t2i @ u)
 
     return LossValueWithGrad(
         value=0.5 * (l_i2t + l_t2i),

@@ -230,10 +230,7 @@ def save_dataset(dataset: PairedDataset, path) -> None:
 
 
 def load_dataset(path) -> PairedDataset:
-    try:
-        blob = Path(path).read_bytes()
-    except OSError:
-        raise
+    blob = Path(path).read_bytes()
     if len(blob) < len(_MAGIC) or blob[: len(_MAGIC)] != _MAGIC:
         raise FormatVersionMismatch(f"{path} is not a paired-dataset file")
     if len(blob) < len(_MAGIC) + 8 + 8:

@@ -5,6 +5,12 @@ per-teacher weights.
 
 Teacher distributions are treated as constants (no gradient flows back to
 a teacher); gradients are returned for the student side only.
+
+The training step's kernels (``_kl_stack``, ``_mse_align``,
+``_total_losses``) also take a leading member axis S on the student side,
+for students trained side by side: each member's slice has the bits a
+call with that member alone gives, since every product runs per slice and
+every sum runs over that member's own contiguous terms.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from .numerics import (
     _check_dims,
     _check_tau,
     _pair_log_softmax,
+    _row_sums,
     _softmax,
     as_matrix,
 )
@@ -68,11 +75,13 @@ class KlPairLoss:
 
 def kl_grad_wrt_logits(p_student: np.ndarray, p_teacher: np.ndarray) -> np.ndarray:
     """Gradient of mean-row KL(teacher || student) w.r.t. the student's
-    softmax input logits: (p_S - p_T) / rows. ``p_teacher`` may be a stack
-    of K teachers' distributions, giving K gradients."""
-    if p_student.shape != p_teacher.shape[-2:]:
+    softmax input logits: (p_S - p_T) / rows. Leading axes broadcast:
+    ``p_teacher`` may be a stack of K teachers' distributions, giving K
+    gradients, and an (S, 1, rows, N) stack of students against it gives
+    S x K."""
+    if p_student.shape[-2:] != p_teacher.shape[-2:]:
         raise ShapeMismatch("distribution shapes differ")
-    return (p_student - p_teacher) / p_student.shape[0]
+    return (p_student - p_teacher) / p_student.shape[-2]
 
 
 def kl_pair_loss(
@@ -115,31 +124,42 @@ def _kl_stack(p_i2t, p_t2i, u, w, tau: float, dists):
     Returns the K i2t and K t2i losses and the K x B x d and K x N x d
     student gradients. Each teacher's slice has the bits a call with that
     teacher alone gives: the products run per slice, and each loss sums its
-    own slice.
+    own slice. A leading member axis on ``u``, ``w`` and ``dists`` puts an S
+    axis before every output's K axis.
     """
     log_p, p, log_q, q = dists
-    g_i2t = kl_grad_wrt_logits(p, p_i2t)
+    g_i2t = kl_grad_wrt_logits(_per_teacher(p), p_i2t)
     g_i2t /= tau
-    g_t2i = kl_grad_wrt_logits(q, p_t2i)
+    g_t2i = kl_grad_wrt_logits(_per_teacher(q), p_t2i)
     g_t2i /= tau
+    u, w = _per_teacher(u), _per_teacher(w)
     grad_u = g_i2t @ w
-    grad_u += g_t2i.transpose(0, 2, 1) @ w
-    grad_w = g_i2t.transpose(0, 2, 1) @ u
+    grad_u += g_t2i.swapaxes(-1, -2) @ w
+    grad_w = g_i2t.swapaxes(-1, -2) @ u
     grad_w += g_t2i @ u
     return _mean_row_kls(p_i2t, log_p), _mean_row_kls(p_t2i, log_q), grad_u, grad_w
 
 
-def _mean_row_kls(p_teacher: np.ndarray, log_p_student: np.ndarray) -> list[float]:
+def _per_teacher(a: np.ndarray) -> np.ndarray:
+    """A member stack's (S, rows, cols) array with an axis for the K
+    teachers, (S, 1, rows, cols); one student's array broadcasts as it is."""
+    return a[:, None] if a.ndim > 2 else a
+
+
+def _mean_row_kls(p_teacher: np.ndarray, log_p_student: np.ndarray) -> np.ndarray:
     """Mean-row KL(teacher || student) for each teacher of a K x rows x N
-    stack. One reduction sums each teacher's rows x N terms, in the order a
-    sum over that teacher's slice alone takes."""
+    stack, against a rows x N student or a stack of them, clamped below at
+    0. One reduction sums each (student, teacher) pair's rows x N terms, in
+    the order a sum over that slice alone takes."""
     terms = np.where(p_teacher > 0.0, p_teacher, 1.0)
     np.log(terms, out=terms)
-    terms -= log_p_student
+    if log_p_student.ndim > 2:
+        terms = terms - _per_teacher(log_p_student)
+    else:
+        terms -= log_p_student
     terms *= p_teacher
-    k, rows = p_teacher.shape[:2]
-    means = np.add.reduce(terms.reshape(k, -1), axis=1) / rows
-    return [max(float(m), 0.0) for m in means]
+    means = _row_sums(terms.reshape(*terms.shape[:-2], -1)) / p_teacher.shape[-2]
+    return np.where(means < 0.0, 0.0, means)  # max(m, 0.0), a NaN kept
 
 
 @dataclass
@@ -167,17 +187,20 @@ def mse_align(u_teacher, u_student, w_teacher, w_student) -> MseAlign:
 
 
 def _mse_align(ut, us, wt, ws) -> MseAlign:
-    """:func:`mse_align` on checked matrices."""
+    """:func:`mse_align` on checked matrices. A leading member axis on
+    either side of a block gives every member its value and gradients."""
     du = us - ut
     dw = ws - wt
     # Each block's mean as np.mean takes it: one sum, then a division.
-    value = float(
-        np.add.reduce(du * du, axis=None) / du.size + np.add.reduce(dw * dw, axis=None) / dw.size
-    )
+    n_u = du.shape[-2] * du.shape[-1]
+    n_w = dw.shape[-2] * dw.shape[-1]
+    value = _row_sums((du * du).reshape(*du.shape[:-2], -1)) / n_u + _row_sums(
+        (dw * dw).reshape(*dw.shape[:-2], -1)
+    ) / n_w
     du *= 2.0
-    du /= du.size
+    du /= n_u
     dw *= 2.0
-    dw /= dw.size
+    dw /= n_w
     return MseAlign(value=value, grad_image=du, grad_text=dw)
 
 
@@ -214,15 +237,29 @@ def total_loss(
 
     total = r_clip * l_clip + r_kl * KL + r_mse * l_mse, where KL is the
     weighted bidirectional KL: each teacher's (i2t + t2i) sum weighted by
-    its simplex coefficient.
+    its simplex coefficient. The checks, then :func:`_total_losses` for one
+    member.
     """
     r_clip, r_kl, r_mse = (float(r) for r in ratios)
     if r_clip <= 0.0 or r_kl <= 0.0 or r_mse <= 0.0:
         raise NonPositiveRatio(f"loss ratios must be > 0, got {ratios}")
     terms = np.asarray(kl_terms, dtype=np.float64).reshape(-1, 2)  # rows (i2t, t2i)
-
     w = check_simplex(weights, k=len(terms))
-    kl_weighted = float(np.dot(w, terms[:, 0] + terms[:, 1]))
+    kl, total = _total_losses(
+        np.array([float(l_clip)]), terms[None, :, 0], terms[None, :, 1],
+        np.array([float(l_mse)]), np.array([[r_clip, r_kl, r_mse]]), w[None],
+    )
+    return LossBreakdown(l_kl_weighted=float(kl[0]), l_mse=float(l_mse), total=float(total[0]))
 
-    total = r_clip * float(l_clip) + r_kl * kl_weighted + r_mse * float(l_mse)
-    return LossBreakdown(l_kl_weighted=kl_weighted, l_mse=float(l_mse), total=total)
+
+def _total_losses(l_clip, kl_i2t, kl_t2i, l_mse, ratios, alpha):
+    """Every member's weighted KL and total objective, as (S,) arrays, from
+    its clip loss (S,), its K teachers' KL terms (S, K) each way, its MSE
+    term (S,), its (clip, kl, mse) ratios (S, 3) and its weights (S, K);
+    without the member axis, one member's.
+    Each member's weighted KL is ``np.dot(alpha_s, i2t_s + t2i_s)``: matmul
+    takes a 1 x K by K x 1 product per member through numpy's dot kernel,
+    so it has np.dot's bits."""
+    kl = np.matmul(alpha[..., None, :], (kl_i2t + kl_t2i)[..., :, None])[..., 0, 0]
+    total = ratios[..., 0] * l_clip + ratios[..., 1] * kl + ratios[..., 2] * l_mse
+    return kl, total

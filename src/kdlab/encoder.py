@@ -33,9 +33,20 @@ skips the input gradient. Those arrays are views into one flat buffer in
 :meth:`EncoderGrads.flatten`'s order (``_Layout.views``), laid out once by
 their owner: ``_FlatAdam`` for its (P,) gradient, the trainer for ``dsw``'s
 K x P matrix. ``_FlatAdam`` holds an encoder's parameters and Adam moments
-as flat buffers and updates them in place through two scratch buffers, one
-elementwise pass per encoder; each entry rounds as it would in an update
-of its own array.
+as flat buffers and updates them in place through one scratch buffer and
+then the used-up gradient buffer, one elementwise pass per encoder; each
+entry rounds as it would in an update of its own array.
+
+Member stacks: the three kernels also take the parameters of S encoders of
+one architecture trained side by side, as (S, P) flat buffers viewed as
+(S, in, out) weights and (S, out) biases. ``_encode`` then maps shared
+input rows (B, d_in) to (S, B, d) features, ``_backward`` takes an (S, B, d)
+cotangent and writes (S, P) gradients, and ``_FlatAdam`` steps every
+member at once. Each member gets the bits it gets alone: each product runs
+one BLAS call per member, and every reduction runs along the axes it takes
+for one member. A member whose dropout retry fires gets keep-masks of its
+own; the others keep the shared ones. ``_member_tape`` gives one member's
+slice of a tape, which ``dsw``'s stacked reverse passes run through.
 """
 
 from __future__ import annotations
@@ -136,8 +147,7 @@ class ForwardTape:
 
     params: EncoderParams
     layer_inputs: list[np.ndarray]  # input to each affine layer
-    pre_acts: list[np.ndarray]      # hidden pre-activations
-    act_values: list[np.ndarray]    # hidden activations before dropout
+    act_values: list[np.ndarray | None]  # hidden activations before dropout, kept for tanh
     masks: list[np.ndarray | None]  # inverted dropout masks (None when off)
     norms: np.ndarray               # pre-normalization output row norms, (B, 1)
     features: np.ndarray            # normalized output rows
@@ -155,10 +165,11 @@ def init_params(config: EncoderConfig, rng: np.random.Generator) -> EncoderParam
 
 
 def _activate(name: str, z: np.ndarray) -> np.ndarray:
+    """The activation of ``z``, written over ``z``."""
     if name == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=z)
     if name == "tanh":
-        return np.tanh(z)
+        return np.tanh(z, out=z)
     return z
 
 
@@ -210,36 +221,37 @@ def _encode(
     whatever the parameters. One exception: a row whose norm is near zero
     in a pass with dropout is passed again with every hidden unit kept
     (its keep-masks set to all True); it raises only if it is still near
-    zero. Rows that pass the check keep their bits."""
+    zero. Rows that pass the check keep their bits. With member-stacked
+    parameters the retry's keep-masks are per member (see the module
+    docstring)."""
     cfg = params.config
     keep = 1.0 - cfg.dropout_p
     h = xm
     layer_inputs: list[np.ndarray] = []
-    pre_acts: list[np.ndarray] = []
     act_values: list[np.ndarray] = []
     scaled: list[np.ndarray | None] = []
     for i in range(len(cfg.hidden_widths)):
         layer_inputs.append(h)
         z = h @ params.weights[i]
-        z += params.biases[i]
+        z += params.biases[i][..., None, :]
         a = _activate(cfg.activation, z)
         mask = None if masks is None else masks[i] / keep
         h = a if mask is None else a * mask
-        pre_acts.append(z)
-        act_values.append(a)
+        # Only tanh's derivative reads a; relu's reads the sign of h.
+        act_values.append(a if cfg.activation == "tanh" else None)
         scaled.append(mask)
 
     layer_inputs.append(h)
     raw = h @ params.weights[-1]
-    raw += params.biases[-1]
+    raw += params.biases[-1][..., None, :]
     # What np.linalg.norm computes, without its wrapper.
     norms = np.sqrt(np.add.reduce(raw * raw, axis=-1, keepdims=True))
     if raw.size:
         if float(norms.min()) < ZERO_NORM_EPS:
-            low = norms[..., 0] < ZERO_NORM_EPS
-            if masks is None or all(m[low].all() for m in masks):
+            low = norms < ZERO_NORM_EPS  # (..., B, 1)
+            if masks is None or all(np.where(low, m, True).all() for m in masks):
                 raise ZeroVector("a pre-normalization output row has near-zero norm")
-            return _encode(params, xm, [np.where(low[..., None], True, m) for m in masks])
+            return _encode(params, xm, [np.where(low, True, m) for m in masks])
         if not math.isfinite(float(norms.max())):
             raise NonFiniteInput("a pre-normalization output row has a non-finite norm")
     raw /= norms
@@ -247,13 +259,36 @@ def _encode(
     tape = ForwardTape(
         params=params,
         layer_inputs=layer_inputs,
-        pre_acts=pre_acts,
         act_values=act_values,
         masks=scaled,
         norms=norms,
         features=raw,
     )
     return raw, tape
+
+
+def _member_params(params: EncoderParams, s: int) -> EncoderParams:
+    """Member ``s`` of member-stacked parameters, as views."""
+    return EncoderParams(params.config, [w[s] for w in params.weights], [b[s] for b in params.biases])
+
+
+def _member_tape(tape: ForwardTape, s: int) -> ForwardTape:
+    """Member ``s`` of a tape recorded with member-stacked parameters, as
+    views. The input rows, and keep-masks the members share, carry no
+    member axis and stay as they are. A tape without a member axis is its
+    own member."""
+    if tape.features.ndim == 2:
+        return tape
+    nd = tape.features.ndim
+    pick = lambda a: a if a is None or a.ndim < nd else a[s]  # noqa: E731
+    return ForwardTape(
+        params=_member_params(tape.params, s),
+        layer_inputs=[pick(a) for a in tape.layer_inputs],
+        act_values=[pick(a) for a in tape.act_values],
+        masks=[pick(m) for m in tape.masks],
+        norms=tape.norms[s],
+        features=tape.features[s],
+    )
 
 
 def vjp(tape: ForwardTape, grad_features) -> tuple[EncoderGrads, np.ndarray]:
@@ -278,8 +313,9 @@ def vjp(tape: ForwardTape, grad_features) -> tuple[EncoderGrads, np.ndarray]:
 def _backward(tape: ForwardTape, gy: np.ndarray, out: EncoderGrads) -> np.ndarray:
     """:func:`vjp` on a checked cotangent, writing each parameter gradient
     into its array of ``out`` (arrays with a leading K axis for a stacked
-    cotangent), which may be views into one flat buffer laid out once; every
-    entry is overwritten. Returns the cotangent of the first layer's output;
+    cotangent, or a leading member axis with member-stacked parameters),
+    which may be views into one flat buffer laid out once; every entry is
+    overwritten. Returns the cotangent of the first layer's output;
     the input gradient, which training never reads, is left to the caller."""
     cfg = tape.params.config
     # Through y = v / ||v||: dv = (dy - (dy . y) y) / ||v||.
@@ -292,18 +328,20 @@ def _backward(tape: ForwardTape, gy: np.ndarray, out: EncoderGrads) -> np.ndarra
 
     weights = tape.params.weights
     n = len(weights)
-    np.matmul(tape.layer_inputs[-1].T, g, out=out.weights[-1])
+    np.matmul(tape.layer_inputs[-1].swapaxes(-1, -2), g, out=out.weights[-1])
     np.add.reduce(g, axis=-2, out=out.biases[-1])
     for i in range(n - 2, -1, -1):
-        g = g @ weights[i + 1].T
+        g = g @ weights[i + 1].swapaxes(-1, -2)
         if tape.masks[i] is not None:
             g *= tape.masks[i]
         if cfg.activation == "relu":
-            g *= tape.pre_acts[i] > 0.0
+            # relu(z) > 0 exactly where z > 0, and so is h = relu(z) * mask
+            # wherever the mask keeps the unit; g is already 0 where not.
+            g *= tape.layer_inputs[i + 1] > 0.0
         elif cfg.activation == "tanh":
             a = tape.act_values[i]
             g *= 1.0 - a * a
-        np.matmul(tape.layer_inputs[i].T, g, out=out.weights[i])
+        np.matmul(tape.layer_inputs[i].swapaxes(-1, -2), g, out=out.weights[i])
         np.add.reduce(g, axis=-2, out=out.biases[i])
     return g
 
@@ -384,34 +422,35 @@ def adam_step(
 class _FlatAdam:
     """An encoder in training: its parameters and Adam moments as flat
     float64 buffers (copies of those given) that each step updates in
-    place. ``params`` holds views into the parameter buffer and ``grads``
-    views into ``grad``, the buffer the step's gradient is written into;
-    both are laid out once."""
+    place; member-stacked parameters give (S, P) buffers. ``params`` holds
+    views into the parameter buffer and ``grads`` views into ``grad``, the
+    buffer the step's gradient is written into; both are laid out once."""
 
     def __init__(self, params: EncoderParams, state: AdamState):
         self.layout = _Layout(params.config)
-        self.hyper = state
+        self.betas = (state.beta1, state.beta2)
+        self.eps = state.eps
         self.t = state.t
         self.p = EncoderGrads(params.weights, params.biases).flatten()
         self.m = state.m.flatten()
         self.v = state.v.flatten()
         self.params = EncoderParams(params.config, *self.layout.views(self.p))
-        self.grad = np.empty(self.layout.size)
+        self.grad = np.empty_like(self.p)
         self.grads = EncoderGrads(*self.layout.views(self.grad))
-        self._scratch = (np.empty(self.layout.size), np.empty(self.layout.size))
+        self._scratch = np.empty_like(self.p)
 
     def step(self, lr: float) -> None:
         """One bias-corrected Adam update with ``grad`` at rate ``lr``, one
-        elementwise pass over all the encoder's entries, through two scratch
-        buffers; each entry rounds as it would in a separate update of its
-        own array, m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g,
+        elementwise pass over all the encoder's entries, through a scratch
+        buffer and then ``grad`` itself, once the moments have used it up;
+        each entry rounds as it would in a separate update of its own array,
+        m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g,
         p -= lr (m / c1) / (sqrt(v / c2) + eps)."""
         self.t += 1
-        b1, b2 = self.hyper.beta1, self.hyper.beta2
+        b1, b2 = self.betas
         c1 = 1.0 - b1**self.t
         c2 = 1.0 - b2**self.t
-        g, m, v = self.grad, self.m, self.v
-        s, r = self._scratch
+        g, m, v, s = self.grad, self.m, self.v, self._scratch
         np.multiply(g, 1.0 - b1, out=s)
         m *= b1
         m += s
@@ -421,9 +460,10 @@ class _FlatAdam:
         v += s
         np.divide(m, c1, out=s)
         s *= lr
+        r = g  # the gradient is used up
         np.divide(v, c2, out=r)
         np.sqrt(r, out=r)
-        r += self.hyper.eps
+        r += self.eps
         s /= r
         self.p -= s
 

@@ -80,6 +80,10 @@ class InvalidConfig(KdlabError, ValueError):
         self.field = field
         self.why = why
 
+    def __reduce__(self):
+        # A run's error travels back from a worker process by pickle.
+        return type(self), (self.field, self.why)
+
 
 class PretrainBelowGate(UserWarning):
     """A pretrained teacher missed the accuracy gate."""

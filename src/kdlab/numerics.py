@@ -117,17 +117,27 @@ def _softmax(logits: np.ndarray, tau: float) -> np.ndarray:
 
 
 def _log_softmax(logits: np.ndarray, tau: float) -> np.ndarray:
+    """Log-softmax over the last axis, as :func:`_softmax` takes it."""
     if logits.size == 0:
         return logits.copy()
     z = logits / tau
-    z -= z.max(axis=1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    z -= z.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+
+
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """Sums over the last axis, each as ``np.sum`` takes it over that row
+    alone (pairwise). An array in another memory order, such as the gather
+    ``log_q[..., labels, idx]``, would be reduced in another order, so the
+    rows are made contiguous first."""
+    return np.add.reduce(np.ascontiguousarray(a), axis=-1)
 
 
 def _pair_log_softmax(u: np.ndarray, w: np.ndarray, tau: float) -> tuple[np.ndarray, ...]:
     """The contrastive distributions of image rows ``u`` against text rows
     ``w`` at ``tau``: image-to-text log-probabilities (B x N) and their exp,
-    then text-to-image (N x B) and their exp."""
-    log_p = _log_softmax(u @ w.T, tau)
-    log_q = _log_softmax(w @ u.T, tau)
+    then text-to-image (N x B) and their exp. With a leading member axis on
+    both, (S, B, d) and (S, N, d), each member's pair has its own bits."""
+    log_p = _log_softmax(u @ w.swapaxes(-1, -2), tau)
+    log_q = _log_softmax(w @ u.swapaxes(-1, -2), tau)
     return log_p, np.exp(log_p), log_q, np.exp(log_q)

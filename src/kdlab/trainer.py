@@ -16,7 +16,7 @@ step), trading exactness for cached class vectors; ``text_bank_refresh =
 always computed once, after freezing.
 
 Blocks of batches: the teachers are frozen, and the random draws that
-shape a batch do not depend on the parameters, so ``distill_student``
+shape a batch do not depend on the parameters, so ``distill_students``
 walks each epoch in blocks of consecutive batches of equal size, at most
 ``_BLOCK_ROWS`` = 512 rows (8 batches of 64). A shorter tail batch is a
 block of its own, and so is every one-row batch.
@@ -49,8 +49,27 @@ batch, and 602, 635, 687 and 697 with caps of 128, 256 and 512 rows and
 a whole epoch; its peak RSS grew 0.4%, 1.2%, 3.1% and 11.1%, against the
 benchmark's 5% bound.
 
-The training step: ``pretrain_teacher`` and ``distill_student`` check their
-inputs once, at entry. The dataset's image rows, class text anchors and
+Groups: ``distill_students`` trains the runs of one seed whose configs
+differ only in ``strategy`` and ``loss_ratios`` in lockstep, and
+``distill_student`` is its one-member call. The members start from the
+same parameters and see the same draws, so the student state gets a
+leading member axis S (a one-member call has none, since numpy's ops cost
+more on (1, ...) stacks): the encoders' parameters, gradients and Adam
+moments are (S, P) buffers, and each batch runs one forward pass, one
+contrastive loss, one reverse pass and one Adam step for every member at
+once (see ``encoder``'s member stacks). Per group: one teacher pass, one
+set of draws, and under ``lsr`` one set of weights per batch from the
+shared scores. Per member: ``dsw``'s stacked KL reverse passes through
+its slice of each tape, then Frank-Wolfe and the certificate; the loss
+assembly; the finite-loss check; ``evaluate``; its ``EpochRecord``. The
+KL, MSE and total-loss terms run once over the distilling members;
+``base`` members skip them. Every member gets the bits it gets alone:
+each product runs one BLAS call per member, and every reduction runs over
+that member's own contiguous terms. A failure of any member stops the
+whole call.
+
+The training step: ``pretrain_teacher`` and ``distill_students`` check
+their inputs once, at entry. The dataset's image rows, class text anchors and
 labels are checked against the encoders, and the teachers' banks against
 the dataset. Each batch then runs the private, unchecked kernels behind
 the public ``encode``, ``vjp``, ``adam_step``, ``clip_loss``,
@@ -76,8 +95,8 @@ mode or without dropout, raises ``ZeroVector``.
   float64 buffers, laid out once per run, that every step updates in
   place. Each reverse pass writes its gradients into views of the
   gradient buffer; ``dsw``'s stacked passes write into views of one K x P
-  matrix, also allocated once per run. Adam runs through two scratch
-  buffers per encoder.
+  matrix, also allocated once per run. Adam runs through one scratch
+  buffer per encoder and then the used-up gradient buffer.
 - The kernels skip numpy's wrappers where a ufunc or plain float
   arithmetic does the same (``np.mean``, ``np.linalg.norm``, ``np.clip``
   on a scalar).
@@ -90,7 +109,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -107,6 +126,8 @@ from .encoder import (
     _dropout_masks,
     _encode,
     _FlatAdam,
+    _member_params,
+    _member_tape,
     architecture_problem,
     encode,
     init_adam,
@@ -462,10 +483,12 @@ def _checked_inputs(
     return image_raw, anchors, labels
 
 
-def _check_loss(value: float, epoch: int) -> None:
-    """Stop a diverged run: a step's total loss must be finite."""
-    if not math.isfinite(value):
-        raise NonFiniteInput(f"training loss is {value} in epoch {epoch}")
+def _check_loss(values: list[float], epoch: int) -> None:
+    """Stop a diverged run: a step's total losses, one per member of a
+    group, must be finite."""
+    for value in values:
+        if not math.isfinite(value):
+            raise NonFiniteInput(f"training loss is {value} in epoch {epoch}")
 
 
 def pretrain_teacher(
@@ -511,7 +534,7 @@ def pretrain_teacher(
             )
             dists = _pair_log_softmax(feats, bank, cfg.tau)
             loss = _clip_loss(feats, bank, cfg.tau, dists, labels[idx], None)
-            _check_loss(loss.value, epoch)
+            _check_loss([loss.value], epoch)
             _backward(tape_i, loss.grad_image, img.grads)
             _backward(tape_t, loss.grad_text, txt.grads)
             img.step(cfg.lr)
@@ -542,23 +565,30 @@ def pretrain_teacher(
 
 def _soft_gather(bank: np.ndarray, labels: np.ndarray, mix: MixedLabels | None) -> np.ndarray:
     """Per-sample text rows under soft labels: lam * bank[a] + (1-lam) * bank[b],
-    and bank[a] without ``mix``. Labels may carry a leading block axis. Where
-    b = a and lam = 1 the soft rows are bank[a], bit for bit."""
+    and bank[a] without ``mix``. Labels may carry a leading block axis, or
+    the bank a leading member axis. Where b = a and lam = 1 the soft rows
+    are bank[a], bit for bit."""
+    rows = np.take(bank, labels, axis=-2)
     if mix is None:
-        return bank[labels]
-    return mix.lam[..., None] * bank[labels] + (1.0 - mix.lam)[..., None] * bank[mix.labels_b]
+        return rows
+    return mix.lam[..., None] * rows + (1.0 - mix.lam)[..., None] * np.take(
+        bank, mix.labels_b, axis=-2
+    )
 
 
 def _soft_scatter(
     grad_rows: np.ndarray, labels: np.ndarray, mix: MixedLabels | None, n_rows: int
 ) -> np.ndarray:
-    """Adjoint of :func:`_soft_gather`: scatter row gradients back to the bank."""
-    out = np.zeros((n_rows, grad_rows.shape[1]))
+    """Adjoint of :func:`_soft_gather`: scatter row gradients back to the
+    bank, each member's rows of a member stack to its own bank."""
+    out = np.zeros(grad_rows.shape[:-2] + (n_rows, grad_rows.shape[-1]))
+    # The rows of a member stack's banks; one bank takes np.add.at's fast path.
+    index = (lambda lab: lab) if grad_rows.ndim == 2 else (lambda lab: (..., lab, slice(None)))
     if mix is None:
-        np.add.at(out, labels, grad_rows)
+        np.add.at(out, index(labels), grad_rows)
     else:
-        np.add.at(out, labels, mix.lam[:, None] * grad_rows)
-        np.add.at(out, mix.labels_b, (1.0 - mix.lam)[:, None] * grad_rows)
+        np.add.at(out, index(labels), mix.lam[:, None] * grad_rows)
+        np.add.at(out, index(mix.labels_b), (1.0 - mix.lam)[:, None] * grad_rows)
     return out
 
 
@@ -643,12 +673,15 @@ class _TeacherPass:
     teacher's features of the training rows ``image_raw[train_idx]`` are
     computed once, in chunks of ``batch_size`` rows with no one-row chunk,
     and each block gathers its rows; otherwise a block's augmented rows go
-    through one eval-mode forward pass per teacher."""
+    through one eval-mode forward pass per teacher. ``lsr`` asks for the
+    label-similarity scores."""
 
-    def __init__(self, config: TrainConfig, teachers: list[Teacher], image_raw, train_idx):
+    def __init__(
+        self, config: TrainConfig, teachers: list[Teacher], image_raw, train_idx, lsr: bool
+    ):
         self.teachers = teachers
         self.tau = config.tau_teacher
-        self.lsr = config.strategy == "lsr"
+        self.lsr = lsr
         self.mixup = config.augmentation.kind == "mixup"
         self.frozen = None
         n, size = train_idx.size, config.batch_size
@@ -704,11 +737,13 @@ def _mse_terms(mode: str, proj: _Projection, alpha, feats_s, w_s_rows, t_feats, 
     """The MSE imitation term and its gradients with respect to the
     student's image features and soft-gathered text rows: against the
     alpha-weighted teacher targets, or against each teacher's own, weighted
-    by alpha."""
+    by alpha. The student arrays may carry a leading member axis, and
+    ``alpha`` then holds one row of K weights per member."""
     if mode == "weighted_target":
         d_t = t_feats[0].shape[-1]
-        u_target = sum(alpha[j] * u for j, u in enumerate(t_feats))
-        w_target = sum(alpha[j] * w for j, w in enumerate(t_rows))
+        columns = _columns(alpha)
+        u_target = sum(a * u for a, u in zip(columns, t_feats))
+        w_target = sum(a * w for a, w in zip(columns, t_rows))
         m = distill._mse_align(
             u_target, proj.forward(feats_s, d_t), w_target, proj.forward(w_s_rows, d_t)
         )
@@ -716,13 +751,40 @@ def _mse_terms(mode: str, proj: _Projection, alpha, feats_s, w_s_rows, t_feats, 
     value = 0.0
     g_u = np.zeros_like(feats_s)
     g_w = np.zeros_like(w_s_rows)
-    for a, u_t, w_t in zip(alpha, t_feats, t_rows):
+    for a, u_t, w_t in zip(_columns(alpha), t_feats, t_rows):
         d_t = u_t.shape[-1]
         m = distill._mse_align(u_t, proj.forward(feats_s, d_t), w_t, proj.forward(w_s_rows, d_t))
-        value += a * m.value
+        value += a.reshape(np.shape(m.value)) * m.value
         g_u += a * proj.backward(m.grad_image, d_t)
         g_w += a * proj.backward(m.grad_text, d_t)
     return value, g_u, g_w
+
+
+def _columns(weights: np.ndarray) -> list:
+    """The K columns of (..., K) weights, each shaped to scale (..., B, d)
+    arrays: K scalars for one member's weights, K (S, 1, 1) arrays for a
+    member stack's."""
+    return list(weights) if weights.ndim == 1 else list(weights.T[..., None, None])
+
+
+# The fields the runs of one group may differ in; they share all others.
+_MEMBER_FIELDS = ("strategy", "loss_ratios")
+
+
+def _group_key(config: TrainConfig) -> tuple:
+    """What the runs of one group share: every field but the member fields."""
+    return tuple(
+        getattr(config, f.name) for f in fields(config) if f.name not in _MEMBER_FIELDS
+    )
+
+
+def _stacked(params: EncoderParams, members: int) -> EncoderParams:
+    """``members`` copies of ``params`` along a leading member axis."""
+    return EncoderParams(
+        params.config,
+        [np.repeat(w[None], members, axis=0) for w in params.weights],
+        [np.repeat(b[None], members, axis=0) for b in params.biases],
+    )
 
 
 def distill_student(
@@ -732,35 +794,75 @@ def distill_student(
     train_idx,
     eval_idx,
 ) -> tuple[StudentModel, RunMetrics]:
-    """Distill a student against frozen teachers; see the module docstring
-    for the strategy semantics, the text-bank caching contract, the blocks
-    of batches and the training step."""
+    """Distill a student against frozen teachers: :func:`distill_students`
+    with one member."""
+    return distill_students([config], teachers, dataset, train_idx, eval_idx)[0]
+
+
+def distill_students(
+    configs: Sequence[TrainConfig],
+    teachers: Sequence[Teacher],
+    dataset: PairedDataset,
+    train_idx,
+    eval_idx,
+) -> list[tuple[StudentModel, RunMetrics]]:
+    """Distill one student per config against the same frozen teachers, in
+    lockstep, and return each one's (student, metrics). The configs form a
+    group: they differ only in ``strategy`` and ``loss_ratios``. See the
+    module docstring for the strategy semantics, the text-bank caching
+    contract, the blocks of batches, the training step and the groups.
+    A ``base`` member ignores the teachers. Any member's failure stops the
+    whole call."""
+    given = list(configs)
+    config = given[0]
+    if any(_group_key(c) != _group_key(config) for c in given[1:]):
+        raise InvalidConfig("configs", f"must differ only in {' and '.join(_MEMBER_FIELDS)}")
+    # The step keeps the distilling members first, so that they are the
+    # leading slice [:n_dist] of the member axis and every view of them is
+    # a view, not a copy.
+    order = sorted(range(len(given)), key=lambda s: given[s].strategy == "base")
+    configs = [given[s] for s in order]
+    members = len(configs)
+    n_dist = sum(c.strategy != "base" for c in configs)
+    # A one-member call has no member axis: numpy's ops on the plain arrays
+    # cost less than on (1, ...) stacks, and give the same bits. ``lead``
+    # and ``lead_dist`` are the member axes of all members and of the
+    # distilling ones, ``at(s)`` indexes member s along them, and ``part``
+    # takes the distilling members.
+    lead = () if members == 1 else (members,)
+    lead_dist = lead if n_dist == members else (n_dist,)
+    at = (lambda s: ...) if members == 1 else (lambda s: s)  # noqa: E731
+    part = (lambda a: a) if n_dist == members else (lambda a: a[:n_dist])  # noqa: E731
     k = config.num_teachers
-    if config.strategy != "base":
+    if n_dist:
         if not teachers:
             raise StrategyTeacherMismatch(
-                f"strategy {config.strategy!r} requires at least one teacher"
+                f"strategy {configs[0].strategy!r} requires at least one teacher"
             )
         if len(teachers) != k:
             raise ShapeMismatch(
                 f"config.num_teachers={k} but {len(teachers)} teachers supplied"
             )
-    use_teachers = config.strategy != "base"
 
     rng_init = seeded_rng(config.seed, _TAG_STUDENT_INIT)
     rng_loop = seeded_rng(config.seed, _TAG_TRAIN_LOOP)
     rng_proj = seeded_rng(config.seed, _TAG_PROJECTION)
 
     img_params, txt_params = _init_encoder_pair(config.student, dataset, rng_init)
-    img = _FlatAdam(img_params, init_adam(img_params, config.lr))
-    txt = _FlatAdam(txt_params, init_adam(txt_params, config.lr))
+    img, txt = (
+        _FlatAdam(p, init_adam(p, config.lr))
+        for p in (
+            (img_params, txt_params) if members == 1
+            else (_stacked(img_params, members), _stacked(txt_params, members))
+        )
+    )
     image_raw, anchors, labels = _checked_inputs(img_params, txt_params, dataset)
     n_classes = anchors.shape[0]
     teachers = _checked_teachers(teachers[:k], image_raw.shape[1], n_classes)
 
     teacher_dims = [t.spec.output_dim for t in teachers]
     proj = _Projection(config.student.output_dim, teacher_dims, rng_proj)
-    if use_teachers and config.mse_mode == "weighted_target" and len(set(teacher_dims)) > 1:
+    if n_dist and config.mse_mode == "weighted_target" and len(set(teacher_dims)) > 1:
         raise ShapeMismatch(
             "weighted_target mse requires equal teacher output dims; "
             "use mse_mode='per_teacher'"
@@ -770,32 +872,53 @@ def distill_student(
     n_train = train_idx.size
     batches_per_epoch = (n_train + config.batch_size - 1) // config.batch_size
     total_steps = config.epochs * batches_per_epoch
-    r_clip, r_kl, r_mse = config.loss_ratios
+    ratios = np.array([c.loss_ratios for c in configs])  # (members, 3)
+    r_clip = ratios[:, 0].reshape(lead + (1, 1))
+    ratios_dist = ratios[:n_dist].reshape(lead_dist + (3,))
+    r_kl, r_mse = ratios_dist[..., 1], ratios_dist[..., 2, None, None]
     uniform = np.full(k, 1.0 / k) if k else np.zeros(0)
     per_batch_bank = config.text_bank_refresh == "batch"
     shared_tau = config.tau_distill == config.tau_student
-    if config.strategy == "dsw":
-        # The K x P matrix of the per-teacher KL gradients, image encoder's
-        # columns first, and each encoder's views into it, laid out once.
+    # Each strategy's members, whose rows of the weights it fills.
+    rows_of = {
+        name: [s for s in range(n_dist) if configs[s].strategy == name] for name in STRATEGIES
+    }
+    if rows_of["dsw"]:
+        # The K x P matrix of a dsw member's per-teacher KL gradients, image
+        # encoder's columns first, and each encoder's views into it, laid out
+        # once and used by the dsw members in turn.
         grads = np.empty((k, img.layout.size + txt.layout.size))
         kl_img = EncoderGrads(*img.layout.views(grads[:, : img.layout.size]))
         kl_txt = EncoderGrads(*txt.layout.views(grads[:, img.layout.size :]))
     img_cfg, txt_cfg = img_params.config, txt_params.config
-    teacher_pass = _TeacherPass(config, teachers, image_raw, train_idx) if use_teachers else None
+    teacher_pass = None
+    if n_dist:
+        teacher_pass = _TeacherPass(
+            config, teachers, image_raw, train_idx, lsr=bool(rows_of["lsr"])
+        )
+    # Each member's parameters as views, for evaluation.
+    img_views = [_member_params(img.params, at(s)) for s in range(members)]
+    txt_views = [_member_params(txt.params, at(s)) for s in range(members)]
+    bank_eval = _eval_bank(config, teachers)
 
-    metrics = RunMetrics(strategy=config.strategy, num_teachers=k)
+    runs = [RunMetrics(strategy=c.strategy, num_teachers=k) for c in configs]
     step = 0
     for epoch in range(config.epochs):
-        # Cached student class bank for the epoch (see module docstring).
+        # Cached student class banks for the epoch (see module docstring).
         if not per_batch_bank:
             bank_s, tape_text = _encode(
                 txt.params, anchors, _dropout_masks(txt_cfg, n_classes, rng_loop)
             )
             text_grad_acc = np.zeros_like(bank_s)
 
-        sums = {"clip": 0.0, "kl": 0.0, "mse": 0.0, "total": 0.0, "fw": 0.0}
-        alpha_sum = np.zeros(k)
-        certified = True
+        # Per member: the sums of clip, kl, mse, total and Frank-Wolfe
+        # iterations over the epoch's batches, its weights' sum, and
+        # whether every certificate passed.
+        sums = np.zeros((5, members))
+        l_clip_sum, l_kl_sum, l_mse_sum, total_sum, fw_sum = sums
+        l_kl_dist, l_mse_dist = l_kl_sum[:n_dist], l_mse_sum[:n_dist]
+        alpha_sum = np.zeros((n_dist, k))
+        certified = np.ones(members, dtype=bool)
         n_batches = 0
 
         for block in _blocks(_batches(n_train, config.batch_size, rng_loop)):
@@ -812,7 +935,7 @@ def distill_student(
                     text_masks = _dropout_masks(txt_cfg, n_classes, rng_loop)
                 image_masks = _dropout_masks(img_cfg, rows.size, rng_loop)
                 draws.append(_BatchDraws(rows, batch, text_masks, image_masks))
-            t_block = teacher_pass.block(draws) if use_teachers else None
+            t_block = teacher_pass.block(draws) if n_dist else None
 
             for i, d in enumerate(draws):
                 lr_now = lr_at(config.lr_schedule, config.lr, step, total_steps)
@@ -822,80 +945,81 @@ def distill_student(
                     bank_s, tape_text = _encode(txt.params, anchors, d.text_masks)
                 feats_s, tape_img = _encode(img.params, batch.image_raw, d.image_masks)
 
-                # The student's distributions, shared by the contrastive loss
+                # The students' distributions, shared by the contrastive loss
                 # and, at the same temperature, by every teacher's KL.
                 dists = _pair_log_softmax(feats_s, bank_s, config.tau_student)
                 loss_c = _clip_loss(feats_s, bank_s, config.tau_student, dists, batch.labels_a, mix)
+                # base: clip-only, distillation terms removed
+                g_u = r_clip * loss_c.grad_image
+                g_w = r_clip * loss_c.grad_text
+                total = ratios[:, 0] * loss_c.value
 
-                if use_teachers:
+                if n_dist:
+                    feats_d, bank_d = part(feats_s), part(bank_s)
                     kl_i2t, kl_t2i, kl_grad_u, kl_grad_w = distill._kl_stack(
                         t_block.i2t[i],
                         t_block.t2i[i],
-                        feats_s,
-                        bank_s,
+                        feats_d,
+                        bank_d,
                         config.tau_distill,
-                        dists if shared_tau
-                        else _pair_log_softmax(feats_s, bank_s, config.tau_distill),
+                        tuple(map(part, dists)) if shared_tau
+                        else _pair_log_softmax(feats_d, bank_d, config.tau_distill),
                     )
 
-                    fw_iters = 0.0
-                    if config.strategy == "avg":
-                        alpha = uniform
-                    elif config.strategy == "lsr":
-                        alpha = weighting.lsr_weights(t_block.lsr_scores[i]).weights
-                    else:  # dsw: one stacked reverse pass per tape, into one K x P matrix
-                        _backward(tape_img, kl_grad_u, kl_img)
-                        _backward(tape_text, kl_grad_w, kl_txt)
+                    alpha = np.empty(lead_dist + (k,))
+                    if rows_of["avg"]:
+                        alpha[at(rows_of["avg"])] = uniform
+                    if rows_of["lsr"]:
+                        lsr = weighting.lsr_weights(t_block.lsr_scores[i])
+                        alpha[at(rows_of["lsr"])] = lsr.weights
+                    for s in rows_of["dsw"]:
+                        # One stacked reverse pass per tape, into one K x P matrix.
+                        _backward(_member_tape(tape_img, s), kl_grad_u[at(s)], kl_img)
+                        _backward(_member_tape(tape_text, s), kl_grad_w[at(s)], kl_txt)
                         fw = weighting.frank_wolfe_min_norm(
                             grads, max_iter=weighting.DSW_MAX_ITER, tol=weighting.DSW_TOL
                         )
-                        alpha = fw.weights
-                        fw_iters = float(fw.iterations)
+                        alpha[at(s)] = fw.weights
+                        fw_sum[s] += float(fw.iterations)
                         if fw.converged:
                             cert = weighting.certify_pareto_stationarity(
                                 fw.direction, grads, tol=1e-6
                             )
-                            certified = certified and cert.passed
+                            certified[s] = certified[s] and cert.passed
 
                     # MSE block: imitate the (weighted) teacher features.
-                    w_s_rows = _soft_gather(bank_s, batch.labels_a, mix)
+                    w_s_rows = _soft_gather(bank_d, batch.labels_a, mix)
                     mse_val, g_mse_u, g_mse_w_rows = _mse_terms(
                         config.mse_mode,
                         proj,
                         alpha,
-                        feats_s,
+                        feats_d,
                         w_s_rows,
                         [f[i] for f in t_block.feats],
                         [r[i] for r in t_block.bank_rows],
                     )
                     g_mse_w = _soft_scatter(g_mse_w_rows, batch.labels_a, mix, n_classes)
 
-                    breakdown = distill.total_loss(
-                        loss_c.value,
-                        list(zip(kl_i2t, kl_t2i)),
-                        mse_val,
-                        config.loss_ratios,
-                        alpha,
+                    kl_val, total[:n_dist] = distill._total_losses(
+                        part(loss_c.value), kl_i2t, kl_t2i, mse_val, ratios_dist, alpha
                     )
-                    g_u = r_clip * loss_c.grad_image + r_mse * g_mse_u
-                    g_w = r_clip * loss_c.grad_text + r_mse * g_mse_w
-                    for j in range(k):
-                        g_u += r_kl * alpha[j] * kl_grad_u[j]
-                        g_w += r_kl * alpha[j] * kl_grad_w[j]
+                    # Views: the distilling members' terms add into g_u, g_w.
+                    g_u_dist, g_w_dist = part(g_u), part(g_w)
+                    g_u_dist += r_mse * g_mse_u
+                    g_w_dist += r_mse * g_mse_w
+                    for j, r_kl_alpha in enumerate(_columns(r_kl[..., None] * alpha)):
+                        g_u_dist += r_kl_alpha * kl_grad_u[..., j, :, :]
+                        g_w_dist += r_kl_alpha * kl_grad_w[..., j, :, :]
 
                     alpha_sum += alpha
-                    sums["fw"] += fw_iters
-                    sums["kl"] += breakdown.l_kl_weighted
-                    sums["mse"] += breakdown.l_mse
-                    total_val = breakdown.total
-                else:
-                    # base: clip-only, distillation terms removed
-                    g_u = r_clip * loss_c.grad_image
-                    g_w = r_clip * loss_c.grad_text
-                    total_val = r_clip * loss_c.value
-                _check_loss(total_val, epoch)
+                    l_kl_dist += kl_val
+                    l_mse_dist += mse_val
+                _check_loss(total.tolist(), epoch)
 
                 _backward(tape_img, g_u, img.grads)
+                # Freed now, the tape's (members x B x width) arrays do not
+                # stay alive through the next batch's forward pass.
+                del tape_img
                 img.step(lr_now)
                 if per_batch_bank:
                     _backward(tape_text, g_w, txt.grads)
@@ -903,10 +1027,12 @@ def distill_student(
                 else:
                     text_grad_acc += g_w
 
-                sums["clip"] += loss_c.value
-                sums["total"] += total_val
+                l_clip_sum += loss_c.value
+                total_sum += total
                 n_batches += 1
                 step += 1
+            # Freed before the next block is computed, not after.
+            del t_block
 
         if not per_batch_bank:
             # One accumulated text step per epoch; Adam normalizes gradient
@@ -917,29 +1043,33 @@ def distill_student(
             lr_now = lr_at(config.lr_schedule, config.lr, step - 1, total_steps)
             txt.step(lr_now * n_batches)
 
-        bank_eval = _eval_bank(config, teachers)
-        acc, r1, r5 = evaluate(
-            img.params, txt.params, dataset, eval_idx, config.tau_student, bank_eval
-        )
         nb = max(n_batches, 1)
-        metrics.epochs.append(
-            EpochRecord(
-                epoch=epoch,
-                l_clip=sums["clip"] / nb,
-                l_kl=sums["kl"] / nb,
-                l_mse=sums["mse"] / nb,
-                total=sums["total"] / nb,
-                accuracy=acc,
-                recall1=r1,
-                recall5=r5,
-                alphas=(alpha_sum / nb) if use_teachers else uniform.copy(),
-                fw_iterations=sums["fw"] / nb,
-                lr=lr_at(config.lr_schedule, config.lr, step - 1, total_steps),
-                pareto_certified=certified,
+        lr_epoch = lr_at(config.lr_schedule, config.lr, step - 1, total_steps)
+        for s in range(members):
+            acc, r1, r5 = evaluate(
+                img_views[s], txt_views[s], dataset, eval_idx, config.tau_student, bank_eval
             )
-        )
+            runs[s].epochs.append(
+                EpochRecord(
+                    epoch=epoch,
+                    l_clip=float(l_clip_sum[s] / nb),
+                    l_kl=float(l_kl_sum[s] / nb),
+                    l_mse=float(l_mse_sum[s] / nb),
+                    total=float(total_sum[s] / nb),
+                    accuracy=acc,
+                    recall1=r1,
+                    recall5=r5,
+                    alphas=alpha_sum[s] / nb if s < n_dist else uniform.copy(),
+                    fw_iterations=float(fw_sum[s] / nb),
+                    lr=lr_epoch,
+                    pareto_certified=bool(certified[s]),
+                )
+            )
 
-    return StudentModel(img.result(), txt.result()), metrics
+    results = [None] * members
+    for s, at in enumerate(order):
+        results[at] = (StudentModel(img_views[s].copy(), txt_views[s].copy()), runs[s])
+    return results
 
 
 def _eval_bank(config: TrainConfig, teachers):

@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from kdlab import cli, trainer
+from kdlab import cli, trainer, weighting
 from kdlab.data import SyntheticSpec, generate, save_dataset
+from kdlab.errors import NonFiniteInput
 
 TINY_DATASET = {
     "spec": {
@@ -261,21 +262,34 @@ class TestRun:
 
     def test_parallel_workers_match_serial(self, tmp_path):
         # Grid points share teachers in both modes; every output byte agrees.
-        for suite, labels in (
-            ("single", ["default"]),
-            ("strategy", list(cli.STRATEGY_GRID)),
-            ("teacher_count", [f"K{k}" for k in cli.TEACHER_COUNT_GRID]),
+        # A one-seed strategy suite's group is split in two for two workers.
+        for suite, labels, seeds in (
+            ("single", ["default"], [0, 1]),
+            ("strategy", list(cli.STRATEGY_GRID), [0, 1]),
+            ("strategy", list(cli.STRATEGY_GRID), [0]),
+            ("teacher_count", [f"K{k}" for k in cli.TEACHER_COUNT_GRID], [0, 1]),
         ):
-            p = tmp_path / f"{suite}.json"
-            write_manifest(p, suite=suite, seeds=[0, 1])
-            serial, parallel = tmp_path / suite / "s", tmp_path / suite / "p"
+            p = tmp_path / f"{suite}{len(seeds)}.json"
+            write_manifest(p, suite=suite, seeds=seeds)
+            serial, parallel = (tmp_path / f"{suite}{len(seeds)}" / m for m in "sp")
             assert cli.main(["run", str(p), "--output-dir", str(serial)]) == 0
             assert cli.main(["run", str(p), "--threads", "2", "--output-dir", str(parallel)]) == 0
             assert (serial / "summary.csv").read_bytes() == (parallel / "summary.csv").read_bytes()
             for label in labels:
-                for seed in (0, 1):
+                for seed in seeds:
                     run = Path("runs") / label / f"seed_{seed}" / "metrics.csv"
                     assert (serial / run).read_bytes() == (parallel / run).read_bytes(), run
+            if suite == "strategy" and seeds == [0]:
+                groups = {
+                    label: json.loads((parallel / "runs" / label / "seed_0" / "run.json").read_text())[
+                        "group"
+                    ]
+                    for label in labels
+                }
+                assert groups == {
+                    "base": ["base", "avg"], "avg": ["base", "avg"],
+                    "lsr": ["lsr", "dsw"], "dsw": ["lsr", "dsw"],
+                }
 
     @pytest.mark.parametrize("suite, distinct", [("strategy", 2), ("teacher_count", 4)])
     def test_each_teacher_pretrained_once(self, tmp_path, monkeypatch, suite, distinct):
@@ -299,19 +313,26 @@ class TestRun:
         p = tmp_path / "m.json"
         write_manifest(p, seeds=[0, 1, 2])
         out = tmp_path / "o"
-        real_execute = cli._execute_run
+        real_execute = cli._execute_group
 
         def flaky(payload):
             if payload[2] == 1:  # fail the middle seed only
                 raise cli.NumericError("run default/seed_1: synthetic blowup")
             return real_execute(payload)
 
-        monkeypatch.setattr(cli, "_execute_run", flaky)
+        monkeypatch.setattr(cli, "_execute_group", flaky)
         assert cli.main(["run", str(p), "--output-dir", str(out)]) == 4
         # remaining runs completed and were summarized
         assert (out / "runs" / "default" / "seed_0" / "metrics.csv").exists()
         assert (out / "runs" / "default" / "seed_2" / "metrics.csv").exists()
-        assert not (out / "runs" / "default" / "seed_1").exists()
+        # the failed run left its record and no metrics
+        failed = out / "runs" / "default" / "seed_1"
+        assert sorted(f.name for f in failed.iterdir()) == ["error.json"]
+        error = json.loads((failed / "error.json").read_text())
+        assert error["type"] == "NumericError" and error["message"].endswith("synthetic blowup")
+        assert "Traceback" in error["traceback"]
+        failed_runs = json.loads((out / "manifest.json").read_text())["failed_runs"]
+        assert failed_runs == [{"grid_point": "default", "seed": 1, "error": "NumericError"}]
         with open(out / "summary.csv", newline="") as f:
             rows = list(csv.DictReader(f))
         assert rows and int(rows[0]["n_seeds"]) == 2
@@ -323,20 +344,43 @@ class TestRun:
         assert cli.main(["run", str(p), "--output-dir", str(out)]) == 0
 
         def failing(payload):
-            raise cli.NumericError("run default/seed_0: synthetic blowup")
+            raise cli.NumericError("run default/seed_1: synthetic blowup")
 
-        monkeypatch.setattr(cli, "_execute_run", failing)
-        assert cli.main(["run", str(p), "--output-dir", str(out)]) == 4
+        monkeypatch.setattr(cli, "_execute_group", failing)
+        args = ["run", str(p), "--seed-override", "1", "--output-dir", str(out)]
+        assert cli.main(args) == 4
         # The first call's run.json is still on disk; this call completed no run.
         assert (out / "runs" / "default" / "seed_0" / "run.json").exists()
         with open(out / "summary.csv", newline="") as f:
             assert list(csv.DictReader(f)) == []
 
+    def test_rerun_that_fails_leaves_no_stale_outputs(self, tmp_path, monkeypatch):
+        # A run that fails where an earlier call completed it leaves
+        # error.json and none of the earlier call's files.
+        p = tmp_path / "m.json"
+        write_manifest(p)
+        out = tmp_path / "o"
+        run_dir = out / "runs" / "default" / "seed_0"
+        assert cli.main(["run", str(p), "--output-dir", str(out)]) == 0
+        assert (run_dir / "metrics.csv").exists() and (run_dir / "run.json").exists()
+
+        def diverging(*args, **kwargs):
+            raise cli.NumericError("synthetic divergence")
+
+        with monkeypatch.context() as m:
+            m.setattr(cli, "run_single", diverging)
+            assert cli.main(["run", str(p), "--output-dir", str(out)]) == 4
+        assert sorted(f.name for f in run_dir.iterdir()) == ["error.json"]
+        assert json.loads((run_dir / "error.json").read_text())["type"] == "NumericError"
+        # A later call that completes the run drops the record.
+        assert cli.main(["run", str(p), "--output-dir", str(out)]) == 0
+        assert sorted(f.name for f in run_dir.iterdir()) == ["metrics.csv", "run.json"]
+
     def test_code_bug_in_a_run_is_an_internal_error(self, tmp_path, monkeypatch, capsys):
         def broken(*args, **kwargs):
             raise TypeError("unsupported operand")
 
-        monkeypatch.setattr(cli, "run_single", broken)
+        monkeypatch.setattr(cli, "_execute_group", broken)
         p = tmp_path / "m.json"
         write_manifest(p)
         assert cli.main(["run", str(p), "--output-dir", str(tmp_path / "o")]) == 1
@@ -363,11 +407,37 @@ class TestRun:
         assert "internal error: run avg/seed_1: RuntimeError: synthetic pretrain blowup" in err
         for label in cli.STRATEGY_GRID:
             assert (out / "runs" / label / "seed_0" / "metrics.csv").exists()
-            assert (out / "runs" / label / "seed_1").exists() == (label == "base")
+            assert (out / "runs" / label / "seed_1" / "metrics.csv").exists() == (label == "base")
+            assert (out / "runs" / label / "seed_1" / "error.json").exists() == (label != "base")
         with open(out / "summary.csv", newline="") as f:
             n_seeds = {r["grid_point"]: int(r["n_seeds"]) for r in csv.DictReader(f)}
         assert n_seeds == {"base": 2, "avg": 1, "lsr": 1, "dsw": 1}
         assert (out / "manifest.json").exists()
+
+    def test_group_that_raises_runs_each_run_alone(self, tmp_path, monkeypatch, capsys):
+        # Frank-Wolfe fails, so the strategy group's lockstep training
+        # raises: each run then runs alone. base, avg and lsr write the
+        # bytes the group writes without the failure; dsw fails as alone.
+        p = tmp_path / "m.json"
+        write_manifest(p, suite="strategy")
+        good, bad = tmp_path / "good", tmp_path / "bad"
+        assert cli.main(["run", str(p), "--output-dir", str(good)]) == 0
+
+        def failing(*args, **kwargs):
+            raise NonFiniteInput("synthetic Frank-Wolfe failure")
+
+        monkeypatch.setattr(weighting, "frank_wolfe_min_norm", failing)
+        assert cli.main(["run", str(p), "--output-dir", str(bad)]) == 4
+        assert "numeric error: run dsw/seed_0: synthetic Frank-Wolfe failure" in capsys.readouterr().err
+        for label in ("base", "avg", "lsr"):
+            run = Path("runs") / label / "seed_0"
+            assert (bad / run / "metrics.csv").read_bytes() == (good / run / "metrics.csv").read_bytes()
+            assert json.loads((bad / run / "run.json").read_text())["group"] == [label]
+            assert json.loads((good / run / "run.json").read_text())["group"] == list(cli.STRATEGY_GRID)
+        dsw = bad / "runs" / "dsw" / "seed_0"
+        assert sorted(f.name for f in dsw.iterdir()) == ["error.json"]
+        failed_runs = json.loads((bad / "manifest.json").read_text())["failed_runs"]
+        assert failed_runs == [{"grid_point": "dsw", "seed": 0, "error": "NonFiniteInput"}]
 
     def test_dropout_zeroed_row_runs(self, tmp_path):
         # A (12,)->5 student at dropout 0.5 zeroes every hidden unit of a

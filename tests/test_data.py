@@ -1,10 +1,16 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kdlab import data
+from kdlab import cli, data
 from kdlab.encoder import EncoderConfig, init_params
 from kdlab.errors import ChecksumMismatch, FormatVersionMismatch, InvalidSpec
 from kdlab.numerics import seeded_rng
+from test_cli import write_manifest
 
 SMALL = data.SyntheticSpec(
     num_classes=4, image_dim=8, text_dim=6, samples_per_class=20,
@@ -110,6 +116,55 @@ class TestRoundtrip:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             data.load_dataset(tmp_path / "nope.bin")
+
+
+TINY_FILE_SPEC = data.SyntheticSpec(
+    num_classes=2, image_dim=2, text_dim=2, samples_per_class=1, seed=3
+)
+
+
+def _tiny_blob() -> bytes:
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "ds.bin"
+        data.save_dataset(data.generate(TINY_FILE_SPEC), path)
+        return path.read_bytes()
+
+
+def _damaged(blob: bytes, offset: int, bit: int | None) -> bytes:
+    """``blob`` cut at ``offset``, or with one bit flipped there."""
+    if bit is None:
+        return blob[:offset]
+    out = bytearray(blob)
+    out[offset] ^= 1 << bit
+    return bytes(out)
+
+
+class TestDamagedFile:
+    def test_every_cut_and_bit_flip_is_declared(self, tmp_path):
+        # Cut the file at every offset and flip every bit of every byte:
+        # each load fails with one of the two declared errors.
+        blob = _tiny_blob()
+        path = tmp_path / "ds.bin"
+        for offset in range(len(blob)):
+            for bit in (None, *range(8)):
+                path.write_bytes(_damaged(blob, offset, bit))
+                with pytest.raises((ChecksumMismatch, FormatVersionMismatch)):
+                    data.load_dataset(path)
+
+    @settings(max_examples=15, deadline=None)
+    @given(draws=st.data())
+    def test_kdlab_run_exits_3(self, draws):
+        # The same damage, read through `kdlab run`'s dataset.path, is a
+        # data error.
+        blob = _tiny_blob()
+        offset = draws.draw(st.integers(0, len(blob) - 1))
+        bit = draws.draw(st.one_of(st.none(), st.integers(0, 7)))
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "ds.bin"
+            path.write_bytes(_damaged(blob, offset, bit))
+            manifest = Path(d) / "m.json"
+            write_manifest(manifest, dataset={"path": str(path)})
+            assert cli.main(["run", str(manifest), "--output-dir", str(Path(d) / "o")]) == 3
 
 
 class TestCorruptTeacher:

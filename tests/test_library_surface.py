@@ -26,6 +26,7 @@ TRACED_ONLY = {
     "distill.TeacherOutputs.from_features",
     "distill.kl_pair_loss",
     "distill.mse_align",
+    "distill.total_loss",
 }
 
 

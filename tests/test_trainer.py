@@ -1,12 +1,19 @@
 import dataclasses
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from kdlab import cli, contrastive, data, distill, encoder, numerics, trainer, weighting
-from kdlab.errors import DimensionMismatch, InvalidConfig, KdlabError, StrategyTeacherMismatch
+from kdlab.errors import (
+    DimensionMismatch,
+    InvalidConfig,
+    KdlabError,
+    NonFiniteInput,
+    StrategyTeacherMismatch,
+)
 from kdlab.numerics import seeded_rng
 from oracles import (
     adam_per_array,
@@ -81,6 +88,11 @@ class TestTrainConfig:
     def test_errors_stay_value_errors(self):
         with pytest.raises(ValueError):
             tiny_config(epochs=0)
+
+    def test_errors_survive_pickling(self):
+        # A run's error comes back from a worker process pickled.
+        e = pickle.loads(pickle.dumps(InvalidConfig("epochs", "must be >= 1")))
+        assert (type(e), e.field, e.why, str(e)) == (InvalidConfig, "epochs", "must be >= 1", "epochs must be >= 1")
 
     # The training step divides by temperatures without checking them, so
     # an infinite one would train to completion on uniform distributions.
@@ -480,7 +492,7 @@ class TestFrozenTeacherCache:
             strategy="lsr", augmentation=trainer.Augmentation(kind, sigma=0.1, beta=0.4)
         )
         rows_raw = ds.image_raw[train_idx]
-        teacher_pass = trainer._TeacherPass(cfg, teachers, ds.image_raw, train_idx)
+        teacher_pass = trainer._TeacherPass(cfg, teachers, ds.image_raw, train_idx, lsr=True)
         rng = seeded_rng(0)
         for size, n in ((1, 1), (2, 3), (5, 3), (30, 4)):
             positions = rng.permutation(train_idx.size)[: n * size].reshape(n, size)
@@ -532,6 +544,91 @@ class TestFrozenTeacherCache:
         stacked = [s for s in shapes if len(s) == 3]
         assert len(stacked) == 2 * batches and all(s[0] == 2 for s in stacked)
         assert len(shapes) == 3 * batches + 1  # plus the image step and one text step
+
+
+def assert_same_run(got, want):
+    """Two (student, metrics) results agree bit for bit: every field of
+    every epoch record, and every parameter."""
+    (student_a, metrics_a), (student_b, metrics_b) = got, want
+    assert (metrics_a.strategy, metrics_a.num_teachers) == (metrics_b.strategy, metrics_b.num_teachers)
+    assert len(metrics_a.epochs) == len(metrics_b.epochs)
+    for a, b in zip(metrics_a.epochs, metrics_b.epochs):
+        for f in dataclasses.fields(a):
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            assert type(x) is type(y), f.name
+            np.testing.assert_array_equal(x, y, err_msg=f.name)
+    for pa, pb in ((student_a.image_params, student_b.image_params),
+                   (student_a.text_params, student_b.text_params)):
+        assert param_fingerprint(pa) == param_fingerprint(pb)
+
+
+# Group members in an order that puts base between distilling members, with
+# two dsw members sharing the K x P gradient matrix in turn.
+GROUP = (
+    ("avg", (0.5, 1.0, 1.0)),
+    ("base", (1.0, 1.0, 1.0)),
+    ("dsw", (1.0, 0.5, 1.0)),
+    ("lsr", (1.0, 1.0, 0.5)),
+    ("dsw", (1.0, 1.0, 1.0)),
+)
+
+
+class TestGroups:
+    """``distill_students`` trains a group in lockstep; every member gets
+    the bits of its own ``distill_student`` run."""
+
+    @pytest.fixture(scope="class")
+    def three_teachers(self, tiny):
+        ds, train_idx, eval_idx, teachers = tiny
+        third = trainer.pretrain_teacher(
+            TINY_PRETRAIN, ds, train_idx, eval_idx,
+            trainer.TeacherSpec(hidden_widths=(12,), output_dim=5), 0, 2,
+        )
+        return teachers + [third]
+
+    @pytest.mark.parametrize(
+        "variant",
+        [
+            {},
+            {"augmentation": trainer.Augmentation("jitter", sigma=0.1), "text_bank_refresh": "batch"},
+            {"augmentation": trainer.Augmentation("mixup", beta=0.4)},
+            {"augmentation": trainer.Augmentation("mixup", beta=0.4), "text_bank_refresh": "batch"},
+            {"lr_schedule": trainer.LrSchedule("cosine"), "tau_distill": 2.5},
+            {"batch_size": 127},  # 128 training rows: a one-row tail batch
+            {"mse_mode": "per_teacher", "num_teachers": 3},  # unequal dims: projections
+        ],
+        ids=["none-epoch", "jitter-batch", "mixup-epoch", "mixup-batch", "cosine-tau", "tail",
+             "per-teacher"],
+    )
+    def test_members_match_solo_runs(self, tiny, three_teachers, variant):
+        ds, train_idx, eval_idx, _ = tiny
+        configs = [
+            tiny_config(epochs=2, lr=3e-3, strategy=s, loss_ratios=r, **variant) for s, r in GROUP
+        ]
+        teachers = three_teachers[: configs[0].num_teachers]
+        group = trainer.distill_students(configs, teachers, ds, train_idx, eval_idx)
+        assert len(group) == len(configs)
+        for cfg, got in zip(configs, group):
+            alone = [] if cfg.strategy == "base" else teachers
+            assert_same_run(got, trainer.distill_student(cfg, alone, ds, train_idx, eval_idx))
+
+    def test_configs_must_differ_only_in_member_fields(self, tiny):
+        ds, train_idx, eval_idx, teachers = tiny
+        with pytest.raises(InvalidConfig, match="configs"):
+            trainer.distill_students(
+                [tiny_config(), tiny_config(batch_size=16)], teachers, ds, train_idx, eval_idx
+            )
+
+    def test_a_failing_member_stops_the_group(self, tiny, monkeypatch):
+        ds, train_idx, eval_idx, teachers = tiny
+
+        def failing(*args, **kwargs):
+            raise NonFiniteInput("synthetic Frank-Wolfe failure")
+
+        monkeypatch.setattr(weighting, "frank_wolfe_min_norm", failing)
+        configs = [tiny_config(strategy=s) for s in ("avg", "dsw")]
+        with pytest.raises(NonFiniteInput, match="synthetic"):
+            trainer.distill_students(configs, teachers, ds, train_idx, eval_idx)
 
 
 class TestRunSingle:
@@ -676,6 +773,81 @@ class TestStepKernels:
             assert all(np.shares_memory(a, flat.grad) for a in grads_views)
             param_views = flat.params.weights + flat.params.biases
             assert all(np.shares_memory(a, flat.p) for a in param_views)
+
+    def test_member_stack(self):
+        # Forward, reverse pass, a member's tape slice and Adam on
+        # member-stacked parameters give each member its bits alone. Only
+        # member 1 keeps zero biases, so only its rows whose hidden units
+        # dropout all drops are passed again: its keep-masks become its own.
+        cfg = encoder.EncoderConfig(10, (3, 5), 4, "tanh", 0.5)
+        rng = seeded_rng(13)
+        members = [encoder.init_params(cfg, seeded_rng(s)) for s in range(3)]
+        for s in (0, 2):
+            members[s] = encoder.EncoderParams(
+                cfg, members[s].weights, [rng.normal(size=b.shape) for b in members[s].biases]
+            )
+        stacked = trainer._stacked(members[0], 3)
+        for i, arrays in enumerate(zip(*[m.weights for m in members])):
+            stacked.weights[i][:] = np.stack(arrays)
+        for i, arrays in enumerate(zip(*[m.biases for m in members])):
+            stacked.biases[i][:] = np.stack(arrays)
+        x = rng.normal(size=(16, 10))
+        masks = encoder._dropout_masks(cfg, 16, rng)
+        masks[0][:2] = False  # rows 0 and 1 drop every unit of the first layer
+        feats, tape = encoder._encode(stacked, x, masks)
+        assert tape.masks[0].shape == (3, 16, 3)  # member 1's retry
+        layout = encoder._Layout(cfg)
+        cot = rng.normal(size=feats.shape)
+        out = encoder.EncoderGrads(*layout.views(np.empty((3, layout.size))))
+        encoder._backward(tape, cot, out)
+        kl_cot = rng.normal(size=(2,) + feats.shape[1:])
+        for s, params in enumerate(members):
+            alone, tape_s = encoder._encode(params, x, masks)
+            np.testing.assert_array_equal(feats[s], alone)
+            grads = encoder.EncoderGrads(*layout.views(np.empty(layout.size)))
+            encoder._backward(tape_s, cot[s], grads)
+            np.testing.assert_array_equal(out.flatten()[s], grads.flatten())
+            # A stacked (K, B, d) cotangent through the member's tape slice.
+            want, got = (
+                encoder.EncoderGrads(*layout.views(np.empty((2, layout.size)))) for _ in "ab"
+            )
+            encoder._backward(tape_s, kl_cot, want)
+            encoder._backward(encoder._member_tape(tape, s), kl_cot, got)
+            np.testing.assert_array_equal(got.flatten(), want.flatten())
+        # member 1 alone retries rows 0 and 1; the others keep the masks.
+        retried = [not np.array_equal(encoder._encode(m, x, masks)[1].masks[0], masks[0] / 0.5)
+                   for m in members]
+        assert retried == [False, True, False]
+        opt = encoder._FlatAdam(stacked, encoder.init_adam(stacked, 1e-2))
+        alone = [encoder._FlatAdam(m, encoder.init_adam(m, 1e-2)) for m in members]
+        for lr in (1e-2, 3e-3):
+            g = rng.normal(size=opt.grad.shape)
+            opt.grad[:] = g
+            opt.step(lr)
+            for s, a in enumerate(alone):
+                a.grad[:] = g[s]
+                a.step(lr)
+                np.testing.assert_array_equal(opt.p[s], a.p)
+
+    def test_total_loss(self):
+        # total_loss is its checks plus the kernel, whose stacked weighted
+        # KL has np.dot's bits for every member.
+        rng = seeded_rng(12)
+        for k in (1, 2, 3, 4):
+            l_clip, l_mse = rng.random(5), rng.random(5)
+            i2t, t2i = rng.random((5, k)), rng.random((5, k))
+            ratios = rng.uniform(0.1, 2.0, (5, 3))
+            alpha = rng.dirichlet(np.ones(k), 5)
+            kl, total = distill._total_losses(l_clip, i2t, t2i, l_mse, ratios, alpha)
+            for m in range(5):
+                want_kl = float(np.dot(alpha[m], i2t[m] + t2i[m]))
+                r_clip, r_kl, r_mse = (float(r) for r in ratios[m])
+                want_total = r_clip * float(l_clip[m]) + r_kl * want_kl + r_mse * float(l_mse[m])
+                assert (kl[m], total[m]) == (want_kl, want_total)
+                public = distill.total_loss(
+                    l_clip[m], list(zip(i2t[m], t2i[m])), l_mse[m], tuple(ratios[m]), alpha[m]
+                )
+                assert (public.l_kl_weighted, public.total) == (want_kl, want_total)
 
     @staticmethod
     def unit_rows(rng, n, d):
