@@ -404,7 +404,9 @@ def _run_teachers(config: TrainConfig, teachers: list[Teacher]) -> list[Teacher]
     return [] if config.strategy == "base" else teachers
 
 
-def _write_run(manifest, label, seed, out_dir, metrics: RunMetrics, teachers, wall_s, group) -> dict:
+def _write_run(
+    manifest, label, seed, out_dir, metrics: RunMetrics, teacher_accuracies, wall_s, group
+) -> dict:
     """Write a completed run's ``metrics.csv`` and ``run.json``, drop any
     ``error.json`` an earlier call left, and return the ``run.json`` dict."""
     run_dir = _run_dir(out_dir, label, seed)
@@ -420,7 +422,7 @@ def _write_run(manifest, label, seed, out_dir, metrics: RunMetrics, teachers, wa
         "final_accuracy": final.accuracy,
         "final_recall5": final.recall5,
         "final_total": final.total,
-        "teacher_accuracies": [t.accuracy for t in teachers],
+        "teacher_accuracies": teacher_accuracies,
         "mean_alphas": list(np.mean([r.alphas for r in metrics.epochs], axis=0))
         if metrics.num_teachers
         else [],
@@ -460,7 +462,8 @@ def _execute_run(payload: tuple) -> dict:
     )
     wall_s = time.perf_counter() - t0
     return _write_run(
-        manifest, grid_label, seed, out_dir, result.metrics, result.teachers, wall_s, [grid_label]
+        manifest, grid_label, seed, out_dir, result.metrics, result.teacher_accuracies, wall_s,
+        [grid_label],
     )
 
 
@@ -487,7 +490,7 @@ def _execute_group(payload: tuple) -> list:
             return [
                 _write_run(
                     manifest, label, seed, out_dir, metrics,
-                    _run_teachers(config, teachers), wall_s, labels,
+                    [t.accuracy for t in _run_teachers(config, teachers)], wall_s, labels,
                 )
                 for label, config, (_, metrics) in zip(labels, configs, results)
             ]
