@@ -269,7 +269,9 @@ def _encode(
 
 def _member_params(params: EncoderParams, s: int) -> EncoderParams:
     """Member ``s`` of member-stacked parameters, as views."""
-    return EncoderParams(params.config, [w[s] for w in params.weights], [b[s] for b in params.biases])
+    return EncoderParams(
+        params.config, [w[s] for w in params.weights], [b[s] for b in params.biases]
+    )
 
 
 def _member_tape(tape: ForwardTape, s: int) -> ForwardTape:

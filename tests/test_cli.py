@@ -280,12 +280,10 @@ class TestRun:
                     run = Path("runs") / label / f"seed_{seed}" / "metrics.csv"
                     assert (serial / run).read_bytes() == (parallel / run).read_bytes(), run
             if suite == "strategy" and seeds == [0]:
-                groups = {
-                    label: json.loads((parallel / "runs" / label / "seed_0" / "run.json").read_text())[
-                        "group"
-                    ]
-                    for label in labels
-                }
+                info = lambda label: json.loads(  # noqa: E731
+                    (parallel / "runs" / label / "seed_0" / "run.json").read_text()
+                )
+                groups = {label: info(label)["group"] for label in labels}
                 assert groups == {
                     "base": ["base", "avg"], "avg": ["base", "avg"],
                     "lsr": ["lsr", "dsw"], "dsw": ["lsr", "dsw"],
@@ -428,12 +426,14 @@ class TestRun:
 
         monkeypatch.setattr(weighting, "frank_wolfe_min_norm", failing)
         assert cli.main(["run", str(p), "--output-dir", str(bad)]) == 4
-        assert "numeric error: run dsw/seed_0: synthetic Frank-Wolfe failure" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "numeric error: run dsw/seed_0: synthetic Frank-Wolfe failure" in err
         for label in ("base", "avg", "lsr"):
             run = Path("runs") / label / "seed_0"
-            assert (bad / run / "metrics.csv").read_bytes() == (good / run / "metrics.csv").read_bytes()
-            assert json.loads((bad / run / "run.json").read_text())["group"] == [label]
-            assert json.loads((good / run / "run.json").read_text())["group"] == list(cli.STRATEGY_GRID)
+            good_bytes = (good / run / "metrics.csv").read_bytes()
+            assert (bad / run / "metrics.csv").read_bytes() == good_bytes
+            infos = [json.loads((out / run / "run.json").read_text()) for out in (bad, good)]
+            assert [i["group"] for i in infos] == [[label], list(cli.STRATEGY_GRID)]
         dsw = bad / "runs" / "dsw" / "seed_0"
         assert sorted(f.name for f in dsw.iterdir()) == ["error.json"]
         failed_runs = json.loads((bad / "manifest.json").read_text())["failed_runs"]

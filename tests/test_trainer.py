@@ -92,7 +92,8 @@ class TestTrainConfig:
     def test_errors_survive_pickling(self):
         # A run's error comes back from a worker process pickled.
         e = pickle.loads(pickle.dumps(InvalidConfig("epochs", "must be >= 1")))
-        assert (type(e), e.field, e.why, str(e)) == (InvalidConfig, "epochs", "must be >= 1", "epochs must be >= 1")
+        assert (type(e), e.field, e.why) == (InvalidConfig, "epochs", "must be >= 1")
+        assert str(e) == "epochs must be >= 1"
 
     # The training step divides by temperatures without checking them, so
     # an infinite one would train to completion on uniform distributions.
@@ -550,7 +551,8 @@ def assert_same_run(got, want):
     """Two (student, metrics) results agree bit for bit: every field of
     every epoch record, and every parameter."""
     (student_a, metrics_a), (student_b, metrics_b) = got, want
-    assert (metrics_a.strategy, metrics_a.num_teachers) == (metrics_b.strategy, metrics_b.num_teachers)
+    assert metrics_a.strategy == metrics_b.strategy
+    assert metrics_a.num_teachers == metrics_b.num_teachers
     assert len(metrics_a.epochs) == len(metrics_b.epochs)
     for a, b in zip(metrics_a.epochs, metrics_b.epochs):
         for f in dataclasses.fields(a):
@@ -590,7 +592,10 @@ class TestGroups:
         "variant",
         [
             {},
-            {"augmentation": trainer.Augmentation("jitter", sigma=0.1), "text_bank_refresh": "batch"},
+            {
+                "augmentation": trainer.Augmentation("jitter", sigma=0.1),
+                "text_bank_refresh": "batch",
+            },
             {"augmentation": trainer.Augmentation("mixup", beta=0.4)},
             {"augmentation": trainer.Augmentation("mixup", beta=0.4), "text_bank_refresh": "batch"},
             {"lr_schedule": trainer.LrSchedule("cosine"), "tau_distill": 2.5},
