@@ -117,7 +117,7 @@ STUDENT_SIZE_GRID = (
 METRIC_COLUMNS = (
     "suite", "grid_point", "seed", "epoch",
     "l_clip", "l_kl", "l_mse", "total",
-    "acc", "recall1", "recall5",
+    "acc", "recall5",
     "alpha_0", "alpha_1", "alpha_2", "alpha_3",
     "fw_iters", "lr",
 )
@@ -378,7 +378,7 @@ def write_metrics_csv(path, suite: str, grid: str, seed: int, metrics: RunMetric
                 [
                     suite, grid, seed, rec.epoch,
                     _fmt(rec.l_clip), _fmt(rec.l_kl), _fmt(rec.l_mse), _fmt(rec.total),
-                    _fmt(rec.accuracy), _fmt(rec.recall1), _fmt(rec.recall5),
+                    _fmt(rec.accuracy), _fmt(rec.recall5),
                     _fmt(alphas[0]), _fmt(alphas[1]), _fmt(alphas[2]), _fmt(alphas[3]),
                     _fmt(rec.fw_iterations), _fmt(rec.lr),
                 ]
@@ -722,7 +722,7 @@ def cmd_report(args) -> int:
     with _atomic_open(out_dir / "long.csv") as f:
         writer = csv.writer(f)
         writer.writerow(["grid_point", "seed", "epoch", "metric", "value"])
-        long_metrics = ("l_clip", "l_kl", "l_mse", "total", "acc", "recall1", "recall5")
+        long_metrics = ("l_clip", "l_kl", "l_mse", "total", "acc", "recall5")
         for metrics_csv in sorted(out_dir.glob("runs/*/seed_*/metrics.csv")):
             for row in _read_csv(metrics_csv, ("grid_point", "seed", "epoch") + long_metrics):
                 for metric in long_metrics:

@@ -340,7 +340,6 @@ class EpochRecord:
     l_mse: float
     total: float
     accuracy: float
-    recall1: float
     recall5: float
     alphas: np.ndarray    # mean strategy weights over the epoch's batches
     fw_iterations: float
@@ -439,9 +438,10 @@ def evaluate(
     idx,
     tau: float,
     bank: np.ndarray | None = None,
-) -> tuple[float, float, float]:
-    """(accuracy, recall@1, recall@5) of classification over the class
-    ranking; the bank defaults to the model's own encoded class anchors."""
+) -> tuple[float, float]:
+    """(accuracy, recall@5) of classification over the class ranking; the
+    bank defaults to the model's own encoded class anchors. Each class has
+    one bank row, so recall@1 is the accuracy."""
     if bank is None:
         bank = build_class_bank(text_params, dataset)
     idx = np.asarray(idx, dtype=np.int64)
@@ -449,7 +449,7 @@ def evaluate(
     ranks = rank_of_label(feats, bank, dataset.labels[idx], tau)
     acc = float(np.mean(ranks < 1))
     r5 = float(np.mean(ranks < min(5, bank.shape[0])))
-    return acc, acc, r5
+    return acc, r5
 
 
 def _init_encoder_pair(arch, dataset: PairedDataset, rng) -> tuple[EncoderParams, EncoderParams]:
@@ -541,7 +541,7 @@ def pretrain_teacher(
             txt.step(cfg.lr)
 
     img_params, txt_params = img.result(), txt.result()
-    acc, _, _ = evaluate(img_params, txt_params, dataset, eval_idx, cfg.tau)
+    acc, _ = evaluate(img_params, txt_params, dataset, eval_idx, cfg.tau)
     if spec.corruption != LABEL_SHUFFLE and acc < cfg.accuracy_gate:
         warnings.warn(
             f"teacher {teacher_index} reached eval accuracy {acc:.3f}, below the "
@@ -1046,7 +1046,7 @@ def distill_students(
         nb = max(n_batches, 1)
         lr_epoch = lr_at(config.lr_schedule, config.lr, step - 1, total_steps)
         for s in range(members):
-            acc, r1, r5 = evaluate(
+            acc, r5 = evaluate(
                 img_views[s], txt_views[s], dataset, eval_idx, config.tau_student, bank_eval
             )
             runs[s].epochs.append(
@@ -1057,7 +1057,6 @@ def distill_students(
                     l_mse=float(l_mse_sum[s] / nb),
                     total=float(total_sum[s] / nb),
                     accuracy=acc,
-                    recall1=r1,
                     recall5=r5,
                     alphas=alpha_sum[s] / nb if s < n_dist else uniform.copy(),
                     fw_iterations=float(fw_sum[s] / nb),

@@ -9,14 +9,13 @@ The digests cover two kinds of output:
 
 - the sha256 of every ``metrics.csv`` and ``summary.csv`` that ``kdlab run``
   writes for the five suites on ``test_cli``'s tiny manifest, and for the
-  determinism manifest of acceptance 11; a ``metrics.csv`` is hashed
-  without its ``recall1`` column, which always equals ``acc``;
-- a digest of every ``EpochRecord`` field but ``recall1`` and the
-  student's parameters of 2-epoch ``distill_student`` runs, over the
-  strategies, augmentations, teacher counts, text-bank refresh modes, MSE
-  modes and learning-rate schedules, a distillation temperature that
-  differs from the student's, and batch sizes that leave a one-row tail;
-  plus the teachers' parameters, banks and accuracies;
+  determinism manifest of acceptance 11;
+- a digest of every ``EpochRecord`` field and the student's parameters of
+  2-epoch ``distill_student`` runs, over the strategies, augmentations,
+  teacher counts, text-bank refresh modes, MSE modes and learning-rate
+  schedules, a distillation temperature that differs from the student's,
+  and batch sizes that leave a one-row tail; plus the teachers' parameters,
+  banks and accuracies;
 - the same for short runs at the default dataset and student shapes: a
   ``dsw`` run, the benchmark's mixup ``lsr`` K=3 run, a ``jitter`` ``avg``
   run, and a batch size of 48, whose epoch spans several blocks of batches
@@ -28,11 +27,9 @@ with them as perfbench's ``run.platform_key()``.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import hashlib
 import importlib.util
-import io
 import json
 import sys
 import tempfile
@@ -116,27 +113,13 @@ def _params(p) -> list[np.ndarray]:
     return list(p.weights) + list(p.biases)
 
 
-def _csv_bytes(path: Path) -> bytes:
-    """A CSV's bytes; a ``metrics.csv`` without its ``recall1`` column,
-    written back as ``csv.writer`` writes it."""
-    raw = path.read_bytes()
-    rows = list(csv.reader(io.StringIO(raw.decode(), newline="")))
-    if path.name != "metrics.csv" or "recall1" not in rows[0]:
-        return raw
-    drop = rows[0].index("recall1")
-    out = io.StringIO(newline="")
-    csv.writer(out).writerows(row[:drop] + row[drop + 1 :] for row in rows)
-    return out.getvalue().encode()
-
-
 def _run_sha(student, metrics, *more) -> str:
-    """Digest of a run: every field of every ``EpochRecord`` but
-    ``recall1``, the student's parameters, then ``more``."""
+    """Digest of a run: every field of every ``EpochRecord``, the
+    student's parameters, then ``more``."""
     fields = [
         np.asarray(getattr(rec, f.name))
         for rec in metrics.epochs
         for f in dataclasses.fields(rec)
-        if f.name != "recall1"
     ]
     return _sha(*fields, *_params(student.image_params), *_params(student.text_params), *more)
 
@@ -161,7 +144,7 @@ def suite_digests(workdir: Path) -> dict[str, str]:
             raise RuntimeError(f"kdlab run failed on the {name} manifest")
         for f in sorted(run_dir.rglob("*.csv")):
             out[f"{name}/{f.relative_to(run_dir).as_posix()}"] = hashlib.sha256(
-                _csv_bytes(f)
+                f.read_bytes()
             ).hexdigest()
     return out
 

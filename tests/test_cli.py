@@ -177,6 +177,12 @@ class TestManifestSchema:
         listed = set(re.findall(r"^\| `([^`]+)` \|", readme, flags=re.M))
         assert listed == expected
 
+    def test_readme_lists_the_metrics_columns(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"`metrics.csv` has the fixed columns\n\n```\n(.*?)```", readme, re.S)
+        assert block, "README has no metrics.csv column block"
+        assert [c.strip() for c in block[1].split(",")] == list(cli.METRIC_COLUMNS)
+
 
 class TestGrids:
     def test_loss_ratio_rows(self, tmp_path):
@@ -454,7 +460,7 @@ class TestRun:
         path = tmp_path / "metrics.csv"
         path.write_bytes(b"previous\n")
         record = trainer.EpochRecord(
-            0, 1.0, 0.5, 0.25, 1.75, 0.5, 0.5, 1.0, [0.5, 0.5], 0.0, 1e-4, True
+            0, 1.0, 0.5, 0.25, 1.75, 0.5, 1.0, [0.5, 0.5], 0.0, 1e-4, True
         )
         broken = trainer.RunMetrics("avg", 2, [record, None])  # raises after one row
         with pytest.raises(AttributeError):
@@ -475,8 +481,8 @@ class TestReport:
         assert (out / "report.txt").exists()
         with open(out / "long.csv", newline="") as f:
             long_rows = list(csv.DictReader(f))
-        # 4 strategies x 2 seeds x 2 epochs x 7 metrics
-        assert len(long_rows) == 4 * 2 * 2 * 7
+        # 4 strategies x 2 seeds x 2 epochs x 6 metrics
+        assert len(long_rows) == 4 * 2 * 2 * 6
 
     def test_no_runs_found(self, tmp_path):
         assert cli.main(["report", str(tmp_path)]) == 3

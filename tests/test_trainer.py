@@ -249,7 +249,7 @@ class TestPretrain:
         )
         # gate accuracy recorded pre-corruption
         assert teacher.accuracy > 0.9
-        acc, _, _ = trainer.evaluate(
+        acc, _ = trainer.evaluate(
             teacher.image_params, teacher.text_params, ds, eval_idx, 4.0, teacher.bank
         )
         assert acc <= 2.0 / TINY_SPEC.num_classes
@@ -267,7 +267,7 @@ class TestEvaluate:
     def test_recall_at_n_is_one(self, tiny):
         ds, train_idx, eval_idx, teachers = tiny
         t = teachers[0]
-        _, _, r5 = trainer.evaluate(t.image_params, t.text_params, ds, eval_idx, 4.0)
+        _, r5 = trainer.evaluate(t.image_params, t.text_params, ds, eval_idx, 4.0)
         assert r5 >= 0.99  # N=4 classes, recall@min(5,N) is full ranking
 
     def test_random_student_near_chance_eight_classes(self):
@@ -279,7 +279,7 @@ class TestEvaluate:
             tcfg = trainer.EncoderConfig(ds.spec.text_dim, (48, 48), 8)
             img = trainer.init_params(cfg, seeded_rng(seed, 1))
             txt = trainer.init_params(tcfg, seeded_rng(seed, 2))
-            acc, _, _ = trainer.evaluate(img, txt, ds, eval_idx, 4.0)
+            acc, _ = trainer.evaluate(img, txt, ds, eval_idx, 4.0)
             accs.append(acc)
         assert abs(np.mean(accs) - 0.125) < 0.05
 
