@@ -268,7 +268,7 @@ class TrainConfig:
     student: StudentConfig = StudentConfig()
     seed: int = 0
     text_bank_refresh: str = "epoch"   # epoch | batch
-    eval_bank: str = "student"         # student | teacher:<k>
+    eval_bank: str = "student"         # student only
     mse_mode: str = "weighted_target"  # weighted_target | per_teacher
     kl_weight_mode: str = "per_teacher"  # per_teacher only
     train_fraction: float = 0.8
@@ -298,21 +298,9 @@ class TrainConfig:
             raise InvalidConfig(
                 "kl_weight_mode", f"must be 'per_teacher', got {self.kl_weight_mode!r}"
             )
-        if self.eval_bank != "student" and not self._valid_teacher_bank():
-            raise InvalidConfig(
-                "eval_bank",
-                f"must be 'student' or 'teacher:<j>' with 0 <= j < num_teachers="
-                f"{self.num_teachers} under a distilling strategy, got {self.eval_bank!r}",
-            )
-
-    def _valid_teacher_bank(self) -> bool:
-        prefix, _, j = self.eval_bank.partition(":")
-        return (
-            prefix == "teacher"
-            and j.isdecimal()
-            and int(j) < self.num_teachers
-            and self.strategy != "base"
-        )
+        if self.eval_bank != "student":
+            # Runs evaluate on the student's own class bank.
+            raise InvalidConfig("eval_bank", f"must be 'student', got {self.eval_bank!r}")
 
 
 @dataclass
@@ -437,13 +425,11 @@ def evaluate(
     dataset: PairedDataset,
     idx,
     tau: float,
-    bank: np.ndarray | None = None,
 ) -> tuple[float, float]:
-    """(accuracy, recall@5) of classification over the class ranking; the
-    bank defaults to the model's own encoded class anchors. Each class has
-    one bank row, so recall@1 is the accuracy."""
-    if bank is None:
-        bank = build_class_bank(text_params, dataset)
+    """(accuracy, recall@5) of classification over the ranking of the
+    model's own encoded class anchors. Each class has one bank row, so
+    recall@1 is the accuracy."""
+    bank = build_class_bank(text_params, dataset)
     idx = np.asarray(idx, dtype=np.int64)
     feats, _ = encode(image_params, dataset.image_raw[idx], train_mode=False)
     ranks = rank_of_label(feats, bank, dataset.labels[idx], tau)
@@ -899,7 +885,6 @@ def distill_students(
     # Each member's parameters as views, for evaluation.
     img_views = [_member_params(img.params, at(s)) for s in range(members)]
     txt_views = [_member_params(txt.params, at(s)) for s in range(members)]
-    bank_eval = _eval_bank(config, teachers)
 
     runs = [RunMetrics(strategy=c.strategy, num_teachers=k) for c in configs]
     step = 0
@@ -1047,7 +1032,7 @@ def distill_students(
         lr_epoch = lr_at(config.lr_schedule, config.lr, step - 1, total_steps)
         for s in range(members):
             acc, r5 = evaluate(
-                img_views[s], txt_views[s], dataset, eval_idx, config.tau_student, bank_eval
+                img_views[s], txt_views[s], dataset, eval_idx, config.tau_student
             )
             runs[s].epochs.append(
                 EpochRecord(
@@ -1069,13 +1054,6 @@ def distill_students(
     for s, at in enumerate(order):
         results[at] = (StudentModel(img_views[s].copy(), txt_views[s].copy()), runs[s])
     return results
-
-
-def _eval_bank(config: TrainConfig, teachers):
-    """The bank evaluation ranks against; TrainConfig validated the name."""
-    if config.eval_bank == "student":
-        return None  # evaluate() builds it from the student text encoder
-    return teachers[int(config.eval_bank.split(":", 1)[1])].bank
 
 
 DEFAULT_TEACHER_ROSTER: tuple[TeacherSpec, ...] = (
