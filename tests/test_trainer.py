@@ -573,6 +573,8 @@ GROUP = (
     ("lsr", (1.0, 1.0, 0.5)),
     ("dsw", (1.0, 1.0, 1.0)),
 )
+# A loss_ratio suite under base: several members, none of them distilling.
+ALL_BASE = tuple(("base", r) for _, r in cli.LOSS_RATIO_GRID)
 
 
 class TestGroups:
@@ -589,26 +591,31 @@ class TestGroups:
         return teachers + [third]
 
     @pytest.mark.parametrize(
-        "variant",
+        "members, variant",
         [
-            {},
-            {
+            (GROUP, {}),
+            (GROUP, {
                 "augmentation": trainer.Augmentation("jitter", sigma=0.1),
                 "text_bank_refresh": "batch",
-            },
-            {"augmentation": trainer.Augmentation("mixup", beta=0.4)},
-            {"augmentation": trainer.Augmentation("mixup", beta=0.4), "text_bank_refresh": "batch"},
-            {"lr_schedule": trainer.LrSchedule("cosine"), "tau_distill": 2.5},
-            {"batch_size": 127},  # 128 training rows: a one-row tail batch
-            {"mse_mode": "per_teacher", "num_teachers": 3},  # unequal dims: projections
+            }),
+            (GROUP, {"augmentation": trainer.Augmentation("mixup", beta=0.4)}),
+            (GROUP, {
+                "augmentation": trainer.Augmentation("mixup", beta=0.4),
+                "text_bank_refresh": "batch",
+            }),
+            (GROUP, {"lr_schedule": trainer.LrSchedule("cosine"), "tau_distill": 2.5}),
+            (GROUP, {"batch_size": 127}),  # 128 training rows: a one-row tail batch
+            (GROUP, {"mse_mode": "per_teacher", "num_teachers": 3}),  # unequal dims: projections
+            (ALL_BASE, {}),
         ],
         ids=["none-epoch", "jitter-batch", "mixup-epoch", "mixup-batch", "cosine-tau", "tail",
-             "per-teacher"],
+             "per-teacher", "all-base"],
     )
-    def test_members_match_solo_runs(self, tiny, three_teachers, variant):
+    def test_members_match_solo_runs(self, tiny, three_teachers, members, variant):
         ds, train_idx, eval_idx, _ = tiny
         configs = [
-            tiny_config(epochs=2, lr=3e-3, strategy=s, loss_ratios=r, **variant) for s, r in GROUP
+            tiny_config(epochs=2, lr=3e-3, strategy=s, loss_ratios=r, **variant)
+            for s, r in members
         ]
         teachers = three_teachers[: configs[0].num_teachers]
         group = trainer.distill_students(configs, teachers, ds, train_idx, eval_idx)
