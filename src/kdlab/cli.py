@@ -703,14 +703,17 @@ def cmd_report(args) -> int:
         r["acc_std"] = _csv_float(summary, r, "acc_std")
     rows.sort(key=lambda r: -r["acc_mean"])
 
+    # A grid point aggregates over the seeds whose runs completed, so the
+    # count is per row: a failed run leaves its grid point fewer.
     lines = [
-        f"suite: {rows[0]['suite']}   (runs aggregated over {rows[0]['n_seeds']} seeds)",
-        f"{'rank':<5}{'grid_point':<16}{'acc mean':>10}{'acc std':>10}{'recall@5':>10}",
+        f"suite: {rows[0]['suite']}",
+        f"{'rank':<5}{'grid_point':<16}{'seeds':>6}{'acc mean':>10}{'acc std':>10}"
+        f"{'recall@5':>10}",
     ]
     for rank, r in enumerate(rows, start=1):
         flag = "  *best*" if rank == 1 else ""
         lines.append(
-            f"{rank:<5}{r['grid_point']:<16}{r['acc_mean']:>10.4f}"
+            f"{rank:<5}{r['grid_point']:<16}{r['n_seeds']:>6}{r['acc_mean']:>10.4f}"
             f"{r['acc_std']:>10.4f}{_csv_float(summary, r, 'recall5_mean'):>10.4f}{flag}"
         )
     text = "\n".join(lines)

@@ -417,6 +417,10 @@ class TestRun:
             n_seeds = {r["grid_point"]: int(r["n_seeds"]) for r in csv.DictReader(f)}
         assert n_seeds == {"base": 2, "avg": 1, "lsr": 1, "dsw": 1}
         assert (out / "manifest.json").exists()
+        # The report counts each grid point's seeds on its own row.
+        assert cli.main(["report", str(out)]) == 0
+        rows = capsys.readouterr().out.splitlines()[2:]
+        assert {f[1]: int(f[2]) for f in map(str.split, rows)} == n_seeds
 
     def test_group_that_raises_runs_each_run_alone(self, tmp_path, monkeypatch, capsys):
         # Frank-Wolfe fails, so the strategy group's lockstep training
