@@ -703,12 +703,10 @@ def cmd_report(args) -> int:
         r["acc_std"] = _csv_float(summary, r, "acc_std")
     rows.sort(key=lambda r: -r["acc_mean"])
 
-    # A grid point aggregates over the seeds whose runs completed, so the
-    # count is per row: a failed run leaves its grid point fewer.
+    # Seeds per row: a failed run leaves its grid point fewer.
     lines = [
         f"suite: {rows[0]['suite']}",
-        f"{'rank':<5}{'grid_point':<16}{'seeds':>6}{'acc mean':>10}{'acc std':>10}"
-        f"{'recall@5':>10}",
+        f"{'rank':<5}{'grid_point':<16}{'seeds':>6}{'acc mean':>10}{'acc std':>10}{'recall@5':>10}",
     ]
     for rank, r in enumerate(rows, start=1):
         flag = "  *best*" if rank == 1 else ""

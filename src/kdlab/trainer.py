@@ -53,20 +53,21 @@ Groups: ``distill_students`` trains the runs of one seed whose configs
 differ only in ``strategy`` and ``loss_ratios`` in lockstep, and
 ``distill_student`` is its one-member call. The members start from the
 same parameters and see the same draws, so the student state gets a
-leading member axis S (a one-member call has none, since numpy's ops cost
-more on (1, ...) stacks): the encoders' parameters, gradients and Adam
-moments are (S, P) buffers, and each batch runs one forward pass, one
-contrastive loss, one reverse pass and one Adam step for every member at
-once (see ``encoder``'s member stacks). Per group: one teacher pass, one
-set of draws, and under ``lsr`` one set of weights per batch from the
-shared scores. Per member: ``dsw``'s stacked KL reverse passes through
-its slice of each tape, then Frank-Wolfe and the certificate; the loss
-assembly; the finite-loss check; ``evaluate``; its ``EpochRecord``. The
-KL, MSE and total-loss terms run once over the distilling members;
-``base`` members skip them. Every member gets the bits it gets alone:
-each product runs one BLAS call per member, and every reduction runs over
-that member's own contiguous terms. A failure of any member stops the
-whole call.
+leading member axis S, which ``_Members`` lays out: the encoders'
+parameters, gradients and Adam moments are (S, P) buffers, and each batch
+runs one forward pass, one contrastive loss, one reverse pass and one
+Adam step for every member at once (see ``encoder``'s member stacks).
+Per group: one teacher pass and one set of draws. Per batch,
+``_distill_terms`` runs the KL, MSE and total-loss terms once over the
+distilling members (``base`` members skip them), weighted by
+``_teacher_weights``: under ``lsr`` one set of weights from the shared
+scores, and per ``dsw`` member its stacked KL reverse passes through its
+slice of each tape, Frank-Wolfe and the certificate. Per member: the
+finite-loss check, ``evaluate``, and the ``EpochRecord`` that
+``_EpochSums`` builds. Every member gets the bits it gets alone: each
+product runs one BLAS call per member, and every reduction runs over that
+member's own contiguous terms. A failure of any member stops the whole
+call.
 
 The training step: ``pretrain_teacher`` and ``distill_students`` check
 their inputs once, at entry. The dataset's image rows, class text anchors and
@@ -88,18 +89,10 @@ mode or without dropout, raises ``ZeroVector``.
 - The student's image-to-text and text-to-image log-distributions are
   computed once per batch. The contrastive loss and every teacher's KL
   share them when ``tau_distill == tau_student``.
-- The KL terms of the K teachers run as one stacked pass over (K, B, N)
-  and (K, N, B) distributions, whose losses one reduction sums, each
-  teacher over its own slice.
 - Each encoder's parameters, gradient and Adam moments live in flat
-  float64 buffers, laid out once per run, that every step updates in
-  place. Each reverse pass writes its gradients into views of the
-  gradient buffer; ``dsw``'s stacked passes write into views of one K x P
-  matrix, also allocated once per run. Adam runs through one scratch
-  buffer per encoder and then the used-up gradient buffer.
-- The kernels skip numpy's wrappers where a ufunc or plain float
-  arithmetic does the same (``np.mean``, ``np.linalg.norm``, ``np.clip``
-  on a scalar).
+  buffers laid out once per run and updated in place (see ``encoder``);
+  ``dsw``'s stacked passes write into one K x P matrix
+  (``_kl_grad_matrix``), also laid out once per run.
 
 Single-threaded runs are bit-deterministic in (config, seed): every random
 draw comes from named PCG64 streams derived from the run seed.
@@ -719,15 +712,14 @@ class _TeacherPass:
         )
 
 
-def _mse_terms(mode: str, proj: _Projection, alpha, feats_s, w_s_rows, t_feats, t_rows):
+def _mse_terms(mode: str, proj: _Projection, columns, feats_s, w_s_rows, t_feats, t_rows):
     """The MSE imitation term and its gradients with respect to the
     student's image features and soft-gathered text rows: against the
     alpha-weighted teacher targets, or against each teacher's own, weighted
-    by alpha. The student arrays may carry a leading member axis, and
-    ``alpha`` then holds one row of K weights per member."""
+    by alpha. ``columns`` are alpha's K columns (``_Members.columns``), and
+    the student arrays may carry a leading member axis."""
     if mode == "weighted_target":
         d_t = t_feats[0].shape[-1]
-        columns = _columns(alpha)
         u_target = sum(a * u for a, u in zip(columns, t_feats))
         w_target = sum(a * w for a, w in zip(columns, t_rows))
         m = distill._mse_align(
@@ -737,20 +729,13 @@ def _mse_terms(mode: str, proj: _Projection, alpha, feats_s, w_s_rows, t_feats, 
     value = 0.0
     g_u = np.zeros_like(feats_s)
     g_w = np.zeros_like(w_s_rows)
-    for a, u_t, w_t in zip(_columns(alpha), t_feats, t_rows):
+    for a, u_t, w_t in zip(columns, t_feats, t_rows):
         d_t = u_t.shape[-1]
         m = distill._mse_align(u_t, proj.forward(feats_s, d_t), w_t, proj.forward(w_s_rows, d_t))
         value += a.reshape(np.shape(m.value)) * m.value
         g_u += a * proj.backward(m.grad_image, d_t)
         g_w += a * proj.backward(m.grad_text, d_t)
     return value, g_u, g_w
-
-
-def _columns(weights: np.ndarray) -> list:
-    """The K columns of (..., K) weights, each shaped to scale (..., B, d)
-    arrays: K scalars for one member's weights, K (S, 1, 1) arrays for a
-    member stack's."""
-    return list(weights) if weights.ndim == 1 else list(weights.T[..., None, None])
 
 
 # The fields the runs of one group may differ in; they share all others.
@@ -771,6 +756,173 @@ def _stacked(params: EncoderParams, members: int) -> EncoderParams:
         [np.repeat(w[None], members, axis=0) for w in params.weights],
         [np.repeat(b[None], members, axis=0) for b in params.biases],
     )
+
+
+class _Members:
+    """A group's members in the step's order: the distilling ones first, so
+    that they are the leading slice ``[:n_dist]`` of the member axis and
+    every view of them is a view, not a copy. A one-member call has no
+    member axis, since numpy's ops cost more on (1, ...) stacks; this class
+    alone decides that. ``lead`` and ``lead_dist`` are the member axes of
+    all members and of the distilling ones."""
+
+    def __init__(self, configs: Sequence[TrainConfig]):
+        given = list(configs)
+        if any(_group_key(c) != _group_key(given[0]) for c in given[1:]):
+            raise InvalidConfig("configs", f"must differ only in {' and '.join(_MEMBER_FIELDS)}")
+        self.order = sorted(range(len(given)), key=lambda s: given[s].strategy == "base")
+        self.configs = [given[s] for s in self.order]
+        self.n, self.n_dist = len(given), sum(c.strategy != "base" for c in given)
+        self.lead = () if self.n == 1 else (self.n,)
+        self.lead_dist = self.lead if self.n_dist == self.n else (self.n_dist,)
+        # Each strategy's members, whose rows of the weights it fills.
+        self.rows = {
+            name: [s for s in range(self.n_dist) if self.configs[s].strategy == name]
+            for name in STRATEGIES
+        }
+        k = given[0].num_teachers
+        self.uniform = np.full(k, 1.0 / k) if k else np.zeros(0)
+        ratios = np.array([c.loss_ratios for c in self.configs])  # (n, 3)
+        self.r_clip = ratios[:, 0]
+        self.r_clip_grad = self.r_clip.reshape(self.lead + (1, 1))
+        self.ratios_dist = ratios[: self.n_dist].reshape(self.lead_dist + (3,))
+        self.r_kl, self.r_mse = self.ratios_dist[..., 1], self.ratios_dist[..., 2, None, None]
+
+    def at(self, s):
+        """The index of member ``s``, or of a list of members, on a member axis."""
+        return ... if self.n == 1 else s
+
+    def dist(self, a):
+        """The distilling members of ``a``, which has the member axis."""
+        return a if self.n_dist == self.n else a[: self.n_dist]
+
+    def columns(self, weights: np.ndarray) -> list:
+        """The K columns of (lead_dist, K) weights, each shaped to scale
+        (lead_dist, B, d) arrays: K scalars, or K (n_dist, 1, 1) arrays."""
+        return list(weights.T[..., None, None]) if self.lead_dist else list(weights)
+
+    def stacked(self, *params: EncoderParams) -> list[EncoderParams]:
+        return [p if self.n == 1 else _stacked(p, self.n) for p in params]
+
+    def views(self, params: EncoderParams) -> list[EncoderParams]:
+        """Each member's parameters, as views."""
+        return [_member_params(params, self.at(s)) for s in range(self.n)]
+
+    def in_given_order(self, items: list) -> list:
+        return [items[self.order.index(s)] for s in range(self.n)]
+
+
+def _kl_grad_matrix(k: int, img: _FlatAdam, txt: _FlatAdam) -> tuple:
+    """The K x P matrix of a dsw member's per-teacher KL gradients, image
+    encoder's columns first, and each encoder's views into it; laid out
+    once per call and used by the dsw members in turn."""
+    grads = np.empty((k, img.layout.size + txt.layout.size))
+    parts = np.split(grads, [img.layout.size], axis=1)
+    return grads, *(EncoderGrads(*enc.layout.views(a)) for enc, a in zip((img, txt), parts))
+
+
+def _teacher_weights(members: _Members, t_block, i, kl_grad_u, kl_grad_w, tapes, dsw_grads):
+    """The distilling members' (lead_dist, K) teacher weights for batch
+    ``i`` of ``t_block``, and per dsw member its (s, Frank-Wolfe iterations,
+    certified): ``avg`` rows are uniform, ``lsr`` rows come from the batch's
+    label-similarity scores, and each ``dsw`` member runs its KL cotangents
+    through one stacked reverse pass per tape into ``dsw_grads``, then
+    Frank-Wolfe and, once that converged, the certificate."""
+    alpha = np.empty(members.lead_dist + (members.uniform.size,))
+    if members.rows["avg"]:
+        alpha[members.at(members.rows["avg"])] = members.uniform
+    if members.rows["lsr"]:
+        scores = t_block.lsr_scores[i]
+        alpha[members.at(members.rows["lsr"])] = weighting.lsr_weights(scores).weights
+    stats = []
+    for s in members.rows["dsw"]:
+        grads, kl_img, kl_txt = dsw_grads
+        _backward(_member_tape(tapes[0], s), kl_grad_u[members.at(s)], kl_img)
+        _backward(_member_tape(tapes[1], s), kl_grad_w[members.at(s)], kl_txt)
+        fw = weighting.frank_wolfe_min_norm(
+            grads, max_iter=weighting.DSW_MAX_ITER, tol=weighting.DSW_TOL
+        )
+        alpha[members.at(s)] = fw.weights
+        certified = not fw.converged or weighting.certify_pareto_stationarity(
+            fw.direction, grads, tol=1e-6
+        ).passed
+        stats.append((s, fw.iterations, certified))
+    return alpha, stats
+
+
+def _distill_terms(members, proj, t_block, i, batch, mix, student, tapes, dsw_grads, out):
+    """The distilling members' KL and MSE terms for batch ``i`` of
+    ``t_block``, weighted by :func:`_teacher_weights`. ``student`` is the
+    step's (features, class bank, distributions); ``out`` is its (clip
+    losses, feature gradients, bank gradients, totals), where the
+    distilling members' totals are set and their gradients added to, in
+    place. Returns (kl, mse, alpha, stats) for the epoch's sums."""
+    config = members.configs[0]
+    feats_s, bank_s, dists = student
+    l_clip, g_u, g_w, total = out
+    feats, bank = members.dist(feats_s), members.dist(bank_s)
+    kl_i2t, kl_t2i, kl_grad_u, kl_grad_w = distill._kl_stack(
+        t_block.i2t[i], t_block.t2i[i], feats, bank, config.tau_distill,
+        tuple(map(members.dist, dists)) if config.tau_distill == config.tau_student
+        else _pair_log_softmax(feats, bank, config.tau_distill),
+    )
+    alpha, stats = _teacher_weights(members, t_block, i, kl_grad_u, kl_grad_w, tapes, dsw_grads)
+
+    # MSE block: imitate the (weighted) teacher features.
+    mse, g_mse_u, g_mse_w_rows = _mse_terms(
+        config.mse_mode, proj, members.columns(alpha), feats,
+        _soft_gather(bank, batch.labels_a, mix),
+        [f[i] for f in t_block.feats], [r[i] for r in t_block.bank_rows],
+    )
+    g_mse_w = _soft_scatter(g_mse_w_rows, batch.labels_a, mix, bank.shape[-2])
+    kl, total[: members.n_dist] = distill._total_losses(
+        members.dist(l_clip), kl_i2t, kl_t2i, mse, members.ratios_dist, alpha
+    )
+    # Views: the distilling members' terms add into g_u, g_w.
+    g_u, g_w = members.dist(g_u), members.dist(g_w)
+    g_u += members.r_mse * g_mse_u
+    g_w += members.r_mse * g_mse_w
+    for j, r_kl_alpha in enumerate(members.columns(members.r_kl[..., None] * alpha)):
+        g_u += r_kl_alpha * kl_grad_u[..., j, :, :]
+        g_w += r_kl_alpha * kl_grad_w[..., j, :, :]
+    return kl, mse, alpha, stats
+
+
+class _EpochSums:
+    """Per member, the sums over an epoch's batches that its EpochRecord
+    averages, and whether every certificate passed."""
+
+    def __init__(self, members: _Members):
+        self.n_dist, self.uniform = members.n_dist, members.uniform
+        self.sums = np.zeros((5, members.n))
+        self.l_clip, self.l_kl, self.l_mse, self.total, self.fw = self.sums
+        self.alphas = np.zeros((members.n_dist, members.uniform.size))
+        self.certified = np.ones(members.n, dtype=bool)
+        self.batches = 0
+
+    def add(self, l_clip, total, terms) -> None:
+        """A batch's clip losses and totals, and ``_distill_terms``' result or None."""
+        if terms is not None:
+            kl, mse, alpha, stats = terms
+            for s, iterations, certified in stats:
+                self.fw[s] += float(iterations)
+                self.certified[s] &= certified
+            self.alphas += alpha
+            self.l_kl[: self.n_dist] += kl
+            self.l_mse[: self.n_dist] += mse
+        self.l_clip += l_clip
+        self.total += total
+        self.batches += 1
+
+    def record(self, s: int, epoch: int, accuracy: float, recall5: float, lr: float):
+        nb = max(self.batches, 1)
+        l_clip, l_kl, l_mse, total, fw = (float(v) for v in self.sums[:, s] / nb)
+        return EpochRecord(
+            epoch=epoch, l_clip=l_clip, l_kl=l_kl, l_mse=l_mse, total=total,
+            accuracy=accuracy, recall5=recall5,
+            alphas=self.alphas[s] / nb if s < self.n_dist else self.uniform.copy(),
+            fw_iterations=fw, lr=lr, pareto_certified=bool(self.certified[s]),
+        )
 
 
 def distill_student(
@@ -799,36 +951,16 @@ def distill_students(
     contract, the blocks of batches, the training step and the groups.
     A ``base`` member ignores the teachers. Any member's failure stops the
     whole call."""
-    given = list(configs)
-    config = given[0]
-    if any(_group_key(c) != _group_key(config) for c in given[1:]):
-        raise InvalidConfig("configs", f"must differ only in {' and '.join(_MEMBER_FIELDS)}")
-    # The step keeps the distilling members first, so that they are the
-    # leading slice [:n_dist] of the member axis and every view of them is
-    # a view, not a copy.
-    order = sorted(range(len(given)), key=lambda s: given[s].strategy == "base")
-    configs = [given[s] for s in order]
-    members = len(configs)
-    n_dist = sum(c.strategy != "base" for c in configs)
-    # A one-member call has no member axis: numpy's ops on the plain arrays
-    # cost less than on (1, ...) stacks, and give the same bits. ``lead``
-    # and ``lead_dist`` are the member axes of all members and of the
-    # distilling ones, ``at(s)`` indexes member s along them, and ``part``
-    # takes the distilling members.
-    lead = () if members == 1 else (members,)
-    lead_dist = lead if n_dist == members else (n_dist,)
-    at = (lambda s: ...) if members == 1 else (lambda s: s)  # noqa: E731
-    part = (lambda a: a) if n_dist == members else (lambda a: a[:n_dist])  # noqa: E731
+    members = _Members(configs)
+    config = members.configs[0]
     k = config.num_teachers
-    if n_dist:
+    if members.n_dist:
         if not teachers:
             raise StrategyTeacherMismatch(
-                f"strategy {configs[0].strategy!r} requires at least one teacher"
+                f"strategy {config.strategy!r} requires at least one teacher"
             )
         if len(teachers) != k:
-            raise ShapeMismatch(
-                f"config.num_teachers={k} but {len(teachers)} teachers supplied"
-            )
+            raise ShapeMismatch(f"config.num_teachers={k} but {len(teachers)} teachers supplied")
 
     rng_init = seeded_rng(config.seed, _TAG_STUDENT_INIT)
     rng_loop = seeded_rng(config.seed, _TAG_TRAIN_LOOP)
@@ -836,11 +968,7 @@ def distill_students(
 
     img_params, txt_params = _init_encoder_pair(config.student, dataset, rng_init)
     img, txt = (
-        _FlatAdam(p, init_adam(p, config.lr))
-        for p in (
-            (img_params, txt_params) if members == 1
-            else (_stacked(img_params, members), _stacked(txt_params, members))
-        )
+        _FlatAdam(p, init_adam(p, config.lr)) for p in members.stacked(img_params, txt_params)
     )
     image_raw, anchors, labels = _checked_inputs(img_params, txt_params, dataset)
     n_classes = anchors.shape[0]
@@ -848,65 +976,34 @@ def distill_students(
 
     teacher_dims = [t.spec.output_dim for t in teachers]
     proj = _Projection(config.student.output_dim, teacher_dims, rng_proj)
-    if n_dist and config.mse_mode == "weighted_target" and len(set(teacher_dims)) > 1:
+    if members.n_dist and config.mse_mode == "weighted_target" and len(set(teacher_dims)) > 1:
         raise ShapeMismatch(
-            "weighted_target mse requires equal teacher output dims; "
-            "use mse_mode='per_teacher'"
+            "weighted_target mse requires equal teacher output dims; use mse_mode='per_teacher'"
         )
 
     train_idx = np.asarray(train_idx, dtype=np.int64)
-    n_train = train_idx.size
-    batches_per_epoch = (n_train + config.batch_size - 1) // config.batch_size
-    total_steps = config.epochs * batches_per_epoch
-    ratios = np.array([c.loss_ratios for c in configs])  # (members, 3)
-    r_clip = ratios[:, 0].reshape(lead + (1, 1))
-    ratios_dist = ratios[:n_dist].reshape(lead_dist + (3,))
-    r_kl, r_mse = ratios_dist[..., 1], ratios_dist[..., 2, None, None]
-    uniform = np.full(k, 1.0 / k) if k else np.zeros(0)
+    total_steps = config.epochs * ((train_idx.size + config.batch_size - 1) // config.batch_size)
     per_batch_bank = config.text_bank_refresh == "batch"
-    shared_tau = config.tau_distill == config.tau_student
-    # Each strategy's members, whose rows of the weights it fills.
-    rows_of = {
-        name: [s for s in range(n_dist) if configs[s].strategy == name] for name in STRATEGIES
-    }
-    if rows_of["dsw"]:
-        # The K x P matrix of a dsw member's per-teacher KL gradients, image
-        # encoder's columns first, and each encoder's views into it, laid out
-        # once and used by the dsw members in turn.
-        grads = np.empty((k, img.layout.size + txt.layout.size))
-        kl_img = EncoderGrads(*img.layout.views(grads[:, : img.layout.size]))
-        kl_txt = EncoderGrads(*txt.layout.views(grads[:, img.layout.size :]))
-    img_cfg, txt_cfg = img_params.config, txt_params.config
+    dsw_grads = _kl_grad_matrix(k, img, txt) if members.rows["dsw"] else None
     teacher_pass = None
-    if n_dist:
+    if members.n_dist:
         teacher_pass = _TeacherPass(
-            config, teachers, image_raw, train_idx, lsr=bool(rows_of["lsr"])
+            config, teachers, image_raw, train_idx, lsr=bool(members.rows["lsr"])
         )
-    # Each member's parameters as views, for evaluation.
-    img_views = [_member_params(img.params, at(s)) for s in range(members)]
-    txt_views = [_member_params(txt.params, at(s)) for s in range(members)]
+    img_views, txt_views = members.views(img.params), members.views(txt.params)
 
-    runs = [RunMetrics(strategy=c.strategy, num_teachers=k) for c in configs]
+    runs = [RunMetrics(strategy=c.strategy, num_teachers=k) for c in members.configs]
     step = 0
     for epoch in range(config.epochs):
         # Cached student class banks for the epoch (see module docstring).
         if not per_batch_bank:
             bank_s, tape_text = _encode(
-                txt.params, anchors, _dropout_masks(txt_cfg, n_classes, rng_loop)
+                txt.params, anchors, _dropout_masks(txt_params.config, n_classes, rng_loop)
             )
             text_grad_acc = np.zeros_like(bank_s)
+        sums = _EpochSums(members)
 
-        # Per member: the sums of clip, kl, mse, total and Frank-Wolfe
-        # iterations over the epoch's batches, its weights' sum, and
-        # whether every certificate passed.
-        sums = np.zeros((5, members))
-        l_clip_sum, l_kl_sum, l_mse_sum, total_sum, fw_sum = sums
-        l_kl_dist, l_mse_dist = l_kl_sum[:n_dist], l_mse_sum[:n_dist]
-        alpha_sum = np.zeros((n_dist, k))
-        certified = np.ones(members, dtype=bool)
-        n_batches = 0
-
-        for block in _blocks(_batches(n_train, config.batch_size, rng_loop)):
+        for block in _blocks(_batches(train_idx.size, config.batch_size, rng_loop)):
             # The block's randomness, in the order each step used to draw it.
             draws = []
             for rows in block:
@@ -917,10 +1014,10 @@ def distill_students(
                 )
                 text_masks = None
                 if per_batch_bank:
-                    text_masks = _dropout_masks(txt_cfg, n_classes, rng_loop)
-                image_masks = _dropout_masks(img_cfg, rows.size, rng_loop)
+                    text_masks = _dropout_masks(txt_params.config, n_classes, rng_loop)
+                image_masks = _dropout_masks(img_params.config, rows.size, rng_loop)
                 draws.append(_BatchDraws(rows, batch, text_masks, image_masks))
-            t_block = teacher_pass.block(draws) if n_dist else None
+            t_block = teacher_pass.block(draws) if members.n_dist else None
 
             for i, d in enumerate(draws):
                 lr_now = lr_at(config.lr_schedule, config.lr, step, total_steps)
@@ -935,70 +1032,15 @@ def distill_students(
                 dists = _pair_log_softmax(feats_s, bank_s, config.tau_student)
                 loss_c = _clip_loss(feats_s, bank_s, config.tau_student, dists, batch.labels_a, mix)
                 # base: clip-only, distillation terms removed
-                g_u = r_clip * loss_c.grad_image
-                g_w = r_clip * loss_c.grad_text
-                total = ratios[:, 0] * loss_c.value
-
-                if n_dist:
-                    feats_d, bank_d = part(feats_s), part(bank_s)
-                    kl_i2t, kl_t2i, kl_grad_u, kl_grad_w = distill._kl_stack(
-                        t_block.i2t[i],
-                        t_block.t2i[i],
-                        feats_d,
-                        bank_d,
-                        config.tau_distill,
-                        tuple(map(part, dists)) if shared_tau
-                        else _pair_log_softmax(feats_d, bank_d, config.tau_distill),
+                g_u = members.r_clip_grad * loss_c.grad_image
+                g_w = members.r_clip_grad * loss_c.grad_text
+                total = members.r_clip * loss_c.value
+                terms = None
+                if members.n_dist:
+                    terms = _distill_terms(
+                        members, proj, t_block, i, batch, mix, (feats_s, bank_s, dists),
+                        (tape_img, tape_text), dsw_grads, (loss_c.value, g_u, g_w, total),
                     )
-
-                    alpha = np.empty(lead_dist + (k,))
-                    if rows_of["avg"]:
-                        alpha[at(rows_of["avg"])] = uniform
-                    if rows_of["lsr"]:
-                        lsr = weighting.lsr_weights(t_block.lsr_scores[i])
-                        alpha[at(rows_of["lsr"])] = lsr.weights
-                    for s in rows_of["dsw"]:
-                        # One stacked reverse pass per tape, into one K x P matrix.
-                        _backward(_member_tape(tape_img, s), kl_grad_u[at(s)], kl_img)
-                        _backward(_member_tape(tape_text, s), kl_grad_w[at(s)], kl_txt)
-                        fw = weighting.frank_wolfe_min_norm(
-                            grads, max_iter=weighting.DSW_MAX_ITER, tol=weighting.DSW_TOL
-                        )
-                        alpha[at(s)] = fw.weights
-                        fw_sum[s] += float(fw.iterations)
-                        if fw.converged:
-                            cert = weighting.certify_pareto_stationarity(
-                                fw.direction, grads, tol=1e-6
-                            )
-                            certified[s] = certified[s] and cert.passed
-
-                    # MSE block: imitate the (weighted) teacher features.
-                    w_s_rows = _soft_gather(bank_d, batch.labels_a, mix)
-                    mse_val, g_mse_u, g_mse_w_rows = _mse_terms(
-                        config.mse_mode,
-                        proj,
-                        alpha,
-                        feats_d,
-                        w_s_rows,
-                        [f[i] for f in t_block.feats],
-                        [r[i] for r in t_block.bank_rows],
-                    )
-                    g_mse_w = _soft_scatter(g_mse_w_rows, batch.labels_a, mix, n_classes)
-
-                    kl_val, total[:n_dist] = distill._total_losses(
-                        part(loss_c.value), kl_i2t, kl_t2i, mse_val, ratios_dist, alpha
-                    )
-                    # Views: the distilling members' terms add into g_u, g_w.
-                    g_u_dist, g_w_dist = part(g_u), part(g_w)
-                    g_u_dist += r_mse * g_mse_u
-                    g_w_dist += r_mse * g_mse_w
-                    for j, r_kl_alpha in enumerate(_columns(r_kl[..., None] * alpha)):
-                        g_u_dist += r_kl_alpha * kl_grad_u[..., j, :, :]
-                        g_w_dist += r_kl_alpha * kl_grad_w[..., j, :, :]
-
-                    alpha_sum += alpha
-                    l_kl_dist += kl_val
-                    l_mse_dist += mse_val
                 _check_loss(total.tolist(), epoch)
 
                 _backward(tape_img, g_u, img.grads)
@@ -1011,49 +1053,26 @@ def distill_students(
                     txt.step(lr_now)
                 else:
                     text_grad_acc += g_w
-
-                l_clip_sum += loss_c.value
-                total_sum += total
-                n_batches += 1
+                sums.add(loss_c.value, total, terms)
                 step += 1
             # Freed before the next block is computed, not after.
             del t_block
 
+        lr_epoch = lr_at(config.lr_schedule, config.lr, step - 1, total_steps)
         if not per_batch_bank:
             # One accumulated text step per epoch; Adam normalizes gradient
             # scale away, so the batch count multiplies the learning rate to
             # keep the text pathway's total step budget comparable to the
             # per-batch image pathway.
             _backward(tape_text, text_grad_acc, txt.grads)
-            lr_now = lr_at(config.lr_schedule, config.lr, step - 1, total_steps)
-            txt.step(lr_now * n_batches)
+            txt.step(lr_epoch * sums.batches)
+        for s, run in enumerate(runs):
+            acc, r5 = evaluate(img_views[s], txt_views[s], dataset, eval_idx, config.tau_student)
+            run.epochs.append(sums.record(s, epoch, acc, r5, lr_epoch))
 
-        nb = max(n_batches, 1)
-        lr_epoch = lr_at(config.lr_schedule, config.lr, step - 1, total_steps)
-        for s in range(members):
-            acc, r5 = evaluate(
-                img_views[s], txt_views[s], dataset, eval_idx, config.tau_student
-            )
-            runs[s].epochs.append(
-                EpochRecord(
-                    epoch=epoch,
-                    l_clip=float(l_clip_sum[s] / nb),
-                    l_kl=float(l_kl_sum[s] / nb),
-                    l_mse=float(l_mse_sum[s] / nb),
-                    total=float(total_sum[s] / nb),
-                    accuracy=acc,
-                    recall5=r5,
-                    alphas=alpha_sum[s] / nb if s < n_dist else uniform.copy(),
-                    fw_iterations=float(fw_sum[s] / nb),
-                    lr=lr_epoch,
-                    pareto_certified=bool(certified[s]),
-                )
-            )
-
-    results = [None] * members
-    for s, at in enumerate(order):
-        results[at] = (StudentModel(img_views[s].copy(), txt_views[s].copy()), runs[s])
-    return results
+    return members.in_given_order(
+        [(StudentModel(i.copy(), t.copy()), run) for i, t, run in zip(img_views, txt_views, runs)]
+    )
 
 
 DEFAULT_TEACHER_ROSTER: tuple[TeacherSpec, ...] = (
