@@ -896,6 +896,7 @@ class _EpochSums:
         self.n_dist, self.uniform = members.n_dist, members.uniform
         self.sums = np.zeros((5, members.n))
         self.l_clip, self.l_kl, self.l_mse, self.total, self.fw = self.sums
+        self.l_kl_dist, self.l_mse_dist = self.l_kl[: self.n_dist], self.l_mse[: self.n_dist]
         self.alphas = np.zeros((members.n_dist, members.uniform.size))
         self.certified = np.ones(members.n, dtype=bool)
         self.batches = 0
@@ -908,8 +909,8 @@ class _EpochSums:
                 self.fw[s] += float(iterations)
                 self.certified[s] &= certified
             self.alphas += alpha
-            self.l_kl[: self.n_dist] += kl
-            self.l_mse[: self.n_dist] += mse
+            self.l_kl_dist += kl
+            self.l_mse_dist += mse
         self.l_clip += l_clip
         self.total += total
         self.batches += 1
