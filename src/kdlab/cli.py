@@ -22,13 +22,14 @@ only in strategy and loss ratios form a group, which trains in lockstep
 other suite one-run groups. ``--threads N`` maps both phases over worker
 processes instead of a loop, one task per group; with fewer groups than
 workers the largest groups are halved until every worker has one. A group
-whose lockstep training raises runs each of its runs alone, so each
-completes or fails as it does alone.
+whose lockstep training raises is halved the same way, and each half trains
+again, down to one-run groups: every run completes with the bits it gets
+alone, or fails alone with its own error.
 
 Each run writes ``metrics.csv`` (one row per epoch, deterministic
 byte-for-byte for a given manifest and seed) and a ``run.json`` echo,
-whose ``group`` lists the grid points that trained with it and whose
-``wall_seconds`` times their distillation. The suite writes
+whose ``group`` lists the grid points of the lockstep call that completed
+it and whose ``wall_seconds`` times that call. The suite writes
 ``summary.csv``, over the runs that completed in this call, and
 ``manifest.json`` with config echo, library version, wall-clock and the
 failed runs. Every output file is written atomically (``_atomic_open``).
@@ -94,8 +95,9 @@ from .trainer import (
     dataset_split,
     distill_students,
     pretrain_teacher,
-    run_single,
 )
+# perfbench's tracer binds run_single here too (EXPECTED_BINDINGS); no run calls it.
+from .trainer import run_single  # noqa: F401
 
 SCHEMA_VERSION = 1
 SUITES = ("single", "loss_ratio", "strategy", "teacher_count", "student_size")
@@ -121,6 +123,8 @@ METRIC_COLUMNS = (
     "alpha_0", "alpha_1", "alpha_2", "alpha_3",
     "fw_iters", "lr",
 )
+# The most teachers a run may use: metrics.csv has one alpha column each.
+MAX_TEACHERS = sum(c.startswith("alpha_") for c in METRIC_COLUMNS)
 
 _MANIFEST_FIELDS = {
     "schema_version", "suite", "seeds", "dataset", "train", "pretrain", "teachers",
@@ -290,6 +294,8 @@ def load_manifest(path) -> Manifest:
         spec = _build(SyntheticSpec, dataset.get("spec", {}), "dataset.spec")
 
     train = _build(TrainConfig, raw.get("train", {}), "train")
+    if train.num_teachers > MAX_TEACHERS:
+        _fail("train.num_teachers", f"must be at most {MAX_TEACHERS}, got {train.num_teachers}")
     pretrain = _build(PretrainConfig, raw.get("pretrain", {}), "pretrain")
     roster = (
         list(_read_roster(raw["teachers"], "", "teachers"))
@@ -327,7 +333,7 @@ def expand_grid(manifest: Manifest) -> list[tuple[str, TrainConfig]]:
             grid = [(label, replace(base, student=s)) for label, s in STUDENT_SIZE_GRID]
     except InvalidConfig as e:
         _fail(f"train.{e.field}", f"{e.why} (in the {manifest.suite} suite)")
-    need = max((c.num_teachers for _, c in grid if c.strategy != "base"), default=0)
+    need = max(c.teachers_used for _, c in grid)
     if len(manifest.roster) < need:
         _fail("teachers", f"suite needs {need} roster entries, got {len(manifest.roster)}")
     return grid
@@ -357,7 +363,8 @@ def _atomic_open(path):
     """``path`` opened for writing text through a temp file in its
     directory, which replaces ``path`` (``os.replace``) once the block has
     written it all. A write that raises leaves the previous file as it was
-    and no temp file behind. Lines end in "\n", as csv and json write them."""
+    and no temp file behind. No newline is translated: csv rows end in
+    CRLF, as ``csv.writer`` ends them, and json and text lines in LF."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
@@ -373,13 +380,13 @@ def write_metrics_csv(path, suite: str, grid: str, seed: int, metrics: RunMetric
         writer = csv.writer(f)
         writer.writerow(METRIC_COLUMNS)
         for rec in metrics.epochs:
-            alphas = list(rec.alphas) + [0.0] * (4 - len(rec.alphas))
+            alphas = list(rec.alphas) + [0.0] * (MAX_TEACHERS - len(rec.alphas))
             writer.writerow(
                 [
                     suite, grid, seed, rec.epoch,
                     _fmt(rec.l_clip), _fmt(rec.l_kl), _fmt(rec.l_mse), _fmt(rec.total),
                     _fmt(rec.accuracy), _fmt(rec.recall5),
-                    _fmt(alphas[0]), _fmt(alphas[1]), _fmt(alphas[2]), _fmt(alphas[3]),
+                    *map(_fmt, alphas),
                     _fmt(rec.fw_iterations), _fmt(rec.lr),
                 ]
             )
@@ -397,11 +404,6 @@ def _pretrain(task: tuple) -> Teacher:
 
 def _run_dir(out_dir, label: str, seed: int) -> Path:
     return Path(out_dir) / "runs" / _sanitize(label) / f"seed_{seed}"
-
-
-def _run_teachers(config: TrainConfig, teachers: list[Teacher]) -> list[Teacher]:
-    """The teachers a run is given: none under ``base``."""
-    return [] if config.strategy == "base" else teachers
 
 
 def _write_run(
@@ -451,57 +453,44 @@ def _record_failure(run_dir: Path, e: BaseException) -> BaseException:
     return e
 
 
-def _execute_run(payload: tuple) -> dict:
-    """One (grid point, seed) run alone, against its already pretrained
-    teachers. ``wall_seconds`` in ``run.json`` times the distillation only."""
-    manifest, grid_label, seed, out_dir, dataset, teachers = payload
-    config = dict(expand_grid(manifest))[grid_label]
-    t0 = time.perf_counter()
-    result = run_single(
-        dataset, manifest.pretrain, manifest.roster, config, seed=seed, teachers=teachers
-    )
-    wall_s = time.perf_counter() - t0
-    return _write_run(
-        manifest, grid_label, seed, out_dir, result.metrics, result.teacher_accuracies, wall_s,
-        [grid_label],
-    )
-
-
 def _execute_group(payload: tuple) -> list:
     """One group's runs: grid points of one seed whose configs differ only
-    in strategy and loss ratios, trained in lockstep against the group's
-    teachers; module-level so worker processes can call it. A one-run
-    group, or a group whose lockstep training raised, runs each run alone
-    (``_execute_run``), so each completes or fails as it does alone.
-    Returns, per run in order, its ``run.json`` dict or the exception it
-    failed with, already recorded in its directory."""
+    in strategy and loss ratios, trained in lockstep against the seed's
+    teachers; module-level so worker processes can call it. A group whose
+    training raises is halved (``_halves``) and each half runs the same
+    way, so a run fails only alone, with its own error. Returns, per run in
+    order, its ``run.json`` dict or the exception it failed with, already
+    recorded in its directory."""
     manifest, labels, seed, out_dir, dataset, teachers = payload
     grid = dict(expand_grid(manifest))
     configs = [dataclasses.replace(grid[label], seed=seed) for label in labels]
-    if len(labels) > 1:
-        split = dataset_split(dataset, configs[0].train_fraction)
-        t0 = time.perf_counter()
-        try:
-            results = distill_students(configs, teachers, dataset, *split)
-        except Exception:
-            pass  # each run alone meets its own outcome
-        else:
-            wall_s = time.perf_counter() - t0
-            return [
-                _write_run(
-                    manifest, label, seed, out_dir, metrics,
-                    [t.accuracy for t in _run_teachers(config, teachers)], wall_s, labels,
-                )
-                for label, config, (_, metrics) in zip(labels, configs, results)
-            ]
-    outcomes = []
-    for label, config in zip(labels, configs):
-        payload = (manifest, label, seed, out_dir, dataset, _run_teachers(config, teachers))
-        try:
-            outcomes.append(_execute_run(payload))
-        except Exception as e:
-            outcomes.append(_record_failure(_run_dir(out_dir, label, seed), e))
-    return outcomes
+    teachers = teachers[: max(c.teachers_used for c in configs)]
+    split = dataset_split(dataset, configs[0].train_fraction)
+    t0 = time.perf_counter()
+    try:
+        results = distill_students(configs, teachers, dataset, *split)
+    except Exception as e:
+        if len(labels) == 1:
+            return [_record_failure(_run_dir(out_dir, labels[0], seed), e)]
+        return [
+            outcome
+            for half in _halves(labels)
+            for outcome in _execute_group((manifest, half, seed, out_dir, dataset, teachers))
+        ]
+    wall_s = time.perf_counter() - t0
+    return [
+        _write_run(
+            manifest, label, seed, out_dir, metrics,
+            [t.accuracy for t in teachers[: config.teachers_used]], wall_s, labels,
+        )
+        for label, config, (_, metrics) in zip(labels, configs, results)
+    ]
+
+
+def _halves(labels: list[str]) -> list[list[str]]:
+    """A group's labels in two, the first half the larger."""
+    half = (len(labels) + 1) // 2
+    return [labels[:half], labels[half:]]
 
 
 def _split_groups(groups: list[tuple[int, list[str]]], workers: int) -> list[tuple[int, list[str]]]:
@@ -514,8 +503,7 @@ def _split_groups(groups: list[tuple[int, list[str]]], workers: int) -> list[tup
         if i is None or len(groups[i][1]) < 2:
             break
         seed, labels = groups[i]
-        half = (len(labels) + 1) // 2
-        groups[i : i + 1] = [(seed, labels[:half]), (seed, labels[half:])]
+        groups[i : i + 1] = [(seed, half) for half in _halves(labels)]
     return groups
 
 
@@ -566,6 +554,8 @@ class _InlineExecutor(Executor):
 
 
 def cmd_run(args) -> int:
+    if args.threads < 1:
+        _fail("--threads", f"must be at least 1, got {args.threads}")
     manifest = load_manifest(args.manifest)
     grid = expand_grid(manifest)
     out_dir = Path(args.output_dir or manifest.output_dir)
@@ -577,7 +567,7 @@ def cmd_run(args) -> int:
     # See the module docstring for the two phases and the groups. A run
     # waits only for its own teachers, and fails with the error of one that
     # failed, outside any group.
-    need = max((c.num_teachers for _, c in grid if c.strategy != "base"), default=0)
+    need = max(c.teachers_used for _, c in grid)
     pool = ProcessPoolExecutor(args.threads) if args.threads > 1 else _InlineExecutor()
     outcomes = {}  # (label, seed) -> run.json dict, or the exception the run failed with
     with pool:
@@ -588,9 +578,8 @@ def cmd_run(args) -> int:
         }
         groups = {}  # (seed, shared config fields) -> labels
         for label, config in grid:
-            k = 0 if config.strategy == "base" else config.num_teachers
             for seed in seeds:
-                failed = [teachers[seed, j].exception() for j in range(k)]
+                failed = [teachers[seed, j].exception() for j in range(config.teachers_used)]
                 failed = [e for e in failed if e is not None]
                 if failed:
                     outcomes[label, seed] = _record_failure(
@@ -603,11 +592,7 @@ def cmd_run(args) -> int:
         for seed, labels in _split_groups(
             [(seed, labels) for (seed, _), labels in groups.items()], args.threads
         ):
-            k = max(
-                (configs[label].num_teachers for label in labels
-                 if configs[label].strategy != "base"),
-                default=0,
-            )
+            k = max(configs[label].teachers_used for label in labels)
             mine = [teachers[seed, j].result() for j in range(k)]
             task = pool.submit(
                 _execute_group, (manifest, labels, seed, str(out_dir), dataset, mine)

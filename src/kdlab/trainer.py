@@ -295,6 +295,12 @@ class TrainConfig:
             # Runs evaluate on the student's own class bank.
             raise InvalidConfig("eval_bank", f"must be 'student', got {self.eval_bank!r}")
 
+    @property
+    def teachers_used(self) -> int:
+        """How many teachers the run distills from: the first ``num_teachers``
+        of the roster, none under ``base``."""
+        return 0 if self.strategy == "base" else self.num_teachers
+
 
 @dataclass
 class Teacher:
@@ -1108,7 +1114,7 @@ def run_single(
         config = replace(config, seed=seed)
     train_idx, eval_idx = dataset_split(dataset, config.train_fraction)
     if teachers is None:
-        k = 0 if config.strategy == "base" else config.num_teachers
+        k = config.teachers_used
         if k > len(roster):
             raise StrategyTeacherMismatch(f"num_teachers={k} exceeds roster size {len(roster)}")
         teachers = [

@@ -139,6 +139,25 @@ class TestManifestSchema:
         assert repr(field) in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_more_teachers_than_alpha_columns_exits_2(self, tmp_path, capsys):
+        # metrics.csv has one alpha column per teacher, 4 in all.
+        p = tmp_path / "m.json"
+        write_manifest(
+            p, train={**TINY_TRAIN, "num_teachers": 5}, teachers=TINY_TEACHERS + TINY_TEACHERS[:1]
+        )
+        for verb in ("validate", "run"):
+            assert cli.main([verb, str(p)]) == 2
+            assert "'train.num_teachers': must be at most 4" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_exits_2(self, tmp_path, capsys, threads):
+        p = tmp_path / "m.json"
+        write_manifest(p)
+        assert cli.main(["run", str(p), "--threads", threads]) == 2
+        assert "'--threads': must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_strategy_suite_needs_teachers_for_every_row(self, tmp_path, capsys):
         p = tmp_path / "m.json"
         train = {**TINY_TRAIN, "strategy": "base", "num_teachers": 0}
@@ -372,7 +391,7 @@ class TestRun:
             raise cli.NumericError("synthetic divergence")
 
         with monkeypatch.context() as m:
-            m.setattr(cli, "run_single", diverging)
+            m.setattr(cli, "distill_students", diverging)
             assert cli.main(["run", str(p), "--output-dir", str(out)]) == 4
         assert sorted(f.name for f in run_dir.iterdir()) == ["error.json"]
         assert json.loads((run_dir / "error.json").read_text())["type"] == "NumericError"
@@ -422,9 +441,10 @@ class TestRun:
         rows = capsys.readouterr().out.splitlines()[2:]
         assert {f[1]: int(f[2]) for f in map(str.split, rows)} == n_seeds
 
-    def test_group_that_raises_runs_each_run_alone(self, tmp_path, monkeypatch, capsys):
+    def test_group_that_raises_is_halved(self, tmp_path, monkeypatch, capsys):
         # Frank-Wolfe fails, so the strategy group's lockstep training
-        # raises: each run then runs alone. base, avg and lsr write the
+        # raises: it is halved into (base, avg) and (lsr, dsw), and the
+        # second half into (lsr) and (dsw). base, avg and lsr write the
         # bytes the group writes without the failure; dsw fails as alone.
         p = tmp_path / "m.json"
         write_manifest(p, suite="strategy")
@@ -438,16 +458,55 @@ class TestRun:
         assert cli.main(["run", str(p), "--output-dir", str(bad)]) == 4
         err = capsys.readouterr().err
         assert "numeric error: run dsw/seed_0: synthetic Frank-Wolfe failure" in err
-        for label in ("base", "avg", "lsr"):
+        for label, group in (("base", ["base", "avg"]), ("avg", ["base", "avg"]), ("lsr", ["lsr"])):
             run = Path("runs") / label / "seed_0"
             good_bytes = (good / run / "metrics.csv").read_bytes()
             assert (bad / run / "metrics.csv").read_bytes() == good_bytes
             infos = [json.loads((out / run / "run.json").read_text()) for out in (bad, good)]
-            assert [i["group"] for i in infos] == [[label], list(cli.STRATEGY_GRID)]
+            assert [i["group"] for i in infos] == [group, list(cli.STRATEGY_GRID)]
         dsw = bad / "runs" / "dsw" / "seed_0"
         assert sorted(f.name for f in dsw.iterdir()) == ["error.json"]
         failed_runs = json.loads((bad / "manifest.json").read_text())["failed_runs"]
         assert failed_runs == [{"grid_point": "dsw", "seed": 0, "error": "NonFiniteInput"}]
+        # dsw's record is the error distill_student raises for dsw alone.
+        m = cli.load_manifest(p)
+        ds = generate(m.dataset_spec)
+        split = trainer.dataset_split(ds)
+        teachers = [
+            trainer.pretrain_teacher(m.pretrain, ds, *split, m.roster[j], 0, j)
+            for j in range(m.train.num_teachers)
+        ]
+        config = dataclasses.replace(m.train, strategy="dsw")
+        with pytest.raises(NonFiniteInput) as alone:
+            trainer.distill_student(config, teachers, ds, *split)
+        error = json.loads((dsw / "error.json").read_text())
+        assert (error["type"], error["message"]) == ("NonFiniteInput", str(alone.value))
+
+    def test_every_member_failing_records_each(self, tmp_path, monkeypatch, capsys):
+        # A dsw loss_ratio suite whose Frank-Wolfe always fails: every
+        # halving fails down to the one-run groups, and each run leaves
+        # its own record.
+        def failing(*args, **kwargs):
+            raise NonFiniteInput("synthetic Frank-Wolfe failure")
+
+        monkeypatch.setattr(weighting, "frank_wolfe_min_norm", failing)
+        p = tmp_path / "m.json"
+        write_manifest(p, suite="loss_ratio", train={**TINY_TRAIN, "strategy": "dsw"})
+        out = tmp_path / "o"
+        assert cli.main(["run", str(p), "--output-dir", str(out)]) == 4
+        labels = [label for label, _ in cli.LOSS_RATIO_GRID]
+        err = capsys.readouterr().err
+        assert "numeric error: run 0.5:1:1/seed_0: synthetic Frank-Wolfe failure" in err
+        for label in labels:
+            run_dir = cli._run_dir(out, label, 0)
+            assert sorted(f.name for f in run_dir.iterdir()) == ["error.json"]
+            assert json.loads((run_dir / "error.json").read_text())["type"] == "NonFiniteInput"
+        failed_runs = json.loads((out / "manifest.json").read_text())["failed_runs"]
+        assert failed_runs == [
+            {"grid_point": label, "seed": 0, "error": "NonFiniteInput"} for label in labels
+        ]
+        with open(out / "summary.csv", newline="") as f:
+            assert list(csv.DictReader(f)) == []
 
     def test_dropout_zeroed_row_runs(self, tmp_path):
         # A (12,)->5 student at dropout 0.5 zeroes every hidden unit of a
