@@ -95,6 +95,7 @@ from .trainer import (
     dataset_split,
     distill_students,
     pretrain_teacher,
+    split_sizes,
 )
 # perfbench's tracer binds run_single here too (EXPECTED_BINDINGS); no run calls it.
 from .trainer import run_single  # noqa: F401
@@ -281,8 +282,13 @@ def load_manifest(path) -> Manifest:
     if suite not in SUITES:
         _fail("suite", f"must be one of {SUITES}, got {suite!r}")
     seeds = raw.get("seeds", [0])
-    if type(seeds) is not list or not seeds or any(type(s) is not int for s in seeds):
-        _fail("seeds", "must be a non-empty list of integers")
+    if (
+        type(seeds) is not list
+        or not seeds
+        or any(type(s) is not int or s < 0 for s in seeds)
+        or len(set(seeds)) < len(seeds)
+    ):
+        _fail("seeds", "must be a non-empty list of distinct integers >= 0")
 
     dataset = _object(raw.get("dataset", {}), "dataset", {"spec", "path"})
     spec = dpath = None
@@ -296,6 +302,8 @@ def load_manifest(path) -> Manifest:
     train = _build(TrainConfig, raw.get("train", {}), "train")
     if train.num_teachers > MAX_TEACHERS:
         _fail("train.num_teachers", f"must be at most {MAX_TEACHERS}, got {train.num_teachers}")
+    if spec is not None:
+        _check_split(spec, train, "dataset.spec.samples_per_class")
     pretrain = _build(PretrainConfig, raw.get("pretrain", {}), "pretrain")
     roster = (
         list(_read_roster(raw["teachers"], "", "teachers"))
@@ -339,13 +347,26 @@ def expand_grid(manifest: Manifest) -> list[tuple[str, TrainConfig]]:
     return grid
 
 
+def _check_split(spec: SyntheticSpec, train: TrainConfig, where: str) -> None:
+    """Every class must leave rows on both sides of the split."""
+    n_train, n_eval = split_sizes(spec.samples_per_class, train.train_fraction)
+    if not (n_train and n_eval):
+        _fail(
+            where,
+            f"{spec.samples_per_class} samples per class split into {n_train} train "
+            f"and {n_eval} eval rows; each side needs at least one",
+        )
+
+
 def _resolve_dataset(manifest: Manifest) -> PairedDataset:
-    if manifest.dataset_path is not None:
-        try:
-            return load_dataset(manifest.dataset_path)
-        except (OSError, FormatVersionMismatch, ChecksumMismatch, InvalidSpec) as e:
-            raise DataError(f"dataset {manifest.dataset_path}: {e}") from e
-    return generate(manifest.dataset_spec)
+    if manifest.dataset_path is None:
+        return generate(manifest.dataset_spec)
+    try:
+        dataset = load_dataset(manifest.dataset_path)
+    except (OSError, FormatVersionMismatch, ChecksumMismatch, InvalidSpec) as e:
+        raise DataError(f"dataset {manifest.dataset_path}: {e}") from e
+    _check_split(dataset.spec, manifest.train, "dataset.path")
+    return dataset
 
 
 def _sanitize(label: str) -> str:
@@ -556,12 +577,14 @@ class _InlineExecutor(Executor):
 def cmd_run(args) -> int:
     if args.threads < 1:
         _fail("--threads", f"must be at least 1, got {args.threads}")
+    if args.seed_override is not None and args.seed_override < 0:
+        _fail("--seed-override", f"must be >= 0, got {args.seed_override}")
     manifest = load_manifest(args.manifest)
     grid = expand_grid(manifest)
+    dataset = _resolve_dataset(manifest)
     out_dir = Path(args.output_dir or manifest.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    seeds = [int(args.seed_override)] if args.seed_override is not None else manifest.seeds
-    dataset = _resolve_dataset(manifest)
+    seeds = [args.seed_override] if args.seed_override is not None else manifest.seeds
 
     t0 = time.perf_counter()
     # See the module docstring for the two phases and the groups. A run
@@ -662,7 +685,7 @@ def cmd_validate(args) -> int:
         "dataset": (
             {"path": manifest.dataset_path}
             if manifest.dataset_path
-            else manifest.dataset_spec.to_dict()
+            else dataclasses.asdict(manifest.dataset_spec)
         ),
         "train": dataclasses.asdict(manifest.train),
         "pretrain": dataclasses.asdict(manifest.pretrain),

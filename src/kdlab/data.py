@@ -1,13 +1,18 @@
 """Synthetic paired-modality datasets with planted class structure.
 
-Each class gets one random anchor per modality; samples are anchors plus
-Gaussian noise, so ground truth is known and cross-modal alignment must be
-learned (anchors of the two modalities share nothing but class identity).
-Generation is a pure function of the spec, including its seed.
+Each class gets one random anchor per modality. An image sample is its
+class's image anchor plus Gaussian noise; the text side of a class is its
+anchor alone, which every text encoder reads. Ground truth is known and
+cross-modal alignment must be learned (anchors of the two modalities share
+nothing but class identity). Generation is a pure function of the spec,
+including its seed.
 
-The on-disk format is a 16-byte magic, a version word, a length-prefixed
-JSON header, the arrays as little-endian float64 (labels as int64) in row
--major order, and a trailing 64-bit checksum over everything before it.
+The on-disk format (version 2) is a 16-byte magic, a version word, a
+length-prefixed JSON header (the spec and the probe accuracy), the text
+anchors and image rows as little-endian float64 and the labels as int64,
+in row-major order, and a trailing 64-bit checksum over everything before
+it. Any other version fails with ``FormatVersionMismatch``; ``kdlab
+gen-data`` rebuilds the file from its spec.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +30,7 @@ from .errors import ChecksumMismatch, FormatVersionMismatch, InvalidConfig, Inva
 from .numerics import seeded_rng
 
 _MAGIC = b"KDLAB-PAIRED-DS\x00"
-_VERSION = 1
+_VERSION = 2
 _ANCHOR_COS_LIMIT = 0.99
 _PROBE_PER_CLASS = 25
 
@@ -58,42 +63,14 @@ class SyntheticSpec:
     def num_samples(self) -> int:
         return self.num_classes * self.samples_per_class
 
-    def to_dict(self) -> dict:
-        return {
-            "num_classes": self.num_classes,
-            "image_dim": self.image_dim,
-            "text_dim": self.text_dim,
-            "samples_per_class": self.samples_per_class,
-            "noise_sigma": self.noise_sigma,
-            "anchor_scale": self.anchor_scale,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SyntheticSpec":
-        try:
-            return cls(
-                num_classes=int(d["num_classes"]),
-                image_dim=int(d["image_dim"]),
-                text_dim=int(d["text_dim"]),
-                samples_per_class=int(d["samples_per_class"]),
-                noise_sigma=float(d["noise_sigma"]),
-                anchor_scale=float(d["anchor_scale"]),
-                seed=int(d["seed"]),
-            )
-        except KeyError as e:
-            raise InvalidSpec(f"missing spec field {e.args[0]!r}") from e
-
 
 @dataclass
 class PairedDataset:
-    """Raw per-modality feature vectors with labels and the class anchors."""
+    """Raw image rows with their labels, and the class text anchors."""
 
     spec: SyntheticSpec
-    image_anchors: np.ndarray  # N x image_dim
     text_anchors: np.ndarray   # N x text_dim
     image_raw: np.ndarray      # M x image_dim
-    text_raw: np.ndarray       # M x text_dim
     labels: np.ndarray         # M, int64 in [0, N)
     probe_accuracy: float      # nearest-anchor accuracy on held-out probe draws
 
@@ -126,7 +103,8 @@ def generate(spec: SyntheticSpec) -> PairedDataset:
     by nearest image anchor at generation time: for noise well inside the
     anchor separation (sigma below a quarter of the minimum anchor
     distance) the probe must reach 0.99 accuracy, otherwise the spec is
-    rejected as inconsistent.
+    rejected as inconsistent. The image anchors serve only this probe and
+    are not stored.
     """
     rng = seeded_rng(spec.seed, 11)
     n, spc = spec.num_classes, spec.samples_per_class
@@ -136,9 +114,6 @@ def generate(spec: SyntheticSpec) -> PairedDataset:
     labels = np.repeat(np.arange(n, dtype=np.int64), spc)
     image_raw = image_anchors[labels] + rng.normal(
         0.0, spec.noise_sigma, size=(spec.num_samples, spec.image_dim)
-    )
-    text_raw = text_anchors[labels] + rng.normal(
-        0.0, spec.noise_sigma, size=(spec.num_samples, spec.text_dim)
     )
 
     probe_labels = np.repeat(np.arange(n, dtype=np.int64), _PROBE_PER_CLASS)
@@ -156,15 +131,7 @@ def generate(spec: SyntheticSpec) -> PairedDataset:
             f"noise {spec.noise_sigma} << anchor separation {dist.min():.3f}"
         )
 
-    return PairedDataset(
-        spec=spec,
-        image_anchors=image_anchors,
-        text_anchors=text_anchors,
-        image_raw=image_raw,
-        text_raw=text_raw,
-        labels=labels,
-        probe_accuracy=probe_acc,
-    )
+    return PairedDataset(spec, text_anchors, image_raw, labels, probe_acc)
 
 
 @dataclass(frozen=True)
@@ -181,21 +148,14 @@ class WeightNoise:
 LABEL_SHUFFLE = "label_shuffle"
 
 
-def corrupt_teacher(params: EncoderParams, mode, rng) -> EncoderParams:
-    """Produce a deviating teacher.
-
-    ``WeightNoise`` perturbs every weight matrix entry (biases untouched);
-    the ``label_shuffle`` tag leaves parameters alone and is honored by the
-    trainer, which pretrains such a teacher against permuted labels.
-    """
-    if isinstance(mode, WeightNoise):
-        new = params.copy()
-        for w in new.weights:
-            w += rng.normal(0.0, mode.sigma, size=w.shape)
-        return new
-    if mode == LABEL_SHUFFLE:
-        return params.copy()
-    raise ValueError(f"unknown corruption mode {mode!r}")
+def corrupt_teacher(params: EncoderParams, noise: WeightNoise, rng) -> EncoderParams:
+    """A deviating teacher: ``noise`` perturbs every weight matrix entry
+    (biases untouched). The ``label_shuffle`` mode leaves parameters alone;
+    the trainer pretrains such a teacher against permuted labels."""
+    new = params.copy()
+    for w in new.weights:
+        w += rng.normal(0.0, noise.sigma, size=w.shape)
+    return new
 
 
 def build_class_bank(text_params: EncoderParams, dataset: PairedDataset) -> np.ndarray:
@@ -214,7 +174,7 @@ def _checksum(data: bytes) -> int:
 
 def save_dataset(dataset: PairedDataset, path) -> None:
     header = {
-        "spec": dataset.spec.to_dict(),
+        "spec": asdict(dataset.spec),
         "probe_accuracy": dataset.probe_accuracy,
     }
     hbytes = json.dumps(header, sort_keys=True).encode()
@@ -222,7 +182,7 @@ def save_dataset(dataset: PairedDataset, path) -> None:
     body += _MAGIC
     body += struct.pack("<II", _VERSION, len(hbytes))
     body += hbytes
-    for a in (dataset.image_anchors, dataset.text_anchors, dataset.image_raw, dataset.text_raw):
+    for a in (dataset.text_anchors, dataset.image_raw):
         body += np.ascontiguousarray(a, dtype="<f8").tobytes()
     body += np.ascontiguousarray(dataset.labels, dtype="<i8").tobytes()
     body += struct.pack("<Q", _checksum(bytes(body)))
@@ -241,11 +201,16 @@ def load_dataset(path) -> PairedDataset:
     off = len(_MAGIC)
     version, hlen = struct.unpack_from("<II", blob, off)
     if version != _VERSION:
-        raise FormatVersionMismatch(f"unsupported dataset version {version}")
+        raise FormatVersionMismatch(
+            f"{path} has dataset format version {version}, this kdlab reads version "
+            f"{_VERSION}: rebuild it from its spec with `kdlab gen-data`"
+        )
     off += 8
     header = json.loads(blob[off : off + hlen].decode())
     off += hlen
-    spec = SyntheticSpec.from_dict(header["spec"])
+    if header["spec"].keys() != asdict(SyntheticSpec()).keys():
+        raise InvalidSpec(f"{path} holds a spec with fields {sorted(header['spec'])}")
+    spec = SyntheticSpec(**header["spec"])
 
     def take_f8(shape):
         nonlocal off
@@ -254,18 +219,8 @@ def load_dataset(path) -> PairedDataset:
         off += n * 8
         return a.astype(np.float64)
 
-    n, m = spec.num_classes, spec.num_samples
-    image_anchors = take_f8((n, spec.image_dim))
-    text_anchors = take_f8((n, spec.text_dim))
+    m = spec.num_samples
+    text_anchors = take_f8((spec.num_classes, spec.text_dim))
     image_raw = take_f8((m, spec.image_dim))
-    text_raw = take_f8((m, spec.text_dim))
     labels = np.frombuffer(blob, dtype="<i8", count=m, offset=off).astype(np.int64)
-    return PairedDataset(
-        spec=spec,
-        image_anchors=image_anchors,
-        text_anchors=text_anchors,
-        image_raw=image_raw,
-        text_raw=text_raw,
-        labels=labels,
-        probe_accuracy=float(header["probe_accuracy"]),
-    )
+    return PairedDataset(spec, text_anchors, image_raw, labels, float(header["probe_accuracy"]))

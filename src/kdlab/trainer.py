@@ -372,6 +372,13 @@ def lr_at(schedule: LrSchedule, lr: float, t: int, total: int) -> float:
     return eta_min + 0.5 * (lr - eta_min) * (1.0 + np.cos(np.pi * frac))
 
 
+def split_sizes(count: int, train_fraction: float) -> tuple[int, int]:
+    """The (train, eval) rows ``split_indices`` makes of a class of ``count``
+    rows. A run needs both: at 0.8, a class needs at least 3 rows."""
+    cut = int(round(count * train_fraction))
+    return cut, count - cut
+
+
 def split_indices(labels, train_fraction: float, rng) -> tuple[np.ndarray, np.ndarray]:
     """Disjoint stratified split; exact per class when counts divide."""
     labels = np.asarray(labels, dtype=np.int64)
@@ -379,7 +386,7 @@ def split_indices(labels, train_fraction: float, rng) -> tuple[np.ndarray, np.nd
     for c in np.unique(labels):
         idx = np.flatnonzero(labels == c)
         idx = idx[rng.permutation(idx.size)]
-        cut = int(round(idx.size * train_fraction))
+        cut, _ = split_sizes(idx.size, train_fraction)
         train_parts.append(idx[:cut])
         eval_parts.append(idx[cut:])
     return np.sort(np.concatenate(train_parts)), np.sort(np.concatenate(eval_parts))
@@ -392,14 +399,14 @@ def dataset_split(dataset: PairedDataset, train_fraction: float = 0.8):
     return split_indices(dataset.labels, train_fraction, rng)
 
 
-def augment(image_raw, text_raw, labels, mode: Augmentation, rng) -> AugmentedBatch:
+def augment(image_raw, labels, mode: Augmentation, rng) -> AugmentedBatch:
     """Vector-space batch augmentation of the image rows.
 
-    jitter adds Gaussian noise; mixup convexly combines each sample with a
-    random in-batch partner using per-sample Beta(beta, beta) coefficients,
-    tracked as a soft label pair. The student encodes the class anchors, not
-    the batch's text rows, so no text rows are built: ``text_raw`` only
-    gives the shape of jitter's text noise.
+    jitter adds Gaussian noise, one ``standard_normal`` draw of the rows'
+    shape; mixup convexly combines each sample with a random in-batch
+    partner using per-sample Beta(beta, beta) coefficients, tracked as a
+    soft label pair. The text side is the class anchors, which no mode
+    touches.
     """
     img = np.asarray(image_raw, dtype=np.float64)
     lab = np.asarray(labels, dtype=np.int64)
@@ -408,8 +415,6 @@ def augment(image_raw, text_raw, labels, mode: Augmentation, rng) -> AugmentedBa
         return AugmentedBatch(img, lab, lab, np.ones(b_sz))
     if mode.kind == "jitter":
         img = img + mode.sigma * rng.standard_normal(img.shape)
-        # Nothing reads the text noise; drawing it keeps every later draw's bits.
-        rng.standard_normal(np.shape(text_raw))
         return AugmentedBatch(img, lab, lab, np.ones(b_sz))
     # mixup
     partner = rng.permutation(b_sz)
@@ -1015,10 +1020,7 @@ def distill_students(
             draws = []
             for rows in block:
                 idx = train_idx[rows]
-                batch = augment(
-                    image_raw[idx], dataset.text_raw[: idx.size], labels[idx],
-                    config.augmentation, rng_loop,
-                )
+                batch = augment(image_raw[idx], labels[idx], config.augmentation, rng_loop)
                 text_masks = None
                 if per_batch_bank:
                     text_masks = _dropout_masks(txt_params.config, n_classes, rng_loop)

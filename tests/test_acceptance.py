@@ -7,6 +7,7 @@ of the qualitative training claims at the default configuration.
 """
 
 import csv
+import dataclasses
 import json
 import time
 from pathlib import Path
@@ -348,7 +349,7 @@ def test_10_loss_ratio_suite(default_world, tmp_path):
         "schema_version": 1,
         "suite": "loss_ratio",
         "seeds": list(SEEDS),
-        "dataset": {"spec": data.SyntheticSpec().to_dict()},
+        "dataset": {"spec": dataclasses.asdict(data.SyntheticSpec())},
         "train": {},
         "pretrain": {},
         "output_dir": str(tmp_path / "out"),
@@ -417,10 +418,11 @@ def test_12_file_format_roundtrip(tmp_path, default_world):
     path = tmp_path / "ds.bin"
     data.save_dataset(ds, path)
     loaded = data.load_dataset(path)
+    np.testing.assert_array_equal(loaded.text_anchors, ds.text_anchors)
     np.testing.assert_array_equal(loaded.image_raw, ds.image_raw)
-    np.testing.assert_array_equal(loaded.text_raw, ds.text_raw)
     np.testing.assert_array_equal(loaded.labels, ds.labels)
     assert loaded.spec == ds.spec
+    assert loaded.probe_accuracy == ds.probe_accuracy
 
     blob = path.read_bytes()
     (tmp_path / "trunc.bin").write_bytes(blob[: len(blob) - 17])

@@ -121,8 +121,14 @@ BAD_MANIFESTS = [
     (("train", "lr_schedule"), {"kind": "cosine", "eta_min": -1}, "train.lr_schedule.eta_min"),
     (("teachers", 1, "corruption"), {"kind": "weight_noise", "sigma": -1},
      "teachers[1].corruption.sigma"),
+    (("teachers", 0, "corruption"), {"kind": "gamma_rays"}, "teachers[0].corruption.kind"),
     (("trian",), {}, "trian"),
     (("dataset", "url"), "x", "dataset.url"),
+    # Rounding 0.8 n leaves no eval row for n <= 2.
+    (("dataset", "spec", "samples_per_class"), 2, "dataset.spec.samples_per_class"),
+    (("seeds",), [-1], "seeds"),
+    # One seed twice would train into one directory twice.
+    (("seeds",), [0, 0], "seeds"),
 ]
 
 
@@ -156,6 +162,23 @@ class TestManifestSchema:
         write_manifest(p)
         assert cli.main(["run", str(p), "--threads", threads]) == 2
         assert "'--threads': must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_seed_override_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "m.json"
+        write_manifest(p)
+        assert cli.main(["run", str(p), "--seed-override", "-1"]) == 2
+        assert "'--seed-override'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_dataset_file_with_an_empty_eval_split_exits_2(self, tmp_path, capsys):
+        ds_path = tmp_path / "data.ds"
+        spec = SyntheticSpec(**{**TINY_DATASET["spec"], "samples_per_class": 1})
+        save_dataset(generate(spec), ds_path)
+        p = tmp_path / "m.json"
+        write_manifest(p, dataset={"path": str(ds_path)})
+        assert cli.main(["run", str(p)]) == 2
+        assert "'dataset.path'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_strategy_suite_needs_teachers_for_every_row(self, tmp_path, capsys):

@@ -1,3 +1,7 @@
+import dataclasses
+import hashlib
+import json
+import struct
 import tempfile
 from pathlib import Path
 
@@ -29,9 +33,19 @@ class TestSpec:
         with pytest.raises(InvalidSpec):
             data.SyntheticSpec(samples_per_class=0)
 
-    def test_dict_roundtrip(self):
-        spec = data.SyntheticSpec()
-        assert data.SyntheticSpec.from_dict(spec.to_dict()) == spec
+    def test_dict_roundtrip(self, tmp_path):
+        # A file's header stores the spec field by field; load_dataset reads
+        # it back whole and rejects a header missing a field or adding one.
+        ds, fields = data.generate(SMALL), dataclasses.asdict(SMALL)
+        arrays = (ds.text_anchors, ds.image_raw, ds.labels)
+        path = tmp_path / "ds.bin"
+        _write_file(path, 2, {"spec": fields, "probe_accuracy": 1.0}, *arrays)
+        assert data.load_dataset(path).spec == SMALL
+        missing = {k: v for k, v in fields.items() if k != "seed"}
+        for spec in (missing, {**fields, "colour": 1}):
+            _write_file(path, 2, {"spec": spec, "probe_accuracy": 1.0}, *arrays)
+            with pytest.raises(InvalidSpec):
+                data.load_dataset(path)
 
 
 class TestGenerate:
@@ -39,30 +53,28 @@ class TestGenerate:
         spec = data.SyntheticSpec(num_classes=8, samples_per_class=250, seed=3)
         ds = data.generate(spec)
         assert ds.image_raw.shape == (2000, spec.image_dim)
-        assert ds.text_raw.shape == (2000, spec.text_dim)
+        assert ds.text_anchors.shape == (8, spec.text_dim)
         counts = np.bincount(ds.labels, minlength=8)
         np.testing.assert_array_equal(counts, 250)
 
     def test_zero_noise_samples_equal_anchor(self):
-        spec = data.SyntheticSpec(
-            num_classes=3, image_dim=5, text_dim=4, samples_per_class=7,
-            noise_sigma=0.0, seed=4,
-        )
-        ds = data.generate(spec)
+        # Without noise every row of a class is its image anchor.
+        ds = data.generate(ZERO_NOISE)
         for c in range(3):
             rows = ds.image_raw[ds.labels == c]
-            np.testing.assert_array_equal(rows, np.tile(ds.image_anchors[c], (7, 1)))
+            np.testing.assert_array_equal(rows, np.tile(rows[0], (7, 1)))
 
     def test_deterministic(self):
         a = data.generate(SMALL)
         b = data.generate(SMALL)
         np.testing.assert_array_equal(a.image_raw, b.image_raw)
-        np.testing.assert_array_equal(a.text_raw, b.text_raw)
+        np.testing.assert_array_equal(a.text_anchors, b.text_anchors)
         np.testing.assert_array_equal(a.labels, b.labels)
 
     def test_anchor_separation(self):
-        ds = data.generate(SMALL)
-        for anchors in (ds.image_anchors, ds.text_anchors):
+        # The image anchors are the rows of a zero-noise dataset.
+        image_anchors = data.generate(ZERO_NOISE).image_raw[::7]
+        for anchors in (data.generate(SMALL).text_anchors, image_anchors):
             unit = anchors / np.linalg.norm(anchors, axis=1, keepdims=True)
             cos = unit @ unit.T
             np.fill_diagonal(cos, -1.0)
@@ -81,12 +93,13 @@ class TestRoundtrip:
         data.save_dataset(ds, path)
         loaded = data.load_dataset(path)
         assert loaded.spec == ds.spec
-        np.testing.assert_array_equal(loaded.image_anchors, ds.image_anchors)
         np.testing.assert_array_equal(loaded.text_anchors, ds.text_anchors)
         np.testing.assert_array_equal(loaded.image_raw, ds.image_raw)
-        np.testing.assert_array_equal(loaded.text_raw, ds.text_raw)
         np.testing.assert_array_equal(loaded.labels, ds.labels)
         assert loaded.probe_accuracy == ds.probe_accuracy
+        assert [f.name for f in dataclasses.fields(loaded)] == [
+            "spec", "text_anchors", "image_raw", "labels", "probe_accuracy"
+        ]
 
     def test_truncated_file(self, tmp_path):
         ds = data.generate(SMALL)
@@ -116,6 +129,41 @@ class TestRoundtrip:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             data.load_dataset(tmp_path / "nope.bin")
+
+    def test_version_1_file_is_rebuilt_by_gen_data(self, tmp_path, capsys):
+        # A version-1 file (image anchors, text anchors, image rows, text
+        # rows, labels) with a valid checksum fails as a format mismatch
+        # that says how to rebuild it, and `kdlab run` reading it exits 3.
+        ds = data.generate(SMALL)
+        header = {"spec": dataclasses.asdict(SMALL), "probe_accuracy": ds.probe_accuracy}
+        path = tmp_path / "v1.bin"
+        image_anchors, text_raw = np.zeros((4, 8)), np.zeros((80, 6))
+        _write_file(
+            path, 1, header, image_anchors, ds.text_anchors, ds.image_raw, text_raw, ds.labels
+        )
+        with pytest.raises(FormatVersionMismatch, match="kdlab gen-data"):
+            data.load_dataset(path)
+        manifest = tmp_path / "m.json"
+        write_manifest(manifest, dataset={"path": str(path)})
+        assert cli.main(["run", str(manifest), "--output-dir", str(tmp_path / "o")]) == 3
+        assert "kdlab gen-data" in capsys.readouterr().err
+
+
+ZERO_NOISE = data.SyntheticSpec(
+    num_classes=3, image_dim=5, text_dim=4, samples_per_class=7, noise_sigma=0.0, seed=4
+)
+
+
+def _write_file(path, version: int, header: dict, *arrays) -> None:
+    """A dataset file of format ``version`` holding ``header`` and
+    ``arrays`` (float64 or int64), framed as the module docstring of
+    ``kdlab.data`` describes, with a valid checksum."""
+    hbytes = json.dumps(header).encode()
+    body = b"KDLAB-PAIRED-DS\x00" + struct.pack("<II", version, len(hbytes)) + hbytes
+    for a in arrays:
+        body += a.astype(a.dtype.newbyteorder("<")).tobytes()
+    digest = hashlib.blake2b(body, digest_size=8).digest()
+    path.write_bytes(body + struct.pack("<Q", int.from_bytes(digest, "little")))
 
 
 TINY_FILE_SPEC = data.SyntheticSpec(
@@ -191,16 +239,6 @@ class TestCorruptTeacher:
         for a, b in zip(p.biases, q.biases):
             np.testing.assert_array_equal(a, b)
         assert any(np.any(a != b) for a, b in zip(p.weights, q.weights))
-
-    def test_label_shuffle_tag_keeps_params(self):
-        p = self._params()
-        q = data.corrupt_teacher(p, data.LABEL_SHUFFLE, seeded_rng(3))
-        for a, b in zip(p.weights, q.weights):
-            np.testing.assert_array_equal(a, b)
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            data.corrupt_teacher(self._params(), "gamma_rays", seeded_rng(0))
 
 
 class TestClassBank:

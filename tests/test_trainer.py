@@ -161,28 +161,27 @@ class TestSplit:
 
 class TestAugment:
     def test_none_is_identity(self, rng):
-        img, txt = rng.normal(size=(6, 4)), rng.normal(size=(6, 3))
+        img = rng.normal(size=(6, 4))
         labels = np.arange(6) % 3
-        out = trainer.augment(img, txt, labels, trainer.Augmentation("none"), seeded_rng(0))
+        out = trainer.augment(img, labels, trainer.Augmentation("none"), seeded_rng(0))
         np.testing.assert_array_equal(out.image_raw, img)
         np.testing.assert_array_equal(out.labels_a, labels)
         assert not out.is_mixed
 
     def test_zero_jitter_is_identity(self, rng):
-        img, txt = rng.normal(size=(5, 4)), rng.normal(size=(5, 3))
+        img = rng.normal(size=(5, 4))
         drawn = seeded_rng(0)
         out = trainer.augment(
-            img, txt, np.zeros(5, dtype=int),
-            trainer.Augmentation("jitter", sigma=0.0), drawn,
+            img, np.zeros(5, dtype=int), trainer.Augmentation("jitter", sigma=0.0), drawn
         )
         np.testing.assert_array_equal(out.image_raw, img)
-        # No text rows are built, but the text noise is still drawn.
+        # Jitter draws the image rows' noise and nothing more.
         ref = seeded_rng(0)
-        ref.standard_normal(img.shape), ref.standard_normal(txt.shape)
-        assert drawn.random() == ref.random()
+        ref.standard_normal(img.shape)
+        assert drawn.bit_generator.state == ref.bit_generator.state
 
     def test_mixup_endpoint_keeps_first_element(self, rng):
-        img, txt = rng.normal(size=(4, 3)), rng.normal(size=(4, 2))
+        img = rng.normal(size=(4, 3))
         labels = np.array([0, 1, 2, 3])
 
         class OnesBeta:
@@ -197,19 +196,15 @@ class TestAugment:
             def beta(self, a, b, size=None):
                 return np.ones(size)
 
-        out = trainer.augment(
-            img, txt, labels, trainer.Augmentation("mixup", beta=0.4), OnesBeta()
-        )
+        out = trainer.augment(img, labels, trainer.Augmentation("mixup", beta=0.4), OnesBeta())
         np.testing.assert_allclose(out.image_raw, img)
         np.testing.assert_array_equal(out.labels_a, labels)
         np.testing.assert_allclose(out.lam, 1.0)
 
     def test_mixup_convex_combination(self, rng):
-        img, txt = rng.normal(size=(8, 3)), rng.normal(size=(8, 2))
+        img = rng.normal(size=(8, 3))
         labels = np.arange(8) % 4
-        out = trainer.augment(
-            img, txt, labels, trainer.Augmentation("mixup", beta=0.4), seeded_rng(3)
-        )
+        out = trainer.augment(img, labels, trainer.Augmentation("mixup", beta=0.4), seeded_rng(3))
         assert out.is_mixed
         lo = np.minimum(img.min(axis=0), img.min(axis=0))
         assert np.all(out.image_raw.min(axis=0) >= lo - 1e-9)
@@ -500,10 +495,7 @@ class TestFrozenTeacherCache:
             draws = [
                 trainer._BatchDraws(
                     p,
-                    trainer.augment(
-                        rows_raw[p], ds.text_raw[train_idx[p]], ds.labels[train_idx[p]],
-                        cfg.augmentation, rng,
-                    ),
+                    trainer.augment(rows_raw[p], ds.labels[train_idx[p]], cfg.augmentation, rng),
                     None,
                     None,
                 )
