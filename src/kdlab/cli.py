@@ -765,6 +765,9 @@ def _csv_float(path: Path, row: dict, column: str) -> float:
 
 def cmd_gen_data(args) -> int:
     spec = _build(SyntheticSpec, _read_json(args.spec, "spec"), "spec")
+    # Every run splits at the default fraction; a spec it cannot split
+    # would make a file no run accepts.
+    _check_split(spec, TrainConfig(), "spec.samples_per_class")
     ds = generate(spec)
     try:
         save_dataset(ds, args.out)

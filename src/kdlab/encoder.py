@@ -35,7 +35,13 @@ their owner: ``_FlatAdam`` for its (P,) gradient, the trainer for ``dsw``'s
 K x P matrix. ``_FlatAdam`` holds an encoder's parameters and Adam moments
 as flat buffers and updates them in place through one scratch buffer and
 then the used-up gradient buffer, one elementwise pass per encoder; each
-entry rounds as it would in an update of its own array.
+entry rounds as it would in an update of its own array. Two encoders
+stepped one after the other may share their gradient and scratch buffers.
+
+``_encode_rows`` is the eval-mode pass over many rows: it encodes them in
+chunks of at most a training batch of rows (``_row_chunks``), with no
+one-row chunk, so every row keeps its bits and, at kdlab's widths, no
+product is large enough for OpenBLAS to run it on several threads.
 
 Member stacks: the three kernels also take the parameters of S encoders of
 one architecture trained side by side, as (S, P) flat buffers viewed as
@@ -267,6 +273,28 @@ def _encode(
     return raw, tape
 
 
+def _row_chunks(x: np.ndarray, rows: int) -> list[np.ndarray]:
+    """``x`` split along its row axis (-2) into chunks of ``rows`` rows, at
+    least 2; a one-row tail joins the chunk before it. BLAS computes a
+    one-row product with its matrix-vector kernel, which rounds
+    differently, so an input of two or more rows gets no one-row chunk."""
+    n, size = x.shape[-2], max(rows, 2)
+    cuts = list(range(size, n, size))
+    if cuts and n - cuts[-1] == 1:
+        cuts.pop()
+    return np.split(x, cuts, axis=-2)
+
+
+def _encode_rows(params: EncoderParams, xm: np.ndarray, rows: int) -> np.ndarray:
+    """The eval-mode features of checked rows ``xm``, one ``_encode`` per
+    chunk of :func:`_row_chunks`. Each row keeps the bits it gets in one
+    pass over all of ``xm``, and no product has more than ``rows`` + 1
+    rows: at a training batch's size that keeps every product under
+    OpenBLAS's threading threshold, after which its idle worker thread
+    busy-waits."""
+    return np.concatenate([_encode(params, x, None)[0] for x in _row_chunks(xm, rows)], axis=-2)
+
+
 def _member_params(params: EncoderParams, s: int) -> EncoderParams:
     """Member ``s`` of member-stacked parameters, as views."""
     return EncoderParams(
@@ -426,9 +454,13 @@ class _FlatAdam:
     float64 buffers (copies of those given) that each step updates in
     place; member-stacked parameters give (S, P) buffers. ``params`` holds
     views into the parameter buffer and ``grads`` views into ``grad``, the
-    buffer the step's gradient is written into; both are laid out once."""
+    buffer the step's gradient is written into; both are laid out once.
+    ``grad`` and the step's scratch buffer are contiguous views into the
+    leading entries of the two rows of ``work``, when it is given: encoders
+    whose gradients are never written and stepped at the same time can
+    share one ``work``."""
 
-    def __init__(self, params: EncoderParams, state: AdamState):
+    def __init__(self, params: EncoderParams, state: AdamState, work: np.ndarray | None = None):
         self.layout = _Layout(params.config)
         self.betas = (state.beta1, state.beta2)
         self.eps = state.eps
@@ -437,9 +469,10 @@ class _FlatAdam:
         self.m = state.m.flatten()
         self.v = state.v.flatten()
         self.params = EncoderParams(params.config, *self.layout.views(self.p))
-        self.grad = np.empty_like(self.p)
+        if work is None:
+            work = np.empty((2, self.p.size))
+        self.grad, self._scratch = work[:, : self.p.size].reshape(2, *self.p.shape)
         self.grads = EncoderGrads(*self.layout.views(self.grad))
-        self._scratch = np.empty_like(self.p)
 
     def step(self, lr: float) -> None:
         """One bias-corrected Adam update with ``grad`` at rate ``lr``, one

@@ -29,25 +29,29 @@ block of its own, and so is every one-row batch.
   its features, its image-to-text and text-to-image distributions (t2i
   normalizes over each batch's own rows), its label-similarity scores
   under ``lsr``, and its soft-gathered bank rows for the MSE. Under
-  ``none`` the features are gathered from a cache of the teacher's
-  features of every training row, computed once per call in eval mode, in
-  chunks of ``batch_size`` rows with no one-row chunk. Otherwise the
-  block's augmented rows go through one eval-mode forward pass.
+  ``none`` a row's features, its i2t distribution and its clamped label
+  similarity depend on the row alone, so they are computed once per call
+  for every training row, in eval mode, in chunks of ``batch_size`` rows
+  with no one-row chunk; a block gathers its rows of them and computes
+  only t2i. Otherwise the block's augmented rows go through one eval-mode
+  forward pass.
 - Per batch, the student's step reads slice i of the block: encode,
   contrastive loss, stacked KL, the ``lsr`` weights or ``dsw``'s reverse
   passes and Frank-Wolfe, MSE, reverse pass, Adam.
 Each stacked product runs one BLAS call per batch, with the bits the
 batch gets alone. A single 512-row product crosses OpenBLAS's threading
 threshold; measured, it ran on both cores and raised a run's CPU time by
-about 60%. An eval-mode row's bits do not depend on the rows beside it,
-as long as there are at least two: BLAS computes a one-row product with
-its matrix-vector kernel, which rounds differently. So the cache has no
-one-row chunk and a one-row batch is encoded alone. The cap bounds
-memory. On a 2-core Xeon (``BENCH_8.json``, two 30 s runs each), the
-benchmark's mixup ``lsr`` K=3 run made 533 student steps/s batch by
-batch, and 602, 635, 687 and 697 with caps of 128, 256 and 512 rows and
-a whole epoch; its peak RSS grew 0.4%, 1.2%, 3.1% and 11.1%, against the
-benchmark's 5% bound.
+about 60%. After a threaded product OpenBLAS's idle worker thread also
+busy-waits: on a 2-core Xeon, a 0.3 s sleep right after one 400 x 32 x
+80 product read 128 ms of CPU time. An eval-mode row's bits do not depend
+on the rows beside it, as long as there are at least two: BLAS computes
+a one-row product with its matrix-vector kernel, which rounds
+differently. So the cache has no one-row chunk and a one-row batch is
+encoded alone. The cap bounds memory. On a 2-core Xeon
+(``BENCH_8.json``, two 30 s runs each), the benchmark's mixup ``lsr``
+K=3 run made 533 student steps/s batch by batch, and 602, 635, 687 and
+697 with caps of 128, 256 and 512 rows and a whole epoch; its peak RSS
+grew 0.4%, 1.2%, 3.1% and 11.1%, against the benchmark's 5% bound.
 
 Groups: ``distill_students`` trains the runs of one seed whose configs
 differ only in ``strategy`` and ``loss_ratios`` in lockstep, and
@@ -57,17 +61,18 @@ leading member axis S, which ``_Members`` lays out: the encoders'
 parameters, gradients and Adam moments are (S, P) buffers, and each batch
 runs one forward pass, one contrastive loss, one reverse pass and one
 Adam step for every member at once (see ``encoder``'s member stacks).
-Per group: one teacher pass and one set of draws. Per batch,
+Per group: one teacher pass, one set of draws, and one evaluation per
+epoch. Per batch,
 ``_distill_terms`` runs the KL, MSE and total-loss terms once over the
 distilling members (``base`` members skip them), weighted by
 ``_teacher_weights``: under ``lsr`` one set of weights from the shared
 scores, and per ``dsw`` member its stacked KL reverse passes through its
 slice of each tape, Frank-Wolfe and the certificate. Per member: the
-finite-loss check, ``evaluate``, and the ``EpochRecord`` that
-``_EpochSums`` builds. Every member gets the bits it gets alone: each
-product runs one BLAS call per member, and every reduction runs over that
-member's own contiguous terms. A failure of any member stops the whole
-call.
+finite-loss check, its accuracy and recall@5 from ``rank_of_label``, and
+the ``EpochRecord`` that ``_EpochSums`` builds. Every member gets the
+bits it gets alone: each product runs one BLAS call per member, and
+every reduction runs over that member's own contiguous terms. A failure
+of any member stops the whole call.
 
 The training step: ``pretrain_teacher`` and ``distill_students`` check
 their inputs once, at entry. The dataset's image rows, class text anchors and
@@ -91,8 +96,20 @@ mode or without dropout, raises ``ZeroVector``.
   share them when ``tau_distill == tau_student``.
 - Each encoder's parameters, gradient and Adam moments live in flat
   buffers laid out once per run and updated in place (see ``encoder``);
+  the image and text encoders, whose gradients are written and stepped
+  one after the other, share one pair of gradient and scratch buffers.
   ``dsw``'s stacked passes write into one K x P matrix
   (``_kl_grad_matrix``), also laid out once per run.
+
+Evaluation: every eval-mode pass over many rows goes through
+``encoder._encode_rows``, in chunks of at most a training batch of rows
+(``_EVAL_ROWS`` = 64, the default batch, for an evaluation), so no
+product crosses the threading threshold and every row keeps its bits.
+``evaluate`` checks its inputs on each call. A group's evaluation runs
+once per epoch for all members: the eval rows, checked at entry, go
+through the member-stacked image parameters, and the class anchors once
+through the stacked text parameters; then ``rank_of_label`` runs per
+member. Each member gets what ``evaluate`` gives on its parameters.
 
 Single-threaded runs are bit-deterministic in (config, seed): every random
 draw comes from named PCG64 streams derived from the run seed.
@@ -118,11 +135,13 @@ from .encoder import (
     _checked_input,
     _dropout_masks,
     _encode,
+    _encode_rows,
     _FlatAdam,
+    _Layout,
     _member_params,
     _member_tape,
+    _row_chunks,
     architecture_problem,
-    encode,
     init_adam,
     init_params,
 )
@@ -133,13 +152,14 @@ from .errors import (
     ShapeMismatch,
     StrategyTeacherMismatch,
 )
-from .numerics import _pair_log_softmax, as_matrix, seeded_rng
+from .numerics import _pair_log_softmax, _softmax, as_matrix, seeded_rng
 
 # perfbench's tracer wraps these public functions at every module that
 # binds them (EXPECTED_BINDINGS in perfbench/tracer.py). The training step
-# calls their unchecked kernels instead, so nothing here calls them.
+# and the evaluation call their unchecked kernels instead, so nothing here
+# calls them.
 from .contrastive import clip_loss  # noqa: E402,F401
-from .encoder import adam_step, vjp  # noqa: E402,F401
+from .encoder import adam_step, encode, vjp  # noqa: E402,F401
 
 STRATEGIES = ("base", "avg", "lsr", "dsw")
 
@@ -152,6 +172,10 @@ _TAG_SPLIT = 5
 
 # The most rows a block of batches holds (see the module docstring).
 _BLOCK_ROWS = 512
+
+# The rows of each eval-mode product of an evaluation: the default
+# training batch (see the module docstring).
+_EVAL_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -294,6 +318,12 @@ class TrainConfig:
         if self.eval_bank != "student":
             # Runs evaluate on the student's own class bank.
             raise InvalidConfig("eval_bank", f"must be 'student', got {self.eval_bank!r}")
+        eta_min = self.lr_schedule.eta_min
+        if self.lr_schedule.kind == "cosine" and eta_min is not None and eta_min > self.lr:
+            # lr_at would rise from lr to eta_min instead of decaying.
+            raise InvalidConfig(
+                "lr_schedule.eta_min", f"must be <= lr ({self.lr}) under cosine, got {eta_min}"
+            )
 
     @property
     def teachers_used(self) -> int:
@@ -432,14 +462,20 @@ def evaluate(
 ) -> tuple[float, float]:
     """(accuracy, recall@5) of classification over the ranking of the
     model's own encoded class anchors. Each class has one bank row, so
-    recall@1 is the accuracy."""
+    recall@1 is the accuracy. The rows are encoded in chunks of
+    ``_EVAL_ROWS`` (see the module docstring)."""
     bank = build_class_bank(text_params, dataset)
     idx = np.asarray(idx, dtype=np.int64)
-    feats, _ = encode(image_params, dataset.image_raw[idx], train_mode=False)
-    ranks = rank_of_label(feats, bank, dataset.labels[idx], tau)
-    acc = float(np.mean(ranks < 1))
-    r5 = float(np.mean(ranks < min(5, bank.shape[0])))
-    return acc, r5
+    rows = _checked_input(image_params, dataset.image_raw[idx])
+    feats = _encode_rows(image_params, rows, _EVAL_ROWS)
+    return _scores(feats, bank, dataset.labels[idx], tau)
+
+
+def _scores(feats: np.ndarray, bank: np.ndarray, labels, tau: float) -> tuple[float, float]:
+    """:func:`evaluate`'s (accuracy, recall@5) of encoded image rows
+    ``feats`` against the class bank ``bank``."""
+    ranks = rank_of_label(feats, bank, labels, tau)
+    return float(np.mean(ranks < 1)), float(np.mean(ranks < min(5, bank.shape[0])))
 
 
 def _init_encoder_pair(arch, dataset: PairedDataset, rng) -> tuple[EncoderParams, EncoderParams]:
@@ -659,31 +695,35 @@ class _TeacherBlock:
 
 class _TeacherPass:
     """The frozen teachers' side of distillation, one stacked pass per
-    teacher and block (see the module docstring). Under ``none`` every
-    teacher's features of the training rows ``image_raw[train_idx]`` are
-    computed once, in chunks of ``batch_size`` rows with no one-row chunk,
-    and each block gathers its rows; otherwise a block's augmented rows go
-    through one eval-mode forward pass per teacher. ``lsr`` asks for the
+    teacher and block (see the module docstring). Under ``none`` each
+    teacher's values of every training row ``image_raw[train_idx]`` are
+    computed once, in chunks of ``batch_size`` rows with no one-row chunk:
+    its features, its image-to-text distribution and, under ``lsr``, its
+    clamped label similarity. Each block gathers its rows of them and
+    computes only the text-to-image distributions, which normalize over the
+    batch's own rows. Otherwise a block's augmented rows go through one
+    eval-mode forward pass per teacher. ``lsr`` asks for the
     label-similarity scores."""
 
     def __init__(
-        self, config: TrainConfig, teachers: list[Teacher], image_raw, train_idx, lsr: bool
+        self, config: TrainConfig, teachers: list[Teacher], image_raw, labels, train_idx,
+        lsr: bool,
     ):
         self.teachers = teachers
         self.tau = config.tau_teacher
         self.lsr = lsr
         self.mixup = config.augmentation.kind == "mixup"
-        self.frozen = None
+        self.cache = None  # per teacher, (features, i2t, label similarities or None)
         n, size = train_idx.size, config.batch_size
         if config.augmentation.kind == "none" and min(size, n) > 1:
-            cuts = list(range(size, n, size))
-            if cuts and n - cuts[-1] == 1:
-                cuts.pop()  # no one-row chunk
-            parts = np.split(image_raw[train_idx], cuts)
-            self.frozen = [
-                np.concatenate([_encode(t.image_params, x, None)[0] for x in parts])
-                for t in teachers
-            ]
+            x, lab = image_raw[train_idx], labels[train_idx]
+            self.cache = []
+            for t in teachers:
+                f = _encode_rows(t.image_params, x, size)
+                i2t = np.concatenate(
+                    [_softmax(u @ t.bank.T, self.tau) for u in _row_chunks(f, size)]
+                )
+                self.cache.append((f, i2t, weighting._label_sims(f, t.bank, lab) if lsr else None))
 
     def block(self, draws: list[_BatchDraws]) -> _TeacherBlock:
         batches = [d.batch for d in draws]
@@ -695,31 +735,32 @@ class _TeacherPass:
             mix = MixedLabels(
                 np.stack([b.labels_b for b in batches]), np.stack([b.lam for b in batches])
             )
-        if self.frozen is not None and labels.shape[1] > 1:
-            rows = np.stack([d.rows for d in draws])
-            feats = [f[rows] for f in self.frozen]
+        scores = None
+        if self.cache is not None and labels.shape[1] > 1:
+            at = np.stack([d.rows for d in draws])
+            feats = [f[at] for f, _, _ in self.cache]
+            i2t = [p[at] for _, p, _ in self.cache]
+            if self.lsr:
+                scores = [np.mean(sims[at], axis=-1) for _, _, sims in self.cache]
         else:
             images = np.stack([b.image_raw for b in batches])
             feats = [_encode(t.image_params, images, None)[0] for t in self.teachers]
-        dists = [
-            distill._teacher_dists(f, t.bank, self.tau) for f, t in zip(feats, self.teachers)
-        ]
-        lsr_scores = None
-        if self.lsr:
-            soft = () if mix is None else (mix.labels_b, mix.lam)
-            lsr_scores = np.stack(
-                [
+            i2t = [_softmax(f @ t.bank.T, self.tau) for f, t in zip(feats, self.teachers)]
+            if self.lsr:
+                soft = () if mix is None else (mix.labels_b, mix.lam)
+                scores = [
                     weighting.teacher_label_similarity(f, labels, t.bank, *soft)
                     for f, t in zip(feats, self.teachers)
-                ],
-                axis=-1,
-            )
+                ]
+        t2i = [
+            _softmax(t.bank @ f.swapaxes(-1, -2), self.tau) for f, t in zip(feats, self.teachers)
+        ]
         return _TeacherBlock(
             feats=feats,
             bank_rows=[_soft_gather(t.bank, labels, mix) for t in self.teachers],
-            i2t=np.stack([i2t for i2t, _ in dists], axis=1),
-            t2i=np.stack([t2i for _, t2i in dists], axis=1),
-            lsr_scores=lsr_scores,
+            i2t=np.stack(i2t, axis=1),
+            t2i=np.stack(t2i, axis=1),
+            lsr_scores=None if scores is None else np.stack(scores, axis=-1),
         )
 
 
@@ -979,10 +1020,17 @@ def distill_students(
     rng_proj = seeded_rng(config.seed, _TAG_PROJECTION)
 
     img_params, txt_params = _init_encoder_pair(config.student, dataset, rng_init)
+    # The two encoders' gradients are written and stepped one after the
+    # other, so they share one pair of gradient and scratch buffers.
+    width = members.n * max(_Layout(p.config).size for p in (img_params, txt_params))
+    work = np.empty((2, width))
     img, txt = (
-        _FlatAdam(p, init_adam(p, config.lr)) for p in members.stacked(img_params, txt_params)
+        _FlatAdam(p, init_adam(p, config.lr), work)
+        for p in members.stacked(img_params, txt_params)
     )
     image_raw, anchors, labels = _checked_inputs(img_params, txt_params, dataset)
+    eval_idx = np.asarray(eval_idx, dtype=np.int64)
+    eval_labels = labels[eval_idx]
     n_classes = anchors.shape[0]
     teachers = _checked_teachers(teachers[:k], image_raw.shape[1], n_classes)
 
@@ -1000,8 +1048,9 @@ def distill_students(
     teacher_pass = None
     if members.n_dist:
         teacher_pass = _TeacherPass(
-            config, teachers, image_raw, train_idx, lsr=bool(members.rows["lsr"])
+            config, teachers, image_raw, labels, train_idx, lsr=bool(members.rows["lsr"])
         )
+    mixup = config.augmentation.kind == "mixup"
     img_views, txt_views = members.views(img.params), members.views(txt.params)
 
     runs = [RunMetrics(strategy=c.strategy, num_teachers=k) for c in members.configs]
@@ -1031,7 +1080,7 @@ def distill_students(
             for i, d in enumerate(draws):
                 lr_now = lr_at(config.lr_schedule, config.lr, step, total_steps)
                 batch = d.batch
-                mix = batch.mix()
+                mix = batch.mix() if mixup else None
                 if per_batch_bank:
                     bank_s, tape_text = _encode(txt.params, anchors, d.text_masks)
                 feats_s, tape_img = _encode(img.params, batch.image_raw, d.image_masks)
@@ -1075,9 +1124,15 @@ def distill_students(
             # per-batch image pathway.
             _backward(tape_text, text_grad_acc, txt.grads)
             txt.step(lr_epoch * sums.batches)
+        # Every member evaluated at once, on rows checked at entry.
+        feats = _encode_rows(img.params, image_raw[eval_idx], _EVAL_ROWS)
+        banks, _ = _encode(txt.params, anchors, None)
         for s, run in enumerate(runs):
-            acc, r5 = evaluate(img_views[s], txt_views[s], dataset, eval_idx, config.tau_student)
+            at = members.at(s)
+            acc, r5 = _scores(feats[at], banks[at], eval_labels, config.tau_student)
             run.epochs.append(sums.record(s, epoch, acc, r5, lr_epoch))
+        # Freed now, not held through the next epoch's steps.
+        del feats, banks
 
     return members.in_given_order(
         [(StudentModel(i.copy(), t.copy()), run) for i, t, run in zip(img_views, txt_views, runs)]

@@ -181,6 +181,15 @@ class TestManifestSchema:
         assert "'dataset.path'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_rising_cosine_schedule_exits_2(self, tmp_path, capsys):
+        # eta_min above lr would make the cosine schedule rise.
+        p = tmp_path / "m.json"
+        schedule = {"kind": "cosine", "eta_min": 1e-2}
+        write_manifest(p, train={**TINY_TRAIN, "lr": 1e-4, "lr_schedule": schedule})
+        assert cli.main(["run", str(p)]) == 2
+        assert "'train.lr_schedule.eta_min'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_strategy_suite_needs_teachers_for_every_row(self, tmp_path, capsys):
         p = tmp_path / "m.json"
         train = {**TINY_TRAIN, "strategy": "base", "num_teachers": 0}
@@ -645,7 +654,13 @@ class TestGenData:
         assert cli.main(["gen-data", str(spec_path), str(tmp_path / "x.bin")]) == 2
 
     @pytest.mark.parametrize(
-        "spec, field", [({"seed": "x"}, "spec.seed"), ({"sed": 3}, "spec.sed")]
+        "spec, field",
+        [
+            ({"seed": "x"}, "spec.seed"),
+            ({"sed": 3}, "spec.sed"),
+            # Every run's split leaves 2 samples per class no eval row.
+            ({"num_classes": 3, "samples_per_class": 2}, "spec.samples_per_class"),
+        ],
     )
     def test_gen_data_names_field(self, tmp_path, capsys, spec, field):
         spec_path = tmp_path / "spec.json"

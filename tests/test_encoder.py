@@ -116,6 +116,30 @@ class TestEncode:
             in_block = rows < 64
             np.testing.assert_array_equal(feats[in_block], block[rows[in_block]])
 
+    @pytest.mark.parametrize("n", [2, 63, 64, 65, 129, 400])
+    def test_chunked_eval_pass_matches_one_pass(self, n):
+        # _encode_rows in chunks of 64 rows, with no one-row chunk, gives
+        # every row the bits of one pass over all n rows, with 2-D and
+        # with member-stacked parameters.
+        cfg = enc.EncoderConfig(32, (48, 48), 8)
+        rng = seeded_rng(5)
+        members = []
+        for _ in range(3):
+            p = enc.init_params(cfg, rng)
+            biases = [rng.normal(size=b.shape) for b in p.biases]
+            members.append(enc.EncoderParams(cfg, p.weights, biases))
+        stacked = enc.EncoderParams(
+            cfg,
+            [np.stack(w) for w in zip(*[m.weights for m in members])],
+            [np.stack(b) for b in zip(*[m.biases for m in members])],
+        )
+        x = rng.normal(size=(n, 32))
+        sizes = [c.shape[0] for c in enc._row_chunks(x, 64)]
+        assert sum(sizes) == n and max(sizes) <= 65 and min(sizes) >= 2
+        for params in (members[0], stacked):
+            want, _ = enc._encode(params, x, None)
+            np.testing.assert_array_equal(enc._encode_rows(params, x, 64), want)
+
     def test_input_shape_check(self):
         p = small_params()
         with pytest.raises(ShapeMismatch):

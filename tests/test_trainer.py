@@ -278,6 +278,37 @@ class TestEvaluate:
             accs.append(acc)
         assert abs(np.mean(accs) - 0.125) < 0.05
 
+    def test_eval_mode_passes_stay_within_a_batch(self, monkeypatch):
+        # Every eval-mode pass of pretraining and distillation, the
+        # evaluations included, encodes at most batch_size + 1 rows at once:
+        # a larger product can cross OpenBLAS's threading threshold.
+        ds = data.generate(replace(TINY_SPEC, samples_per_class=100))
+        train_idx, eval_idx = trainer.dataset_split(ds)
+        assert eval_idx.size > 64
+        rows = []
+        real = encoder._encode
+
+        def recording(params, x, masks):
+            if masks is None:
+                rows.append(np.shape(x)[-2])
+            return real(params, x, masks)
+
+        for module in (encoder, trainer):
+            monkeypatch.setattr(module, "_encode", recording)
+        pretrain = replace(TINY_PRETRAIN, epochs=1, batch_size=64, accuracy_gate=0.0)
+        teachers = [
+            trainer.pretrain_teacher(pretrain, ds, train_idx, eval_idx, TINY_TEACHER, 0, j)
+            for j in range(2)
+        ]
+        for kind in ("none", "mixup"):
+            configs = [
+                tiny_config(epochs=1, batch_size=64, strategy=s,
+                            augmentation=trainer.Augmentation(kind, beta=0.4))
+                for s in ("avg", "lsr")
+            ]
+            trainer.distill_students(configs, teachers, ds, train_idx, eval_idx)
+        assert rows and max(rows) <= 64 + 1
+
 
 class TestDistill:
     def test_strategy_teacher_mismatch(self, tiny):
@@ -417,8 +448,9 @@ class TestFrozenTeacherCache:
     def teacher_encode_sizes(monkeypatch, tiny, **kw):
         """Input shapes, less the feature axis, of every teacher forward
         pass in one distill run. The teachers go through ``_encode`` only,
-        in eval mode: under ``none`` once per chunk of the cache, otherwise
-        once per block, on an (n batches, B rows) stack."""
+        in eval mode: under ``none`` once per chunk of the cache (through
+        ``encoder._encode_rows``), otherwise once per block, on an
+        (n batches, B rows) stack."""
         ds, train_idx, eval_idx, teachers = tiny
         teacher_params = [t.image_params for t in teachers]
         sizes = []
@@ -433,8 +465,8 @@ class TestFrozenTeacherCache:
             return wrapper
 
         with monkeypatch.context() as m:
-            for name in ("encode", "_encode"):
-                m.setattr(trainer, name, counting(getattr(trainer, name), name))
+            for module, name in ((trainer, "encode"), (trainer, "_encode"), (encoder, "_encode")):
+                m.setattr(module, name, counting(getattr(module, name), name))
             trainer.distill_student(tiny_config(**kw), teachers, ds, train_idx, eval_idx)
         return sizes
 
@@ -488,7 +520,9 @@ class TestFrozenTeacherCache:
             strategy="lsr", augmentation=trainer.Augmentation(kind, sigma=0.1, beta=0.4)
         )
         rows_raw = ds.image_raw[train_idx]
-        teacher_pass = trainer._TeacherPass(cfg, teachers, ds.image_raw, train_idx, lsr=True)
+        teacher_pass = trainer._TeacherPass(
+            cfg, teachers, ds.image_raw, ds.labels, train_idx, lsr=True
+        )
         rng = seeded_rng(0)
         for size, n in ((1, 1), (2, 3), (5, 3), (30, 4)):
             positions = rng.permutation(train_idx.size)[: n * size].reshape(n, size)
@@ -615,6 +649,18 @@ class TestGroups:
         for cfg, got in zip(configs, group):
             alone = [] if cfg.strategy == "base" else teachers
             assert_same_run(got, trainer.distill_student(cfg, alone, ds, train_idx, eval_idx))
+
+    def test_member_scores_match_evaluate(self, tiny):
+        # The group's one evaluation per epoch gives each member what the
+        # public evaluate gives on its returned parameters.
+        ds, train_idx, eval_idx, teachers = tiny
+        configs = [tiny_config(epochs=2, lr=3e-3, strategy=s, loss_ratios=r) for s, r in GROUP]
+        group = trainer.distill_students(configs, teachers, ds, train_idx, eval_idx)
+        for cfg, (student, metrics) in zip(configs, group):
+            want = trainer.evaluate(
+                student.image_params, student.text_params, ds, eval_idx, cfg.tau_student
+            )
+            assert (metrics.final.accuracy, metrics.final.recall5) == want
 
     def test_configs_must_differ_only_in_member_fields(self, tiny):
         ds, train_idx, eval_idx, teachers = tiny
