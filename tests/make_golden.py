@@ -8,8 +8,11 @@ output bits, and name the moved digests and the reason in ``CHANGES.md``.
 The digests cover two kinds of output:
 
 - the sha256 of every ``metrics.csv`` and ``summary.csv`` that ``kdlab run``
-  writes for the five suites on ``test_cli``'s tiny manifest, and for the
-  determinism manifest of acceptance 11;
+  writes for the five suites on ``test_cli``'s tiny manifest, for a
+  ``strategy`` suite under mixup with the per-batch text bank, per-teacher
+  MSE and teachers of unequal output dims (a group whose distilling
+  members share a member-stacked per-teacher MSE and step both encoders
+  every batch), and for the determinism manifest of acceptance 11;
 - a digest of every ``EpochRecord`` field and the student's parameters of
   2-epoch ``distill_student`` runs, over the strategies, augmentations,
   teacher counts, text-bank refresh modes, MSE modes and learning-rate
@@ -80,6 +83,8 @@ DISTILL_RUNS = {
     "dsw-k3-jitter-perteacher": dict(
         strategy="dsw", num_teachers=3, augmentation=JITTER, mse_mode="per_teacher",
     ),
+    # The teacher cache with teachers of unequal output dims.
+    "lsr-k3-none-perteacher": dict(strategy="lsr", num_teachers=3, mse_mode="per_teacher"),
     "avg-k2-taudistill-cosine": dict(
         strategy="avg", tau_distill=2.0, lr_schedule=trainer.LrSchedule("cosine"),
     ),
@@ -133,6 +138,19 @@ def suite_digests(workdir: Path) -> dict[str, str]:
             "pretrain": dict(TINY_PRETRAIN), "output_dir": "unused",
         }
         for suite in SUITES
+    }
+    manifests["strategy-mixup-batchbank-perteacher"] = {
+        **manifests["strategy"],
+        "train": {
+            **TINY_TRAIN, "num_teachers": 3, "augmentation": {"kind": "mixup", "beta": 0.4},
+            "text_bank_refresh": "batch", "mse_mode": "per_teacher",
+        },
+        # Output dims 5, 4, 5: the 5-dim teachers are not neighbours in the roster.
+        "teachers": [
+            {"hidden_widths": [16], "output_dim": 5},
+            {"hidden_widths": [14], "output_dim": 4},
+            {"hidden_widths": [12], "output_dim": 5},
+        ],
     }
     manifests["acceptance11"] = {**ACCEPTANCE_11_MANIFEST, "output_dir": "unused"}
     out = {}
