@@ -252,7 +252,9 @@ def _build(cls, obj, where: str):
     except InvalidConfig as e:
         _fail(_path(where, e.field), e.why)
     except InvalidSpec as e:
-        _fail(where, str(e))
+        if e.field is None:
+            _fail(where, str(e))
+        _fail(_path(where, e.field), e.why)
 
 
 _read_roster = _sequence(_reader(TeacherSpec))

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -49,15 +50,17 @@ class SyntheticSpec:
 
     def __post_init__(self):
         if self.num_classes < 2:
-            raise InvalidSpec("num_classes must be >= 2")
-        if self.image_dim < 2 or self.text_dim < 2:
-            raise InvalidSpec("modality dims must be >= 2")
+            raise InvalidSpec("must be >= 2", "num_classes")
+        for name in ("image_dim", "text_dim"):
+            if getattr(self, name) < 2:
+                raise InvalidSpec("must be >= 2", name)
         if self.samples_per_class < 1:
-            raise InvalidSpec("samples_per_class must be >= 1")
-        if self.noise_sigma < 0.0:
-            raise InvalidSpec("noise_sigma must be >= 0")
-        if self.anchor_scale <= 0.0:
-            raise InvalidSpec("anchor_scale must be > 0")
+            raise InvalidSpec("must be >= 1", "samples_per_class")
+        # JSON admits NaN and Infinity, which every comparison here passes.
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0.0):
+            raise InvalidSpec("must be finite and >= 0", "noise_sigma")
+        if not (math.isfinite(self.anchor_scale) and self.anchor_scale > 0.0):
+            raise InvalidSpec("must be finite and > 0", "anchor_scale")
 
     @property
     def num_samples(self) -> int:
@@ -141,8 +144,8 @@ class WeightNoise:
     sigma: float = 1.0
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise InvalidConfig("sigma", "must be >= 0")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise InvalidConfig("sigma", "must be finite and >= 0")
 
 
 LABEL_SHUFFLE = "label_shuffle"

@@ -31,17 +31,21 @@ matching array of an :class:`EncoderGrads` given by the caller (with a
 leading K axis for a stacked cotangent) and overwrites every entry; it
 skips the input gradient. Those arrays are views into one flat buffer in
 :meth:`EncoderGrads.flatten`'s order (``_Layout.views``), laid out once by
-their owner: ``_FlatAdam`` for its (P,) gradient, the trainer for ``dsw``'s
-K x P matrix. ``_FlatAdam`` holds an encoder's parameters and Adam moments
-as flat buffers and updates them in place through one scratch buffer and
-then the used-up gradient buffer, one elementwise pass per encoder; each
-entry rounds as it would in an update of its own array. Two encoders
-stepped one after the other may share their gradient and scratch buffers.
+their owner: ``_FlatAdam`` for its gradient, the trainer for ``dsw``'s
+K x P matrix. ``_FlatAdam`` holds the parameters and Adam moments of one
+encoder, or of an image and text encoder pair, as flat buffers, the pair's
+encoders in columns of their own, and updates them in place through one
+scratch buffer and then the used-up gradient buffer. A step is one
+elementwise pass over the pair's columns, or over one encoder's, and each
+encoder keeps its own step count; each entry rounds as it would in an
+update of its own array.
 
-``_encode_rows`` is the eval-mode pass over many rows: it encodes them in
+``_encode_rows`` is the eval-mode pass over many rows: it cuts them into
 chunks of at most a training batch of rows (``_row_chunks``), with no
-one-row chunk, so every row keeps its bits and, at kdlab's widths, no
-product is large enough for OpenBLAS to run it on several threads.
+one-row chunk, and encodes the full chunks as stacks of at most 512 rows
+and the rest in one more call: two calls for an evaluation's 400 rows.
+Every row keeps its bits and, at kdlab's widths, no product is large
+enough for OpenBLAS to run it on several threads.
 
 Member stacks: the three kernels also take the parameters of S encoders of
 one architecture trained side by side, as (S, P) flat buffers viewed as
@@ -59,6 +63,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -273,26 +278,47 @@ def _encode(
     return raw, tape
 
 
-def _row_chunks(x: np.ndarray, rows: int) -> list[np.ndarray]:
-    """``x`` split along its row axis (-2) into chunks of ``rows`` rows, at
-    least 2; a one-row tail joins the chunk before it. BLAS computes a
-    one-row product with its matrix-vector kernel, which rounds
-    differently, so an input of two or more rows gets no one-row chunk."""
+def _row_chunks(x: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """``x``'s rows (axis -2) in chunks of ``rows`` rows, at least 2, as
+    (stack, tail): the full chunks on a new axis before the row axis,
+    (..., chunks, rows, d), as a view, and the rows after them, fewer than
+    ``rows`` or none; where one row would be left, the tail is that row
+    and the last full chunk. BLAS computes a one-row product with its
+    matrix-vector kernel, which rounds differently, so an input of two or
+    more rows gets no one-row chunk."""
     n, size = x.shape[-2], max(rows, 2)
-    cuts = list(range(size, n, size))
-    if cuts and n - cuts[-1] == 1:
-        cuts.pop()
-    return np.split(x, cuts, axis=-2)
+    full = n // size
+    if full and n - full * size == 1:
+        full -= 1
+    cut = full * size
+    return x[..., :cut, :].reshape(*x.shape[:-2], full, size, x.shape[-1]), x[..., cut:, :]
+
+
+# The most input rows one stacked eval-mode pass holds; like a block of
+# batches, at most 512 rows, it bounds the pass's memory.
+_STACK_ROWS = 512
 
 
 def _encode_rows(params: EncoderParams, xm: np.ndarray, rows: int) -> np.ndarray:
-    """The eval-mode features of checked rows ``xm``, one ``_encode`` per
-    chunk of :func:`_row_chunks`. Each row keeps the bits it gets in one
-    pass over all of ``xm``, and no product has more than ``rows`` + 1
-    rows: at a training batch's size that keeps every product under
-    OpenBLAS's threading threshold, after which its idle worker thread
-    busy-waits."""
-    return np.concatenate([_encode(params, x, None)[0] for x in _row_chunks(xm, rows)], axis=-2)
+    """The eval-mode features of checked rows ``xm``: the full chunks of
+    :func:`_row_chunks` as stacks of at most ``_STACK_ROWS`` rows, then the
+    tail, one ``_encode`` each; up to 512 + ``rows`` rows that is two
+    calls. Each row keeps the bits it gets in one pass over all of ``xm``,
+    and no product has more than ``rows`` + 1 rows: at a training batch's
+    size that keeps every product under OpenBLAS's threading threshold,
+    after which its idle worker thread busy-waits. Member-stacked
+    parameters run a stack as (chunks, 1, rows, d) against their (S, .,
+    .) weights, which is one BLAS product per chunk and member."""
+    stack, tail = _row_chunks(xm, rows)
+    per = max(_STACK_ROWS // stack.shape[-2], 1)
+    feats = []
+    for part in (stack[i : i + per] for i in range(0, stack.shape[0], per)):
+        if params.weights[0].ndim == 3:
+            f = _encode(params, part[:, None], None)[0].swapaxes(0, 1)
+        else:
+            f = _encode(params, part, None)[0]
+        feats.append(f.reshape(*f.shape[:-3], -1, f.shape[-1]))
+    return np.concatenate(feats + [_encode(params, tail, None)[0]], axis=-2)
 
 
 def _member_params(params: EncoderParams, s: int) -> EncoderParams:
@@ -442,50 +468,65 @@ def adam_step(
     for p, g in zip(params.weights + params.biases, grads.weights + grads.biases):
         if p.shape != g.shape:
             raise ShapeMismatch(f"param shape {p.shape} != grad shape {g.shape}")
-    opt = _FlatAdam(params, state)
+    opt = _FlatAdam([params], [state])
     opt.grad[:] = grads.flatten()
     opt.step(state.lr)
-    m, v = (EncoderGrads(*opt.layout.views(a)) for a in (opt.m, opt.v))
-    return opt.params, replace(state, t=opt.t, m=m, v=v)
+    m, v = (EncoderGrads(*opt.layouts[0].views(a)) for a in (opt.m, opt.v))
+    return opt.params[0], replace(state, t=opt.t[0], m=m, v=v)
 
 
 class _FlatAdam:
-    """An encoder in training: its parameters and Adam moments as flat
-    float64 buffers (copies of those given) that each step updates in
-    place; member-stacked parameters give (S, P) buffers. ``params`` holds
-    views into the parameter buffer and ``grads`` views into ``grad``, the
-    buffer the step's gradient is written into; both are laid out once.
-    ``grad`` and the step's scratch buffer are contiguous views into the
-    leading entries of the two rows of ``work``, when it is given: encoders
-    whose gradients are never written and stepped at the same time can
-    share one ``work``."""
+    """Encoders in training, one or an (image, text) pair: their parameters
+    and Adam moments as flat float64 buffers (copies of those given) that
+    each step updates in place, each encoder's entries in its own columns
+    (``columns``), in the order given; member-stacked parameters give
+    (S, P) buffers. ``params`` and ``grads`` hold each encoder's views into
+    the parameter buffer and into ``grad``, the buffer the step's gradient
+    is written into; all are laid out once, with one scratch buffer for
+    the step. Each encoder keeps its own step count ``t``."""
 
-    def __init__(self, params: EncoderParams, state: AdamState, work: np.ndarray | None = None):
-        self.layout = _Layout(params.config)
-        self.betas = (state.beta1, state.beta2)
-        self.eps = state.eps
-        self.t = state.t
-        self.p = EncoderGrads(params.weights, params.biases).flatten()
-        self.m = state.m.flatten()
-        self.v = state.v.flatten()
-        self.params = EncoderParams(params.config, *self.layout.views(self.p))
-        if work is None:
-            work = np.empty((2, self.p.size))
-        self.grad, self._scratch = work[:, : self.p.size].reshape(2, *self.p.shape)
-        self.grads = EncoderGrads(*self.layout.views(self.grad))
+    def __init__(self, params: Sequence[EncoderParams], states: Sequence[AdamState]):
+        self.layouts = [_Layout(p.config) for p in params]
+        self.betas = (states[0].beta1, states[0].beta2)
+        self.eps = states[0].eps
+        self.t = [s.t for s in states]
+        self.p = np.concatenate(
+            [EncoderGrads(p.weights, p.biases).flatten() for p in params], axis=-1
+        )
+        self.m = np.concatenate([s.m.flatten() for s in states], axis=-1)
+        self.v = np.concatenate([s.v.flatten() for s in states], axis=-1)
+        self.grad = np.empty_like(self.p)
+        stops = np.cumsum([layout.size for layout in self.layouts]).tolist()
+        self.columns = [slice(a, b) for a, b in zip([0] + stops[:-1], stops)]
+        self.params = [
+            EncoderParams(p.config, *layout.views(self.p[..., c]))
+            for p, layout, c in zip(params, self.layouts, self.columns)
+        ]
+        self.grads = [
+            EncoderGrads(*layout.views(self.grad[..., c]))
+            for layout, c in zip(self.layouts, self.columns)
+        ]
+        # (grad, m, v, scratch, p) over every column, and over each encoder's.
+        buffers = (self.grad, self.m, self.v, np.empty_like(self.p), self.p)
+        self._buffers = {None: buffers}
+        for e, c in enumerate(self.columns):
+            self._buffers[e] = tuple(a[..., c] for a in buffers)
 
-    def step(self, lr: float) -> None:
-        """One bias-corrected Adam update with ``grad`` at rate ``lr``, one
-        elementwise pass over all the encoder's entries, through a scratch
-        buffer and then ``grad`` itself, once the moments have used it up;
-        each entry rounds as it would in a separate update of its own array,
-        m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g,
+    def step(self, lr: float, encoder: int | None = None) -> None:
+        """One bias-corrected Adam update with ``grad`` at rate ``lr``, of
+        every encoder, whose step counts must be equal, or of encoder
+        ``encoder`` alone: one elementwise pass over their entries, through
+        the scratch buffer and then ``grad`` itself, once the moments have
+        used it up; each entry rounds as it would in a separate update of
+        its own array, m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g,
         p -= lr (m / c1) / (sqrt(v / c2) + eps)."""
-        self.t += 1
+        for e in range(len(self.t)) if encoder is None else (encoder,):
+            self.t[e] += 1
+        t = self.t[encoder or 0]
         b1, b2 = self.betas
-        c1 = 1.0 - b1**self.t
-        c2 = 1.0 - b2**self.t
-        g, m, v, s = self.grad, self.m, self.v, self._scratch
+        c1 = 1.0 - b1**t
+        c2 = 1.0 - b2**t
+        g, m, v, s, p = self._buffers[encoder]
         np.multiply(g, 1.0 - b1, out=s)
         m *= b1
         m += s
@@ -500,8 +541,8 @@ class _FlatAdam:
         np.sqrt(r, out=r)
         r += self.eps
         s /= r
-        self.p -= s
+        p -= s
 
-    def result(self) -> EncoderParams:
-        """The trained parameters, in arrays of their own."""
-        return self.params.copy()
+    def result(self) -> list[EncoderParams]:
+        """The trained parameters of each encoder, in arrays of their own."""
+        return [p.copy() for p in self.params]

@@ -56,7 +56,13 @@ class EmptyGradientSet(KdlabError):
 
 # data / file formats
 class InvalidSpec(KdlabError):
-    """A synthetic dataset specification violates its invariants."""
+    """A synthetic dataset specification violates its invariants; ``field``
+    names the spec field at fault, where one is."""
+
+    def __init__(self, why: str, field: str | None = None):
+        super().__init__(why if field is None else f"{field} {why}")
+        self.field = field
+        self.why = why
 
 
 class FormatVersionMismatch(KdlabError):

@@ -25,27 +25,32 @@ block of its own, and so is every one-row batch.
   batch in order, ``augment``'s draws, the per-batch text bank's masks and
   the image rows' masks. That is the order the per-batch step used to draw
   them in, so every draw keeps its bits.
-- Per block, one stacked pass per teacher over (n batches, B rows, .):
-  its features, its image-to-text and text-to-image distributions (t2i
-  normalizes over each batch's own rows), its label-similarity scores
-  under ``lsr``, and its soft-gathered bank rows for the MSE. Under
-  ``none`` a row's features, its i2t distribution and its clamped label
-  similarity depend on the row alone, so they are computed once per call
-  for every training row, in eval mode, in chunks of ``batch_size`` rows
-  with no one-row chunk; a block gathers its rows of them and computes
-  only t2i. Otherwise the block's augmented rows go through one eval-mode
-  forward pass.
+- Per block, one stacked pass over all K teachers and (n batches, B
+  rows, .): their features, their image-to-text and text-to-image
+  distributions (t2i normalizes over each batch's own rows), their
+  label-similarity scores under ``lsr``, and their soft-gathered bank rows
+  for the MSE. The teachers form one stack per output dim, in roster
+  order, and a stack's features and bank rows are (n, K_s, B, d) arrays;
+  a ``weighted_target`` run has one stack. Under ``none`` a row's
+  features, its i2t distribution and its clamped label similarity depend
+  on the row alone, so they are computed once per call for every training
+  row, in eval mode, in chunks of ``batch_size`` rows with no one-row
+  chunk; a block gathers its rows of them and computes only t2i.
+  Otherwise the block's augmented rows go through one eval-mode forward
+  pass per teacher, whose widths differ.
 - Per batch, the student's step reads slice i of the block: encode,
   contrastive loss, stacked KL, the ``lsr`` weights or ``dsw``'s reverse
-  passes and Frank-Wolfe, MSE, reverse pass, Adam.
-Each stacked product runs one BLAS call per batch, with the bits the
-batch gets alone. A single 512-row product crosses OpenBLAS's threading
-threshold; measured, it ran on both cores and raised a run's CPU time by
-about 60%. After a threaded product OpenBLAS's idle worker thread also
-busy-waits: on a 2-core Xeon, a 0.3 s sleep right after one 400 x 32 x
-80 product read 128 ms of CPU time. An eval-mode row's bits do not depend
-on the rows beside it, as long as there are at least two: BLAS computes
-a one-row product with its matrix-vector kernel, which rounds
+  passes and Frank-Wolfe, MSE (under ``per_teacher`` one call per stack
+  of teachers), reverse pass, Adam.
+Each stacked product runs one BLAS call per batch and teacher, with the
+bits the batch gets alone, and every reduction keeps its axis and order.
+A single 512-row product crosses OpenBLAS's threading threshold;
+measured, it ran on both cores and raised a run's CPU time by about 60%.
+After a threaded product OpenBLAS's idle worker thread also busy-waits:
+on a 2-core Xeon, a 0.3 s sleep right after one 400 x 32 x 80 product
+read 128 ms of CPU time. An eval-mode row's bits do not depend on the
+rows beside it, as long as there are at least two: BLAS computes a
+one-row product with its matrix-vector kernel, which rounds
 differently. So the cache has no one-row chunk and a one-row batch is
 encoded alone. The cap bounds memory. On a 2-core Xeon
 (``BENCH_8.json``, two 30 s runs each), the benchmark's mixup ``lsr``
@@ -94,17 +99,21 @@ mode or without dropout, raises ``ZeroVector``.
 - The student's image-to-text and text-to-image log-distributions are
   computed once per batch. The contrastive loss and every teacher's KL
   share them when ``tau_distill == tau_student``.
-- Each encoder's parameters, gradient and Adam moments live in flat
-  buffers laid out once per run and updated in place (see ``encoder``);
-  the image and text encoders, whose gradients are written and stepped
-  one after the other, share one pair of gradient and scratch buffers.
-  ``dsw``'s stacked passes write into one K x P matrix
-  (``_kl_grad_matrix``), also laid out once per run.
+- The image and text encoders' parameters, gradients, Adam moments and
+  scratch live in one flat buffer per pair, each encoder in its own
+  columns, laid out once per run and updated in place (see ``encoder``).
+  Pretraining and the per-batch text bank take one Adam step per batch
+  over the pair; the epoch text bank steps the image columns each batch
+  and the text columns once per epoch, each with its own step count.
+  ``dsw``'s stacked passes write into one K x P matrix in the pair's
+  columns (``_kl_grad_matrix``), also laid out once per run.
 
 Evaluation: every eval-mode pass over many rows goes through
 ``encoder._encode_rows``, in chunks of at most a training batch of rows
-(``_EVAL_ROWS`` = 64, the default batch, for an evaluation), so no
-product crosses the threading threshold and every row keeps its bits.
+(``_EVAL_ROWS`` = 64, the default batch, for an evaluation), the full
+chunks in stacks of at most 512 rows and the rest in one more call, so
+no product crosses the threading threshold and every row keeps its
+bits.
 ``evaluate`` checks its inputs on each call. A group's evaluation runs
 once per epoch for all members: the eval rows, checked at entry, go
 through the member-stacked image parameters, and the class anchors once
@@ -137,7 +146,6 @@ from .encoder import (
     _encode,
     _encode_rows,
     _FlatAdam,
-    _Layout,
     _member_params,
     _member_tape,
     _row_chunks,
@@ -186,8 +194,8 @@ class LrSchedule:
     def __post_init__(self):
         if self.kind not in ("fixed", "cosine"):
             raise InvalidConfig("kind", f"must be 'fixed' or 'cosine', got {self.kind!r}")
-        if self.eta_min is not None and self.eta_min < 0:
-            raise InvalidConfig("eta_min", "must be >= 0")
+        if self.eta_min is not None and not (math.isfinite(self.eta_min) and self.eta_min >= 0):
+            raise InvalidConfig("eta_min", "must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -201,10 +209,10 @@ class Augmentation:
             raise InvalidConfig(
                 "kind", f"must be 'none', 'jitter' or 'mixup', got {self.kind!r}"
             )
-        if self.sigma < 0:
-            raise InvalidConfig("sigma", "must be >= 0")
-        if self.beta <= 0:
-            raise InvalidConfig("beta", "must be > 0")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise InvalidConfig("sigma", "must be finite and >= 0")
+        if not (math.isfinite(self.beta) and self.beta > 0):
+            raise InvalidConfig("beta", "must be finite and > 0")
 
 
 def _check_architecture(spec) -> None:
@@ -382,15 +390,6 @@ class AugmentedBatch:
     labels_b: np.ndarray
     lam: np.ndarray  # per-sample weight on labels_a
 
-    @property
-    def is_mixed(self) -> bool:
-        return not (
-            np.array_equal(self.labels_a, self.labels_b) and np.all(self.lam == 1.0)
-        )
-
-    def mix(self) -> MixedLabels | None:
-        return MixedLabels(self.labels_b, self.lam) if self.is_mixed else None
-
 
 def lr_at(schedule: LrSchedule, lr: float, t: int, total: int) -> float:
     """Learning rate at step t of total: constant, or half-cosine decay from
@@ -538,8 +537,9 @@ def pretrain_teacher(
     rng_corrupt = seeded_rng(seed, _TAG_TEACHER, teacher_index, 2)
 
     img_params, txt_params = _init_encoder_pair(spec, dataset, rng_init)
-    img = _FlatAdam(img_params, init_adam(img_params, cfg.lr))
-    txt = _FlatAdam(txt_params, init_adam(txt_params, cfg.lr))
+    pair = (img_params, txt_params)
+    opt = _FlatAdam(pair, [init_adam(p, cfg.lr) for p in pair])
+    (img, txt), (img_grads, txt_grads) = opt.params, opt.grads
     image_raw, anchors, labels = _checked_inputs(img_params, txt_params, dataset)
     img_cfg, txt_cfg = img_params.config, txt_params.config
 
@@ -553,20 +553,19 @@ def pretrain_teacher(
         for batch in _batches(train_idx.size, cfg.batch_size, rng_loop):
             idx = train_idx[batch]
             feats, tape_i = _encode(
-                img.params, image_raw[idx], _dropout_masks(img_cfg, idx.size, rng_loop)
+                img, image_raw[idx], _dropout_masks(img_cfg, idx.size, rng_loop)
             )
             bank, tape_t = _encode(
-                txt.params, anchors, _dropout_masks(txt_cfg, anchors.shape[0], rng_loop)
+                txt, anchors, _dropout_masks(txt_cfg, anchors.shape[0], rng_loop)
             )
             dists = _pair_log_softmax(feats, bank, cfg.tau)
             loss = _clip_loss(feats, bank, cfg.tau, dists, labels[idx], None)
             _check_loss([loss.value], epoch)
-            _backward(tape_i, loss.grad_image, img.grads)
-            _backward(tape_t, loss.grad_text, txt.grads)
-            img.step(cfg.lr)
-            txt.step(cfg.lr)
+            _backward(tape_i, loss.grad_image, img_grads)
+            _backward(tape_t, loss.grad_text, txt_grads)
+            opt.step(cfg.lr)
 
-    img_params, txt_params = img.result(), txt.result()
+    img_params, txt_params = opt.result()
     acc, _ = evaluate(img_params, txt_params, dataset, eval_idx, cfg.tau)
     if spec.corruption != LABEL_SHUFFLE and acc < cfg.accuracy_gate:
         warnings.warn(
@@ -591,9 +590,8 @@ def pretrain_teacher(
 
 def _soft_gather(bank: np.ndarray, labels: np.ndarray, mix: MixedLabels | None) -> np.ndarray:
     """Per-sample text rows under soft labels: lam * bank[a] + (1-lam) * bank[b],
-    and bank[a] without ``mix``. Labels may carry a leading block axis, or
-    the bank a leading member axis. Where b = a and lam = 1 the soft rows
-    are bank[a], bit for bit."""
+    and bank[a] without ``mix``. The bank may carry a leading member axis.
+    Where b = a and lam = 1 the soft rows are bank[a], bit for bit."""
     rows = np.take(bank, labels, axis=-2)
     if mix is None:
         return rows
@@ -684,109 +682,164 @@ class _BatchDraws:
 @dataclass
 class _TeacherBlock:
     """The frozen teachers' side of each batch of a block of n batches of B
-    rows; batch i reads index i of every array."""
+    rows; batch i reads index i of every array. Features and bank rows come
+    in one stack per output dim (``_TeacherPass.stacks``); the other arrays
+    hold all K teachers in roster order."""
 
-    feats: list[np.ndarray]       # per teacher, n x B x d_j features
-    bank_rows: list[np.ndarray]   # per teacher, n x B x d_j soft-gathered bank rows
+    stacks: list[list[int]]       # the roster indices of each stack's teachers
+    feats: list[np.ndarray]       # per stack, n x K_s x B x d_s features
+    bank_rows: list[np.ndarray]   # per stack, n x K_s x B x d_s soft-gathered bank rows
     i2t: np.ndarray               # n x K x B x N
     t2i: np.ndarray               # n x K x N x B
     lsr_scores: np.ndarray | None  # n x K label-similarity scores under lsr
 
 
+def _gather(stack: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Entries ``stack[k, index[i, b]]`` of a (K, M, ...) stack for (n, B)
+    indices, as a C-ordered (n, K, B, ...) array."""
+    return stack[np.arange(stack.shape[0])[:, None], index[:, None, :]]
+
+
 class _TeacherPass:
     """The frozen teachers' side of distillation, one stacked pass per
-    teacher and block (see the module docstring). Under ``none`` each
-    teacher's values of every training row ``image_raw[train_idx]`` are
-    computed once, in chunks of ``batch_size`` rows with no one-row chunk:
-    its features, its image-to-text distribution and, under ``lsr``, its
-    clamped label similarity. Each block gathers its rows of them and
-    computes only the text-to-image distributions, which normalize over the
-    batch's own rows. Otherwise a block's augmented rows go through one
-    eval-mode forward pass per teacher. ``lsr`` asks for the
-    label-similarity scores."""
+    block for all K teachers (see the module docstring). The teachers form
+    one stack per output dim, in roster order (``stacks``), with their
+    banks as (K_s, N, d_s) stacks; teachers of unequal dims share a run
+    only under ``per_teacher`` MSE, so a ``weighted_target`` run has one
+    stack. Under ``none`` the teachers' values of every training row
+    ``image_raw[train_idx]`` are computed once, in chunks of ``batch_size``
+    rows with no one-row chunk: their features, their image-to-text
+    distributions and, under ``lsr``, their clamped label similarities.
+    Each block gathers its rows of them and computes only the text-to-image
+    distributions, which normalize over the batch's own rows. Otherwise a
+    block's augmented rows go through one eval-mode forward pass per
+    teacher, whose widths differ. ``lsr`` asks for the label-similarity
+    scores."""
 
     def __init__(
         self, config: TrainConfig, teachers: list[Teacher], image_raw, labels, train_idx,
         lsr: bool,
     ):
-        self.teachers = teachers
         self.tau = config.tau_teacher
         self.lsr = lsr
         self.mixup = config.augmentation.kind == "mixup"
-        self.cache = None  # per teacher, (features, i2t, label similarities or None)
+        dims = [t.bank.shape[-1] for t in teachers]
+        self.stacks = [[j for j, d in enumerate(dims) if d == dim] for dim in dict.fromkeys(dims)]
+        self.params = [[teachers[j].image_params for j in idx] for idx in self.stacks]
+        self.banks = [np.stack([teachers[j].bank for j in idx]) for idx in self.stacks]
+        # The roster order of the teachers of the stacks laid end to end.
+        self.order = np.argsort(np.concatenate(self.stacks)) if len(self.stacks) > 1 else None
+        self.cache = None  # (features per stack, i2t, label similarities or None)
         n, size = train_idx.size, config.batch_size
         if config.augmentation.kind == "none" and min(size, n) > 1:
             x, lab = image_raw[train_idx], labels[train_idx]
-            self.cache = []
-            for t in teachers:
-                f = _encode_rows(t.image_params, x, size)
-                i2t = np.concatenate(
-                    [_softmax(u @ t.bank.T, self.tau) for u in _row_chunks(f, size)]
+            feats = [np.stack([_encode_rows(p, x, size) for p in ps]) for ps in self.params]
+            i2t = []
+            for f, bank in zip(feats, self.banks):
+                # Chunk by chunk into one array, which holds no whole-array temporaries.
+                bank_t = bank.swapaxes(-1, -2)
+                i2t.append(np.empty(f.shape[:-1] + bank_t.shape[-1:]))
+                (stack, tail), (out, out_tail) = _row_chunks(f, size), _row_chunks(i2t[-1], size)
+                for c in range(stack.shape[-3]):
+                    out[..., c, :, :] = _softmax(stack[..., c, :, :] @ bank_t, self.tau)
+                out_tail[...] = _softmax(tail @ bank_t, self.tau)
+            sims = None
+            if lsr:
+                sims = self._roster(
+                    [weighting._label_sims(f, bank[:, lab]) for f, bank in zip(feats, self.banks)], 0
                 )
-                self.cache.append((f, i2t, weighting._label_sims(f, t.bank, lab) if lsr else None))
+            self.cache = (feats, self._roster(i2t, 0), sims)
+
+    def _roster(self, parts: list[np.ndarray], axis: int) -> np.ndarray:
+        """Per-stack arrays with each stack's teachers on ``axis``, as one
+        array with all K teachers on that axis in roster order."""
+        if self.order is None:
+            return parts[0]
+        return np.concatenate(parts, axis=axis).take(self.order, axis=axis)
 
     def block(self, draws: list[_BatchDraws]) -> _TeacherBlock:
         batches = [d.batch for d in draws]
         labels = np.stack([b.labels_a for b in batches])
+        rows = [_gather(bank, labels) for bank in self.banks]
         # Every mixup batch takes the soft formulas; an unmixed one, with
         # b = a and lam = 1, gets the hard labels' bits from them.
-        mix = None
+        lam = rows_b = None
         if self.mixup:
-            mix = MixedLabels(
-                np.stack([b.labels_b for b in batches]), np.stack([b.lam for b in batches])
-            )
+            labels_b = np.stack([b.labels_b for b in batches])
+            rows_b = [_gather(bank, labels_b) for bank in self.banks]
+            lam = np.stack([b.lam for b in batches])[:, None, :]  # scales (n, K, B) arrays
         scores = None
         if self.cache is not None and labels.shape[1] > 1:
+            feats_all, i2t_all, sims = self.cache
             at = np.stack([d.rows for d in draws])
-            feats = [f[at] for f, _, _ in self.cache]
-            i2t = [p[at] for _, p, _ in self.cache]
+            feats = [_gather(f, at) for f in feats_all]
+            i2t = _gather(i2t_all, at)
             if self.lsr:
-                scores = [np.mean(sims[at], axis=-1) for _, _, sims in self.cache]
+                scores = np.mean(_gather(sims, at), axis=-1)
         else:
             images = np.stack([b.image_raw for b in batches])
-            feats = [_encode(t.image_params, images, None)[0] for t in self.teachers]
-            i2t = [_softmax(f @ t.bank.T, self.tau) for f, t in zip(feats, self.teachers)]
+            feats = [
+                np.stack([_encode(p, images, None)[0] for p in ps], axis=1) for ps in self.params
+            ]
+            i2t = self._roster(
+                [_softmax(f @ bank.swapaxes(-1, -2), self.tau) for f, bank in zip(feats, self.banks)],
+                1,
+            )
             if self.lsr:
-                soft = () if mix is None else (mix.labels_b, mix.lam)
-                scores = [
-                    weighting.teacher_label_similarity(f, labels, t.bank, *soft)
-                    for f, t in zip(feats, self.teachers)
-                ]
-        t2i = [
-            _softmax(t.bank @ f.swapaxes(-1, -2), self.tau) for f, t in zip(feats, self.teachers)
-        ]
+                parts = []
+                for s, f in enumerate(feats):
+                    sims = weighting._label_sims(f, rows[s])
+                    if lam is not None:
+                        sims = lam * sims + (1.0 - lam) * weighting._label_sims(f, rows_b[s])
+                    parts.append(np.mean(sims, axis=-1))
+                scores = self._roster(parts, 1)
+        t2i = self._roster(
+            [_softmax(bank @ f.swapaxes(-1, -2), self.tau) for f, bank in zip(feats, self.banks)], 1
+        )
+        if lam is not None:
+            lam_rows = lam[..., None]
+            rows = [lam_rows * a + (1.0 - lam_rows) * b for a, b in zip(rows, rows_b)]
         return _TeacherBlock(
-            feats=feats,
-            bank_rows=[_soft_gather(t.bank, labels, mix) for t in self.teachers],
-            i2t=np.stack(i2t, axis=1),
-            t2i=np.stack(t2i, axis=1),
-            lsr_scores=None if scores is None else np.stack(scores, axis=-1),
+            stacks=self.stacks, feats=feats, bank_rows=rows, i2t=i2t, t2i=t2i, lsr_scores=scores
         )
 
 
-def _mse_terms(mode: str, proj: _Projection, columns, feats_s, w_s_rows, t_feats, t_rows):
+def _mse_terms(mode: str, proj: _Projection, columns, feats_s, w_s_rows, stacks, t_feats, t_rows):
     """The MSE imitation term and its gradients with respect to the
     student's image features and soft-gathered text rows: against the
     alpha-weighted teacher targets, or against each teacher's own, weighted
     by alpha. ``columns`` are alpha's K columns (``_Members.columns``), and
-    the student arrays may carry a leading member axis."""
+    the student arrays may carry a leading member axis. ``t_feats`` and
+    ``t_rows`` are the batch's (K_s, B, d_s) stacks of teacher features and
+    bank rows, one per stack of ``stacks``; under ``weighted_target`` there
+    is one. Under ``per_teacher`` one ``_mse_align`` runs per stack, and
+    the alpha-weighted sums run teacher by teacher in roster order, the
+    order that sets their bits."""
     if mode == "weighted_target":
-        d_t = t_feats[0].shape[-1]
-        u_target = sum(a * u for a, u in zip(columns, t_feats))
-        w_target = sum(a * w for a, w in zip(columns, t_rows))
+        (u_t,), (w_t,) = t_feats, t_rows
+        d_t = u_t.shape[-1]
+        u_target = sum(a * u for a, u in zip(columns, u_t))
+        w_target = sum(a * w for a, w in zip(columns, w_t))
         m = distill._mse_align(
             u_target, proj.forward(feats_s, d_t), w_target, proj.forward(w_s_rows, d_t)
         )
         return m.value, proj.backward(m.grad_image, d_t), proj.backward(m.grad_text, d_t)
+    terms = [None] * len(columns)  # per teacher, (d_t, value, g_u, g_w)
+    for idx, u_t, w_t in zip(stacks, t_feats, t_rows):
+        d_t = u_t.shape[-1]
+        m = distill._mse_align(
+            u_t, distill._per_teacher(proj.forward(feats_s, d_t)),
+            w_t, distill._per_teacher(proj.forward(w_s_rows, d_t)),
+        )
+        for p, j in enumerate(idx):
+            terms[j] = d_t, m.value[..., p], m.grad_image[..., p, :, :], m.grad_text[..., p, :, :]
     value = 0.0
     g_u = np.zeros_like(feats_s)
     g_w = np.zeros_like(w_s_rows)
-    for a, u_t, w_t in zip(columns, t_feats, t_rows):
-        d_t = u_t.shape[-1]
-        m = distill._mse_align(u_t, proj.forward(feats_s, d_t), w_t, proj.forward(w_s_rows, d_t))
-        value += a.reshape(np.shape(m.value)) * m.value
-        g_u += a * proj.backward(m.grad_image, d_t)
-        g_w += a * proj.backward(m.grad_text, d_t)
+    for a, (d_t, v, gi, gt) in zip(columns, terms):
+        value += a.reshape(np.shape(v)) * v
+        g_u += a * proj.backward(gi, d_t)
+        g_w += a * proj.backward(gt, d_t)
     return value, g_u, g_w
 
 
@@ -864,13 +917,14 @@ class _Members:
         return [items[self.order.index(s)] for s in range(self.n)]
 
 
-def _kl_grad_matrix(k: int, img: _FlatAdam, txt: _FlatAdam) -> tuple:
-    """The K x P matrix of a dsw member's per-teacher KL gradients, image
-    encoder's columns first, and each encoder's views into it; laid out
-    once per call and used by the dsw members in turn."""
-    grads = np.empty((k, img.layout.size + txt.layout.size))
-    parts = np.split(grads, [img.layout.size], axis=1)
-    return grads, *(EncoderGrads(*enc.layout.views(a)) for enc, a in zip((img, txt), parts))
+def _kl_grad_matrix(k: int, opt: _FlatAdam) -> tuple:
+    """The K x P matrix of a dsw member's per-teacher KL gradients, in the
+    columns of the encoder pair ``opt``, image encoder's first, and each
+    encoder's views into it; laid out once per call and used by the dsw
+    members in turn."""
+    grads = np.empty((k, opt.p.shape[-1]))
+    views = (EncoderGrads(*lay.views(grads[:, c])) for lay, c in zip(opt.layouts, opt.columns))
+    return grads, *views
 
 
 def _teacher_weights(members: _Members, t_block, i, kl_grad_u, kl_grad_w, tapes, dsw_grads):
@@ -923,7 +977,7 @@ def _distill_terms(members, proj, t_block, i, batch, mix, student, tapes, dsw_gr
     # MSE block: imitate the (weighted) teacher features.
     mse, g_mse_u, g_mse_w_rows = _mse_terms(
         config.mse_mode, proj, members.columns(alpha), feats,
-        _soft_gather(bank, batch.labels_a, mix),
+        _soft_gather(bank, batch.labels_a, mix), t_block.stacks,
         [f[i] for f in t_block.feats], [r[i] for r in t_block.bank_rows],
     )
     g_mse_w = _soft_scatter(g_mse_w_rows, batch.labels_a, mix, bank.shape[-2])
@@ -1020,14 +1074,11 @@ def distill_students(
     rng_proj = seeded_rng(config.seed, _TAG_PROJECTION)
 
     img_params, txt_params = _init_encoder_pair(config.student, dataset, rng_init)
-    # The two encoders' gradients are written and stepped one after the
-    # other, so they share one pair of gradient and scratch buffers.
-    width = members.n * max(_Layout(p.config).size for p in (img_params, txt_params))
-    work = np.empty((2, width))
-    img, txt = (
-        _FlatAdam(p, init_adam(p, config.lr), work)
-        for p in members.stacked(img_params, txt_params)
-    )
+    pair = members.stacked(img_params, txt_params)
+    opt = _FlatAdam(pair, [init_adam(p, config.lr) for p in pair])
+    # Freed now: the member stacks, copied into opt, are not held through the call.
+    del pair
+    (img, txt), (img_grads, txt_grads) = opt.params, opt.grads
     image_raw, anchors, labels = _checked_inputs(img_params, txt_params, dataset)
     eval_idx = np.asarray(eval_idx, dtype=np.int64)
     eval_labels = labels[eval_idx]
@@ -1044,14 +1095,14 @@ def distill_students(
     train_idx = np.asarray(train_idx, dtype=np.int64)
     total_steps = config.epochs * ((train_idx.size + config.batch_size - 1) // config.batch_size)
     per_batch_bank = config.text_bank_refresh == "batch"
-    dsw_grads = _kl_grad_matrix(k, img, txt) if members.rows["dsw"] else None
+    dsw_grads = _kl_grad_matrix(k, opt) if members.rows["dsw"] else None
     teacher_pass = None
     if members.n_dist:
         teacher_pass = _TeacherPass(
             config, teachers, image_raw, labels, train_idx, lsr=bool(members.rows["lsr"])
         )
     mixup = config.augmentation.kind == "mixup"
-    img_views, txt_views = members.views(img.params), members.views(txt.params)
+    img_views, txt_views = members.views(img), members.views(txt)
 
     runs = [RunMetrics(strategy=c.strategy, num_teachers=k) for c in members.configs]
     step = 0
@@ -1059,7 +1110,7 @@ def distill_students(
         # Cached student class banks for the epoch (see module docstring).
         if not per_batch_bank:
             bank_s, tape_text = _encode(
-                txt.params, anchors, _dropout_masks(txt_params.config, n_classes, rng_loop)
+                txt, anchors, _dropout_masks(txt_params.config, n_classes, rng_loop)
             )
             text_grad_acc = np.zeros_like(bank_s)
         sums = _EpochSums(members)
@@ -1080,10 +1131,11 @@ def distill_students(
             for i, d in enumerate(draws):
                 lr_now = lr_at(config.lr_schedule, config.lr, step, total_steps)
                 batch = d.batch
-                mix = batch.mix() if mixup else None
+                # Every mixup batch takes the soft formulas, as the teachers' side does.
+                mix = MixedLabels(batch.labels_b, batch.lam) if mixup else None
                 if per_batch_bank:
-                    bank_s, tape_text = _encode(txt.params, anchors, d.text_masks)
-                feats_s, tape_img = _encode(img.params, batch.image_raw, d.image_masks)
+                    bank_s, tape_text = _encode(txt, anchors, d.text_masks)
+                feats_s, tape_img = _encode(img, batch.image_raw, d.image_masks)
 
                 # The students' distributions, shared by the contrastive loss
                 # and, at the same temperature, by every teacher's KL.
@@ -1101,15 +1153,15 @@ def distill_students(
                     )
                 _check_loss(total.tolist(), epoch)
 
-                _backward(tape_img, g_u, img.grads)
+                _backward(tape_img, g_u, img_grads)
                 # Freed now, the tape's (members x B x width) arrays do not
                 # stay alive through the next batch's forward pass.
                 del tape_img
-                img.step(lr_now)
                 if per_batch_bank:
-                    _backward(tape_text, g_w, txt.grads)
-                    txt.step(lr_now)
+                    _backward(tape_text, g_w, txt_grads)
+                    opt.step(lr_now)
                 else:
+                    opt.step(lr_now, 0)
                     text_grad_acc += g_w
                 sums.add(loss_c.value, total, terms)
                 step += 1
@@ -1122,11 +1174,11 @@ def distill_students(
             # scale away, so the batch count multiplies the learning rate to
             # keep the text pathway's total step budget comparable to the
             # per-batch image pathway.
-            _backward(tape_text, text_grad_acc, txt.grads)
-            txt.step(lr_epoch * sums.batches)
+            _backward(tape_text, text_grad_acc, txt_grads)
+            opt.step(lr_epoch * sums.batches, 1)
         # Every member evaluated at once, on rows checked at entry.
-        feats = _encode_rows(img.params, image_raw[eval_idx], _EVAL_ROWS)
-        banks, _ = _encode(txt.params, anchors, None)
+        feats = _encode_rows(img, image_raw[eval_idx], _EVAL_ROWS)
+        banks, _ = _encode(txt, anchors, None)
         for s, run in enumerate(runs):
             at = members.at(s)
             acc, r5 = _scores(feats[at], banks[at], eval_labels, config.tau_student)

@@ -77,19 +77,21 @@ def teacher_label_similarity(
     """
     u = _checked_stack(teacher_image_features, "teacher_image_features")
     bank = as_matrix(class_bank, "class_bank")
-    sims_a = _label_sims(u, bank, np.asarray(labels, dtype=np.int64))
+    sims_a = _label_sims(u, bank[np.asarray(labels, dtype=np.int64)])
     if labels_b is None:
         return np.mean(sims_a, axis=-1)
     lab_b = np.asarray(labels_b, dtype=np.int64)
     lam = np.asarray(lam, dtype=np.float64)
-    sims_b = _label_sims(u, bank, lab_b)
+    sims_b = _label_sims(u, bank[lab_b])
     return np.mean(lam * sims_a + (1.0 - lam) * sims_b, axis=-1)
 
 
-def _label_sims(u: np.ndarray, bank: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Each checked feature row's clamped cosine with its label's bank row;
-    a row's value does not depend on the rows beside it."""
-    return np.maximum(np.sum(u * bank[labels], axis=-1), 0.0)
+def _label_sims(u: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Each checked feature row's clamped cosine with its label's bank row,
+    the same row of ``rows``. A row's value does not depend on the rows
+    beside it, and leading stack axes, such as a block's batches and
+    teachers, leave each row's bits as they are."""
+    return np.maximum(np.sum(u * rows, axis=-1), 0.0)
 
 
 @dataclass

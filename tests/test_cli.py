@@ -97,7 +97,8 @@ def _set(manifest, path, value):
     obj[path[-1]] = value
 
 
-# (where in the manifest, bad value, field path the error must name)
+# (where in the manifest, bad value, field path the error must name[, test
+# id where the field path is another case's])
 BAD_MANIFESTS = [
     (("teachers", 0, "activation"), "gelu", "teachers[0].activation"),
     (("train", "student", "activation"), "gelu", "train.student.activation"),
@@ -129,12 +130,22 @@ BAD_MANIFESTS = [
     (("seeds",), [-1], "seeds"),
     # One seed twice would train into one directory twice.
     (("seeds",), [0, 0], "seeds"),
+    # JSON admits NaN and Infinity, which a comparison with a bound passes.
+    (("train", "augmentation"), {"kind": "mixup", "beta": math.nan}, "train.augmentation.beta"),
+    (("train", "augmentation"), {"kind": "jitter", "sigma": math.inf}, "train.augmentation.sigma",
+     "train.augmentation.sigma=inf"),
+    (("train", "lr_schedule"), {"kind": "cosine", "eta_min": math.nan},
+     "train.lr_schedule.eta_min", "train.lr_schedule.eta_min=nan"),
+    (("teachers", 0, "corruption"), {"kind": "weight_noise", "sigma": math.nan},
+     "teachers[0].corruption.sigma"),
+    (("dataset", "spec", "noise_sigma"), math.nan, "dataset.spec.noise_sigma"),
+    (("dataset", "spec", "anchor_scale"), math.inf, "dataset.spec.anchor_scale"),
 ]
 
 
 class TestManifestSchema:
     @pytest.mark.parametrize(
-        "where, value, field", BAD_MANIFESTS, ids=[c[2] for c in BAD_MANIFESTS]
+        "where, value, field", [c[:3] for c in BAD_MANIFESTS], ids=[c[-1] for c in BAD_MANIFESTS]
     )
     def test_bad_value_exits_2_naming_field(self, tmp_path, capsys, where, value, field):
         p = tmp_path / "m.json"

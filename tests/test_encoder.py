@@ -116,11 +116,13 @@ class TestEncode:
             in_block = rows < 64
             np.testing.assert_array_equal(feats[in_block], block[rows[in_block]])
 
-    @pytest.mark.parametrize("n", [2, 63, 64, 65, 129, 400])
-    def test_chunked_eval_pass_matches_one_pass(self, n):
+    @pytest.mark.parametrize("n", [2, 63, 64, 65, 129, 385, 400, 1100])
+    def test_chunked_eval_pass_matches_one_pass(self, n, monkeypatch):
         # _encode_rows in chunks of 64 rows, with no one-row chunk, gives
         # every row the bits of one pass over all n rows, with 2-D and
-        # with member-stacked parameters.
+        # with member-stacked parameters: one _encode per stack of at most
+        # 8 full chunks (512 rows), then one for the tail; two calls up to
+        # 576 rows.
         cfg = enc.EncoderConfig(32, (48, 48), 8)
         rng = seeded_rng(5)
         members = []
@@ -134,11 +136,21 @@ class TestEncode:
             [np.stack(b) for b in zip(*[m.biases for m in members])],
         )
         x = rng.normal(size=(n, 32))
-        sizes = [c.shape[0] for c in enc._row_chunks(x, 64)]
-        assert sum(sizes) == n and max(sizes) <= 65 and min(sizes) >= 2
+        stack, tail = enc._row_chunks(x, 64)
+        assert stack.shape == (n // 64 - (n % 64 == 1), 64, 32)
+        assert tail.shape[0] <= 65 and tail.shape[0] != 1
+        np.testing.assert_array_equal(np.concatenate([stack.reshape(-1, 32), tail]), x)
+        real, calls = enc._encode, []
+        monkeypatch.setattr(enc, "_encode", lambda p, x, m: calls.append(x.shape) or real(p, x, m))
         for params in (members[0], stacked):
-            want, _ = enc._encode(params, x, None)
+            want, _ = real(params, x, None)
             np.testing.assert_array_equal(enc._encode_rows(params, x, 64), want)
+        stacks = [min(8, stack.shape[0] - i) for i in range(0, stack.shape[0], 8)]
+        assert calls == (
+            [(c, 64, 32) for c in stacks] + [tail.shape]
+            + [(c, 1, 64, 32) for c in stacks] + [tail.shape]
+        )
+        assert len(calls) <= 4 or n > 576
 
     def test_input_shape_check(self):
         p = small_params()

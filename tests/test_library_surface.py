@@ -27,6 +27,7 @@ TRACED_ONLY = {
     "distill.kl_pair_loss",
     "distill.mse_align",
     "distill.total_loss",
+    "weighting.teacher_label_similarity",
 }
 
 

@@ -46,6 +46,17 @@ def tiny():
     return ds, train_idx, eval_idx, teachers
 
 
+@pytest.fixture(scope="module")
+def three_teachers(tiny):
+    """The two tiny teachers and a third of another output dim, 6, 6, 5."""
+    ds, train_idx, eval_idx, teachers = tiny
+    third = trainer.pretrain_teacher(
+        TINY_PRETRAIN, ds, train_idx, eval_idx,
+        trainer.TeacherSpec(hidden_widths=(12,), output_dim=5), 0, 2,
+    )
+    return teachers + [third]
+
+
 def tiny_config(**kw):
     base = dict(
         epochs=3, batch_size=32, strategy="avg", num_teachers=2,
@@ -166,7 +177,8 @@ class TestAugment:
         out = trainer.augment(img, labels, trainer.Augmentation("none"), seeded_rng(0))
         np.testing.assert_array_equal(out.image_raw, img)
         np.testing.assert_array_equal(out.labels_a, labels)
-        assert not out.is_mixed
+        np.testing.assert_array_equal(out.labels_b, labels)
+        np.testing.assert_array_equal(out.lam, 1.0)
 
     def test_zero_jitter_is_identity(self, rng):
         img = rng.normal(size=(5, 4))
@@ -205,7 +217,7 @@ class TestAugment:
         img = rng.normal(size=(8, 3))
         labels = np.arange(8) % 4
         out = trainer.augment(img, labels, trainer.Augmentation("mixup", beta=0.4), seeded_rng(3))
-        assert out.is_mixed
+        assert np.all((out.lam > 0.0) & (out.lam < 1.0))
         lo = np.minimum(img.min(axis=0), img.min(axis=0))
         assert np.all(out.image_raw.min(axis=0) >= lo - 1e-9)
 
@@ -471,11 +483,11 @@ class TestFrozenTeacherCache:
         return sizes
 
     def test_no_augmentation_encodes_each_block_once(self, monkeypatch, tiny):
-        # The cache is built once, in chunks of batch_size rows.
+        # The cache is built once per teacher, in chunks of batch_size rows:
+        # the full chunks as one stack, then the tail.
         n_train = tiny[1].size
         sizes = self.teacher_encode_sizes(monkeypatch, tiny, batch_size=30, strategy="dsw")
-        assert len(sizes) == 2 * math.ceil(n_train / 30)
-        assert sum(s[0] for s in sizes) == 2 * n_train
+        assert sizes == [(n_train // 30, 30), (n_train % 30,)] * 2
 
     def test_mixup_encodes_each_block_once(self, monkeypatch, tiny):
         # 128 rows in batches of 30: blocks of two 30-row batches under a
@@ -512,12 +524,22 @@ class TestFrozenTeacherCache:
         assert [len(b) for b in blocks] == [8, 8, 8, 7, 1]
 
     @pytest.mark.parametrize("kind", ["none", "jitter", "mixup"])
-    def test_block_outputs_match_per_batch_outputs(self, tiny, kind):
+    def test_block_outputs_match_per_batch_outputs(self, tiny, three_teachers, kind):
         # Every array of a block equals what the public functions, and the
-        # distributions' kernel, give for each of its batches alone.
-        ds, train_idx, _, teachers = tiny
+        # distributions' kernel, give for each teacher and each of its
+        # batches alone: for two teachers of one output dim, and for output
+        # dims 6, 5, 6, two stacks whose teachers are not neighbours in the
+        # roster.
+        ds, train_idx, _, _ = tiny
+        t0, t1, t2 = three_teachers
+        for teachers, stacks in (([t0, t1], [[0, 1]]), ([t0, t2, t1], [[0, 2], [1]])):
+            self.check_block_outputs(ds, train_idx, teachers, stacks, kind)
+
+    @staticmethod
+    def check_block_outputs(ds, train_idx, teachers, stacks, kind):
         cfg = tiny_config(
-            strategy="lsr", augmentation=trainer.Augmentation(kind, sigma=0.1, beta=0.4)
+            strategy="lsr", augmentation=trainer.Augmentation(kind, sigma=0.1, beta=0.4),
+            num_teachers=len(teachers),
         )
         rows_raw = ds.image_raw[train_idx]
         teacher_pass = trainer._TeacherPass(
@@ -536,18 +558,23 @@ class TestFrozenTeacherCache:
                 for p in positions
             ]
             block = teacher_pass.block(draws)
+            assert block.stacks == stacks
             for i, d in enumerate(draws):
-                mix = d.batch.mix()
+                mix = None
+                if kind == "mixup":
+                    mix = contrastive.MixedLabels(d.batch.labels_b, d.batch.lam)
                 soft = () if mix is None else (mix.labels_b, mix.lam)
                 scores = []
                 for j, t in enumerate(teachers):
+                    s = next(s for s, idx in enumerate(block.stacks) if j in idx)
+                    at = (i, block.stacks[s].index(j))
                     feats, _ = trainer.encode(t.image_params, d.batch.image_raw)
                     i2t, t2i = distill._teacher_dists(feats, t.bank, cfg.tau_teacher)
-                    np.testing.assert_array_equal(block.feats[j][i], feats)
+                    np.testing.assert_array_equal(block.feats[s][at], feats)
                     np.testing.assert_array_equal(block.i2t[i, j], i2t)
                     np.testing.assert_array_equal(block.t2i[i, j], t2i)
                     np.testing.assert_array_equal(
-                        block.bank_rows[j][i], trainer._soft_gather(t.bank, d.batch.labels_a, mix)
+                        block.bank_rows[s][at], trainer._soft_gather(t.bank, d.batch.labels_a, mix)
                     )
                     scores.append(
                         weighting.teacher_label_similarity(feats, d.batch.labels_a, t.bank, *soft)
@@ -606,15 +633,6 @@ ALL_BASE = tuple(("base", r) for _, r in cli.LOSS_RATIO_GRID)
 class TestGroups:
     """``distill_students`` trains a group in lockstep; every member gets
     the bits of its own ``distill_student`` run."""
-
-    @pytest.fixture(scope="class")
-    def three_teachers(self, tiny):
-        ds, train_idx, eval_idx, teachers = tiny
-        third = trainer.pretrain_teacher(
-            TINY_PRETRAIN, ds, train_idx, eval_idx,
-            trainer.TeacherSpec(hidden_widths=(12,), output_dim=5), 0, 2,
-        )
-        return teachers + [third]
 
     @pytest.mark.parametrize(
         "members, variant",
@@ -794,7 +812,7 @@ class TestStepKernels:
         for lr0 in (1e-2, 1e-4):
             params, _, _, rng = self.student()
             state = encoder.init_adam(params, lr0)
-            flat = encoder._FlatAdam(params, state)
+            flat = encoder._FlatAdam([params], [state])
             ref = list(params.weights + params.biases)
             ref_m = [np.zeros_like(a) for a in ref]
             ref_v = [np.zeros_like(a) for a in ref]
@@ -810,7 +828,7 @@ class TestStepKernels:
                 ref, ref_m, ref_v = adam_per_array(
                     ref[:n], ref[n:], grads.weights, grads.biases, ref_m, ref_v, t, lr
                 )
-            got = flat.result()
+            (got,) = flat.result()
             for a, b, c in zip(params.weights + params.biases, got.weights + got.biases, ref):
                 np.testing.assert_array_equal(a, c)
                 np.testing.assert_array_equal(b, c)
@@ -819,10 +837,111 @@ class TestStepKernels:
             np.testing.assert_array_equal(flat.m, np.concatenate([a.ravel() for a in ref_m]))
             np.testing.assert_array_equal(flat.v, np.concatenate([a.ravel() for a in ref_v]))
             # The views laid out once still alias their buffers.
-            grads_views = flat.grads.weights + flat.grads.biases
+            grads_views = flat.grads[0].weights + flat.grads[0].biases
             assert all(np.shares_memory(a, flat.grad) for a in grads_views)
-            param_views = flat.params.weights + flat.params.biases
+            param_views = flat.params[0].weights + flat.params[0].biases
             assert all(np.shares_memory(a, flat.p) for a in param_views)
+
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    def test_pair_step(self, lead):
+        # An (image, text) pair in one buffer: the pair step, and the epoch
+        # text bank's separate image and text steps with their own step
+        # counts, give each encoder the bits of adam_per_array on its own,
+        # with and without a member axis.
+        rng = seeded_rng(14)
+        pair = []
+        for cfg in (encoder.EncoderConfig(10, (24, 16), 6), encoder.EncoderConfig(8, (12,), 6)):
+            p = encoder.init_params(cfg, rng)
+            pair.append(trainer._stacked(p, lead[0]) if lead else p)
+        opt = encoder._FlatAdam(pair, [encoder.init_adam(p, 1e-2) for p in pair])
+        ref = [
+            [list(p.weights + p.biases), *([np.zeros_like(a) for a in p.weights + p.biases],) * 2]
+            for p in pair
+        ]
+        t = [0, 0]
+        # Two pair steps, then three image steps and one text step.
+        for lr, stepped in ((1e-2, None), (3e-3, None), (1e-3, 0), (2e-3, 0), (1e-3, 0), (9e-3, 1)):
+            for e in (0, 1) if stepped is None else (stepped,):
+                g = [rng.normal(size=a.shape) for a in ref[e][0]]
+                grads = opt.grads[e]
+                for view, a in zip(grads.weights + grads.biases, g):
+                    view[:] = a
+                t[e] += 1
+                n = len(pair[e].weights)
+                ref[e] = adam_per_array(
+                    ref[e][0][:n], ref[e][0][n:], g[:n], g[n:], ref[e][1], ref[e][2], t[e], lr
+                )
+            opt.step(lr, stepped)
+        assert opt.t == t == [5, 3]
+        for e, got in enumerate(opt.result()):
+            np.testing.assert_array_equal(
+                np.concatenate([a.reshape(*lead, -1) for a in got.weights + got.biases], axis=-1),
+                np.concatenate([a.reshape(*lead, -1) for a in ref[e][0]], axis=-1),
+            )
+            for flat, want in zip((opt.m, opt.v), ref[e][1:]):
+                np.testing.assert_array_equal(
+                    flat[..., opt.columns[e]],
+                    np.concatenate([a.reshape(*lead, -1) for a in want], axis=-1),
+                )
+
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    def test_per_teacher_mse_terms(self, lead):
+        # The stacked per-teacher MSE, one _mse_align per stack of teachers
+        # of one output dim, equals the alpha-weighted sum of the public
+        # mse_align per teacher and member, bit for bit: output dims 6, 5,
+        # 6, 4 against a 6-dim student, with and without a member axis.
+        rng = seeded_rng(15)
+        dims, stacks = (6, 5, 6, 4), [[0, 2], [1], [3]]
+        proj = trainer._Projection(6, dims, rng)
+        feats, rows = rng.normal(size=lead + (9, 6)), rng.normal(size=lead + (9, 6))
+        t_feats = [rng.normal(size=(len(idx), 9, dims[idx[0]])) for idx in stacks]
+        t_rows = [rng.normal(size=(len(idx), 9, dims[idx[0]])) for idx in stacks]
+        alpha = rng.dirichlet(np.ones(4), lead[0] if lead else None)
+        columns = list(alpha.T[..., None, None]) if lead else list(alpha)
+        value, g_u, g_w = trainer._mse_terms(
+            "per_teacher", proj, columns, feats, rows, stacks, t_feats, t_rows
+        )
+        for s in range(lead[0]) if lead else (...,):
+            want_value, want_u, want_w = 0.0, np.zeros((9, 6)), np.zeros((9, 6))
+            for j, d in enumerate(dims):
+                k = next(k for k, idx in enumerate(stacks) if j in idx)
+                p = stacks[k].index(j)
+                m = distill.mse_align(
+                    t_feats[k][p], proj.forward(feats[s], d), t_rows[k][p], proj.forward(rows[s], d)
+                )
+                a = alpha[s, j] if lead else alpha[j]
+                want_value += a * m.value
+                want_u += a * proj.backward(m.grad_image, d)
+                want_w += a * proj.backward(m.grad_text, d)
+            assert value[s] == want_value
+            np.testing.assert_array_equal(g_u[s], want_u)
+            np.testing.assert_array_equal(g_w[s], want_w)
+
+    def test_unmixed_mixup_batch_takes_the_hard_bits(self):
+        # Under mixup every batch takes the soft formulas; one whose b
+        # labels are its a labels at lam = 1 gets the hard path's bits
+        # from _clip_loss, _soft_gather and _soft_scatter, for a member
+        # stack and for each member alone.
+        rng = seeded_rng(16)
+        u = np.stack([self.unit_rows(rng, 9, 6) for _ in range(3)])
+        w = np.stack([self.unit_rows(rng, 4, 6) for _ in range(3)])
+        labels = rng.integers(0, 4, 9)
+        same = contrastive.MixedLabels(labels, np.ones(9))
+        grad_rows = rng.normal(size=(3, 9, 6))
+        for at in (slice(None), 0, 1, 2):
+            dists = numerics._pair_log_softmax(u[at], w[at], 2.0)
+            hard = contrastive._clip_loss(u[at], w[at], 2.0, dists, labels, None)
+            soft = contrastive._clip_loss(u[at], w[at], 2.0, dists, labels, same)
+            np.testing.assert_array_equal(soft.value, hard.value)
+            np.testing.assert_array_equal(soft.grad_image, hard.grad_image)
+            np.testing.assert_array_equal(soft.grad_text, hard.grad_text)
+            np.testing.assert_array_equal(
+                trainer._soft_gather(w[at], labels, same), trainer._soft_gather(w[at], labels, None)
+            )
+            np.testing.assert_array_equal(
+                trainer._soft_scatter(grad_rows[at], labels, same, 4),
+                trainer._soft_scatter(grad_rows[at], labels, None, 4),
+            )
 
     def test_member_stack(self):
         # Forward, reverse pass, a member's tape slice and Adam on
@@ -868,8 +987,8 @@ class TestStepKernels:
         retried = [not np.array_equal(encoder._encode(m, x, masks)[1].masks[0], masks[0] / 0.5)
                    for m in members]
         assert retried == [False, True, False]
-        opt = encoder._FlatAdam(stacked, encoder.init_adam(stacked, 1e-2))
-        alone = [encoder._FlatAdam(m, encoder.init_adam(m, 1e-2)) for m in members]
+        opt = encoder._FlatAdam([stacked], [encoder.init_adam(stacked, 1e-2)])
+        alone = [encoder._FlatAdam([m], [encoder.init_adam(m, 1e-2)]) for m in members]
         for lr in (1e-2, 3e-3):
             g = rng.normal(size=opt.grad.shape)
             opt.grad[:] = g
