@@ -56,7 +56,7 @@ class SyntheticSpec:
                 raise InvalidSpec("must be >= 2", name)
         if self.samples_per_class < 1:
             raise InvalidSpec("must be >= 1", "samples_per_class")
-        # JSON admits NaN and Infinity, which every comparison here passes.
+        # JSON admits NaN and Infinity, which a bound check alone lets through.
         if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0.0):
             raise InvalidSpec("must be finite and >= 0", "noise_sigma")
         if not (math.isfinite(self.anchor_scale) and self.anchor_scale > 0.0):
