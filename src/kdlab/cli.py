@@ -32,12 +32,12 @@ whose ``group`` lists the grid points of the lockstep call that completed
 it and whose ``wall_seconds`` times that call. The suite writes
 ``summary.csv``, over the runs that completed in this call, and
 ``manifest.json`` with config echo, library version, wall-clock and the
-failed runs. Every output file is written atomically (``_atomic_open``).
-A failed run (its teacher's pretraining or its distillation) leaves
-``error.json`` (type, message, traceback) in its directory, in place of
-any ``metrics.csv`` and ``run.json`` an earlier call left there; the
-others still complete, and the first failure in grid order is raised
-after ``summary.csv``. Exit codes: 0 ok, 1 internal error (a run raised an
+failed runs. Every output file is written atomically
+(``data._atomic_open``). A failed run (its teacher's pretraining or its
+distillation) leaves ``error.json`` (type, message, traceback) in its
+directory, in place of any ``metrics.csv`` and ``run.json`` an earlier
+call left there; the others still complete, and the first failure in
+grid order is raised after ``summary.csv``. Exit codes: 0 ok, 1 internal error (a run raised an
 exception kdlab does not declare), 2 config error, 3 data error, 4 numeric
 error.
 """
@@ -45,12 +45,10 @@ error.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import dataclasses
 import functools
 import json
-import os
 import sys
 import time
 import traceback
@@ -66,6 +64,7 @@ from .data import (
     PairedDataset,
     SyntheticSpec,
     WeightNoise,
+    _atomic_open,
     generate,
     load_dataset,
     save_dataset,
@@ -379,23 +378,6 @@ def _fmt(x) -> str:
     if isinstance(x, float):
         return format(x, ".10g")
     return str(x)
-
-
-@contextlib.contextmanager
-def _atomic_open(path):
-    """``path`` opened for writing text through a temp file in its
-    directory, which replaces ``path`` (``os.replace``) once the block has
-    written it all. A write that raises leaves the previous file as it was
-    and no temp file behind. No newline is translated: csv rows end in
-    CRLF, as ``csv.writer`` ends them, and json and text lines in LF."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w", newline="") as f:
-            yield f
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
 
 
 def write_metrics_csv(path, suite: str, grid: str, seed: int, metrics: RunMetrics) -> None:

@@ -12,14 +12,18 @@ length-prefixed JSON header (the spec and the probe accuracy), the text
 anchors and image rows as little-endian float64 and the labels as int64,
 in row-major order, and a trailing 64-bit checksum over everything before
 it. Any other version fails with ``FormatVersionMismatch``; ``kdlab
-gen-data`` rebuilds the file from its spec.
+gen-data`` rebuilds the file from its spec. A file whose checksum holds
+fails too, naming itself, if its header or its arrays' length disagree
+with the format. The file is written atomically (``_atomic_open``).
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
+import os
 import struct
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -175,24 +179,45 @@ def _checksum(data: bytes) -> int:
     return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "little")
 
 
+@contextlib.contextmanager
+def _atomic_open(path, mode: str = "w"):
+    """``path`` opened for writing, text (``"w"``) or bytes (``"wb"``),
+    through a temp file in its directory, which replaces ``path``
+    (``os.replace``) once the block has written it all. A write that
+    raises leaves the previous file as it was and no temp file behind. No
+    newline is translated: csv rows end in CRLF, as ``csv.writer`` ends
+    them, and json and text lines in LF."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, newline=None if "b" in mode else "") as f:
+            yield f
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def save_dataset(dataset: PairedDataset, path) -> None:
-    header = {
-        "spec": asdict(dataset.spec),
-        "probe_accuracy": dataset.probe_accuracy,
-    }
+    """Write ``dataset`` to ``path`` in the format of the module docstring,
+    part by part, atomically."""
+    header = {"spec": asdict(dataset.spec), "probe_accuracy": dataset.probe_accuracy}
     hbytes = json.dumps(header, sort_keys=True).encode()
-    body = bytearray()
-    body += _MAGIC
-    body += struct.pack("<II", _VERSION, len(hbytes))
-    body += hbytes
-    for a in (dataset.text_anchors, dataset.image_raw):
-        body += np.ascontiguousarray(a, dtype="<f8").tobytes()
-    body += np.ascontiguousarray(dataset.labels, dtype="<i8").tobytes()
-    body += struct.pack("<Q", _checksum(bytes(body)))
-    Path(path).write_bytes(bytes(body))
+    parts = [_MAGIC + struct.pack("<II", _VERSION, len(hbytes)) + hbytes]
+    with _atomic_open(path, "wb") as f:
+        f.write(parts[0])
+        for a, dtype in (
+            (dataset.text_anchors, "<f8"), (dataset.image_raw, "<f8"), (dataset.labels, "<i8")
+        ):
+            parts.append(np.ascontiguousarray(a, dtype=dtype).tobytes())
+            f.write(parts[-1])
+        f.write(struct.pack("<Q", _checksum(b"".join(parts))))
 
 
 def load_dataset(path) -> PairedDataset:
+    """The dataset in the file ``path``; a wrong file fails with a declared
+    error naming it: ``ChecksumMismatch``, ``FormatVersionMismatch`` or,
+    for a spec without exactly the ``SyntheticSpec`` fields, each a JSON
+    number of its type, ``InvalidSpec``."""
     blob = Path(path).read_bytes()
     if len(blob) < len(_MAGIC) or blob[: len(_MAGIC)] != _MAGIC:
         raise FormatVersionMismatch(f"{path} is not a paired-dataset file")
@@ -209,11 +234,27 @@ def load_dataset(path) -> PairedDataset:
             f"{_VERSION}: rebuild it from its spec with `kdlab gen-data`"
         )
     off += 8
-    header = json.loads(blob[off : off + hlen].decode())
+    try:
+        header = json.loads(blob[off : off + hlen].decode())
+    except ValueError:
+        raise FormatVersionMismatch(f"{path} has a header that is not JSON") from None
     off += hlen
-    if header["spec"].keys() != asdict(SyntheticSpec()).keys():
-        raise InvalidSpec(f"{path} holds a spec with fields {sorted(header['spec'])}")
-    spec = SyntheticSpec(**header["spec"])
+    if not (isinstance(header, dict) and header.keys() == {"spec", "probe_accuracy"}
+            and type(header["probe_accuracy"]) in (int, float)):
+        raise FormatVersionMismatch(f"{path} has a header other than a spec and a probe accuracy")
+    fields, defaults = header["spec"], asdict(SyntheticSpec())
+    if not isinstance(fields, dict) or fields.keys() != defaults.keys():
+        raise InvalidSpec(f"{path} holds a spec that is not an object of the SyntheticSpec fields")
+    for name, value in fields.items():
+        if type(value) not in ((int, float) if isinstance(defaults[name], float) else (int,)):
+            raise InvalidSpec(f"{path} holds spec.{name} = {value!r}")
+    spec = SyntheticSpec(**fields)
+    m = spec.num_samples
+    body = 8 * (spec.num_classes * spec.text_dim + m * spec.image_dim + m)
+    if len(blob) - 8 - off != body:
+        raise FormatVersionMismatch(
+            f"{path} has {len(blob) - 8 - off} bytes of arrays where its spec makes {body}"
+        )
 
     def take_f8(shape):
         nonlocal off
@@ -222,7 +263,6 @@ def load_dataset(path) -> PairedDataset:
         off += n * 8
         return a.astype(np.float64)
 
-    m = spec.num_samples
     text_anchors = take_f8((spec.num_classes, spec.text_dim))
     image_raw = take_f8((m, spec.image_dim))
     labels = np.frombuffer(blob, dtype="<i8", count=m, offset=off).astype(np.int64)

@@ -32,20 +32,35 @@ leading K axis for a stacked cotangent) and overwrites every entry; it
 skips the input gradient. Those arrays are views into one flat buffer in
 :meth:`EncoderGrads.flatten`'s order (``_Layout.views``), laid out once by
 their owner: ``_FlatAdam`` for its gradient, the trainer for ``dsw``'s
-K x P matrix. ``_FlatAdam`` holds the parameters and Adam moments of one
-encoder, or of an image and text encoder pair, as flat buffers, the pair's
+K x P matrix. ``_FlatAdam`` holds the parameters and Adam moments (from
+zero; ``adam_step`` loads its state into them) of one encoder, or of an
+image and text encoder pair, as flat buffers, the pair's
 encoders in columns of their own, and updates them in place through one
 scratch buffer and then the used-up gradient buffer. A step is one
 elementwise pass over the pair's columns, or over one encoder's, and each
 encoder keeps its own step count; each entry rounds as it would in an
 update of its own array.
 
-``_encode_rows`` is the eval-mode pass over many rows: it cuts them into
-chunks of at most a training batch of rows (``_row_chunks``), with no
-one-row chunk, and encodes the full chunks as stacks of at most 512 rows
-and the rest in one more call: two calls for an evaluation's 400 rows.
-Every row keeps its bits and, at kdlab's widths, no product is large
-enough for OpenBLAS to run it on several threads.
+Row policy, the one rule for the eval-mode passes over many rows (an
+evaluation, the frozen teachers' cache) and the trainer's blocks of
+batches: an eval-mode product over many rows holds at most
+``_EVAL_ROWS`` = 64 rows, the default batch, and one stacked pass at most
+``_STACK_ROWS`` = 512 input rows. ``_encode_rows`` encodes the
+``_EVAL_ROWS``-row chunks of ``_row_chunks`` in stacks of at most
+``_STACK_ROWS`` rows, then the tail, if any: two calls for an
+evaluation's 400 rows, four for a 1600-row cache. An eval-mode row's bits
+do not depend on the rows beside it, as long as there are at least two
+(BLAS computes a one-row product with its matrix-vector kernel, which
+rounds differently), so no chunk has one row and the trainer encodes a
+one-row batch alone. A 512-row product crosses OpenBLAS's threading
+threshold: measured, it ran on both cores and raised a run's CPU time by
+about 60%, and the idle worker thread then busy-waits (on a 2-core Xeon,
+a 0.3 s sleep right after one 400 x 32 x 80 product read 128 ms of CPU
+time). The stack cap bounds memory: on a 2-core Xeon (``BENCH_8.json``,
+two 30 s runs each) the benchmark's mixup ``lsr`` K=3 run made 533
+student steps/s batch by batch, and 602, 635, 687 and 697 with block caps
+of 128, 256 and 512 rows and a whole epoch, its peak RSS up 0.4%, 1.2%,
+3.1% and 11.1% against the benchmark's 5% bound.
 
 Member stacks: the three kernels also take the parameters of S encoders of
 one architecture trained side by side, as (S, P) flat buffers viewed as
@@ -134,13 +149,6 @@ class EncoderGrads:
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-
-    @classmethod
-    def zeros_like(cls, params: EncoderParams) -> "EncoderGrads":
-        return cls(
-            [np.zeros_like(w) for w in params.weights],
-            [np.zeros_like(b) for b in params.biases],
-        )
 
     def flatten(self) -> np.ndarray:
         """All gradients as one vector in the order W0, W1, ..., b0, b1, ...;
@@ -278,15 +286,20 @@ def _encode(
     return raw, tape
 
 
-def _row_chunks(x: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """``x``'s rows (axis -2) in chunks of ``rows`` rows, at least 2, as
-    (stack, tail): the full chunks on a new axis before the row axis,
-    (..., chunks, rows, d), as a view, and the rows after them, fewer than
-    ``rows`` or none; where one row would be left, the tail is that row
-    and the last full chunk. BLAS computes a one-row product with its
-    matrix-vector kernel, which rounds differently, so an input of two or
-    more rows gets no one-row chunk."""
-    n, size = x.shape[-2], max(rows, 2)
+# The row policy (see the module docstring): the most rows of an
+# eval-mode product over many rows, and of one stacked pass.
+_EVAL_ROWS = 64
+_STACK_ROWS = 512
+
+
+def _row_chunks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``x``'s rows (axis -2) in chunks of ``_EVAL_ROWS`` rows, as (stack,
+    tail): the full chunks on a new axis before the row axis, (...,
+    chunks, rows, d), as a view, and the rows after them, fewer than
+    ``_EVAL_ROWS`` or none; where one row would be left, the tail is that
+    row and the last full chunk, so an input of two or more rows gets no
+    one-row chunk."""
+    n, size = x.shape[-2], _EVAL_ROWS
     full = n // size
     if full and n - full * size == 1:
         full -= 1
@@ -294,23 +307,17 @@ def _row_chunks(x: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray]:
     return x[..., :cut, :].reshape(*x.shape[:-2], full, size, x.shape[-1]), x[..., cut:, :]
 
 
-# The most input rows one stacked eval-mode pass holds; like a block of
-# batches, at most 512 rows, it bounds the pass's memory.
-_STACK_ROWS = 512
-
-
-def _encode_rows(params: EncoderParams, xm: np.ndarray, rows: int) -> np.ndarray:
-    """The eval-mode features of checked rows ``xm``: the full chunks of
-    :func:`_row_chunks` as stacks of at most ``_STACK_ROWS`` rows, then the
-    tail, one ``_encode`` each; up to 512 + ``rows`` rows that is two
-    calls. Each row keeps the bits it gets in one pass over all of ``xm``,
-    and no product has more than ``rows`` + 1 rows: at a training batch's
-    size that keeps every product under OpenBLAS's threading threshold,
-    after which its idle worker thread busy-waits. Member-stacked
-    parameters run a stack as (chunks, 1, rows, d) against their (S, .,
-    .) weights, which is one BLAS product per chunk and member."""
-    stack, tail = _row_chunks(xm, rows)
-    per = max(_STACK_ROWS // stack.shape[-2], 1)
+def _encode_rows(params: EncoderParams, xm: np.ndarray) -> np.ndarray:
+    """The eval-mode features of checked rows ``xm`` under the row policy
+    (see the module docstring): the full chunks of :func:`_row_chunks` as
+    stacks of at most ``_STACK_ROWS`` rows, then the tail unless it is
+    empty, one ``_encode`` each. Each row keeps the bits it gets in one
+    pass over all of ``xm``, and no product has more than ``_EVAL_ROWS`` +
+    1 rows. Member-stacked parameters run a stack as (chunks, 1, rows, d)
+    against their (S, ., .) weights, which is one BLAS product per chunk
+    and member."""
+    stack, tail = _row_chunks(xm)
+    per = _STACK_ROWS // _EVAL_ROWS
     feats = []
     for part in (stack[i : i + per] for i in range(0, stack.shape[0], per)):
         if params.weights[0].ndim == 3:
@@ -318,7 +325,9 @@ def _encode_rows(params: EncoderParams, xm: np.ndarray, rows: int) -> np.ndarray
         else:
             f = _encode(params, part, None)[0]
         feats.append(f.reshape(*f.shape[:-3], -1, f.shape[-1]))
-    return np.concatenate(feats + [_encode(params, tail, None)[0]], axis=-2)
+    if tail.shape[-2] or not feats:
+        feats.append(_encode(params, tail, None)[0])
+    return np.concatenate(feats, axis=-2)
 
 
 def _member_params(params: EncoderParams, s: int) -> EncoderParams:
@@ -430,35 +439,20 @@ class _Layout:
         return arrays[: self.n_layers], arrays[self.n_layers :]
 
 
+# Adam's constants: the moments' decay rates and the denominator's floor.
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass(frozen=True)
 class AdamState:
-    """Adam moment accumulators plus hyperparameters; ``t`` is the step count."""
+    """Adam's moment accumulators ``m`` and ``v`` after ``t`` steps, and
+    the rate ``lr`` of the next step; its decay rates and floor are the
+    module's constants."""
 
     lr: float
-    beta1: float
-    beta2: float
-    eps: float
     t: int
     m: EncoderGrads
     v: EncoderGrads
-
-
-def init_adam(
-    params: EncoderParams,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> AdamState:
-    return AdamState(
-        lr=lr,
-        beta1=beta1,
-        beta2=beta2,
-        eps=eps,
-        t=0,
-        m=EncoderGrads.zeros_like(params),
-        v=EncoderGrads.zeros_like(params),
-    )
 
 
 def adam_step(
@@ -468,7 +462,10 @@ def adam_step(
     for p, g in zip(params.weights + params.biases, grads.weights + grads.biases):
         if p.shape != g.shape:
             raise ShapeMismatch(f"param shape {p.shape} != grad shape {g.shape}")
-    opt = _FlatAdam([params], [state])
+    opt = _FlatAdam([params])
+    opt.t[0] = state.t
+    opt.m[:] = state.m.flatten()
+    opt.v[:] = state.v.flatten()
     opt.grad[:] = grads.flatten()
     opt.step(state.lr)
     m, v = (EncoderGrads(*opt.layouts[0].views(a)) for a in (opt.m, opt.v))
@@ -483,18 +480,17 @@ class _FlatAdam:
     (S, P) buffers. ``params`` and ``grads`` hold each encoder's views into
     the parameter buffer and into ``grad``, the buffer the step's gradient
     is written into; all are laid out once, with one scratch buffer for
-    the step. Each encoder keeps its own step count ``t``."""
+    the step. Each encoder keeps its own step count ``t``; the moments and
+    step counts start at zero."""
 
-    def __init__(self, params: Sequence[EncoderParams], states: Sequence[AdamState]):
+    def __init__(self, params: Sequence[EncoderParams]):
         self.layouts = [_Layout(p.config) for p in params]
-        self.betas = (states[0].beta1, states[0].beta2)
-        self.eps = states[0].eps
-        self.t = [s.t for s in states]
+        self.t = [0] * len(params)
         self.p = np.concatenate(
             [EncoderGrads(p.weights, p.biases).flatten() for p in params], axis=-1
         )
-        self.m = np.concatenate([s.m.flatten() for s in states], axis=-1)
-        self.v = np.concatenate([s.v.flatten() for s in states], axis=-1)
+        self.m = np.zeros_like(self.p)
+        self.v = np.zeros_like(self.p)
         self.grad = np.empty_like(self.p)
         stops = np.cumsum([layout.size for layout in self.layouts]).tolist()
         self.columns = [slice(a, b) for a, b in zip([0] + stops[:-1], stops)]
@@ -523,23 +519,22 @@ class _FlatAdam:
         for e in range(len(self.t)) if encoder is None else (encoder,):
             self.t[e] += 1
         t = self.t[encoder or 0]
-        b1, b2 = self.betas
-        c1 = 1.0 - b1**t
-        c2 = 1.0 - b2**t
+        c1 = 1.0 - _BETA1**t
+        c2 = 1.0 - _BETA2**t
         g, m, v, s, p = self._buffers[encoder]
-        np.multiply(g, 1.0 - b1, out=s)
-        m *= b1
+        np.multiply(g, 1.0 - _BETA1, out=s)
+        m *= _BETA1
         m += s
-        np.multiply(g, 1.0 - b2, out=s)
+        np.multiply(g, 1.0 - _BETA2, out=s)
         s *= g
-        v *= b2
+        v *= _BETA2
         v += s
         np.divide(m, c1, out=s)
         s *= lr
         r = g  # the gradient is used up
         np.divide(v, c2, out=r)
         np.sqrt(r, out=r)
-        r += self.eps
+        r += _EPS
         s /= r
         p -= s
 

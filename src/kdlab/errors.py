@@ -66,7 +66,8 @@ class InvalidSpec(KdlabError):
 
 
 class FormatVersionMismatch(KdlabError):
-    """A file does not carry the expected magic bytes or version."""
+    """A file does not carry the expected magic bytes or version, or its
+    header does not match the format or its body."""
 
 
 class ChecksumMismatch(KdlabError):

@@ -18,8 +18,9 @@ always computed once, after freezing.
 Blocks of batches: the teachers are frozen, and the random draws that
 shape a batch do not depend on the parameters, so ``distill_students``
 walks each epoch in blocks of consecutive batches of equal size, at most
-``_BLOCK_ROWS`` = 512 rows (8 batches of 64). A shorter tail batch is a
-block of its own, and so is every one-row batch.
+``encoder._STACK_ROWS`` = 512 rows (8 batches of 64; see ``encoder``'s
+row policy). A shorter tail batch is a block of its own, and so is every
+one-row batch.
 - Draws: at the start of an epoch, the epoch-mode text bank's dropout
   masks, then the epoch's permutation; at the start of each block, per
   batch in order, ``augment``'s draws, the per-batch text bank's masks and
@@ -34,8 +35,8 @@ block of its own, and so is every one-row batch.
   a ``weighted_target`` run has one stack. Under ``none`` a row's
   features, its i2t distribution and its clamped label similarity depend
   on the row alone, so they are computed once per call for every training
-  row, in eval mode, in chunks of ``batch_size`` rows with no one-row
-  chunk; a block gathers its rows of them and computes only t2i.
+  row, in eval mode, under ``encoder``'s row policy; a block gathers its
+  rows of them and computes only t2i.
   Otherwise the block's augmented rows go through one eval-mode forward
   pass per teacher, whose widths differ.
 - Per batch, the student's step reads slice i of the block: encode,
@@ -43,20 +44,8 @@ block of its own, and so is every one-row batch.
   passes and Frank-Wolfe, MSE (under ``per_teacher`` one call per stack
   of teachers), reverse pass, Adam.
 Each stacked product runs one BLAS call per batch and teacher, with the
-bits the batch gets alone, and every reduction keeps its axis and order.
-A single 512-row product crosses OpenBLAS's threading threshold;
-measured, it ran on both cores and raised a run's CPU time by about 60%.
-After a threaded product OpenBLAS's idle worker thread also busy-waits:
-on a 2-core Xeon, a 0.3 s sleep right after one 400 x 32 x 80 product
-read 128 ms of CPU time. An eval-mode row's bits do not depend on the
-rows beside it, as long as there are at least two: BLAS computes a
-one-row product with its matrix-vector kernel, which rounds
-differently. So the cache has no one-row chunk and a one-row batch is
-encoded alone. The cap bounds memory. On a 2-core Xeon
-(``BENCH_8.json``, two 30 s runs each), the benchmark's mixup ``lsr``
-K=3 run made 533 student steps/s batch by batch, and 602, 635, 687 and
-697 with caps of 128, 256 and 512 rows and a whole epoch; its peak RSS
-grew 0.4%, 1.2%, 3.1% and 11.1%, against the benchmark's 5% bound.
+bits the batch gets alone, and every reduction keeps its axis and order;
+why the blocks are capped: ``encoder``'s row policy.
 
 Groups: ``distill_students`` trains the runs of one seed whose configs
 differ only in ``strategy`` and ``loss_ratios`` in lockstep, and
@@ -108,17 +97,13 @@ mode or without dropout, raises ``ZeroVector``.
   ``dsw``'s stacked passes write into one K x P matrix in the pair's
   columns (``_kl_grad_matrix``), also laid out once per run.
 
-Evaluation: every eval-mode pass over many rows goes through
-``encoder._encode_rows``, in chunks of at most a training batch of rows
-(``_EVAL_ROWS`` = 64, the default batch, for an evaluation), the full
-chunks in stacks of at most 512 rows and the rest in one more call, so
-no product crosses the threading threshold and every row keeps its
-bits.
-``evaluate`` checks its inputs on each call. A group's evaluation runs
-once per epoch for all members: the eval rows, checked at entry, go
-through the member-stacked image parameters, and the class anchors once
-through the stacked text parameters; then ``rank_of_label`` runs per
-member. Each member gets what ``evaluate`` gives on its parameters.
+Evaluation: its rows go through ``encoder._encode_rows`` under
+``encoder``'s row policy. ``evaluate`` checks its inputs on each call. A
+group's evaluation runs once per epoch for all members: the eval rows,
+checked at entry, go through the member-stacked image parameters, and the
+class anchors once through the stacked text parameters; then
+``rank_of_label`` runs per member. Each member gets what ``evaluate``
+gives on its parameters.
 
 Single-threaded runs are bit-deterministic in (config, seed): every random
 draw comes from named PCG64 streams derived from the run seed.
@@ -137,6 +122,7 @@ from . import distill, weighting
 from .contrastive import MixedLabels, _check_labels, _clip_loss, rank_of_label
 from .data import LABEL_SHUFFLE, PairedDataset, WeightNoise, build_class_bank, corrupt_teacher
 from .encoder import (
+    _STACK_ROWS,
     EncoderConfig,
     EncoderGrads,
     EncoderParams,
@@ -150,7 +136,6 @@ from .encoder import (
     _member_tape,
     _row_chunks,
     architecture_problem,
-    init_adam,
     init_params,
 )
 from .errors import (
@@ -177,13 +162,6 @@ _TAG_STUDENT_INIT = 2
 _TAG_TRAIN_LOOP = 3
 _TAG_PROJECTION = 4
 _TAG_SPLIT = 5
-
-# The most rows a block of batches holds (see the module docstring).
-_BLOCK_ROWS = 512
-
-# The rows of each eval-mode product of an evaluation: the default
-# training batch (see the module docstring).
-_EVAL_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -239,7 +217,13 @@ class TeacherSpec:
     dropout_p: float = 0.0
     corruption: WeightNoise | str | None = None  # WeightNoise | "label_shuffle" | None
 
-    __post_init__ = _check_architecture
+    def __post_init__(self):
+        _check_architecture(self)
+        c = self.corruption
+        if not (c in (None, LABEL_SHUFFLE) or isinstance(c, WeightNoise)):
+            raise InvalidConfig(
+                "corruption", f"must be None, a WeightNoise or {LABEL_SHUFFLE!r}, got {c!r}"
+            )
 
 
 def _check_positive(config, name: str) -> None:
@@ -348,7 +332,6 @@ class Teacher:
     text_params: EncoderParams
     bank: np.ndarray
     accuracy: float
-    spec: TeacherSpec
 
 
 @dataclass
@@ -385,10 +368,12 @@ class RunMetrics:
 
 @dataclass
 class AugmentedBatch:
+    """A batch's augmented image rows, its labels, and ``mix``: under
+    mixup its ``MixedLabels`` (partner labels and weights), else None."""
+
     image_raw: np.ndarray
     labels_a: np.ndarray
-    labels_b: np.ndarray
-    lam: np.ndarray  # per-sample weight on labels_a
+    mix: MixedLabels | None
 
 
 def lr_at(schedule: LrSchedule, lr: float, t: int, total: int) -> float:
@@ -439,17 +424,17 @@ def augment(image_raw, labels, mode: Augmentation, rng) -> AugmentedBatch:
     """
     img = np.asarray(image_raw, dtype=np.float64)
     lab = np.asarray(labels, dtype=np.int64)
-    b_sz = img.shape[0]
     if mode.kind == "none":
-        return AugmentedBatch(img, lab, lab, np.ones(b_sz))
+        return AugmentedBatch(img, lab, None)
     if mode.kind == "jitter":
         img = img + mode.sigma * rng.standard_normal(img.shape)
-        return AugmentedBatch(img, lab, lab, np.ones(b_sz))
+        return AugmentedBatch(img, lab, None)
     # mixup
+    b_sz = img.shape[0]
     partner = rng.permutation(b_sz)
     lam = rng.beta(mode.beta, mode.beta, size=b_sz)
     img = lam[:, None] * img + (1.0 - lam)[:, None] * img[partner]
-    return AugmentedBatch(img, lab, lab[partner], lam)
+    return AugmentedBatch(img, lab, MixedLabels(lab[partner], lam))
 
 
 def evaluate(
@@ -461,12 +446,12 @@ def evaluate(
 ) -> tuple[float, float]:
     """(accuracy, recall@5) of classification over the ranking of the
     model's own encoded class anchors. Each class has one bank row, so
-    recall@1 is the accuracy. The rows are encoded in chunks of
-    ``_EVAL_ROWS`` (see the module docstring)."""
+    recall@1 is the accuracy. The rows are encoded under ``encoder``'s
+    row policy."""
     bank = build_class_bank(text_params, dataset)
     idx = np.asarray(idx, dtype=np.int64)
     rows = _checked_input(image_params, dataset.image_raw[idx])
-    feats = _encode_rows(image_params, rows, _EVAL_ROWS)
+    feats = _encode_rows(image_params, rows)
     return _scores(feats, bank, dataset.labels[idx], tau)
 
 
@@ -537,8 +522,7 @@ def pretrain_teacher(
     rng_corrupt = seeded_rng(seed, _TAG_TEACHER, teacher_index, 2)
 
     img_params, txt_params = _init_encoder_pair(spec, dataset, rng_init)
-    pair = (img_params, txt_params)
-    opt = _FlatAdam(pair, [init_adam(p, cfg.lr) for p in pair])
+    opt = _FlatAdam((img_params, txt_params))
     (img, txt), (img_grads, txt_grads) = opt.params, opt.grads
     image_raw, anchors, labels = _checked_inputs(img_params, txt_params, dataset)
     img_cfg, txt_cfg = img_params.config, txt_params.config
@@ -584,7 +568,6 @@ def pretrain_teacher(
         text_params=txt_params,
         bank=bank,
         accuracy=acc,
-        spec=spec,
     )
 
 
@@ -659,10 +642,10 @@ def _checked_teachers(teachers: Sequence[Teacher], image_dim: int, n_classes: in
 
 def _blocks(batches: list[np.ndarray]) -> list[list[np.ndarray]]:
     """An epoch's batches in blocks of consecutive batches of the first
-    batch's size, at most ``_BLOCK_ROWS`` rows a block. A shorter tail batch
+    batch's size, at most ``_STACK_ROWS`` rows a block. A shorter tail batch
     is a block of its own, and so is every one-row batch."""
     size = batches[0].size if batches else 0
-    per = max(_BLOCK_ROWS // size, 1) if size > 1 else 1
+    per = max(_STACK_ROWS // size, 1) if size > 1 else 1
     n_full = sum(b.size == size for b in batches)
     return [batches[i : min(i + per, n_full)] for i in range(0, n_full, per)] + [
         [b] for b in batches[n_full:]
@@ -707,9 +690,9 @@ class _TeacherPass:
     banks as (K_s, N, d_s) stacks; teachers of unequal dims share a run
     only under ``per_teacher`` MSE, so a ``weighted_target`` run has one
     stack. Under ``none`` the teachers' values of every training row
-    ``image_raw[train_idx]`` are computed once, in chunks of ``batch_size``
-    rows with no one-row chunk: their features, their image-to-text
-    distributions and, under ``lsr``, their clamped label similarities.
+    ``image_raw[train_idx]`` are computed once, under ``encoder``'s row
+    policy: their features, their image-to-text distributions and, under
+    ``lsr``, their clamped label similarities.
     Each block gathers its rows of them and computes only the text-to-image
     distributions, which normalize over the batch's own rows. Otherwise a
     block's augmented rows go through one eval-mode forward pass per
@@ -722,27 +705,26 @@ class _TeacherPass:
     ):
         self.tau = config.tau_teacher
         self.lsr = lsr
-        self.mixup = config.augmentation.kind == "mixup"
-        dims = [t.bank.shape[-1] for t in teachers]
+        dims = [t.image_params.config.output_dim for t in teachers]
         self.stacks = [[j for j, d in enumerate(dims) if d == dim] for dim in dict.fromkeys(dims)]
         self.params = [[teachers[j].image_params for j in idx] for idx in self.stacks]
         self.banks = [np.stack([teachers[j].bank for j in idx]) for idx in self.stacks]
         # The roster order of the teachers of the stacks laid end to end.
         self.order = np.argsort(np.concatenate(self.stacks)) if len(self.stacks) > 1 else None
         self.cache = None  # (features per stack, i2t, label similarities or None)
-        n, size = train_idx.size, config.batch_size
-        if config.augmentation.kind == "none" and min(size, n) > 1:
+        if config.augmentation.kind == "none" and min(config.batch_size, train_idx.size) > 1:
             x, lab = image_raw[train_idx], labels[train_idx]
-            feats = [np.stack([_encode_rows(p, x, size) for p in ps]) for ps in self.params]
+            feats = [np.stack([_encode_rows(p, x) for p in ps]) for ps in self.params]
             i2t = []
             for f, bank in zip(feats, self.banks):
                 # Chunk by chunk into one array, which holds no whole-array temporaries.
                 bank_t = bank.swapaxes(-1, -2)
                 i2t.append(np.empty(f.shape[:-1] + bank_t.shape[-1:]))
-                (stack, tail), (out, out_tail) = _row_chunks(f, size), _row_chunks(i2t[-1], size)
+                (stack, tail), (out, out_tail) = _row_chunks(f), _row_chunks(i2t[-1])
                 for c in range(stack.shape[-3]):
                     out[..., c, :, :] = _softmax(stack[..., c, :, :] @ bank_t, self.tau)
-                out_tail[...] = _softmax(tail @ bank_t, self.tau)
+                if tail.shape[-2]:
+                    out_tail[...] = _softmax(tail @ bank_t, self.tau)
             sims = None
             if lsr:
                 sims = self._roster(
@@ -764,10 +746,10 @@ class _TeacherPass:
         # Every mixup batch takes the soft formulas; an unmixed one, with
         # b = a and lam = 1, gets the hard labels' bits from them.
         lam = rows_b = None
-        if self.mixup:
-            labels_b = np.stack([b.labels_b for b in batches])
+        if batches[0].mix is not None:
+            labels_b = np.stack([b.mix.labels_b for b in batches])
             rows_b = [_gather(bank, labels_b) for bank in self.banks]
-            lam = np.stack([b.lam for b in batches])[:, None, :]  # scales (n, K, B) arrays
+            lam = np.stack([b.mix.lam for b in batches])[:, None, :]  # scales (n, K, B) arrays
         scores = None
         if self.cache is not None and labels.shape[1] > 1:
             feats_all, i2t_all, sims = self.cache
@@ -956,7 +938,7 @@ def _teacher_weights(members: _Members, t_block, i, kl_grad_u, kl_grad_w, tapes,
     return alpha, stats
 
 
-def _distill_terms(members, proj, t_block, i, batch, mix, student, tapes, dsw_grads, out):
+def _distill_terms(members, proj, t_block, i, batch, student, tapes, dsw_grads, out):
     """The distilling members' KL and MSE terms for batch ``i`` of
     ``t_block``, weighted by :func:`_teacher_weights`. ``student`` is the
     step's (features, class bank, distributions); ``out`` is its (clip
@@ -977,10 +959,10 @@ def _distill_terms(members, proj, t_block, i, batch, mix, student, tapes, dsw_gr
     # MSE block: imitate the (weighted) teacher features.
     mse, g_mse_u, g_mse_w_rows = _mse_terms(
         config.mse_mode, proj, members.columns(alpha), feats,
-        _soft_gather(bank, batch.labels_a, mix), t_block.stacks,
+        _soft_gather(bank, batch.labels_a, batch.mix), t_block.stacks,
         [f[i] for f in t_block.feats], [r[i] for r in t_block.bank_rows],
     )
-    g_mse_w = _soft_scatter(g_mse_w_rows, batch.labels_a, mix, bank.shape[-2])
+    g_mse_w = _soft_scatter(g_mse_w_rows, batch.labels_a, batch.mix, bank.shape[-2])
     kl, total[: members.n_dist] = distill._total_losses(
         members.dist(l_clip), kl_i2t, kl_t2i, mse, members.ratios_dist, alpha
     )
@@ -1074,10 +1056,7 @@ def distill_students(
     rng_proj = seeded_rng(config.seed, _TAG_PROJECTION)
 
     img_params, txt_params = _init_encoder_pair(config.student, dataset, rng_init)
-    pair = members.stacked(img_params, txt_params)
-    opt = _FlatAdam(pair, [init_adam(p, config.lr) for p in pair])
-    # Freed now: the member stacks, copied into opt, are not held through the call.
-    del pair
+    opt = _FlatAdam(members.stacked(img_params, txt_params))
     (img, txt), (img_grads, txt_grads) = opt.params, opt.grads
     image_raw, anchors, labels = _checked_inputs(img_params, txt_params, dataset)
     eval_idx = np.asarray(eval_idx, dtype=np.int64)
@@ -1085,7 +1064,7 @@ def distill_students(
     n_classes = anchors.shape[0]
     teachers = _checked_teachers(teachers[:k], image_raw.shape[1], n_classes)
 
-    teacher_dims = [t.spec.output_dim for t in teachers]
+    teacher_dims = [t.image_params.config.output_dim for t in teachers]
     proj = _Projection(config.student.output_dim, teacher_dims, rng_proj)
     if members.n_dist and config.mse_mode == "weighted_target" and len(set(teacher_dims)) > 1:
         raise ShapeMismatch(
@@ -1101,7 +1080,6 @@ def distill_students(
         teacher_pass = _TeacherPass(
             config, teachers, image_raw, labels, train_idx, lsr=bool(members.rows["lsr"])
         )
-    mixup = config.augmentation.kind == "mixup"
     img_views, txt_views = members.views(img), members.views(txt)
 
     runs = [RunMetrics(strategy=c.strategy, num_teachers=k) for c in members.configs]
@@ -1131,8 +1109,6 @@ def distill_students(
             for i, d in enumerate(draws):
                 lr_now = lr_at(config.lr_schedule, config.lr, step, total_steps)
                 batch = d.batch
-                # Every mixup batch takes the soft formulas, as the teachers' side does.
-                mix = MixedLabels(batch.labels_b, batch.lam) if mixup else None
                 if per_batch_bank:
                     bank_s, tape_text = _encode(txt, anchors, d.text_masks)
                 feats_s, tape_img = _encode(img, batch.image_raw, d.image_masks)
@@ -1140,7 +1116,10 @@ def distill_students(
                 # The students' distributions, shared by the contrastive loss
                 # and, at the same temperature, by every teacher's KL.
                 dists = _pair_log_softmax(feats_s, bank_s, config.tau_student)
-                loss_c = _clip_loss(feats_s, bank_s, config.tau_student, dists, batch.labels_a, mix)
+                # Every mixup batch takes the soft formulas, as the teachers' side does.
+                loss_c = _clip_loss(
+                    feats_s, bank_s, config.tau_student, dists, batch.labels_a, batch.mix
+                )
                 # base: clip-only, distillation terms removed
                 g_u = members.r_clip_grad * loss_c.grad_image
                 g_w = members.r_clip_grad * loss_c.grad_text
@@ -1148,7 +1127,7 @@ def distill_students(
                 terms = None
                 if members.n_dist:
                     terms = _distill_terms(
-                        members, proj, t_block, i, batch, mix, (feats_s, bank_s, dists),
+                        members, proj, t_block, i, batch, (feats_s, bank_s, dists),
                         (tape_img, tape_text), dsw_grads, (loss_c.value, g_u, g_w, total),
                     )
                 _check_loss(total.tolist(), epoch)
@@ -1177,7 +1156,7 @@ def distill_students(
             _backward(tape_text, text_grad_acc, txt_grads)
             opt.step(lr_epoch * sums.batches, 1)
         # Every member evaluated at once, on rows checked at entry.
-        feats = _encode_rows(img, image_raw[eval_idx], _EVAL_ROWS)
+        feats = _encode_rows(img, image_raw[eval_idx])
         banks, _ = _encode(txt, anchors, None)
         for s, run in enumerate(runs):
             at = members.at(s)

@@ -7,7 +7,8 @@ implementations below them are what the tests compare the library
 against: the closed-form two-teacher min-norm point, the exhaustive
 simplex-grid min-norm search, a scalar KL divergence, the
 probability-matrix invariants, the cross-entropy logit gradient, a
-per-array Adam update, a parameter fingerprint, and the mixup soft-label
+per-array Adam update, a fresh Adam state and zero gradients for the
+public ``adam_step``, a parameter fingerprint, and the mixup soft-label
 contrastive loss and bank scatter written with ``np.add.at``. No run calls
 them, so they live here, not in ``kdlab``.
 """
@@ -17,6 +18,7 @@ from itertools import combinations
 
 import numpy as np
 
+from kdlab.encoder import AdamState, EncoderGrads
 from kdlab.errors import DimensionMismatch, EmptyGradientSet, NotADistribution, ShapeMismatch
 from kdlab.numerics import as_matrix, as_vector
 
@@ -207,6 +209,18 @@ def adam_per_array(weights, biases, grads_w, grads_b, m, v, t, lr, beta1=0.9, be
         out_m.append(m_new)
         out_v.append(v_new)
     return out_p, out_m, out_v
+
+
+def zero_grads(params) -> EncoderGrads:
+    """Zero gradients shaped like ``params``' weights and biases."""
+    return EncoderGrads(
+        [np.zeros_like(w) for w in params.weights], [np.zeros_like(b) for b in params.biases]
+    )
+
+
+def init_adam(params, lr: float) -> AdamState:
+    """The Adam state before the first step at rate ``lr``: zero moments."""
+    return AdamState(lr=lr, t=0, m=zero_grads(params), v=zero_grads(params))
 
 
 def mixed_clip_loss_add_at(u, w, tau, labels_a, labels_b, lam):

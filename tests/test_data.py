@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 import struct
 import tempfile
 from pathlib import Path
@@ -148,17 +149,65 @@ class TestRoundtrip:
         assert cli.main(["run", str(manifest), "--output-dir", str(tmp_path / "o")]) == 3
         assert "kdlab gen-data" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "case", ["more-samples", "short-body", "long-body", "no-probe", "not-json", "string-field"]
+    )
+    def test_header_that_disagrees_with_its_body(self, tmp_path, capsys, case):
+        # A version-2 file with a valid checksum whose header disagrees
+        # with its body, or is malformed, fails with a declared error, and
+        # `kdlab validate` reading it exits 3 naming the file.
+        ds = data.generate(SMALL)
+        fields = dataclasses.asdict(SMALL)
+        header = {"spec": fields, "probe_accuracy": ds.probe_accuracy}
+        labels = ds.labels
+        if case == "more-samples":
+            header["spec"] = {**fields, "samples_per_class": SMALL.samples_per_class + 1}
+        elif case == "short-body":
+            labels = labels[:-1]
+        elif case == "long-body":
+            labels = np.append(labels, 0)
+        elif case == "no-probe":
+            header = {"spec": fields}
+        elif case == "not-json":
+            header = b"{spec"
+        else:
+            header["spec"] = {**fields, "num_classes": "4"}
+        path = tmp_path / "bad.bin"
+        _write_file(path, 2, header, ds.text_anchors, ds.image_raw, labels)
+        error = InvalidSpec if case == "string-field" else FormatVersionMismatch
+        with pytest.raises(error, match=re.escape(str(path))):
+            data.load_dataset(path)
+        manifest = tmp_path / "m.json"
+        write_manifest(manifest, dataset={"path": str(path)})
+        assert cli.main(["validate", str(manifest)]) == 3
+        assert str(path) in capsys.readouterr().err
+
+    def test_failed_write_keeps_the_previous_file(self, tmp_path):
+        # The labels fail to convert after the header and the float arrays
+        # are written: the previous file stays as it was, with no temp file
+        # beside it.
+        ds = data.generate(SMALL)
+        path = tmp_path / "ds.bin"
+        data.save_dataset(ds, path)
+        before = path.read_bytes()
+        bad = dataclasses.replace(ds, labels=np.array(["x"] * ds.labels.size))
+        with pytest.raises(ValueError):
+            data.save_dataset(bad, path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
 
 ZERO_NOISE = data.SyntheticSpec(
     num_classes=3, image_dim=5, text_dim=4, samples_per_class=7, noise_sigma=0.0, seed=4
 )
 
 
-def _write_file(path, version: int, header: dict, *arrays) -> None:
-    """A dataset file of format ``version`` holding ``header`` and
-    ``arrays`` (float64 or int64), framed as the module docstring of
-    ``kdlab.data`` describes, with a valid checksum."""
-    hbytes = json.dumps(header).encode()
+def _write_file(path, version: int, header, *arrays) -> None:
+    """A dataset file of format ``version`` holding ``header`` (a dict,
+    written as JSON, or raw bytes) and ``arrays`` (float64 or int64),
+    framed as the module docstring of ``kdlab.data`` describes, with a
+    valid checksum."""
+    hbytes = header if isinstance(header, bytes) else json.dumps(header).encode()
     body = b"KDLAB-PAIRED-DS\x00" + struct.pack("<II", version, len(hbytes)) + hbytes
     for a in arrays:
         body += a.astype(a.dtype.newbyteorder("<")).tobytes()

@@ -4,7 +4,13 @@ import pytest
 from kdlab import encoder as enc
 from kdlab.errors import NonFiniteInput, ShapeMismatch, ZeroVector
 from kdlab.numerics import seeded_rng
-from oracles import central_diff_grad, fraction_within, param_fingerprint
+from oracles import (
+    central_diff_grad,
+    fraction_within,
+    init_adam,
+    param_fingerprint,
+    zero_grads,
+)
 
 
 def small_params(activation="tanh", hidden=(6, 5), in_dim=4, out_dim=3, seed=0):
@@ -116,13 +122,14 @@ class TestEncode:
             in_block = rows < 64
             np.testing.assert_array_equal(feats[in_block], block[rows[in_block]])
 
-    @pytest.mark.parametrize("n", [2, 63, 64, 65, 129, 385, 400, 1100])
+    @pytest.mark.parametrize("n", [0, 1, 2, 63, 64, 65, 128, 129, 385, 400, 1100])
     def test_chunked_eval_pass_matches_one_pass(self, n, monkeypatch):
         # _encode_rows in chunks of 64 rows, with no one-row chunk, gives
         # every row the bits of one pass over all n rows, with 2-D and
         # with member-stacked parameters: one _encode per stack of at most
-        # 8 full chunks (512 rows), then one for the tail; two calls up to
-        # 576 rows.
+        # 8 full chunks (512 rows), then one for the tail unless it is
+        # empty (at n = 64 and 128 there is none); two calls up to 576
+        # rows. Zero rows still take one call.
         cfg = enc.EncoderConfig(32, (48, 48), 8)
         rng = seeded_rng(5)
         members = []
@@ -136,21 +143,22 @@ class TestEncode:
             [np.stack(b) for b in zip(*[m.biases for m in members])],
         )
         x = rng.normal(size=(n, 32))
-        stack, tail = enc._row_chunks(x, 64)
-        assert stack.shape == (n // 64 - (n % 64 == 1), 64, 32)
-        assert tail.shape[0] <= 65 and tail.shape[0] != 1
+        stack, tail = enc._row_chunks(x)
+        assert stack.shape == (max(n // 64 - (n % 64 == 1), 0), 64, 32)
+        assert tail.shape[0] <= 65 and (tail.shape[0] != 1 or n == 1)
         np.testing.assert_array_equal(np.concatenate([stack.reshape(-1, 32), tail]), x)
         real, calls = enc._encode, []
         monkeypatch.setattr(enc, "_encode", lambda p, x, m: calls.append(x.shape) or real(p, x, m))
         for params in (members[0], stacked):
             want, _ = real(params, x, None)
-            np.testing.assert_array_equal(enc._encode_rows(params, x, 64), want)
+            np.testing.assert_array_equal(enc._encode_rows(params, x), want)
         stacks = [min(8, stack.shape[0] - i) for i in range(0, stack.shape[0], 8)]
+        tails = [tail.shape] if tail.shape[0] or not stacks else []
         assert calls == (
-            [(c, 64, 32) for c in stacks] + [tail.shape]
-            + [(c, 1, 64, 32) for c in stacks] + [tail.shape]
+            [(c, 64, 32) for c in stacks] + tails + [(c, 1, 64, 32) for c in stacks] + tails
         )
         assert len(calls) <= 4 or n > 576
+        assert (not tails) == (n > 0 and n % 64 == 0)
 
     def test_input_shape_check(self):
         p = small_params()
@@ -260,8 +268,8 @@ class TestBackward:
 class TestAdam:
     def test_zero_grad_keeps_params(self):
         p = small_params()
-        state = enc.init_adam(p, lr=1e-3)
-        zero = enc.EncoderGrads.zeros_like(p)
+        state = init_adam(p, lr=1e-3)
+        zero = zero_grads(p)
         p2, state2 = enc.adam_step(p, zero, state)
         assert state2.t == 1
         for a, b in zip(p.weights, p2.weights):
@@ -272,7 +280,7 @@ class TestAdam:
         p = enc.init_params(cfg, seeded_rng(0))
         p.weights[0] = np.array([[1.0]])
         lr = 1e-4
-        state = enc.init_adam(p, lr=lr)
+        state = init_adam(p, lr=lr)
         g = enc.EncoderGrads([np.array([[1.0]])], [np.zeros(1)])
         p2, _ = enc.adam_step(p, g, state)
         delta = float(p2.weights[0][0, 0] - 1.0)
@@ -284,7 +292,7 @@ class TestAdam:
 
         def run():
             params = p.copy()
-            state = enc.init_adam(params, lr=1e-3)
+            state = init_adam(params, lr=1e-3)
             for gscale in grads_seq:
                 g = enc.EncoderGrads(
                     [np.full_like(w, gscale) for w in params.weights],
@@ -299,10 +307,10 @@ class TestAdam:
 
     def test_shape_mismatch(self):
         p = small_params()
-        bad = enc.EncoderGrads.zeros_like(p)
+        bad = zero_grads(p)
         bad.weights[0] = np.zeros((1, 1))
         with pytest.raises(ShapeMismatch):
-            enc.adam_step(p, bad, enc.init_adam(p, 1e-3))
+            enc.adam_step(p, bad, init_adam(p, 1e-3))
 
 
 class TestCheckpoint:

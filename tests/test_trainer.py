@@ -17,6 +17,7 @@ from kdlab.errors import (
 from kdlab.numerics import seeded_rng
 from oracles import (
     adam_per_array,
+    init_adam,
     mixed_clip_loss_add_at,
     param_fingerprint,
     soft_scatter_add_at,
@@ -29,6 +30,8 @@ TINY_SPEC = data.SyntheticSpec(
 )
 TINY_STUDENT = trainer.StudentConfig(hidden_widths=(16,), output_dim=6, dropout_p=0.2)
 TINY_TEACHER = trainer.TeacherSpec(hidden_widths=(24,), output_dim=6)
+# The roster the tiny fixture's teachers are pretrained from, at seed 0.
+TINY_ROSTER = (TINY_TEACHER, trainer.TeacherSpec(hidden_widths=(20,), output_dim=6))
 TINY_PRETRAIN = trainer.PretrainConfig(epochs=8, batch_size=32, lr=3e-3, tau=4.0)
 
 
@@ -37,11 +40,8 @@ def tiny():
     ds = data.generate(TINY_SPEC)
     train_idx, eval_idx = trainer.dataset_split(ds)
     teachers = [
-        trainer.pretrain_teacher(TINY_PRETRAIN, ds, train_idx, eval_idx, TINY_TEACHER, 0, 0),
-        trainer.pretrain_teacher(
-            TINY_PRETRAIN, ds, train_idx, eval_idx,
-            trainer.TeacherSpec(hidden_widths=(20,), output_dim=6), 0, 1,
-        ),
+        trainer.pretrain_teacher(TINY_PRETRAIN, ds, train_idx, eval_idx, spec, 0, j)
+        for j, spec in enumerate(TINY_ROSTER)
     ]
     return ds, train_idx, eval_idx, teachers
 
@@ -67,6 +67,16 @@ def tiny_config(**kw):
 
 
 class TestTrainConfig:
+    @pytest.mark.parametrize("corruption", ["label-shuffle", 3.5, "none", data.WeightNoise])
+    def test_teacher_spec_rejects_unknown_corruption(self, corruption):
+        # A corruption pretrain_teacher cannot apply would train an
+        # uncorrupted teacher without a word.
+        with pytest.raises(InvalidConfig) as info:
+            trainer.TeacherSpec(corruption=corruption)
+        assert info.value.field == "corruption"
+        for ok in (None, data.WeightNoise(0.5), data.LABEL_SHUFFLE):
+            assert trainer.TeacherSpec(corruption=ok).corruption == ok
+
     @pytest.mark.parametrize("mode", ["per_direction", "per-teacher", ""])
     def test_kl_weight_mode_only_per_teacher(self, mode):
         with pytest.raises(InvalidConfig) as info:
@@ -177,8 +187,7 @@ class TestAugment:
         out = trainer.augment(img, labels, trainer.Augmentation("none"), seeded_rng(0))
         np.testing.assert_array_equal(out.image_raw, img)
         np.testing.assert_array_equal(out.labels_a, labels)
-        np.testing.assert_array_equal(out.labels_b, labels)
-        np.testing.assert_array_equal(out.lam, 1.0)
+        assert out.mix is None
 
     def test_zero_jitter_is_identity(self, rng):
         img = rng.normal(size=(5, 4))
@@ -187,6 +196,7 @@ class TestAugment:
             img, np.zeros(5, dtype=int), trainer.Augmentation("jitter", sigma=0.0), drawn
         )
         np.testing.assert_array_equal(out.image_raw, img)
+        assert out.mix is None
         # Jitter draws the image rows' noise and nothing more.
         ref = seeded_rng(0)
         ref.standard_normal(img.shape)
@@ -211,13 +221,17 @@ class TestAugment:
         out = trainer.augment(img, labels, trainer.Augmentation("mixup", beta=0.4), OnesBeta())
         np.testing.assert_allclose(out.image_raw, img)
         np.testing.assert_array_equal(out.labels_a, labels)
-        np.testing.assert_allclose(out.lam, 1.0)
+        np.testing.assert_allclose(out.mix.lam, 1.0)
 
     def test_mixup_convex_combination(self, rng):
         img = rng.normal(size=(8, 3))
         labels = np.arange(8) % 4
-        out = trainer.augment(img, labels, trainer.Augmentation("mixup", beta=0.4), seeded_rng(3))
-        assert np.all((out.lam > 0.0) & (out.lam < 1.0))
+        drawn = seeded_rng(3)
+        out = trainer.augment(img, labels, trainer.Augmentation("mixup", beta=0.4), drawn)
+        assert np.all((out.mix.lam > 0.0) & (out.mix.lam < 1.0))
+        # Each row's partner label is its partner row's label.
+        ref = seeded_rng(3)
+        np.testing.assert_array_equal(out.mix.labels_b, labels[ref.permutation(8)])
         lo = np.minimum(img.min(axis=0), img.min(axis=0))
         assert np.all(out.image_raw.min(axis=0) >= lo - 1e-9)
 
@@ -293,7 +307,10 @@ class TestEvaluate:
     def test_eval_mode_passes_stay_within_a_batch(self, monkeypatch):
         # Every eval-mode pass of pretraining and distillation, the
         # evaluations included, encodes at most batch_size + 1 rows at once:
-        # a larger product can cross OpenBLAS's threading threshold.
+        # a larger product can cross OpenBLAS's threading threshold. The
+        # passes over many rows, the evaluations and the teachers' cache,
+        # hold at most 65 rows whatever the batch: a none run at batch
+        # 200 builds its cache in 64-row chunks.
         ds = data.generate(replace(TINY_SPEC, samples_per_class=100))
         train_idx, eval_idx = trainer.dataset_split(ds)
         assert eval_idx.size > 64
@@ -319,6 +336,10 @@ class TestEvaluate:
                 for s in ("avg", "lsr")
             ]
             trainer.distill_students(configs, teachers, ds, train_idx, eval_idx)
+        assert rows and max(rows) <= 64 + 1
+        rows.clear()
+        config = tiny_config(epochs=1, batch_size=200, strategy="lsr")
+        trainer.distill_student(config, teachers, ds, train_idx, eval_idx)
         assert rows and max(rows) <= 64 + 1
 
 
@@ -483,17 +504,21 @@ class TestFrozenTeacherCache:
         return sizes
 
     def test_no_augmentation_encodes_each_block_once(self, monkeypatch, tiny):
-        # The cache is built once per teacher, in chunks of batch_size rows:
-        # the full chunks as one stack, then the tail.
+        # The cache is built once per teacher, in 64-row chunks whatever
+        # the batch: the full chunks as one stack, and no empty tail.
         n_train = tiny[1].size
-        sizes = self.teacher_encode_sizes(monkeypatch, tiny, batch_size=30, strategy="dsw")
-        assert sizes == [(n_train // 30, 30), (n_train % 30,)] * 2
+        assert n_train == 128
+        for batch_size in (30, 100):
+            sizes = self.teacher_encode_sizes(
+                monkeypatch, tiny, batch_size=batch_size, strategy="dsw"
+            )
+            assert sizes == [(2, 64)] * 2
 
     def test_mixup_encodes_each_block_once(self, monkeypatch, tiny):
         # 128 rows in batches of 30: blocks of two 30-row batches under a
         # 64-row cap, then the 8-row tail on its own, in each of 3 epochs.
         assert tiny[1].size == 128
-        monkeypatch.setattr(trainer, "_BLOCK_ROWS", 64)
+        monkeypatch.setattr(trainer, "_STACK_ROWS", 64)
         sizes = self.teacher_encode_sizes(
             monkeypatch, tiny, batch_size=30, strategy="lsr",
             augmentation=trainer.Augmentation("mixup", beta=0.4),
@@ -501,12 +526,11 @@ class TestFrozenTeacherCache:
         assert sizes == [(2, 30), (2, 30), (2, 30), (2, 30), (1, 8), (1, 8)] * 3
 
     def test_one_row_batches_skip_the_cache(self, monkeypatch, tiny):
-        # n_train % batch_size == 1: the cache's one-row chunk joins the
-        # chunk before it, and each epoch's one-row batch is encoded on its
-        # own.
+        # n_train % batch_size == 1: the cache is built in its 64-row
+        # chunks, and each epoch's one-row batch is encoded on its own.
         n_train = tiny[1].size
         sizes = self.teacher_encode_sizes(monkeypatch, tiny, batch_size=n_train - 1)
-        assert sizes == [(n_train,), (n_train,)] + [(1, 1), (1, 1)] * 3
+        assert sizes == [(2, 64), (2, 64)] + [(1, 1), (1, 1)] * 3
 
     def test_blocks_cap_rows_and_split_the_tail(self):
         order = np.arange(130)
@@ -560,9 +584,8 @@ class TestFrozenTeacherCache:
             block = teacher_pass.block(draws)
             assert block.stacks == stacks
             for i, d in enumerate(draws):
-                mix = None
-                if kind == "mixup":
-                    mix = contrastive.MixedLabels(d.batch.labels_b, d.batch.lam)
+                mix = d.batch.mix
+                assert (mix is not None) == (kind == "mixup")
                 soft = () if mix is None else (mix.labels_b, mix.lam)
                 scores = []
                 for j, t in enumerate(teachers):
@@ -702,24 +725,22 @@ class TestGroups:
 class TestRunSingle:
     def test_end_to_end(self, tiny):
         ds, *_ = tiny
-        roster = [TINY_TEACHER, trainer.TeacherSpec(hidden_widths=(20,), output_dim=6)]
         result = trainer.run_single(
-            ds, TINY_PRETRAIN, roster, tiny_config(), seed=3
+            ds, TINY_PRETRAIN, TINY_ROSTER, tiny_config(), seed=3
         )
         assert len(result.metrics.epochs) == 3
         assert len(result.teachers) == 2
 
     def test_given_teachers_are_not_pretrained_again(self, monkeypatch, tiny):
         ds, train_idx, eval_idx, teachers = tiny
-        roster = [t.spec for t in teachers]
-        pretrained = trainer.run_single(ds, TINY_PRETRAIN, roster, tiny_config(), seed=0)
+        pretrained = trainer.run_single(ds, TINY_PRETRAIN, TINY_ROSTER, tiny_config(), seed=0)
 
         def no_pretrain(*args, **kwargs):
             raise AssertionError("pretrain_teacher called although teachers were given")
 
         monkeypatch.setattr(trainer, "pretrain_teacher", no_pretrain)
         given = trainer.run_single(
-            ds, TINY_PRETRAIN, roster, tiny_config(), seed=0, teachers=teachers
+            ds, TINY_PRETRAIN, TINY_ROSTER, tiny_config(), seed=0, teachers=teachers
         )
         assert given.teachers == teachers
         for a, b in zip(pretrained.metrics.epochs, given.metrics.epochs):
@@ -811,8 +832,8 @@ class TestStepKernels:
         # base rates.
         for lr0 in (1e-2, 1e-4):
             params, _, _, rng = self.student()
-            state = encoder.init_adam(params, lr0)
-            flat = encoder._FlatAdam([params], [state])
+            state = init_adam(params, lr0)
+            flat = encoder._FlatAdam([params])
             ref = list(params.weights + params.biases)
             ref_m = [np.zeros_like(a) for a in ref]
             ref_v = [np.zeros_like(a) for a in ref]
@@ -853,7 +874,7 @@ class TestStepKernels:
         for cfg in (encoder.EncoderConfig(10, (24, 16), 6), encoder.EncoderConfig(8, (12,), 6)):
             p = encoder.init_params(cfg, rng)
             pair.append(trainer._stacked(p, lead[0]) if lead else p)
-        opt = encoder._FlatAdam(pair, [encoder.init_adam(p, 1e-2) for p in pair])
+        opt = encoder._FlatAdam(pair)
         ref = [
             [list(p.weights + p.biases), *([np.zeros_like(a) for a in p.weights + p.biases],) * 2]
             for p in pair
@@ -987,8 +1008,8 @@ class TestStepKernels:
         retried = [not np.array_equal(encoder._encode(m, x, masks)[1].masks[0], masks[0] / 0.5)
                    for m in members]
         assert retried == [False, True, False]
-        opt = encoder._FlatAdam([stacked], [encoder.init_adam(stacked, 1e-2)])
-        alone = [encoder._FlatAdam([m], [encoder.init_adam(m, 1e-2)]) for m in members]
+        opt = encoder._FlatAdam([stacked])
+        alone = [encoder._FlatAdam([m]) for m in members]
         for lr in (1e-2, 3e-3):
             g = rng.normal(size=opt.grad.shape)
             opt.grad[:] = g
