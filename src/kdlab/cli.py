@@ -6,11 +6,14 @@ Verbs:
   report <dir>          aggregate completed runs into a ranked table
   gen-data <spec> <out> materialize a synthetic dataset file
 
-A manifest is a single JSON file with an explicit ``schema_version``. Its
-objects are read field by field into the config dataclasses of ``trainer``
-and ``data``, which own every default and every check. The four ablation
-suites (loss_ratio, strategy, teacher_count, student_size) expand into
-fixed grids over the base training config.
+A manifest is a single JSON file with an explicit ``schema_version``, read
+as the config dataclass ``Manifest``: each key is one of its fields, and
+each object one of the config dataclasses of ``trainer``, ``data`` and this
+module, which own every default and every check. One writer echoes a
+``Manifest`` back as JSON: ``validate`` prints it, ``manifest.json``
+records it, and ``load_manifest`` reads it back to an equal ``Manifest``.
+The four ablation suites (loss_ratio, strategy, teacher_count,
+student_size) expand into fixed grids over the base training config.
 
 ``run`` reads the manifest and the dataset once. It pretrains each teacher
 the suite needs once per (run seed, roster index), the only inputs of a
@@ -60,10 +63,8 @@ import numpy as np
 
 from . import __version__
 from .data import (
-    LABEL_SHUFFLE,
     PairedDataset,
     SyntheticSpec,
-    WeightNoise,
     _atomic_open,
     generate,
     load_dataset,
@@ -78,7 +79,9 @@ from .errors import (
     InvalidConfig,
     InvalidSpec,
     KdlabError,
+    LabelOutOfRange,
     NoRunsFound,
+    NonFiniteInput,
     NumericError,
 )
 from .trainer import (
@@ -126,10 +129,6 @@ METRIC_COLUMNS = (
 # The most teachers a run may use: metrics.csv has one alpha column each.
 MAX_TEACHERS = sum(c.startswith("alpha_") for c in METRIC_COLUMNS)
 
-_MANIFEST_FIELDS = {
-    "schema_version", "suite", "seeds", "dataset", "train", "pretrain", "teachers",
-    "output_dir",
-}
 # TrainConfig fields a manifest does not set: a run's seed comes from
 # ``seeds``, and the CLI evaluates on the student bank and the default split.
 _RUN_ONLY_FIELDS = {
@@ -137,21 +136,71 @@ _RUN_ONLY_FIELDS = {
 }
 
 
-@dataclasses.dataclass
+def _split_problem(spec: SyntheticSpec, train: TrainConfig) -> str | None:
+    """Why the split leaves a class of ``spec`` without a train or an eval
+    row, or None: a run needs both."""
+    n_train, n_eval = split_sizes(spec.samples_per_class, train.train_fraction)
+    if n_train and n_eval:
+        return None
+    return (
+        f"{spec.samples_per_class} samples per class split into {n_train} train "
+        f"and {n_eval} eval rows; each side needs at least one"
+    )
+
+
+@dataclasses.dataclass(frozen=True)
+class DatasetSource:
+    """A run's dataset: generated from ``spec``, or read from the file
+    ``path``; the default spec when neither is given."""
+
+    spec: SyntheticSpec | None = None
+    path: str | None = None
+
+    def __post_init__(self):
+        if self.path is None:
+            if self.spec is None:
+                object.__setattr__(self, "spec", SyntheticSpec())
+        elif self.spec is not None:
+            raise InvalidConfig("path", "give spec or path, not both")
+
+
+@dataclasses.dataclass(frozen=True)
 class Manifest:
-    suite: str
-    seeds: list[int]
-    dataset_spec: SyntheticSpec | None
-    dataset_path: str | None
-    train: TrainConfig
-    pretrain: PretrainConfig
-    roster: list[TeacherSpec]
-    output_dir: str
-    raw: dict
+    """A manifest: each field is one of its top-level keys."""
+
+    schema_version: int | None = None  # required
+    suite: str = "single"
+    seeds: tuple[int, ...] = (0,)
+    dataset: DatasetSource = DatasetSource()
+    train: TrainConfig = TrainConfig()
+    pretrain: PretrainConfig = PretrainConfig()
+    teachers: tuple[TeacherSpec, ...] = DEFAULT_TEACHER_ROSTER
+    output_dir: str = "runs"
+
+    def __post_init__(self):
+        if self.schema_version != SCHEMA_VERSION:
+            raise InvalidConfig(
+                "schema_version",
+                "missing" if self.schema_version is None
+                else f"expected {SCHEMA_VERSION}, got {self.schema_version}",
+            )
+        if self.suite not in SUITES:
+            raise InvalidConfig("suite", f"must be one of {SUITES}, got {self.suite!r}")
+        if not self.seeds or min(self.seeds) < 0 or len(set(self.seeds)) < len(self.seeds):
+            raise InvalidConfig("seeds", "must be a non-empty list of distinct integers >= 0")
+        if self.train.num_teachers > MAX_TEACHERS:
+            raise InvalidConfig(
+                "train.num_teachers",
+                f"must be at most {MAX_TEACHERS}, got {self.train.num_teachers}",
+            )
+        if self.dataset.spec is not None:
+            problem = _split_problem(self.dataset.spec, self.train)
+            if problem:
+                raise InvalidConfig("dataset.spec.samples_per_class", problem)
 
 
 def _fail(where: str, why: str):
-    raise ConfigParseError(f"{where!r}: {why}")
+    raise ConfigParseError(f"{where or 'manifest'!r}: {why}")
 
 
 def _path(where: str, key) -> str:
@@ -196,26 +245,10 @@ def _sequence(item):
     return read
 
 
-def _read_corruption(v, where, key):
-    if v is None:
-        return None
-    where = _path(where, key)
-    rest = dict(_object(v, where, {"kind", "sigma"}))
-    kind = rest.pop("kind", None)
-    if kind == "weight_noise":
-        return _build(WeightNoise, rest, where)
-    if kind not in ("none", LABEL_SHUFFLE):
-        _fail(f"{where}.kind", f"must be none, weight_noise or label_shuffle, got {kind!r}")
-    _object(rest, where, set())  # sigma belongs to weight_noise only
-    return None if kind == "none" else LABEL_SHUFFLE
-
-
 def _reader(tp):
     if dataclasses.is_dataclass(tp):
         return lambda v, where, key: _build(tp, v, _path(where, key))
     args = typing.get_args(tp)
-    if WeightNoise in args:
-        return _read_corruption
     if typing.get_origin(tp) is tuple:
         return _sequence(_reader(args[0]))
     if type(None) in args:
@@ -256,7 +289,15 @@ def _build(cls, obj, where: str):
         _fail(_path(where, e.field), e.why)
 
 
-_read_roster = _sequence(_reader(TeacherSpec))
+def _echo(value):
+    """``value``, a config dataclass, as the manifest object that ``_build``
+    reads back to an equal one: its manifest fields (``_readers``), each
+    echoed in turn."""
+    if dataclasses.is_dataclass(value):
+        return {name: _echo(getattr(value, name)) for name in _readers(type(value))}
+    if type(value) is tuple:
+        return [_echo(x) for x in value]
+    return value
 
 
 def _read_json(path, what: str):
@@ -269,59 +310,7 @@ def _read_json(path, what: str):
 
 
 def load_manifest(path) -> Manifest:
-    raw = _read_json(path, "manifest")
-    if type(raw) is not dict:
-        raise ConfigParseError("manifest must be a JSON object")
-    _object(raw, "", _MANIFEST_FIELDS)
-
-    if "schema_version" not in raw:
-        _fail("schema_version", "missing")
-    version = _read(int, raw["schema_version"], "", "schema_version")
-    if version != SCHEMA_VERSION:
-        _fail("schema_version", f"expected {SCHEMA_VERSION}, got {version}")
-    suite = _read(str, raw.get("suite", "single"), "", "suite")
-    if suite not in SUITES:
-        _fail("suite", f"must be one of {SUITES}, got {suite!r}")
-    seeds = raw.get("seeds", [0])
-    if (
-        type(seeds) is not list
-        or not seeds
-        or any(type(s) is not int or s < 0 for s in seeds)
-        or len(set(seeds)) < len(seeds)
-    ):
-        _fail("seeds", "must be a non-empty list of distinct integers >= 0")
-
-    dataset = _object(raw.get("dataset", {}), "dataset", {"spec", "path"})
-    spec = dpath = None
-    if "path" in dataset:
-        if "spec" in dataset:
-            _fail("dataset", "give spec or path, not both")
-        dpath = _read(str, dataset["path"], "dataset", "path")
-    else:
-        spec = _build(SyntheticSpec, dataset.get("spec", {}), "dataset.spec")
-
-    train = _build(TrainConfig, raw.get("train", {}), "train")
-    if train.num_teachers > MAX_TEACHERS:
-        _fail("train.num_teachers", f"must be at most {MAX_TEACHERS}, got {train.num_teachers}")
-    if spec is not None:
-        _check_split(spec, train, "dataset.spec.samples_per_class")
-    pretrain = _build(PretrainConfig, raw.get("pretrain", {}), "pretrain")
-    roster = (
-        list(_read_roster(raw["teachers"], "", "teachers"))
-        if "teachers" in raw
-        else list(DEFAULT_TEACHER_ROSTER)
-    )
-    return Manifest(
-        suite=suite,
-        seeds=seeds,
-        dataset_spec=spec,
-        dataset_path=dpath,
-        train=train,
-        pretrain=pretrain,
-        roster=roster,
-        output_dir=_read(str, raw.get("output_dir", "runs"), "", "output_dir"),
-        raw=raw,
-    )
+    return _build(Manifest, _read_json(path, "manifest"), "")
 
 
 def expand_grid(manifest: Manifest) -> list[tuple[str, TrainConfig]]:
@@ -343,30 +332,25 @@ def expand_grid(manifest: Manifest) -> list[tuple[str, TrainConfig]]:
     except InvalidConfig as e:
         _fail(f"train.{e.field}", f"{e.why} (in the {manifest.suite} suite)")
     need = max(c.teachers_used for _, c in grid)
-    if len(manifest.roster) < need:
-        _fail("teachers", f"suite needs {need} roster entries, got {len(manifest.roster)}")
+    if len(manifest.teachers) < need:
+        _fail("teachers", f"suite needs {need} roster entries, got {len(manifest.teachers)}")
     return grid
 
 
-def _check_split(spec: SyntheticSpec, train: TrainConfig, where: str) -> None:
-    """Every class must leave rows on both sides of the split."""
-    n_train, n_eval = split_sizes(spec.samples_per_class, train.train_fraction)
-    if not (n_train and n_eval):
-        _fail(
-            where,
-            f"{spec.samples_per_class} samples per class split into {n_train} train "
-            f"and {n_eval} eval rows; each side needs at least one",
-        )
-
-
 def _resolve_dataset(manifest: Manifest) -> PairedDataset:
-    if manifest.dataset_path is None:
-        return generate(manifest.dataset_spec)
+    path = manifest.dataset.path
+    if path is None:
+        return generate(manifest.dataset.spec)
     try:
-        dataset = load_dataset(manifest.dataset_path)
-    except (OSError, FormatVersionMismatch, ChecksumMismatch, InvalidSpec) as e:
-        raise DataError(f"dataset {manifest.dataset_path}: {e}") from e
-    _check_split(dataset.spec, manifest.train, "dataset.path")
+        dataset = load_dataset(path)
+    except (
+        OSError, ChecksumMismatch, FormatVersionMismatch, InvalidSpec, NonFiniteInput,
+        LabelOutOfRange,
+    ) as e:
+        raise DataError(f"dataset {path}: {e}") from e
+    problem = _split_problem(dataset.spec, manifest.train)
+    if problem:
+        _fail("dataset.path", problem)
     return dataset
 
 
@@ -403,7 +387,7 @@ def _pretrain(task: tuple) -> Teacher:
     manifest, dataset, seed, j = task
     train_idx, eval_idx = dataset_split(dataset, manifest.train.train_fraction)
     return pretrain_teacher(
-        manifest.pretrain, dataset, train_idx, eval_idx, manifest.roster[j], seed, j
+        manifest.pretrain, dataset, train_idx, eval_idx, manifest.teachers[j], seed, j
     )
 
 
@@ -621,7 +605,7 @@ def cmd_run(args) -> int:
     echo = {
         "schema_version": SCHEMA_VERSION,
         "library_version": __version__,
-        "manifest": manifest.raw,
+        "manifest": _echo(manifest),
         "seeds": seeds,
         "grid_points": [label for label, _ in grid],
         "wall_seconds": time.perf_counter() - t0,
@@ -659,24 +643,11 @@ def _run_error(e: Exception, label: str, seed: int) -> KdlabError:
 
 def cmd_validate(args) -> int:
     manifest = load_manifest(args.manifest)
-    if manifest.dataset_path is not None:
+    if manifest.dataset.path is not None:
         _resolve_dataset(manifest)  # raises DataError if unreadable
     grid = expand_grid(manifest)
-    resolved = {
-        "suite": manifest.suite,
-        "seeds": manifest.seeds,
-        "grid_points": [label for label, _ in grid],
-        "dataset": (
-            {"path": manifest.dataset_path}
-            if manifest.dataset_path
-            else dataclasses.asdict(manifest.dataset_spec)
-        ),
-        "train": dataclasses.asdict(manifest.train),
-        "pretrain": dataclasses.asdict(manifest.pretrain),
-        "teachers": [dataclasses.asdict(t) for t in manifest.roster],
-        "output_dir": manifest.output_dir,
-    }
-    print(json.dumps(resolved, indent=2, sort_keys=True, default=str))
+    resolved = {**_echo(manifest), "grid_points": [label for label, _ in grid]}
+    print(json.dumps(resolved, indent=2, sort_keys=True))
     return 0
 
 
@@ -751,7 +722,9 @@ def cmd_gen_data(args) -> int:
     spec = _build(SyntheticSpec, _read_json(args.spec, "spec"), "spec")
     # Every run splits at the default fraction; a spec it cannot split
     # would make a file no run accepts.
-    _check_split(spec, TrainConfig(), "spec.samples_per_class")
+    problem = _split_problem(spec, TrainConfig())
+    if problem:
+        _fail("spec.samples_per_class", problem)
     ds = generate(spec)
     try:
         save_dataset(ds, args.out)

@@ -14,7 +14,9 @@ in row-major order, and a trailing 64-bit checksum over everything before
 it. Any other version fails with ``FormatVersionMismatch``; ``kdlab
 gen-data`` rebuilds the file from its spec. A file whose checksum holds
 fails too, naming itself, if its header or its arrays' length disagree
-with the format. The file is written atomically (``_atomic_open``).
+with the format, if a text anchor or image row holds NaN or Infinity, or
+if a label is not a class. The file is written atomically
+(``_atomic_open``).
 """
 
 from __future__ import annotations
@@ -31,7 +33,13 @@ from pathlib import Path
 import numpy as np
 
 from .encoder import EncoderParams, encode
-from .errors import ChecksumMismatch, FormatVersionMismatch, InvalidConfig, InvalidSpec
+from .errors import (
+    ChecksumMismatch,
+    FormatVersionMismatch,
+    InvalidSpec,
+    LabelOutOfRange,
+    NonFiniteInput,
+)
 from .numerics import seeded_rng
 
 _MAGIC = b"KDLAB-PAIRED-DS\x00"
@@ -141,27 +149,13 @@ def generate(spec: SyntheticSpec) -> PairedDataset:
     return PairedDataset(spec, text_anchors, image_raw, labels, probe_acc)
 
 
-@dataclass(frozen=True)
-class WeightNoise:
-    """Corruption mode: independent Gaussian noise on every weight matrix."""
-
-    sigma: float = 1.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.sigma) and self.sigma >= 0):
-            raise InvalidConfig("sigma", "must be finite and >= 0")
-
-
-LABEL_SHUFFLE = "label_shuffle"
-
-
-def corrupt_teacher(params: EncoderParams, noise: WeightNoise, rng) -> EncoderParams:
-    """A deviating teacher: ``noise`` perturbs every weight matrix entry
-    (biases untouched). The ``label_shuffle`` mode leaves parameters alone;
-    the trainer pretrains such a teacher against permuted labels."""
+def corrupt_teacher(params: EncoderParams, sigma: float, rng) -> EncoderParams:
+    """A deviating teacher: Gaussian noise of scale ``sigma`` on every
+    weight matrix entry (biases untouched), the ``weight_noise`` kind of
+    ``trainer.Corruption``."""
     new = params.copy()
     for w in new.weights:
-        w += rng.normal(0.0, noise.sigma, size=w.shape)
+        w += rng.normal(0.0, sigma, size=w.shape)
     return new
 
 
@@ -215,9 +209,11 @@ def save_dataset(dataset: PairedDataset, path) -> None:
 
 def load_dataset(path) -> PairedDataset:
     """The dataset in the file ``path``; a wrong file fails with a declared
-    error naming it: ``ChecksumMismatch``, ``FormatVersionMismatch`` or,
-    for a spec without exactly the ``SyntheticSpec`` fields, each a JSON
-    number of its type, ``InvalidSpec``."""
+    error naming it: ``ChecksumMismatch``, ``FormatVersionMismatch``; for a
+    spec without exactly the ``SyntheticSpec`` fields, each a JSON number
+    of its type, ``InvalidSpec``; for a NaN or infinite array entry,
+    ``NonFiniteInput``; and for a label outside [0, num_classes),
+    ``LabelOutOfRange``."""
     blob = Path(path).read_bytes()
     if len(blob) < len(_MAGIC) or blob[: len(_MAGIC)] != _MAGIC:
         raise FormatVersionMismatch(f"{path} is not a paired-dataset file")
@@ -266,4 +262,9 @@ def load_dataset(path) -> PairedDataset:
     text_anchors = take_f8((spec.num_classes, spec.text_dim))
     image_raw = take_f8((m, spec.image_dim))
     labels = np.frombuffer(blob, dtype="<i8", count=m, offset=off).astype(np.int64)
+    for name, a in (("text_anchors", text_anchors), ("image_raw", image_raw)):
+        if not np.isfinite(a).all():
+            raise NonFiniteInput(f"{path} holds a NaN or infinite {name} entry")
+    if not 0 <= labels.min() <= labels.max() < spec.num_classes:
+        raise LabelOutOfRange(f"{path} holds a label outside [0, {spec.num_classes})")
     return PairedDataset(spec, text_anchors, image_raw, labels, float(header["probe_accuracy"]))

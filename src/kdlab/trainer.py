@@ -30,9 +30,9 @@ one-row batch.
   rows, .): their features, their image-to-text and text-to-image
   distributions (t2i normalizes over each batch's own rows), their
   label-similarity scores under ``lsr``, and their soft-gathered bank rows
-  for the MSE. The teachers form one stack per output dim, in roster
-  order, and a stack's features and bank rows are (n, K_s, B, d) arrays;
-  a ``weighted_target`` run has one stack. Under ``none`` a row's
+  for the MSE. Each run of roster neighbours of one output dim forms a
+  stack, whose features and bank rows are (n, K_s, B, d) arrays; a
+  ``weighted_target`` run has one stack. Under ``none`` a row's
   features, its i2t distribution and its clamped label similarity depend
   on the row alone, so they are computed once per call for every training
   row, in eval mode, under ``encoder``'s row policy; a block gathers its
@@ -111,6 +111,7 @@ draw comes from named PCG64 streams derived from the run seed.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field, fields, replace
@@ -120,7 +121,7 @@ import numpy as np
 
 from . import distill, weighting
 from .contrastive import MixedLabels, _check_labels, _clip_loss, rank_of_label
-from .data import LABEL_SHUFFLE, PairedDataset, WeightNoise, build_class_bank, corrupt_teacher
+from .data import PairedDataset, build_class_bank, corrupt_teacher
 from .encoder import (
     _STACK_ROWS,
     EncoderConfig,
@@ -193,6 +194,29 @@ class Augmentation:
             raise InvalidConfig("beta", "must be finite and > 0")
 
 
+@dataclass(frozen=True)
+class Corruption:
+    """How a teacher deviates: ``weight_noise`` adds Gaussian noise of scale
+    ``sigma`` to its weight matrices once it is pretrained, and
+    ``label_shuffle`` pretrains it against permuted labels."""
+
+    kind: str = "none"           # none | weight_noise | label_shuffle
+    sigma: float | None = None   # weight_noise scale; 1.0 when not given
+
+    def __post_init__(self):
+        if self.kind not in ("none", "weight_noise", "label_shuffle"):
+            raise InvalidConfig(
+                "kind", f"must be 'none', 'weight_noise' or 'label_shuffle', got {self.kind!r}"
+            )
+        if self.kind != "weight_noise":
+            if self.sigma is not None:
+                raise InvalidConfig("sigma", f"applies to weight_noise only, not {self.kind!r}")
+        elif self.sigma is None:
+            object.__setattr__(self, "sigma", 1.0)
+        elif not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise InvalidConfig("sigma", "must be finite and >= 0")
+
+
 def _check_architecture(spec) -> None:
     problem = architecture_problem(spec)
     if problem:
@@ -215,14 +239,15 @@ class TeacherSpec:
     output_dim: int = 8
     activation: str = "relu"
     dropout_p: float = 0.0
-    corruption: WeightNoise | str | None = None  # WeightNoise | "label_shuffle" | None
+    corruption: Corruption | None = Corruption()  # None means Corruption()
 
     def __post_init__(self):
         _check_architecture(self)
-        c = self.corruption
-        if not (c in (None, LABEL_SHUFFLE) or isinstance(c, WeightNoise)):
+        if self.corruption is None:
+            object.__setattr__(self, "corruption", Corruption())
+        elif not isinstance(self.corruption, Corruption):
             raise InvalidConfig(
-                "corruption", f"must be None, a WeightNoise or {LABEL_SHUFFLE!r}, got {c!r}"
+                "corruption", f"must be a Corruption or None, got {self.corruption!r}"
             )
 
 
@@ -529,7 +554,7 @@ def pretrain_teacher(
 
     train_idx = np.asarray(train_idx, dtype=np.int64)
     labels = labels.copy()
-    if spec.corruption == LABEL_SHUFFLE:
+    if spec.corruption.kind == "label_shuffle":
         shuffled = labels[train_idx]
         labels[train_idx] = shuffled[rng_corrupt.permutation(shuffled.size)]
 
@@ -551,16 +576,16 @@ def pretrain_teacher(
 
     img_params, txt_params = opt.result()
     acc, _ = evaluate(img_params, txt_params, dataset, eval_idx, cfg.tau)
-    if spec.corruption != LABEL_SHUFFLE and acc < cfg.accuracy_gate:
+    if spec.corruption.kind != "label_shuffle" and acc < cfg.accuracy_gate:
         warnings.warn(
             f"teacher {teacher_index} reached eval accuracy {acc:.3f}, below the "
             f"{cfg.accuracy_gate} gate",
             PretrainBelowGate,
         )
 
-    if isinstance(spec.corruption, WeightNoise):
-        img_params = corrupt_teacher(img_params, spec.corruption, rng_corrupt)
-        txt_params = corrupt_teacher(txt_params, spec.corruption, rng_corrupt)
+    if spec.corruption.kind == "weight_noise":
+        img_params = corrupt_teacher(img_params, spec.corruption.sigma, rng_corrupt)
+        txt_params = corrupt_teacher(txt_params, spec.corruption.sigma, rng_corrupt)
 
     bank = build_class_bank(txt_params, dataset)
     return Teacher(
@@ -666,10 +691,10 @@ class _BatchDraws:
 class _TeacherBlock:
     """The frozen teachers' side of each batch of a block of n batches of B
     rows; batch i reads index i of every array. Features and bank rows come
-    in one stack per output dim (``_TeacherPass.stacks``); the other arrays
-    hold all K teachers in roster order."""
+    in one stack per run of roster neighbours of one output dim
+    (``_TeacherPass``), the stacks in roster order; the other arrays hold
+    all K teachers in roster order."""
 
-    stacks: list[list[int]]       # the roster indices of each stack's teachers
     feats: list[np.ndarray]       # per stack, n x K_s x B x d_s features
     bank_rows: list[np.ndarray]   # per stack, n x K_s x B x d_s soft-gathered bank rows
     i2t: np.ndarray               # n x K x B x N
@@ -683,17 +708,23 @@ def _gather(stack: np.ndarray, index: np.ndarray) -> np.ndarray:
     return stack[np.arange(stack.shape[0])[:, None], index[:, None, :]]
 
 
+def _roster(parts: list[np.ndarray], axis: int) -> np.ndarray:
+    """Per-stack arrays with each stack's teachers on ``axis``, as one array
+    with all K teachers on that axis in roster order: the stacks end to end."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=axis)
+
+
 class _TeacherPass:
     """The frozen teachers' side of distillation, one stacked pass per
-    block for all K teachers (see the module docstring). The teachers form
-    one stack per output dim, in roster order (``stacks``), with their
-    banks as (K_s, N, d_s) stacks; teachers of unequal dims share a run
-    only under ``per_teacher`` MSE, so a ``weighted_target`` run has one
-    stack. Under ``none`` the teachers' values of every training row
-    ``image_raw[train_idx]`` are computed once, under ``encoder``'s row
-    policy: their features, their image-to-text distributions and, under
-    ``lsr``, their clamped label similarities.
-    Each block gathers its rows of them and computes only the text-to-image
+    block for all K teachers (see the module docstring). Each run of roster
+    neighbours of one output dim forms a stack, with their banks as
+    (K_s, N, d_s) stacks, so the stacks laid end to end are the roster;
+    teachers of unequal dims share a run only under ``per_teacher`` MSE,
+    so a ``weighted_target`` run has one stack. Under ``none`` the
+    teachers' values of every training row ``image_raw[train_idx]`` are
+    computed once, under ``encoder``'s row policy: their features, their
+    image-to-text distributions and, under ``lsr``, their clamped label
+    similarities. Each block gathers its rows of them and computes only the text-to-image
     distributions, which normalize over the batch's own rows. Otherwise a
     block's augmented rows go through one eval-mode forward pass per
     teacher, whose widths differ. ``lsr`` asks for the label-similarity
@@ -705,12 +736,12 @@ class _TeacherPass:
     ):
         self.tau = config.tau_teacher
         self.lsr = lsr
-        dims = [t.image_params.config.output_dim for t in teachers]
-        self.stacks = [[j for j, d in enumerate(dims) if d == dim] for dim in dict.fromkeys(dims)]
-        self.params = [[teachers[j].image_params for j in idx] for idx in self.stacks]
-        self.banks = [np.stack([teachers[j].bank for j in idx]) for idx in self.stacks]
-        # The roster order of the teachers of the stacks laid end to end.
-        self.order = np.argsort(np.concatenate(self.stacks)) if len(self.stacks) > 1 else None
+        stacks = [
+            list(run)
+            for _, run in itertools.groupby(teachers, lambda t: t.image_params.config.output_dim)
+        ]
+        self.params = [[t.image_params for t in run] for run in stacks]
+        self.banks = [np.stack([t.bank for t in run]) for run in stacks]
         self.cache = None  # (features per stack, i2t, label similarities or None)
         if config.augmentation.kind == "none" and min(config.batch_size, train_idx.size) > 1:
             x, lab = image_raw[train_idx], labels[train_idx]
@@ -727,17 +758,10 @@ class _TeacherPass:
                     out_tail[...] = _softmax(tail @ bank_t, self.tau)
             sims = None
             if lsr:
-                sims = self._roster(
+                sims = _roster(
                     [weighting._label_sims(f, bank[:, lab]) for f, bank in zip(feats, self.banks)], 0
                 )
-            self.cache = (feats, self._roster(i2t, 0), sims)
-
-    def _roster(self, parts: list[np.ndarray], axis: int) -> np.ndarray:
-        """Per-stack arrays with each stack's teachers on ``axis``, as one
-        array with all K teachers on that axis in roster order."""
-        if self.order is None:
-            return parts[0]
-        return np.concatenate(parts, axis=axis).take(self.order, axis=axis)
+            self.cache = (feats, _roster(i2t, 0), sims)
 
     def block(self, draws: list[_BatchDraws]) -> _TeacherBlock:
         batches = [d.batch for d in draws]
@@ -763,7 +787,7 @@ class _TeacherPass:
             feats = [
                 np.stack([_encode(p, images, None)[0] for p in ps], axis=1) for ps in self.params
             ]
-            i2t = self._roster(
+            i2t = _roster(
                 [_softmax(f @ bank.swapaxes(-1, -2), self.tau) for f, bank in zip(feats, self.banks)],
                 1,
             )
@@ -774,26 +798,24 @@ class _TeacherPass:
                     if lam is not None:
                         sims = lam * sims + (1.0 - lam) * weighting._label_sims(f, rows_b[s])
                     parts.append(np.mean(sims, axis=-1))
-                scores = self._roster(parts, 1)
-        t2i = self._roster(
+                scores = _roster(parts, 1)
+        t2i = _roster(
             [_softmax(bank @ f.swapaxes(-1, -2), self.tau) for f, bank in zip(feats, self.banks)], 1
         )
         if lam is not None:
             lam_rows = lam[..., None]
             rows = [lam_rows * a + (1.0 - lam_rows) * b for a, b in zip(rows, rows_b)]
-        return _TeacherBlock(
-            stacks=self.stacks, feats=feats, bank_rows=rows, i2t=i2t, t2i=t2i, lsr_scores=scores
-        )
+        return _TeacherBlock(feats=feats, bank_rows=rows, i2t=i2t, t2i=t2i, lsr_scores=scores)
 
 
-def _mse_terms(mode: str, proj: _Projection, columns, feats_s, w_s_rows, stacks, t_feats, t_rows):
+def _mse_terms(mode: str, proj: _Projection, columns, feats_s, w_s_rows, t_feats, t_rows):
     """The MSE imitation term and its gradients with respect to the
     student's image features and soft-gathered text rows: against the
     alpha-weighted teacher targets, or against each teacher's own, weighted
     by alpha. ``columns`` are alpha's K columns (``_Members.columns``), and
     the student arrays may carry a leading member axis. ``t_feats`` and
     ``t_rows`` are the batch's (K_s, B, d_s) stacks of teacher features and
-    bank rows, one per stack of ``stacks``; under ``weighted_target`` there
+    bank rows, the stacks in roster order; under ``weighted_target`` there
     is one. Under ``per_teacher`` one ``_mse_align`` runs per stack, and
     the alpha-weighted sums run teacher by teacher in roster order, the
     order that sets their bits."""
@@ -806,22 +828,21 @@ def _mse_terms(mode: str, proj: _Projection, columns, feats_s, w_s_rows, stacks,
             u_target, proj.forward(feats_s, d_t), w_target, proj.forward(w_s_rows, d_t)
         )
         return m.value, proj.backward(m.grad_image, d_t), proj.backward(m.grad_text, d_t)
-    terms = [None] * len(columns)  # per teacher, (d_t, value, g_u, g_w)
-    for idx, u_t, w_t in zip(stacks, t_feats, t_rows):
+    value = 0.0
+    g_u = np.zeros_like(feats_s)
+    g_w = np.zeros_like(w_s_rows)
+    columns = iter(columns)
+    for u_t, w_t in zip(t_feats, t_rows):
         d_t = u_t.shape[-1]
         m = distill._mse_align(
             u_t, distill._per_teacher(proj.forward(feats_s, d_t)),
             w_t, distill._per_teacher(proj.forward(w_s_rows, d_t)),
         )
-        for p, j in enumerate(idx):
-            terms[j] = d_t, m.value[..., p], m.grad_image[..., p, :, :], m.grad_text[..., p, :, :]
-    value = 0.0
-    g_u = np.zeros_like(feats_s)
-    g_w = np.zeros_like(w_s_rows)
-    for a, (d_t, v, gi, gt) in zip(columns, terms):
-        value += a.reshape(np.shape(v)) * v
-        g_u += a * proj.backward(gi, d_t)
-        g_w += a * proj.backward(gt, d_t)
+        for p in range(u_t.shape[0]):
+            a, v = next(columns), m.value[..., p]
+            value += a.reshape(np.shape(v)) * v
+            g_u += a * proj.backward(m.grad_image[..., p, :, :], d_t)
+            g_w += a * proj.backward(m.grad_text[..., p, :, :], d_t)
     return value, g_u, g_w
 
 
@@ -959,7 +980,7 @@ def _distill_terms(members, proj, t_block, i, batch, student, tapes, dsw_grads, 
     # MSE block: imitate the (weighted) teacher features.
     mse, g_mse_u, g_mse_w_rows = _mse_terms(
         config.mse_mode, proj, members.columns(alpha), feats,
-        _soft_gather(bank, batch.labels_a, batch.mix), t_block.stacks,
+        _soft_gather(bank, batch.labels_a, batch.mix),
         [f[i] for f in t_block.feats], [r[i] for r in t_block.bank_rows],
     )
     g_mse_w = _soft_scatter(g_mse_w_rows, batch.labels_a, batch.mix, bank.shape[-2])

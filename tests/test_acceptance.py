@@ -314,7 +314,7 @@ def test_09_noisy_teacher_robustness(default_world):
     ds, train_idx, eval_idx = default_world
     pre = trainer.PretrainConfig()
     corrupted_spec = trainer.TeacherSpec(
-        hidden_widths=(80,), corruption=data.WeightNoise(10.0)
+        hidden_widths=(80,), corruption=trainer.Corruption("weight_noise", 10.0)
     )
     t0 = time.perf_counter()
     avg_accs, dsw_accs, corrupted_alpha = [], [], []

@@ -1,12 +1,17 @@
+import contextlib
 import csv
 import dataclasses
+import io
 import json
 import math
 import re
+import tempfile
 import typing
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kdlab import cli, trainer, weighting
 from kdlab.data import SyntheticSpec, generate, save_dataset
@@ -89,6 +94,92 @@ class TestValidate:
         write_manifest(p, schema_version=99)
         assert cli.main(["validate", str(p)]) == 2
 
+    def test_empty_corruption_is_none(self, tmp_path, capsys):
+        # A corruption object without a kind means no corruption.
+        p = tmp_path / "m.json"
+        write_manifest(p, teachers=[{**t, "corruption": {}} for t in TINY_TEACHERS])
+        assert cli.main(["validate", str(p)]) == 0
+        resolved = json.loads(capsys.readouterr().out)
+        assert resolved["teachers"][0]["corruption"] == {"kind": "none", "sigma": None}
+
+    @pytest.mark.parametrize("case", ["default", "dataset-path", "corruptions"])
+    def test_echo_loads_back_equal(self, tmp_path, capsys, case):
+        # validate's echo, less its grid points, is a manifest that loads
+        # to the Manifest it echoes.
+        p = tmp_path / "m.json"
+        if case == "default":
+            p.write_text(json.dumps({"schema_version": 1}))
+        elif case == "dataset-path":
+            ds_path = tmp_path / "data.ds"
+            save_dataset(generate(SyntheticSpec(**TINY_DATASET["spec"])), ds_path)
+            write_manifest(p, dataset={"path": str(ds_path)})
+        else:
+            kinds = [{"kind": "none"}, {"kind": "weight_noise"}, {"kind": "label_shuffle"}]
+            teachers = [{**t, "corruption": c} for t, c in zip(TINY_TEACHERS, kinds)]
+            write_manifest(p, teachers=teachers)
+        assert cli.main(["validate", str(p)]) == 0
+        echo = json.loads(capsys.readouterr().out)
+        assert echo.pop("grid_points") == ["default"]
+        if case == "corruptions":
+            assert [t["corruption"] for t in echo["teachers"]] == [
+                {"kind": "none", "sigma": None},
+                {"kind": "weight_noise", "sigma": 1.0},
+                {"kind": "label_shuffle", "sigma": None},
+            ]
+        back = tmp_path / "echo.json"
+        back.write_text(json.dumps(echo))
+        assert cli.load_manifest(back) == cli.load_manifest(p)
+
+
+_ABSENT = object()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    kind=st.sampled_from(["none", "weight_noise", "label_shuffle", "gamma_rays", _ABSENT]),
+    sigma=st.one_of(
+        st.just(_ABSENT),
+        st.floats(min_value=0.0, allow_infinity=False),
+        st.floats(max_value=0.0, exclude_max=True, allow_infinity=False),
+        st.sampled_from([math.nan, math.inf, -math.inf]),
+    ),
+)
+def test_corruption_validates_or_names_its_field(kind, sigma):
+    # A one-teacher manifest's corruption object, drawn key by key:
+    # validate exits 0 with an echo that loads back equal, or exits 2
+    # naming the field at fault.
+    corruption = {
+        key: value for key, value in (("kind", kind), ("sigma", sigma)) if value is not _ABSENT
+    }
+    kind = corruption.get("kind", "none")
+    if kind not in ("none", "weight_noise", "label_shuffle"):
+        bad = "kind"
+    elif "sigma" in corruption and not (kind == "weight_noise" and 0 <= sigma < math.inf):
+        bad = "sigma"
+    else:
+        bad = None
+    with tempfile.TemporaryDirectory() as d:
+        p = Path(d) / "m.json"
+        write_manifest(
+            p, train={**TINY_TRAIN, "num_teachers": 1},
+            teachers=[{**TINY_TEACHERS[0], "corruption": corruption}],
+        )
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["validate", str(p)])
+        if bad is not None:
+            assert code == 2
+            assert f"'teachers[0].corruption.{bad}'" in err.getvalue()
+            return
+        assert code == 0
+        echo = json.loads(out.getvalue())
+        del echo["grid_points"]
+        want = sigma if "sigma" in corruption else 1.0 if kind == "weight_noise" else None
+        assert echo["teachers"][0]["corruption"] == {"kind": kind, "sigma": want}
+        back = Path(d) / "echo.json"
+        back.write_text(json.dumps(echo))
+        assert cli.load_manifest(back) == cli.load_manifest(p)
+
 
 def _set(manifest, path, value):
     obj = manifest
@@ -123,8 +214,13 @@ BAD_MANIFESTS = [
     (("teachers", 1, "corruption"), {"kind": "weight_noise", "sigma": -1},
      "teachers[1].corruption.sigma"),
     (("teachers", 0, "corruption"), {"kind": "gamma_rays"}, "teachers[0].corruption.kind"),
+    # sigma applies to weight_noise only.
+    (("teachers", 0, "corruption"), {"kind": "label_shuffle", "sigma": 0.5},
+     "teachers[0].corruption.sigma", "teachers[0].corruption.sigma=label_shuffle"),
     (("trian",), {}, "trian"),
     (("dataset", "url"), "x", "dataset.url"),
+    # A spec and a path both given.
+    (("dataset", "path"), "data.ds", "dataset.path"),
     # Rounding 0.8 n leaves no eval row for n <= 2.
     (("dataset", "spec", "samples_per_class"), 2, "dataset.spec.samples_per_class"),
     (("seeds",), [-1], "seeds"),
@@ -216,25 +312,22 @@ class TestManifestSchema:
         m = cli.load_manifest(p)
         assert m.train == cli.TrainConfig()
         assert m.pretrain == cli.PretrainConfig()
-        assert m.roster == [cli.TeacherSpec(), cli.TeacherSpec()]
-        assert m.dataset_spec == SyntheticSpec()
+        assert m.teachers == (cli.TeacherSpec(), cli.TeacherSpec())
+        assert m.dataset.spec == SyntheticSpec()
 
     def test_readme_lists_every_manifest_field(self):
         def leaves(cls, prefix):
             for name in cli._readers(cls):
                 hint = typing.get_type_hints(cls)[name]
-                if dataclasses.is_dataclass(hint):
-                    yield from leaves(hint, f"{prefix}{name}.")
-                elif name == "corruption":
-                    yield from (f"{prefix}corruption.kind", f"{prefix}corruption.sigma")
+                # An optional field's or a list's config dataclass, if it has one.
+                inner = next((a for a in typing.get_args(hint) if a is not type(None)), hint)
+                if dataclasses.is_dataclass(inner):
+                    items = "[]" if typing.get_origin(hint) is tuple else ""
+                    yield from leaves(inner, f"{prefix}{name}{items}.")
                 else:
                     yield prefix + name
 
-        expected = {"schema_version", "suite", "seeds", "output_dir", "dataset.path"}
-        expected |= set(leaves(SyntheticSpec, "dataset.spec."))
-        expected |= set(leaves(cli.TrainConfig, "train."))
-        expected |= set(leaves(cli.TeacherSpec, "teachers[]."))
-        expected |= set(leaves(cli.PretrainConfig, "pretrain."))
+        expected = set(leaves(cli.Manifest, ""))
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         listed = set(re.findall(r"^\| `([^`]+)` \|", readme, flags=re.M))
         assert listed == expected
@@ -290,6 +383,9 @@ class TestRun:
         manifest_echo = json.loads((out / "manifest.json").read_text())
         assert manifest_echo["library_version"]
         assert "wall_seconds" in manifest_echo
+        # The resolved manifest, as validate echoes it.
+        (tmp_path / "echo.json").write_text(json.dumps(manifest_echo["manifest"]))
+        assert cli.load_manifest(tmp_path / "echo.json") == cli.load_manifest(p)
         run_info = json.loads((out / "runs" / "default" / "seed_0" / "run.json").read_text())
         assert 0.0 <= run_info["final_accuracy"] <= 1.0
 
@@ -513,10 +609,10 @@ class TestRun:
         assert failed_runs == [{"grid_point": "dsw", "seed": 0, "error": "NonFiniteInput"}]
         # dsw's record is the error distill_student raises for dsw alone.
         m = cli.load_manifest(p)
-        ds = generate(m.dataset_spec)
+        ds = generate(m.dataset.spec)
         split = trainer.dataset_split(ds)
         teachers = [
-            trainer.pretrain_teacher(m.pretrain, ds, *split, m.roster[j], 0, j)
+            trainer.pretrain_teacher(m.pretrain, ds, *split, m.teachers[j], 0, j)
             for j in range(m.train.num_teachers)
         ]
         config = dataclasses.replace(m.train, strategy="dsw")

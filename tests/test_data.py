@@ -13,7 +13,13 @@ from hypothesis import strategies as st
 
 from kdlab import cli, data
 from kdlab.encoder import EncoderConfig, init_params
-from kdlab.errors import ChecksumMismatch, FormatVersionMismatch, InvalidSpec
+from kdlab.errors import (
+    ChecksumMismatch,
+    FormatVersionMismatch,
+    InvalidSpec,
+    LabelOutOfRange,
+    NonFiniteInput,
+)
 from kdlab.numerics import seeded_rng
 from test_cli import write_manifest
 
@@ -182,6 +188,34 @@ class TestRoundtrip:
         assert cli.main(["validate", str(manifest)]) == 3
         assert str(path) in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "case, error",
+        [("nan", NonFiniteInput), ("infinity", NonFiniteInput), ("label", LabelOutOfRange)],
+    )
+    def test_values_a_run_cannot_take(self, tmp_path, capsys, case, error):
+        # A file whose checksum and shapes hold but which holds a NaN or
+        # infinite entry, or a label that is not a class, fails at load
+        # naming the file, and `kdlab validate` reading it exits 3.
+        ds = data.generate(SMALL)
+        text_anchors, image_raw, labels = (
+            a.copy() for a in (ds.text_anchors, ds.image_raw, ds.labels)
+        )
+        if case == "nan":
+            image_raw[5, 1] = np.nan
+        elif case == "infinity":
+            text_anchors[2, 0] = -np.inf
+        else:
+            labels[7] = SMALL.num_classes
+        header = {"spec": dataclasses.asdict(SMALL), "probe_accuracy": ds.probe_accuracy}
+        path = tmp_path / "bad.bin"
+        _write_file(path, 2, header, text_anchors, image_raw, labels)
+        with pytest.raises(error, match=re.escape(str(path))):
+            data.load_dataset(path)
+        manifest = tmp_path / "m.json"
+        write_manifest(manifest, dataset={"path": str(path)})
+        assert cli.main(["validate", str(manifest)]) == 3
+        assert str(path) in capsys.readouterr().err
+
     def test_failed_write_keeps_the_previous_file(self, tmp_path):
         # The labels fail to convert after the header and the float arrays
         # are written: the previous file stays as it was, with no temp file
@@ -270,21 +304,21 @@ class TestCorruptTeacher:
 
     def test_zero_sigma_unchanged(self):
         p = self._params()
-        q = data.corrupt_teacher(p, data.WeightNoise(0.0), seeded_rng(1))
+        q = data.corrupt_teacher(p, 0.0, seeded_rng(1))
         for a, b in zip(p.weights, q.weights):
             np.testing.assert_array_equal(a, b)
 
     def test_deterministic(self):
         p = self._params()
-        a = data.corrupt_teacher(p, data.WeightNoise(2.0), seeded_rng(5))
-        b = data.corrupt_teacher(p, data.WeightNoise(2.0), seeded_rng(5))
+        a = data.corrupt_teacher(p, 2.0, seeded_rng(5))
+        b = data.corrupt_teacher(p, 2.0, seeded_rng(5))
         for wa, wb in zip(a.weights, b.weights):
             np.testing.assert_array_equal(wa, wb)
 
     def test_biases_untouched(self):
         p = self._params()
         p.biases[0][:] = 1.5
-        q = data.corrupt_teacher(p, data.WeightNoise(3.0), seeded_rng(2))
+        q = data.corrupt_teacher(p, 3.0, seeded_rng(2))
         for a, b in zip(p.biases, q.biases):
             np.testing.assert_array_equal(a, b)
         assert any(np.any(a != b) for a, b in zip(p.weights, q.weights))

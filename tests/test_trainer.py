@@ -67,15 +67,25 @@ def tiny_config(**kw):
 
 
 class TestTrainConfig:
-    @pytest.mark.parametrize("corruption", ["label-shuffle", 3.5, "none", data.WeightNoise])
+    @pytest.mark.parametrize("corruption", ["label-shuffle", 3.5, "none", trainer.Corruption])
     def test_teacher_spec_rejects_unknown_corruption(self, corruption):
         # A corruption pretrain_teacher cannot apply would train an
         # uncorrupted teacher without a word.
         with pytest.raises(InvalidConfig) as info:
             trainer.TeacherSpec(corruption=corruption)
         assert info.value.field == "corruption"
-        for ok in (None, data.WeightNoise(0.5), data.LABEL_SHUFFLE):
+        for ok in (trainer.Corruption("weight_noise", 0.5), trainer.Corruption("label_shuffle")):
             assert trainer.TeacherSpec(corruption=ok).corruption == ok
+        assert trainer.TeacherSpec(corruption=None).corruption == trainer.Corruption()
+
+    def test_corruption_sigma_is_weight_noise_only(self):
+        assert trainer.Corruption("weight_noise").sigma == 1.0
+        assert trainer.Corruption("weight_noise", 0.0).sigma == 0.0
+        for kind in ("none", "label_shuffle"):
+            assert trainer.Corruption(kind).sigma is None
+            with pytest.raises(InvalidConfig) as info:
+                trainer.Corruption(kind, 1.0)
+            assert info.value.field == "sigma"
 
     @pytest.mark.parametrize("mode", ["per_direction", "per-teacher", ""])
     def test_kl_weight_mode_only_per_teacher(self, mode):
@@ -229,11 +239,17 @@ class TestAugment:
         drawn = seeded_rng(3)
         out = trainer.augment(img, labels, trainer.Augmentation("mixup", beta=0.4), drawn)
         assert np.all((out.mix.lam > 0.0) & (out.mix.lam < 1.0))
-        # Each row's partner label is its partner row's label.
+        # The partners and coefficients are the stream's next draws, and
+        # each row is its coefficient's mix of itself and its partner row,
+        # whose label is its partner label.
         ref = seeded_rng(3)
-        np.testing.assert_array_equal(out.mix.labels_b, labels[ref.permutation(8)])
-        lo = np.minimum(img.min(axis=0), img.min(axis=0))
-        assert np.all(out.image_raw.min(axis=0) >= lo - 1e-9)
+        partner = ref.permutation(8)
+        lam = ref.beta(0.4, 0.4, size=8)
+        np.testing.assert_array_equal(out.mix.lam, lam)
+        np.testing.assert_array_equal(out.mix.labels_b, labels[partner])
+        np.testing.assert_array_equal(
+            out.image_raw, lam[:, None] * img + (1.0 - lam)[:, None] * img[partner]
+        )
 
 
 class TestPretrain:
@@ -266,7 +282,8 @@ class TestPretrain:
 
     def test_weight_noise_corruption_destroys_accuracy(self, tiny):
         ds, train_idx, eval_idx, _ = tiny
-        spec = dataclasses.replace(TINY_TEACHER, corruption=data.WeightNoise(10.0))
+        noise = trainer.Corruption("weight_noise", 10.0)
+        spec = dataclasses.replace(TINY_TEACHER, corruption=noise)
         teacher = trainer.pretrain_teacher(
             TINY_PRETRAIN, ds, train_idx, eval_idx, spec, 0, 0
         )
@@ -277,7 +294,7 @@ class TestPretrain:
 
     def test_label_shuffle_produces_weak_teacher(self, tiny):
         ds, train_idx, eval_idx, _ = tiny
-        spec = dataclasses.replace(TINY_TEACHER, corruption=data.LABEL_SHUFFLE)
+        spec = dataclasses.replace(TINY_TEACHER, corruption=trainer.Corruption("label_shuffle"))
         teacher = trainer.pretrain_teacher(
             TINY_PRETRAIN, ds, train_idx, eval_idx, spec, 0, 0
         )
@@ -551,16 +568,16 @@ class TestFrozenTeacherCache:
     def test_block_outputs_match_per_batch_outputs(self, tiny, three_teachers, kind):
         # Every array of a block equals what the public functions, and the
         # distributions' kernel, give for each teacher and each of its
-        # batches alone: for two teachers of one output dim, and for output
-        # dims 6, 5, 6, two stacks whose teachers are not neighbours in the
-        # roster.
+        # batches alone, in roster order: a stack is a run of roster
+        # neighbours of one output dim. Two teachers of one dim make one
+        # stack, dims 6, 6, 5 two, and dims 6, 5, 6 three.
         ds, train_idx, _, _ = tiny
         t0, t1, t2 = three_teachers
-        for teachers, stacks in (([t0, t1], [[0, 1]]), ([t0, t2, t1], [[0, 2], [1]])):
-            self.check_block_outputs(ds, train_idx, teachers, stacks, kind)
+        for teachers, sizes in (([t0, t1], [2]), ([t0, t1, t2], [2, 1]), ([t0, t2, t1], [1, 1, 1])):
+            self.check_block_outputs(ds, train_idx, teachers, sizes, kind)
 
     @staticmethod
-    def check_block_outputs(ds, train_idx, teachers, stacks, kind):
+    def check_block_outputs(ds, train_idx, teachers, sizes, kind):
         cfg = tiny_config(
             strategy="lsr", augmentation=trainer.Augmentation(kind, sigma=0.1, beta=0.4),
             num_teachers=len(teachers),
@@ -582,15 +599,17 @@ class TestFrozenTeacherCache:
                 for p in positions
             ]
             block = teacher_pass.block(draws)
-            assert block.stacks == stacks
+            assert [f.shape[1] for f in block.feats] == sizes
+            # Each teacher's (stack, place in it), in roster order.
+            where = [(s, p) for s, size in enumerate(sizes) for p in range(size)]
             for i, d in enumerate(draws):
                 mix = d.batch.mix
                 assert (mix is not None) == (kind == "mixup")
                 soft = () if mix is None else (mix.labels_b, mix.lam)
                 scores = []
                 for j, t in enumerate(teachers):
-                    s = next(s for s, idx in enumerate(block.stacks) if j in idx)
-                    at = (i, block.stacks[s].index(j))
+                    s, p = where[j]
+                    at = (i, p)
                     feats, _ = trainer.encode(t.image_params, d.batch.image_raw)
                     i2t, t2i = distill._teacher_dists(feats, t.bank, cfg.tau_teacher)
                     np.testing.assert_array_equal(block.feats[s][at], feats)
@@ -907,12 +926,12 @@ class TestStepKernels:
 
     @pytest.mark.parametrize("lead", [(), (3,)])
     def test_per_teacher_mse_terms(self, lead):
-        # The stacked per-teacher MSE, one _mse_align per stack of teachers
-        # of one output dim, equals the alpha-weighted sum of the public
-        # mse_align per teacher and member, bit for bit: output dims 6, 5,
-        # 6, 4 against a 6-dim student, with and without a member axis.
+        # The stacked per-teacher MSE, one _mse_align per stack of roster
+        # neighbours of one output dim, equals the alpha-weighted sum of the
+        # public mse_align per teacher and member, bit for bit: output dims
+        # 6, 6, 5, 4 against a 6-dim student, with and without a member axis.
         rng = seeded_rng(15)
-        dims, stacks = (6, 5, 6, 4), [[0, 2], [1], [3]]
+        dims, stacks = (6, 6, 5, 4), [[0, 1], [2], [3]]
         proj = trainer._Projection(6, dims, rng)
         feats, rows = rng.normal(size=lead + (9, 6)), rng.normal(size=lead + (9, 6))
         t_feats = [rng.normal(size=(len(idx), 9, dims[idx[0]])) for idx in stacks]
@@ -920,7 +939,7 @@ class TestStepKernels:
         alpha = rng.dirichlet(np.ones(4), lead[0] if lead else None)
         columns = list(alpha.T[..., None, None]) if lead else list(alpha)
         value, g_u, g_w = trainer._mse_terms(
-            "per_teacher", proj, columns, feats, rows, stacks, t_feats, t_rows
+            "per_teacher", proj, columns, feats, rows, t_feats, t_rows
         )
         for s in range(lead[0]) if lead else (...,):
             want_value, want_u, want_w = 0.0, np.zeros((9, 6)), np.zeros((9, 6))
