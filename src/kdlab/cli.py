@@ -7,11 +7,11 @@ Verbs:
   gen-data <spec> <out> materialize a synthetic dataset file
 
 A manifest is a single JSON file with an explicit ``schema_version``, read
-as the config dataclass ``Manifest``: each key is one of its fields, and
-each object one of the config dataclasses of ``trainer``, ``data`` and this
-module, which own every default and every check. One writer echoes a
-``Manifest`` back as JSON: ``validate`` prints it, ``manifest.json``
-records it, and ``load_manifest`` reads it back to an equal ``Manifest``.
+as the config dataclass ``config.Manifest``. Its schema is ``config``'s:
+every config dataclass, default and check, the reader and the one writer
+that echoes a ``Manifest`` back as JSON: ``validate`` prints it,
+``manifest.json`` records it, and ``load_manifest`` reads it back to an
+equal ``Manifest``.
 The four ablation suites (loss_ratio, strategy, teacher_count,
 student_size) expand into fixed grids over the base training config.
 
@@ -50,26 +50,21 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import functools
 import json
 import sys
 import time
 import traceback
-import typing
 from concurrent.futures import Executor, Future, ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .data import (
-    PairedDataset,
-    SyntheticSpec,
-    _atomic_open,
-    generate,
-    load_dataset,
-    save_dataset,
+from .config import (
+    MAX_TEACHERS, SCHEMA_VERSION, STRATEGIES, Manifest, StudentConfig, SyntheticSpec, TrainConfig,
+    _build, _echo, _fail, _read_json, _split_problem,
 )
+from .data import PairedDataset, _atomic_open, generate, load_dataset, save_dataset
 from .errors import (
     ChecksumMismatch,
     ConfigParseError,
@@ -85,25 +80,10 @@ from .errors import (
     NumericError,
 )
 from .trainer import (
-    DEFAULT_TEACHER_ROSTER,
-    STRATEGIES,
-    PretrainConfig,
-    RunMetrics,
-    StudentConfig,
-    Teacher,
-    TeacherSpec,
-    TrainConfig,
-    _group_key,
-    dataset_split,
-    distill_students,
-    pretrain_teacher,
-    split_sizes,
+    RunMetrics, Teacher, _group_key, dataset_split, distill_students, pretrain_teacher,
 )
 # perfbench's tracer binds run_single here too (EXPECTED_BINDINGS); no run calls it.
 from .trainer import run_single  # noqa: F401
-
-SCHEMA_VERSION = 1
-SUITES = ("single", "loss_ratio", "strategy", "teacher_count", "student_size")
 
 LOSS_RATIO_GRID = (
     ("0.5:1:1", (0.5, 1.0, 1.0)),
@@ -123,190 +103,9 @@ METRIC_COLUMNS = (
     "suite", "grid_point", "seed", "epoch",
     "l_clip", "l_kl", "l_mse", "total",
     "acc", "recall5",
-    "alpha_0", "alpha_1", "alpha_2", "alpha_3",
+    *(f"alpha_{k}" for k in range(MAX_TEACHERS)),
     "fw_iters", "lr",
 )
-# The most teachers a run may use: metrics.csv has one alpha column each.
-MAX_TEACHERS = sum(c.startswith("alpha_") for c in METRIC_COLUMNS)
-
-# TrainConfig fields a manifest does not set: a run's seed comes from
-# ``seeds``, and the CLI evaluates on the student bank and the default split.
-_RUN_ONLY_FIELDS = {
-    (TrainConfig, "seed"), (TrainConfig, "eval_bank"), (TrainConfig, "train_fraction"),
-}
-
-
-def _split_problem(spec: SyntheticSpec, train: TrainConfig) -> str | None:
-    """Why the split leaves a class of ``spec`` without a train or an eval
-    row, or None: a run needs both."""
-    n_train, n_eval = split_sizes(spec.samples_per_class, train.train_fraction)
-    if n_train and n_eval:
-        return None
-    return (
-        f"{spec.samples_per_class} samples per class split into {n_train} train "
-        f"and {n_eval} eval rows; each side needs at least one"
-    )
-
-
-@dataclasses.dataclass(frozen=True)
-class DatasetSource:
-    """A run's dataset: generated from ``spec``, or read from the file
-    ``path``; the default spec when neither is given."""
-
-    spec: SyntheticSpec | None = None
-    path: str | None = None
-
-    def __post_init__(self):
-        if self.path is None:
-            if self.spec is None:
-                object.__setattr__(self, "spec", SyntheticSpec())
-        elif self.spec is not None:
-            raise InvalidConfig("path", "give spec or path, not both")
-
-
-@dataclasses.dataclass(frozen=True)
-class Manifest:
-    """A manifest: each field is one of its top-level keys."""
-
-    schema_version: int | None = None  # required
-    suite: str = "single"
-    seeds: tuple[int, ...] = (0,)
-    dataset: DatasetSource = DatasetSource()
-    train: TrainConfig = TrainConfig()
-    pretrain: PretrainConfig = PretrainConfig()
-    teachers: tuple[TeacherSpec, ...] = DEFAULT_TEACHER_ROSTER
-    output_dir: str = "runs"
-
-    def __post_init__(self):
-        if self.schema_version != SCHEMA_VERSION:
-            raise InvalidConfig(
-                "schema_version",
-                "missing" if self.schema_version is None
-                else f"expected {SCHEMA_VERSION}, got {self.schema_version}",
-            )
-        if self.suite not in SUITES:
-            raise InvalidConfig("suite", f"must be one of {SUITES}, got {self.suite!r}")
-        if not self.seeds or min(self.seeds) < 0 or len(set(self.seeds)) < len(self.seeds):
-            raise InvalidConfig("seeds", "must be a non-empty list of distinct integers >= 0")
-        if self.train.num_teachers > MAX_TEACHERS:
-            raise InvalidConfig(
-                "train.num_teachers",
-                f"must be at most {MAX_TEACHERS}, got {self.train.num_teachers}",
-            )
-        if self.dataset.spec is not None:
-            problem = _split_problem(self.dataset.spec, self.train)
-            if problem:
-                raise InvalidConfig("dataset.spec.samples_per_class", problem)
-
-
-def _fail(where: str, why: str):
-    raise ConfigParseError(f"{where or 'manifest'!r}: {why}")
-
-
-def _path(where: str, key) -> str:
-    if type(key) is int:
-        return f"{where}[{key}]"
-    return f"{where}.{key}" if where else key
-
-
-def _object(obj, where: str, known) -> dict:
-    """``obj`` as a manifest object each of whose keys is in ``known`` (a
-    set or a dict's keys)."""
-    if type(obj) is not dict:
-        _fail(where, f"expected an object, got {type(obj).__name__}")
-    if not obj.keys() <= known:
-        _fail(_path(where, next(k for k in obj if k not in known)), "unknown field")
-    return obj
-
-
-# A field's reader is its scalar type (int, float or str), or a function
-# ``read(v, where, key)`` for anything else. Paths are formatted only on
-# failure.
-def _read(read, v, where: str, key):
-    if type(v) is read:  # bool is no int here
-        return v
-    if read is float and type(v) is int:
-        return float(v)
-    if type(read) is type:
-        _fail(_path(where, key), f"expected {read.__name__}, got {type(v).__name__}")
-    return read(v, where, key)
-
-
-def _sequence(item):
-    def read(v, where, key):
-        if type(v) is not list:
-            _fail(_path(where, key), f"expected a list, got {type(v).__name__}")
-        items = [
-            x if type(x) is item else _read(item, x, _path(where, key), i)
-            for i, x in enumerate(v)
-        ]
-        return tuple(items)
-
-    return read
-
-
-def _reader(tp):
-    if dataclasses.is_dataclass(tp):
-        return lambda v, where, key: _build(tp, v, _path(where, key))
-    args = typing.get_args(tp)
-    if typing.get_origin(tp) is tuple:
-        return _sequence(_reader(args[0]))
-    if type(None) in args:
-        inner = _reader(next(a for a in args if a is not type(None)))
-        return lambda v, where, key: None if v is None else _read(inner, v, where, key)
-    return tp
-
-
-@functools.cache
-def _readers(cls) -> dict:
-    """Field name -> reader for each manifest field of ``cls``, built on
-    first use (resolving the type hints is the costly part)."""
-    hints = typing.get_type_hints(cls)
-    return {
-        f.name: _reader(hints[f.name])
-        for f in dataclasses.fields(cls)
-        if (cls, f.name) not in _RUN_ONLY_FIELDS
-    }
-
-
-def _build(cls, obj, where: str):
-    """The config dataclass ``cls`` built from the manifest object ``obj``
-    found at ``where``. A missing key takes the field's default; an
-    unknown key, a wrong type, or a value ``cls`` rejects fails naming
-    the field."""
-    readers = _readers(cls)
-    kwargs = {
-        key: v if type(v) is readers[key] else _read(readers[key], v, where, key)
-        for key, v in _object(obj, where, readers.keys()).items()
-    }
-    try:
-        return cls(**kwargs)
-    except InvalidConfig as e:
-        _fail(_path(where, e.field), e.why)
-    except InvalidSpec as e:
-        if e.field is None:
-            _fail(where, str(e))
-        _fail(_path(where, e.field), e.why)
-
-
-def _echo(value):
-    """``value``, a config dataclass, as the manifest object that ``_build``
-    reads back to an equal one: its manifest fields (``_readers``), each
-    echoed in turn."""
-    if dataclasses.is_dataclass(value):
-        return {name: _echo(getattr(value, name)) for name in _readers(type(value))}
-    if type(value) is tuple:
-        return [_echo(x) for x in value]
-    return value
-
-
-def _read_json(path, what: str):
-    try:
-        return json.loads(Path(path).read_text())
-    except OSError as e:
-        raise ConfigParseError(f"cannot read {what} {path}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise ConfigParseError(f"{what} {path} is not valid JSON: {e}") from e
 
 
 def load_manifest(path) -> Manifest:

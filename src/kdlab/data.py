@@ -24,7 +24,6 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
-import math
 import os
 import struct
 from dataclasses import asdict, dataclass
@@ -32,6 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import SyntheticSpec
 from .encoder import EncoderParams, encode
 from .errors import (
     ChecksumMismatch,
@@ -46,37 +46,6 @@ _MAGIC = b"KDLAB-PAIRED-DS\x00"
 _VERSION = 2
 _ANCHOR_COS_LIMIT = 0.99
 _PROBE_PER_CLASS = 25
-
-
-@dataclass(frozen=True)
-class SyntheticSpec:
-    """Everything that determines a dataset, byte for byte."""
-
-    num_classes: int = 8
-    image_dim: int = 32
-    text_dim: int = 24
-    samples_per_class: int = 250
-    noise_sigma: float = 0.35
-    anchor_scale: float = 1.0
-    seed: int = 7
-
-    def __post_init__(self):
-        if self.num_classes < 2:
-            raise InvalidSpec("must be >= 2", "num_classes")
-        for name in ("image_dim", "text_dim"):
-            if getattr(self, name) < 2:
-                raise InvalidSpec("must be >= 2", name)
-        if self.samples_per_class < 1:
-            raise InvalidSpec("must be >= 1", "samples_per_class")
-        # JSON admits NaN and Infinity, which a bound check alone lets through.
-        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0.0):
-            raise InvalidSpec("must be finite and >= 0", "noise_sigma")
-        if not (math.isfinite(self.anchor_scale) and self.anchor_scale > 0.0):
-            raise InvalidSpec("must be finite and > 0", "anchor_scale")
-
-    @property
-    def num_samples(self) -> int:
-        return self.num_classes * self.samples_per_class
 
 
 @dataclass
@@ -152,7 +121,7 @@ def generate(spec: SyntheticSpec) -> PairedDataset:
 def corrupt_teacher(params: EncoderParams, sigma: float, rng) -> EncoderParams:
     """A deviating teacher: Gaussian noise of scale ``sigma`` on every
     weight matrix entry (biases untouched), the ``weight_noise`` kind of
-    ``trainer.Corruption``."""
+    ``config.Corruption``."""
     new = params.copy()
     for w in new.weights:
         w += rng.normal(0.0, sigma, size=w.shape)

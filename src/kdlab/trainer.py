@@ -2,7 +2,7 @@
 loss against their class banks, freeze them, then distill the student under
 a chosen teacher-weighting strategy.
 
-Strategies:
+Strategies (``config.STRATEGIES``):
   base  clip-only training, distillation terms removed entirely
   avg   uniform teacher weights
   lsr   label-similarity ratio weights, recomputed per batch
@@ -74,8 +74,8 @@ labels are checked against the encoders, and the teachers' banks against
 the dataset. Each batch then runs the private, unchecked kernels behind
 the public ``encode``, ``vjp``, ``adam_step``, ``clip_loss``,
 ``kl_pair_loss`` and ``mse_align``, so it gets the same bits. The kernels
-divide by temperatures unchecked; the configs reject one that is not
-finite and above 0. Two checks stay in the step, where a diverging run
+divide by temperatures unchecked; the configs (``config``) reject one that
+is not finite and above 0. Two checks stay in the step, where a diverging run
 would otherwise go on silently: the encoder's normalization rejects a row
 whose norm is near zero or not finite, and each step's total loss must be
 finite. One rule relaxes the first check: a train-mode row with dropout
@@ -120,6 +120,10 @@ from typing import Sequence
 import numpy as np
 
 from . import distill, weighting
+from .config import (
+    STRATEGIES, Augmentation, LrSchedule, PretrainConfig, StudentConfig, TeacherSpec, TrainConfig,
+    split_sizes,
+)
 from .contrastive import MixedLabels, _check_labels, _clip_loss, rank_of_label
 from .data import PairedDataset, build_class_bank, corrupt_teacher
 from .encoder import (
@@ -136,7 +140,6 @@ from .encoder import (
     _member_params,
     _member_tape,
     _row_chunks,
-    architecture_problem,
     init_params,
 )
 from .errors import (
@@ -155,198 +158,12 @@ from .numerics import _pair_log_softmax, _softmax, as_matrix, seeded_rng
 from .contrastive import clip_loss  # noqa: E402,F401
 from .encoder import adam_step, encode, vjp  # noqa: E402,F401
 
-STRATEGIES = ("base", "avg", "lsr", "dsw")
-
 # Stream tags for per-run rng derivation.
 _TAG_TEACHER = 1
 _TAG_STUDENT_INIT = 2
 _TAG_TRAIN_LOOP = 3
 _TAG_PROJECTION = 4
 _TAG_SPLIT = 5
-
-
-@dataclass(frozen=True)
-class LrSchedule:
-    kind: str = "fixed"          # fixed | cosine
-    eta_min: float | None = None  # cosine floor; defaults to lr / 100
-
-    def __post_init__(self):
-        if self.kind not in ("fixed", "cosine"):
-            raise InvalidConfig("kind", f"must be 'fixed' or 'cosine', got {self.kind!r}")
-        if self.eta_min is not None and not (math.isfinite(self.eta_min) and self.eta_min >= 0):
-            raise InvalidConfig("eta_min", "must be finite and >= 0")
-
-
-@dataclass(frozen=True)
-class Augmentation:
-    kind: str = "none"           # none | jitter | mixup
-    sigma: float = 0.0           # jitter noise scale
-    beta: float = 0.4            # mixup Beta(beta, beta) parameter
-
-    def __post_init__(self):
-        if self.kind not in ("none", "jitter", "mixup"):
-            raise InvalidConfig(
-                "kind", f"must be 'none', 'jitter' or 'mixup', got {self.kind!r}"
-            )
-        if not (math.isfinite(self.sigma) and self.sigma >= 0):
-            raise InvalidConfig("sigma", "must be finite and >= 0")
-        if not (math.isfinite(self.beta) and self.beta > 0):
-            raise InvalidConfig("beta", "must be finite and > 0")
-
-
-@dataclass(frozen=True)
-class Corruption:
-    """How a teacher deviates: ``weight_noise`` adds Gaussian noise of scale
-    ``sigma`` to its weight matrices once it is pretrained, and
-    ``label_shuffle`` pretrains it against permuted labels."""
-
-    kind: str = "none"           # none | weight_noise | label_shuffle
-    sigma: float | None = None   # weight_noise scale; 1.0 when not given
-
-    def __post_init__(self):
-        if self.kind not in ("none", "weight_noise", "label_shuffle"):
-            raise InvalidConfig(
-                "kind", f"must be 'none', 'weight_noise' or 'label_shuffle', got {self.kind!r}"
-            )
-        if self.kind != "weight_noise":
-            if self.sigma is not None:
-                raise InvalidConfig("sigma", f"applies to weight_noise only, not {self.kind!r}")
-        elif self.sigma is None:
-            object.__setattr__(self, "sigma", 1.0)
-        elif not (math.isfinite(self.sigma) and self.sigma >= 0):
-            raise InvalidConfig("sigma", "must be finite and >= 0")
-
-
-def _check_architecture(spec) -> None:
-    problem = architecture_problem(spec)
-    if problem:
-        raise InvalidConfig(*problem)
-
-
-@dataclass(frozen=True)
-class StudentConfig:
-    hidden_widths: tuple[int, ...] = (48, 48)
-    output_dim: int = 8
-    activation: str = "relu"
-    dropout_p: float = 0.5
-
-    __post_init__ = _check_architecture
-
-
-@dataclass(frozen=True)
-class TeacherSpec:
-    hidden_widths: tuple[int, ...] = (96,)
-    output_dim: int = 8
-    activation: str = "relu"
-    dropout_p: float = 0.0
-    corruption: Corruption | None = Corruption()  # None means Corruption()
-
-    def __post_init__(self):
-        _check_architecture(self)
-        if self.corruption is None:
-            object.__setattr__(self, "corruption", Corruption())
-        elif not isinstance(self.corruption, Corruption):
-            raise InvalidConfig(
-                "corruption", f"must be a Corruption or None, got {self.corruption!r}"
-            )
-
-
-def _check_positive(config, name: str) -> None:
-    """A learning rate or temperature must be finite and > 0: the training
-    step divides by temperatures unchecked, and JSON admits Infinity/NaN."""
-    value = getattr(config, name)
-    if not (math.isfinite(value) and value > 0):
-        raise InvalidConfig(name, "must be finite and > 0")
-
-
-@dataclass(frozen=True)
-class PretrainConfig:
-    epochs: int = 30
-    batch_size: int = 64
-    lr: float = 1e-3
-    tau: float = 4.0
-    accuracy_gate: float = 0.95
-
-    def __post_init__(self):
-        if self.epochs < 0:
-            raise InvalidConfig("epochs", "must be >= 0")
-        if self.batch_size < 1:
-            raise InvalidConfig("batch_size", "must be >= 1")
-        for name in ("lr", "tau"):
-            _check_positive(self, name)
-        if not 0.0 <= self.accuracy_gate <= 1.0:
-            raise InvalidConfig("accuracy_gate", "must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    """Distillation-run configuration.
-
-    The three temperatures map as: ``tau_teacher`` for the frozen teacher
-    distributions, ``tau_student`` for the student's own contrastive loss,
-    ``tau_distill`` for the student distributions inside the KL terms.
-    ``loss_ratios`` orders (clip, kl, mse).
-    """
-
-    epochs: int = 60
-    batch_size: int = 64
-    lr: float = 1e-4
-    lr_schedule: LrSchedule = LrSchedule()
-    tau_teacher: float = 4.0
-    tau_student: float = 4.0
-    tau_distill: float = 4.0
-    loss_ratios: tuple[float, float, float] = (1.0, 1.0, 1.0)
-    strategy: str = "avg"
-    num_teachers: int = 2
-    augmentation: Augmentation = Augmentation()
-    student: StudentConfig = StudentConfig()
-    seed: int = 0
-    text_bank_refresh: str = "epoch"   # epoch | batch
-    eval_bank: str = "student"         # student only
-    mse_mode: str = "weighted_target"  # weighted_target | per_teacher
-    kl_weight_mode: str = "per_teacher"  # per_teacher only
-    train_fraction: float = 0.8
-
-    def __post_init__(self):
-        """Reject every value the trainer cannot run, naming the field."""
-        for name in ("epochs", "batch_size"):
-            if getattr(self, name) < 1:
-                raise InvalidConfig(name, "must be >= 1")
-        for name in ("lr", "tau_teacher", "tau_student", "tau_distill"):
-            _check_positive(self, name)
-        if len(self.loss_ratios) != 3 or min(self.loss_ratios) <= 0:
-            raise InvalidConfig("loss_ratios", "must be three numbers (clip, kl, mse), each > 0")
-        if self.strategy not in STRATEGIES:
-            raise InvalidConfig("strategy", f"must be one of {STRATEGIES}, got {self.strategy!r}")
-        least = 0 if self.strategy == "base" else 1
-        if self.num_teachers < least:
-            raise InvalidConfig(
-                "num_teachers", f"must be >= {least} under strategy {self.strategy!r}"
-            )
-        if self.text_bank_refresh not in ("epoch", "batch"):
-            raise InvalidConfig("text_bank_refresh", "must be 'epoch' or 'batch'")
-        if self.mse_mode not in ("weighted_target", "per_teacher"):
-            raise InvalidConfig("mse_mode", "must be 'weighted_target' or 'per_teacher'")
-        if self.kl_weight_mode != "per_teacher":
-            # Every strategy produces per-teacher weights.
-            raise InvalidConfig(
-                "kl_weight_mode", f"must be 'per_teacher', got {self.kl_weight_mode!r}"
-            )
-        if self.eval_bank != "student":
-            # Runs evaluate on the student's own class bank.
-            raise InvalidConfig("eval_bank", f"must be 'student', got {self.eval_bank!r}")
-        eta_min = self.lr_schedule.eta_min
-        if self.lr_schedule.kind == "cosine" and eta_min is not None and eta_min > self.lr:
-            # lr_at would rise from lr to eta_min instead of decaying.
-            raise InvalidConfig(
-                "lr_schedule.eta_min", f"must be <= lr ({self.lr}) under cosine, got {eta_min}"
-            )
-
-    @property
-    def teachers_used(self) -> int:
-        """How many teachers the run distills from: the first ``num_teachers``
-        of the roster, none under ``base``."""
-        return 0 if self.strategy == "base" else self.num_teachers
 
 
 @dataclass
@@ -409,13 +226,6 @@ def lr_at(schedule: LrSchedule, lr: float, t: int, total: int) -> float:
     eta_min = schedule.eta_min if schedule.eta_min is not None else lr / 100.0
     frac = 0.0 if total <= 0 else min(max(t / total, 0.0), 1.0)
     return eta_min + 0.5 * (lr - eta_min) * (1.0 + np.cos(np.pi * frac))
-
-
-def split_sizes(count: int, train_fraction: float) -> tuple[int, int]:
-    """The (train, eval) rows ``split_indices`` makes of a class of ``count``
-    rows. A run needs both: at 0.8, a class needs at least 3 rows."""
-    cut = int(round(count * train_fraction))
-    return cut, count - cut
 
 
 def split_indices(labels, train_fraction: float, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -487,9 +297,9 @@ def _scores(feats: np.ndarray, bank: np.ndarray, labels, tau: float) -> tuple[fl
     return float(np.mean(ranks < 1)), float(np.mean(ranks < min(5, bank.shape[0])))
 
 
-def _init_encoder_pair(arch, dataset: PairedDataset, rng) -> tuple[EncoderParams, EncoderParams]:
-    """Fresh (image, text) encoders of the architecture ``arch`` (a
-    StudentConfig or TeacherSpec) for the dataset's two modalities."""
+def _init_encoder_pair(arch: StudentConfig | TeacherSpec, dataset: PairedDataset, rng):
+    """Fresh (image, text) encoders of the architecture ``arch`` for the
+    dataset's two modalities."""
     return tuple(
         init_params(
             EncoderConfig(
@@ -1189,14 +999,6 @@ def distill_students(
     return members.in_given_order(
         [(StudentModel(i.copy(), t.copy()), run) for i, t, run in zip(img_views, txt_views, runs)]
     )
-
-
-DEFAULT_TEACHER_ROSTER: tuple[TeacherSpec, ...] = (
-    TeacherSpec(hidden_widths=(96,)),
-    TeacherSpec(hidden_widths=(80,)),
-    TeacherSpec(hidden_widths=(64,)),
-    TeacherSpec(hidden_widths=(112,)),
-)
 
 
 @dataclass

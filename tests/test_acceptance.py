@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kdlab import cli, contrastive as ct, data, distill, trainer, weighting as wt
+from kdlab import cli, config, contrastive as ct, data, distill, trainer, weighting as wt
 from kdlab.encoder import EncoderConfig, encode, init_params, vjp
 from kdlab.errors import ChecksumMismatch, FormatVersionMismatch
 from kdlab.numerics import seeded_rng, softmax_rows
@@ -266,7 +266,7 @@ def test_07_teacher_accuracy_gate(default_world):
     ds, train_idx, eval_idx = default_world
     cfg = trainer.PretrainConfig()  # 30 epochs
     assert cfg.epochs <= 30
-    for j, spec in enumerate(trainer.DEFAULT_TEACHER_ROSTER[:2]):
+    for j, spec in enumerate(config.DEFAULT_TEACHER_ROSTER[:2]):
         t0 = time.perf_counter()
         teacher = trainer.pretrain_teacher(cfg, ds, train_idx, eval_idx, spec, 2024, j)
         elapsed = time.perf_counter() - t0
@@ -282,7 +282,7 @@ def _clean_teachers(ds, train_idx, eval_idx, seed):
     pre = trainer.PretrainConfig()
     return [
         trainer.pretrain_teacher(
-            pre, ds, train_idx, eval_idx, trainer.DEFAULT_TEACHER_ROSTER[j], seed, j
+            pre, ds, train_idx, eval_idx, config.DEFAULT_TEACHER_ROSTER[j], seed, j
         )
         for j in range(2)
     ]
@@ -314,14 +314,14 @@ def test_09_noisy_teacher_robustness(default_world):
     ds, train_idx, eval_idx = default_world
     pre = trainer.PretrainConfig()
     corrupted_spec = trainer.TeacherSpec(
-        hidden_widths=(80,), corruption=trainer.Corruption("weight_noise", 10.0)
+        hidden_widths=(80,), corruption=config.Corruption("weight_noise", 10.0)
     )
     t0 = time.perf_counter()
     avg_accs, dsw_accs, corrupted_alpha = [], [], []
     for seed in SEEDS:
         teachers = [
             trainer.pretrain_teacher(
-                pre, ds, train_idx, eval_idx, trainer.DEFAULT_TEACHER_ROSTER[0], seed, 0
+                pre, ds, train_idx, eval_idx, config.DEFAULT_TEACHER_ROSTER[0], seed, 0
             ),
             trainer.pretrain_teacher(pre, ds, train_idx, eval_idx, corrupted_spec, seed, 1),
         ]

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kdlab import cli, trainer, weighting
+from kdlab import cli, config, trainer, weighting
 from kdlab.data import SyntheticSpec, generate, save_dataset
 from kdlab.errors import NonFiniteInput
 
@@ -181,6 +181,25 @@ def test_corruption_validates_or_names_its_field(kind, sigma):
         assert cli.load_manifest(back) == cli.load_manifest(p)
 
 
+def _manifest_fields(cls, prefix=""):
+    """(path, type hint, config dataclass or None) of each manifest field of
+    ``cls`` and, depth first, of each config dataclass it reaches, an
+    optional field's or a list's. A field marked ``config.RUN_ONLY`` is no
+    manifest field, and the rest are the keys of ``config._readers``."""
+    hints = typing.get_type_hints(cls)
+    names = [f.name for f in dataclasses.fields(cls) if config.RUN_ONLY not in f.metadata]
+    assert list(config._readers(cls)) == names
+    for name in names:
+        hint = hints[name]
+        inner = next((a for a in typing.get_args(hint) if a is not type(None)), hint)
+        if dataclasses.is_dataclass(inner):
+            yield prefix + name, hint, inner
+            items = "[]" if typing.get_origin(hint) is tuple else ""
+            yield from _manifest_fields(inner, f"{prefix}{name}{items}.")
+        else:
+            yield prefix + name, hint, None
+
+
 def _set(manifest, path, value):
     obj = manifest
     for key in path[:-1]:
@@ -310,24 +329,13 @@ class TestManifestSchema:
             json.dumps({"schema_version": 1, "train": {}, "pretrain": {}, "teachers": [{}, {}]})
         )
         m = cli.load_manifest(p)
-        assert m.train == cli.TrainConfig()
-        assert m.pretrain == cli.PretrainConfig()
-        assert m.teachers == (cli.TeacherSpec(), cli.TeacherSpec())
+        assert m.train == config.TrainConfig()
+        assert m.pretrain == config.PretrainConfig()
+        assert m.teachers == (config.TeacherSpec(), config.TeacherSpec())
         assert m.dataset.spec == SyntheticSpec()
 
     def test_readme_lists_every_manifest_field(self):
-        def leaves(cls, prefix):
-            for name in cli._readers(cls):
-                hint = typing.get_type_hints(cls)[name]
-                # An optional field's or a list's config dataclass, if it has one.
-                inner = next((a for a in typing.get_args(hint) if a is not type(None)), hint)
-                if dataclasses.is_dataclass(inner):
-                    items = "[]" if typing.get_origin(hint) is tuple else ""
-                    yield from leaves(inner, f"{prefix}{name}{items}.")
-                else:
-                    yield prefix + name
-
-        expected = set(leaves(cli.Manifest, ""))
+        expected = {path for path, _, cls in _manifest_fields(config.Manifest) if cls is None}
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         listed = set(re.findall(r"^\| `([^`]+)` \|", readme, flags=re.M))
         assert listed == expected

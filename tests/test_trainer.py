@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from kdlab import cli, contrastive, data, distill, encoder, numerics, trainer, weighting
+from kdlab import cli, config, contrastive, data, distill, encoder, numerics, trainer, weighting
 from kdlab.errors import (
     DimensionMismatch,
     InvalidConfig,
@@ -67,24 +67,24 @@ def tiny_config(**kw):
 
 
 class TestTrainConfig:
-    @pytest.mark.parametrize("corruption", ["label-shuffle", 3.5, "none", trainer.Corruption])
+    @pytest.mark.parametrize("corruption", ["label-shuffle", 3.5, "none", config.Corruption])
     def test_teacher_spec_rejects_unknown_corruption(self, corruption):
         # A corruption pretrain_teacher cannot apply would train an
         # uncorrupted teacher without a word.
         with pytest.raises(InvalidConfig) as info:
             trainer.TeacherSpec(corruption=corruption)
         assert info.value.field == "corruption"
-        for ok in (trainer.Corruption("weight_noise", 0.5), trainer.Corruption("label_shuffle")):
+        for ok in (config.Corruption("weight_noise", 0.5), config.Corruption("label_shuffle")):
             assert trainer.TeacherSpec(corruption=ok).corruption == ok
-        assert trainer.TeacherSpec(corruption=None).corruption == trainer.Corruption()
+        assert trainer.TeacherSpec(corruption=None).corruption == config.Corruption()
 
     def test_corruption_sigma_is_weight_noise_only(self):
-        assert trainer.Corruption("weight_noise").sigma == 1.0
-        assert trainer.Corruption("weight_noise", 0.0).sigma == 0.0
+        assert config.Corruption("weight_noise").sigma == 1.0
+        assert config.Corruption("weight_noise", 0.0).sigma == 0.0
         for kind in ("none", "label_shuffle"):
-            assert trainer.Corruption(kind).sigma is None
+            assert config.Corruption(kind).sigma is None
             with pytest.raises(InvalidConfig) as info:
-                trainer.Corruption(kind, 1.0)
+                config.Corruption(kind, 1.0)
             assert info.value.field == "sigma"
 
     @pytest.mark.parametrize("mode", ["per_direction", "per-teacher", ""])
@@ -282,7 +282,7 @@ class TestPretrain:
 
     def test_weight_noise_corruption_destroys_accuracy(self, tiny):
         ds, train_idx, eval_idx, _ = tiny
-        noise = trainer.Corruption("weight_noise", 10.0)
+        noise = config.Corruption("weight_noise", 10.0)
         spec = dataclasses.replace(TINY_TEACHER, corruption=noise)
         teacher = trainer.pretrain_teacher(
             TINY_PRETRAIN, ds, train_idx, eval_idx, spec, 0, 0
@@ -294,7 +294,7 @@ class TestPretrain:
 
     def test_label_shuffle_produces_weak_teacher(self, tiny):
         ds, train_idx, eval_idx, _ = tiny
-        spec = dataclasses.replace(TINY_TEACHER, corruption=trainer.Corruption("label_shuffle"))
+        spec = dataclasses.replace(TINY_TEACHER, corruption=config.Corruption("label_shuffle"))
         teacher = trainer.pretrain_teacher(
             TINY_PRETRAIN, ds, train_idx, eval_idx, spec, 0, 0
         )
