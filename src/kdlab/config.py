@@ -187,8 +187,11 @@ class TrainConfig:
                 raise InvalidConfig(name, "must be >= 1")
         for name in ("lr", "tau_teacher", "tau_student", "tau_distill"):
             _check_positive(self, name)
-        if len(self.loss_ratios) != 3 or min(self.loss_ratios) <= 0:
-            raise InvalidConfig("loss_ratios", "must be three numbers (clip, kl, mse), each > 0")
+        ratios = self.loss_ratios
+        if len(ratios) != 3 or not all(map(math.isfinite, ratios)) or min(ratios) <= 0:
+            raise InvalidConfig(
+                "loss_ratios", "must be three numbers (clip, kl, mse), each finite and > 0"
+            )
         if self.strategy not in STRATEGIES:
             raise InvalidConfig("strategy", f"must be one of {STRATEGIES}, got {self.strategy!r}")
         least = 0 if self.strategy == "base" else 1

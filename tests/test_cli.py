@@ -181,6 +181,94 @@ def test_corruption_validates_or_names_its_field(kind, sigma):
         assert cli.load_manifest(back) == cli.load_manifest(p)
 
 
+# Each numeric field the draw below reaches, by path, with its rule (is a
+# value valid?) and its bounds. Each value sets one field of a one-teacher
+# manifest; each loss_ratios entry is drawn alone, and eta_min under cosine,
+# where it may not exceed the default lr.
+def _positive(x):
+    return math.isfinite(x) and x > 0
+
+
+def _non_negative(x):
+    return math.isfinite(x) and x >= 0
+
+
+_LR = config.TrainConfig().lr
+NUMERIC_FIELDS = {
+    "train.lr": (_positive, (0.0,)),
+    "train.tau_teacher": (_positive, (0.0,)),
+    "train.tau_student": (_positive, (0.0,)),
+    "train.tau_distill": (_positive, (0.0,)),
+    "train.loss_ratios": (_positive, (0.0,)),
+    "train.augmentation.sigma": (_non_negative, (0.0,)),
+    "train.augmentation.beta": (_positive, (0.0,)),
+    "train.lr_schedule.eta_min": (lambda x: 0 <= x <= _LR, (0.0, _LR)),
+    "pretrain.lr": (_positive, (0.0,)),
+    "pretrain.tau": (_positive, (0.0,)),
+    "pretrain.accuracy_gate": (lambda x: 0 <= x <= 1, (0.0, 1.0)),
+}
+
+
+def _numeric_draw(path):
+    _, bounds = NUMERIC_FIELDS[path]
+    value = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from(bounds),
+        st.sampled_from([math.nan, math.inf, -math.inf]),
+    )
+    return st.tuples(st.just(path), value, st.integers(0, 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(draw=st.sampled_from(sorted(NUMERIC_FIELDS)).flatmap(_numeric_draw))
+def test_numeric_field_validates_or_names_itself(draw):
+    # A number drawn finite, at a bound, NaN or infinite for one float field
+    # of the manifest: validate exits 0 with an echo that loads back equal,
+    # or exits 2 naming the field.
+    path, value, entry = draw
+    valid, _ = NUMERIC_FIELDS[path]
+    section, *rest = path.split(".")
+    manifest = {"train": {**TINY_TRAIN, "num_teachers": 1}, "pretrain": dict(TINY_PRETRAIN)}
+    obj, key = manifest[section], rest[-1]
+    if len(rest) == 2:
+        obj[rest[0]] = {"kind": "cosine"} if rest[0] == "lr_schedule" else {}
+        obj = obj[rest[0]]
+    if key == "loss_ratios":
+        set_to = [1.0, 1.0, 1.0]
+        set_to[entry] = value
+    else:
+        set_to = value
+    obj[key] = set_to
+    with tempfile.TemporaryDirectory() as d:
+        p = Path(d) / "m.json"
+        write_manifest(p, teachers=TINY_TEACHERS[:1], **manifest)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["validate", str(p)])
+        if not valid(value):
+            assert code == 2
+            assert f"{path!r}:" in err.getvalue()
+            return
+        assert code == 0, err.getvalue()
+        echo = json.loads(out.getvalue())
+        del echo["grid_points"]
+        at = echo[section]
+        for name in rest:
+            at = at[name]
+        assert at == set_to
+        back = Path(d) / "echo.json"
+        back.write_text(json.dumps(echo))
+        assert cli.load_manifest(back) == cli.load_manifest(p)
+
+
+def test_numeric_fields_are_float_manifest_fields():
+    floats = {
+        path for path, hint, cls in _manifest_fields(config.Manifest)
+        if cls is None and float in {hint, *typing.get_args(hint)}
+    }
+    assert NUMERIC_FIELDS.keys() <= floats
+
+
 def _manifest_fields(cls, prefix=""):
     """(path, type hint, config dataclass or None) of each manifest field of
     ``cls`` and, depth first, of each config dataclass it reaches, an
@@ -255,6 +343,10 @@ BAD_MANIFESTS = [
      "teachers[0].corruption.sigma"),
     (("dataset", "spec", "noise_sigma"), math.nan, "dataset.spec.noise_sigma"),
     (("dataset", "spec", "anchor_scale"), math.inf, "dataset.spec.anchor_scale"),
+    (("train", "loss_ratios"), [1.0, math.nan, 1.0], "train.loss_ratios",
+     "train.loss_ratios=nan"),
+    (("train", "loss_ratios"), [math.inf, 1.0, 1.0], "train.loss_ratios",
+     "train.loss_ratios=inf"),
 ]
 
 
@@ -339,6 +431,34 @@ class TestManifestSchema:
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         listed = set(re.findall(r"^\| `([^`]+)` \|", readme, flags=re.M))
         assert listed == expected
+
+    def test_every_config_dataclass_lives_in_config(self):
+        # The manifest's schema has one owner: every config dataclass the
+        # reader reaches from Manifest is config's, and config holds no other.
+        walk = _manifest_fields(config.Manifest)
+        reached = {config.Manifest} | {cls for _, _, cls in walk if cls is not None}
+        assert {cls.__module__ for cls in reached} == {"kdlab.config"}
+        assert reached == {
+            v for v in vars(config).values() if isinstance(v, type) and dataclasses.is_dataclass(v)
+        }
+
+    def test_warm_reader_resolves_no_type_hints(self, tmp_path, monkeypatch):
+        # Resolving the type hints is the costly part of a cold reader;
+        # _readers caches each class's reader so a warm parse does none.
+        p = tmp_path / "m.json"
+        write_manifest(p)
+        calls = []
+        resolve = typing.get_type_hints
+        monkeypatch.setattr(
+            typing, "get_type_hints", lambda *a, **k: calls.append(a) or resolve(*a, **k)
+        )
+        config._readers.cache_clear()
+        cold = cli.load_manifest(p)
+        assert calls
+        calls.clear()
+        for _ in range(3):
+            assert cli.load_manifest(p) == cold
+        assert calls == []
 
     def test_readme_lists_the_metrics_columns(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

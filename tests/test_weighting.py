@@ -125,6 +125,15 @@ class TestFrankWolfe:
         np.testing.assert_allclose(res.weights, [0.5, 0.5])
         assert res.converged and res.iterations == 0
 
+    def test_near_tie_takes_half_steps(self):
+        # Rows this close make the segment's squared length fall below
+        # _TIE_EPS, so each step takes gamma = 0.5 toward the first row and
+        # halves the second row's weight: from 1/2 to 1/32 in four steps.
+        g = np.array([[1.0, 0.0], [1.0 + 2e-9, 0.0]])
+        res = wt.frank_wolfe_min_norm(g)
+        assert res.weights.tolist() == [0.96875, 0.03125]
+        assert res.iterations == 4 and res.converged
+
     def test_zero_gradient_teacher_takes_all_weight(self):
         g = np.array([[3.0, 0.0], [0.0, 0.0]])
         res = wt.frank_wolfe_min_norm(g)
