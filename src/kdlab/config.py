@@ -1,5 +1,7 @@
 """The manifest's schema: every config dataclass a manifest reaches, with
 its defaults, enums and checks, and the reader and the echo that walk them.
+It owns the schedule (``LrSchedule.at``), the split fraction, the activation
+enum and the reader of a dataset file's spec too (``data.load_dataset``).
 A field a manifest does not set has the key ``RUN_ONLY`` in its metadata:
 ``_readers`` leaves it out, so ``_build`` rejects it as an unknown key and
 ``_echo`` omits it. ``_build`` reads a manifest object, naming the field at
@@ -16,7 +18,8 @@ import typing
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
-from .encoder import architecture_problem
+import numpy as np
+
 from .errors import ConfigParseError, InvalidConfig, InvalidSpec
 
 SCHEMA_VERSION = 1
@@ -26,6 +29,9 @@ STRATEGIES = ("base", "avg", "lsr", "dsw")
 MAX_TEACHERS = 4
 # The metadata key of a field that a manifest does not set.
 RUN_ONLY = "run_only"
+# The share of each class's rows a run trains on; the rest are evaluated.
+TRAIN_FRACTION = 0.8
+ACTIVATIONS = ("relu", "tanh", "identity")
 
 
 @dataclass(frozen=True)
@@ -38,6 +44,15 @@ class LrSchedule:
             raise InvalidConfig("kind", f"must be 'fixed' or 'cosine', got {self.kind!r}")
         if self.eta_min is not None and not (math.isfinite(self.eta_min) and self.eta_min >= 0):
             raise InvalidConfig("eta_min", "must be finite and >= 0")
+
+    def at(self, lr: float, t: int, total: int) -> float:
+        """The learning rate at step ``t`` of ``total``: ``lr`` under fixed,
+        else half-cosine decay from ``lr`` down to ``eta_min``."""
+        if self.kind == "fixed":
+            return lr
+        eta_min = self.eta_min if self.eta_min is not None else lr / 100.0
+        frac = 0.0 if total <= 0 else min(max(t / total, 0.0), 1.0)
+        return eta_min + 0.5 * (lr - eta_min) * (1.0 + np.cos(np.pi * frac))
 
 
 @dataclass(frozen=True)
@@ -78,6 +93,22 @@ class Corruption:
             object.__setattr__(self, "sigma", 1.0)
         elif not (math.isfinite(self.sigma) and self.sigma >= 0):
             raise InvalidConfig("sigma", "must be finite and >= 0")
+
+
+def architecture_problem(arch) -> tuple[str, str] | None:
+    """The first field of ``arch`` no encoder can be built with, as
+    (field, why), or None. ``arch`` is an ``encoder.EncoderConfig`` or any
+    config with its ``hidden_widths``, ``output_dim``, ``activation`` and
+    ``dropout_p``; this is the one rule for all of them."""
+    if any(w < 1 for w in arch.hidden_widths):
+        return "hidden_widths", f"must all be >= 1, got {tuple(arch.hidden_widths)}"
+    if arch.output_dim < 1:
+        return "output_dim", f"must be >= 1, got {arch.output_dim}"
+    if arch.activation not in ACTIVATIONS:
+        return "activation", f"must be one of {ACTIVATIONS}, got {arch.activation!r}"
+    if not 0.0 <= arch.dropout_p < 1.0:
+        return "dropout_p", f"must lie in [0, 1), got {arch.dropout_p}"
+    return None
 
 
 def _check_architecture(spec) -> None:
@@ -178,7 +209,7 @@ class TrainConfig:
     eval_bank: str = field(default="student", metadata={RUN_ONLY: True})  # student only
     mse_mode: str = "weighted_target"  # weighted_target | per_teacher
     kl_weight_mode: str = "per_teacher"  # per_teacher only
-    train_fraction: float = field(default=0.8, metadata={RUN_ONLY: True})
+    train_fraction: float = field(default=TRAIN_FRACTION, metadata={RUN_ONLY: True})
 
     def __post_init__(self):
         """Reject every value the trainer cannot run, naming the field."""
@@ -213,7 +244,7 @@ class TrainConfig:
             raise InvalidConfig("eval_bank", f"must be 'student', got {self.eval_bank!r}")
         eta_min = self.lr_schedule.eta_min
         if self.lr_schedule.kind == "cosine" and eta_min is not None and eta_min > self.lr:
-            # lr_at would rise from lr to eta_min instead of decaying.
+            # The schedule would rise from lr to eta_min instead of decaying.
             raise InvalidConfig(
                 "lr_schedule.eta_min", f"must be <= lr ({self.lr}) under cosine, got {eta_min}"
             )

@@ -14,9 +14,9 @@ in row-major order, and a trailing 64-bit checksum over everything before
 it. Any other version fails with ``FormatVersionMismatch``; ``kdlab
 gen-data`` rebuilds the file from its spec. A file whose checksum holds
 fails too, naming itself, if its header or its arrays' length disagree
-with the format, if a text anchor or image row holds NaN or Infinity, or
-if a label is not a class. The file is written atomically
-(``_atomic_open``).
+with the format, if its spec is not one ``config``'s reader accepts, if a
+text anchor or image row holds NaN or Infinity, or if a label is not a
+class. The file is written atomically (``_atomic_open``).
 """
 
 from __future__ import annotations
@@ -31,10 +31,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import SyntheticSpec
+from .config import SyntheticSpec, _build, _readers
 from .encoder import EncoderParams, encode
 from .errors import (
     ChecksumMismatch,
+    ConfigParseError,
     FormatVersionMismatch,
     InvalidSpec,
     LabelOutOfRange,
@@ -134,7 +135,7 @@ def build_class_bank(text_params: EncoderParams, dataset: PairedDataset) -> np.n
     Rows come out unit-norm from the encoder; the bank is reused for the
     whole run instead of re-encoding class text per batch.
     """
-    bank, _ = encode(text_params, dataset.text_anchors, train_mode=False)
+    bank, _ = encode(text_params, dataset.text_anchors)
     return bank
 
 
@@ -179,10 +180,10 @@ def save_dataset(dataset: PairedDataset, path) -> None:
 def load_dataset(path) -> PairedDataset:
     """The dataset in the file ``path``; a wrong file fails with a declared
     error naming it: ``ChecksumMismatch``, ``FormatVersionMismatch``; for a
-    spec without exactly the ``SyntheticSpec`` fields, each a JSON number
-    of its type, ``InvalidSpec``; for a NaN or infinite array entry,
-    ``NonFiniteInput``; and for a label outside [0, num_classes),
-    ``LabelOutOfRange``."""
+    spec without exactly the ``SyntheticSpec`` fields, or one that
+    ``config._build`` rejects (the manifest's reader), ``InvalidSpec``; for
+    a NaN or infinite array entry, ``NonFiniteInput``; and for a label
+    outside [0, num_classes), ``LabelOutOfRange``."""
     blob = Path(path).read_bytes()
     if len(blob) < len(_MAGIC) or blob[: len(_MAGIC)] != _MAGIC:
         raise FormatVersionMismatch(f"{path} is not a paired-dataset file")
@@ -207,13 +208,13 @@ def load_dataset(path) -> PairedDataset:
     if not (isinstance(header, dict) and header.keys() == {"spec", "probe_accuracy"}
             and type(header["probe_accuracy"]) in (int, float)):
         raise FormatVersionMismatch(f"{path} has a header other than a spec and a probe accuracy")
-    fields, defaults = header["spec"], asdict(SyntheticSpec())
-    if not isinstance(fields, dict) or fields.keys() != defaults.keys():
+    fields = header["spec"]
+    if not isinstance(fields, dict) or fields.keys() != _readers(SyntheticSpec).keys():
         raise InvalidSpec(f"{path} holds a spec that is not an object of the SyntheticSpec fields")
-    for name, value in fields.items():
-        if type(value) not in ((int, float) if isinstance(defaults[name], float) else (int,)):
-            raise InvalidSpec(f"{path} holds spec.{name} = {value!r}")
-    spec = SyntheticSpec(**fields)
+    try:
+        spec = _build(SyntheticSpec, fields, "spec")
+    except ConfigParseError as e:
+        raise InvalidSpec(f"{path} holds an invalid spec: {e}") from None
     m = spec.num_samples
     body = 8 * (spec.num_classes * spec.text_dim + m * spec.image_dim + m)
     if len(blob) - 8 - off != body:

@@ -5,10 +5,10 @@ optional inverted dropout on the hidden activations; the final affine
 output is L2-normalized per row, so encoders always emit unit feature
 vectors. The same type serves frozen teachers and the trainable student.
 
-``encode`` returns the features together with a :class:`ForwardTape`
-caching everything the reverse pass needs, including the normalization
-Jacobian inputs. :func:`vjp` is the pure reverse pass; a tape can be
-replayed, which the multi-objective weighting path relies on.
+``encode`` returns the eval-mode features together with a
+:class:`ForwardTape` caching everything the reverse pass needs, including
+the normalization Jacobian inputs. :func:`vjp` is the pure reverse pass; a
+tape can be replayed, which the multi-objective weighting path relies on.
 
 ``vjp`` also takes a stack of K cotangents, shape ``(K, B, d)``, and runs
 them through the tape in one reverse pass; every returned array then
@@ -19,12 +19,11 @@ product per slice, and every reduction keeps its order.
 The training step calls the private kernels behind ``encode``, ``vjp``
 and ``adam_step`` on inputs it checked once, at its entry. ``_encode`` is
 the forward pass; it takes dropout keep-masks drawn ahead by
-``_dropout_masks``, which draws exactly what ``encode`` draws from its rng,
-so a caller can draw a step's randomness before running it. It also runs
-a stack of batches, (n, B, d_in): numpy runs one BLAS product per batch,
-so each batch gets the bits it has alone. A train-mode row that dropout
-leaves with a near-zero output is passed again with every hidden unit
-kept (see ``_encode``).
+``_dropout_masks`` (None in eval mode), so a caller can draw a step's
+randomness before running it. It also runs a stack of batches, (n, B,
+d_in): numpy runs one BLAS product per batch, so each batch gets the bits
+it has alone. A train-mode row that dropout leaves with a near-zero output
+is passed again with every hidden unit kept (see ``_encode``).
 
 ``_backward`` writes each weight and bias gradient straight into the
 matching array of an :class:`EncoderGrads` given by the caller (with a
@@ -82,31 +81,15 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import architecture_problem
 from .errors import NonFiniteInput, ShapeMismatch, ZeroVector
 from .numerics import ZERO_NORM_EPS, _checked_stack, as_matrix
-
-ACTIVATIONS = ("relu", "tanh", "identity")
-
-
-def architecture_problem(arch) -> tuple[str, str] | None:
-    """The first field of ``arch`` no encoder can be built with, as
-    (field, why), or None. ``arch`` is an :class:`EncoderConfig` or any
-    config with its ``hidden_widths``, ``output_dim``, ``activation`` and
-    ``dropout_p``; this is the one rule for all of them."""
-    if any(w < 1 for w in arch.hidden_widths):
-        return "hidden_widths", f"must all be >= 1, got {tuple(arch.hidden_widths)}"
-    if arch.output_dim < 1:
-        return "output_dim", f"must be >= 1, got {arch.output_dim}"
-    if arch.activation not in ACTIVATIONS:
-        return "activation", f"must be one of {ACTIVATIONS}, got {arch.activation!r}"
-    if not 0.0 <= arch.dropout_p < 1.0:
-        return "dropout_p", f"must lie in [0, 1), got {arch.dropout_p}"
-    return None
 
 
 @dataclass(frozen=True)
 class EncoderConfig:
-    """Architecture of one encoder: input width, hidden widths, output dim."""
+    """Architecture of one encoder: input width, hidden widths, output dim;
+    ``config.architecture_problem`` is its rule."""
 
     input_dim: int
     hidden_widths: tuple[int, ...] = ()
@@ -200,31 +183,18 @@ def _checked_input(params: EncoderParams, x) -> np.ndarray:
     return xm
 
 
-def encode(
-    params: EncoderParams,
-    x,
-    train_mode: bool = False,
-    rng: np.random.Generator | None = None,
-) -> tuple[np.ndarray, ForwardTape]:
-    """Forward pass producing unit-norm feature rows and the tape :func:`vjp` reads.
-
-    Dropout is applied to hidden activations only, with inverted scaling,
-    and only when ``train_mode`` is set; evaluation passes never touch the
-    rng, so repeated eval calls are identical. A row that dropout leaves
-    with a near-zero output is passed again with every hidden unit kept.
-    """
-    xm = _checked_input(params, x)
-    if train_mode and params.config.dropout_p > 0.0 and rng is None:
-        raise ValueError("train_mode with dropout requires an rng")
-    masks = _dropout_masks(params.config, xm.shape[0], rng) if train_mode else None
-    return _encode(params, xm, masks)
+def encode(params: EncoderParams, x) -> tuple[np.ndarray, ForwardTape]:
+    """Eval-mode forward pass: unit-norm feature rows and the tape
+    :func:`vjp` reads. It applies no dropout and draws nothing, so repeated
+    calls are identical; a train-mode pass is ``_encode`` with the
+    keep-masks of ``_dropout_masks``."""
+    return _encode(params, _checked_input(params, x), None)
 
 
 def _dropout_masks(cfg: EncoderConfig, rows: int, rng) -> list[np.ndarray] | None:
     """The dropout keep-masks of a train-mode pass over ``rows`` input rows,
     one boolean (rows, width) mask per hidden layer in layer order, or None
-    without dropout. Drawing them ahead of the pass draws what the pass
-    itself would, in the same order."""
+    without dropout."""
     if cfg.dropout_p == 0.0:
         return None
     return [rng.random((rows, w)) >= cfg.dropout_p for w in cfg.hidden_widths]

@@ -62,7 +62,7 @@ distilling members (``base`` members skip them), weighted by
 ``_teacher_weights``: under ``lsr`` one set of weights from the shared
 scores, and per ``dsw`` member its stacked KL reverse passes through its
 slice of each tape, Frank-Wolfe and the certificate. Per member: the
-finite-loss check, its accuracy and recall@5 from ``rank_of_label``, and
+finite-loss check, its accuracy and recall@5 from ``evaluate``, and
 the ``EpochRecord`` that ``_EpochSums`` builds. Every member gets the
 bits it gets alone: each product runs one BLAS call per member, and
 every reduction runs over that member's own contiguous terms. A failure
@@ -97,13 +97,13 @@ mode or without dropout, raises ``ZeroVector``.
   ``dsw``'s stacked passes write into one K x P matrix in the pair's
   columns (``_kl_grad_matrix``), also laid out once per run.
 
-Evaluation: its rows go through ``encoder._encode_rows`` under
-``encoder``'s row policy. ``evaluate`` checks its inputs on each call. A
-group's evaluation runs once per epoch for all members: the eval rows,
-checked at entry, go through the member-stacked image parameters, and the
-class anchors once through the stacked text parameters; then
-``rank_of_label`` runs per member. Each member gets what ``evaluate``
-gives on its parameters.
+Evaluation: ``evaluate`` checks its inputs on each call, and its rows go
+through ``encoder._encode_rows`` under ``encoder``'s row policy. It takes
+one encoder pair or member-stacked parameters: the eval rows go once
+through the stacked image parameters and the class anchors once through
+the stacked text parameters, then ``rank_of_label`` runs per member, which
+gets the bits it gets alone. A group calls it once per epoch for all its
+members.
 
 Single-threaded runs are bit-deterministic in (config, seed): every random
 draw comes from named PCG64 streams derived from the run seed.
@@ -121,9 +121,10 @@ import numpy as np
 
 from . import distill, weighting
 from .config import (
-    STRATEGIES, Augmentation, LrSchedule, PretrainConfig, StudentConfig, TeacherSpec, TrainConfig,
-    split_sizes,
+    STRATEGIES, TRAIN_FRACTION, Augmentation, PretrainConfig, StudentConfig, TeacherSpec,
+    TrainConfig, split_sizes,
 )
+from .config import LrSchedule  # noqa: F401  (perfbench's workloads read it here)
 from .contrastive import MixedLabels, _check_labels, _clip_loss, rank_of_label
 from .data import PairedDataset, build_class_bank, corrupt_teacher
 from .encoder import (
@@ -218,16 +219,6 @@ class AugmentedBatch:
     mix: MixedLabels | None
 
 
-def lr_at(schedule: LrSchedule, lr: float, t: int, total: int) -> float:
-    """Learning rate at step t of total: constant, or half-cosine decay from
-    lr down to eta_min."""
-    if schedule.kind == "fixed":
-        return lr
-    eta_min = schedule.eta_min if schedule.eta_min is not None else lr / 100.0
-    frac = 0.0 if total <= 0 else min(max(t / total, 0.0), 1.0)
-    return eta_min + 0.5 * (lr - eta_min) * (1.0 + np.cos(np.pi * frac))
-
-
 def split_indices(labels, train_fraction: float, rng) -> tuple[np.ndarray, np.ndarray]:
     """Disjoint stratified split; exact per class when counts divide."""
     labels = np.asarray(labels, dtype=np.int64)
@@ -241,7 +232,7 @@ def split_indices(labels, train_fraction: float, rng) -> tuple[np.ndarray, np.nd
     return np.sort(np.concatenate(train_parts)), np.sort(np.concatenate(eval_parts))
 
 
-def dataset_split(dataset: PairedDataset, train_fraction: float = 0.8):
+def dataset_split(dataset: PairedDataset, train_fraction: float = TRAIN_FRACTION):
     """Canonical split for a dataset, derived from the dataset seed so every
     strategy and run seed sees the same partition."""
     rng = seeded_rng(dataset.spec.seed, _TAG_SPLIT)
@@ -278,23 +269,21 @@ def evaluate(
     dataset: PairedDataset,
     idx,
     tau: float,
-) -> tuple[float, float]:
-    """(accuracy, recall@5) of classification over the ranking of the
-    model's own encoded class anchors. Each class has one bank row, so
-    recall@1 is the accuracy. The rows are encoded under ``encoder``'s
-    row policy."""
-    bank = build_class_bank(text_params, dataset)
+) -> list[tuple[float, float]]:
+    """(accuracy, recall@5) of classification of the rows ``idx`` over the
+    ranking of the model's own encoded class anchors, one pair per member
+    of member-stacked parameters, and a one-item list for one encoder
+    pair. Each class has one bank row, so recall@1 is the accuracy. The
+    rows are encoded under ``encoder``'s row policy, once for every
+    member, and each member gets the bits it gets alone."""
+    banks = build_class_bank(text_params, dataset)
     idx = np.asarray(idx, dtype=np.int64)
-    rows = _checked_input(image_params, dataset.image_raw[idx])
-    feats = _encode_rows(image_params, rows)
-    return _scores(feats, bank, dataset.labels[idx], tau)
-
-
-def _scores(feats: np.ndarray, bank: np.ndarray, labels, tau: float) -> tuple[float, float]:
-    """:func:`evaluate`'s (accuracy, recall@5) of encoded image rows
-    ``feats`` against the class bank ``bank``."""
-    ranks = rank_of_label(feats, bank, labels, tau)
-    return float(np.mean(ranks < 1)), float(np.mean(ranks < min(5, bank.shape[0])))
+    feats = _encode_rows(image_params, _checked_input(image_params, dataset.image_raw[idx]))
+    if feats.ndim == 2:  # one encoder pair, no member axis
+        feats, banks = feats[None], banks[None]
+    top = min(5, banks.shape[-2])
+    ranks = [rank_of_label(f, bank, dataset.labels[idx], tau) for f, bank in zip(feats, banks)]
+    return [(float(np.mean(r < 1)), float(np.mean(r < top))) for r in ranks]
 
 
 def _init_encoder_pair(arch: StudentConfig | TeacherSpec, dataset: PairedDataset, rng):
@@ -385,7 +374,7 @@ def pretrain_teacher(
             opt.step(cfg.lr)
 
     img_params, txt_params = opt.result()
-    acc, _ = evaluate(img_params, txt_params, dataset, eval_idx, cfg.tau)
+    [(acc, _)] = evaluate(img_params, txt_params, dataset, eval_idx, cfg.tau)
     if spec.corruption.kind != "label_shuffle" and acc < cfg.accuracy_gate:
         warnings.warn(
             f"teacher {teacher_index} reached eval accuracy {acc:.3f}, below the "
@@ -763,7 +752,7 @@ def _teacher_weights(members: _Members, t_block, i, kl_grad_u, kl_grad_w, tapes,
         )
         alpha[members.at(s)] = fw.weights
         certified = not fw.converged or weighting.certify_pareto_stationarity(
-            fw.direction, grads, tol=1e-6
+            fw.direction, grads, tol=weighting.DSW_CERT_TOL
         ).passed
         stats.append((s, fw.iterations, certified))
     return alpha, stats
@@ -890,8 +879,6 @@ def distill_students(
     opt = _FlatAdam(members.stacked(img_params, txt_params))
     (img, txt), (img_grads, txt_grads) = opt.params, opt.grads
     image_raw, anchors, labels = _checked_inputs(img_params, txt_params, dataset)
-    eval_idx = np.asarray(eval_idx, dtype=np.int64)
-    eval_labels = labels[eval_idx]
     n_classes = anchors.shape[0]
     teachers = _checked_teachers(teachers[:k], image_raw.shape[1], n_classes)
 
@@ -938,7 +925,7 @@ def distill_students(
             t_block = teacher_pass.block(draws) if members.n_dist else None
 
             for i, d in enumerate(draws):
-                lr_now = lr_at(config.lr_schedule, config.lr, step, total_steps)
+                lr_now = config.lr_schedule.at(config.lr, step, total_steps)
                 batch = d.batch
                 if per_batch_bank:
                     bank_s, tape_text = _encode(txt, anchors, d.text_masks)
@@ -978,7 +965,7 @@ def distill_students(
             # Freed before the next block is computed, not after.
             del t_block
 
-        lr_epoch = lr_at(config.lr_schedule, config.lr, step - 1, total_steps)
+        lr_epoch = config.lr_schedule.at(config.lr, step - 1, total_steps)
         if not per_batch_bank:
             # One accumulated text step per epoch; Adam normalizes gradient
             # scale away, so the batch count multiplies the learning rate to
@@ -986,15 +973,10 @@ def distill_students(
             # per-batch image pathway.
             _backward(tape_text, text_grad_acc, txt_grads)
             opt.step(lr_epoch * sums.batches, 1)
-        # Every member evaluated at once, on rows checked at entry.
-        feats = _encode_rows(img, image_raw[eval_idx])
-        banks, _ = _encode(txt, anchors, None)
-        for s, run in enumerate(runs):
-            at = members.at(s)
-            acc, r5 = _scores(feats[at], banks[at], eval_labels, config.tau_student)
+        # Every member evaluated at once.
+        scores = evaluate(img, txt, dataset, eval_idx, config.tau_student)
+        for s, (run, (acc, r5)) in enumerate(zip(runs, scores)):
             run.epochs.append(sums.record(s, epoch, acc, r5, lr_epoch))
-        # Freed now, not held through the next epoch's steps.
-        del feats, banks
 
     return members.in_given_order(
         [(StudentModel(i.copy(), t.copy()), run) for i, t, run in zip(img_views, txt_views, runs)]

@@ -191,5 +191,7 @@ def certify_pareto_stationarity(d, grads, tol: float) -> StationarityCertificate
     )
 
 
+# dsw's Frank-Wolfe budget and stopping gap, and its certificate's tolerance.
 DSW_MAX_ITER = 100
 DSW_TOL = 1e-10
+DSW_CERT_TOL = 1e-6

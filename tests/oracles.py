@@ -8,8 +8,9 @@ against: the closed-form two-teacher min-norm point, the exhaustive
 simplex-grid min-norm search, a scalar KL divergence, the
 probability-matrix invariants, the cross-entropy logit gradient, a
 per-array Adam update, a fresh Adam state and zero gradients for the
-public ``adam_step``, a parameter fingerprint, and the mixup soft-label
-contrastive loss and bank scatter written with ``np.add.at``. No run calls
+public ``adam_step``, a parameter fingerprint, the mixup soft-label
+contrastive loss and bank scatter written with ``np.add.at``, and a plain
+student forward with the distillation objective of one batch. No run calls
 them, so they live here, not in ``kdlab``.
 """
 
@@ -264,3 +265,99 @@ def soft_scatter_add_at(grad_rows, labels_a, labels_b, lam, n_rows):
     np.add.at(out, labels_a, lam[:, None] * grad_rows)
     np.add.at(out, labels_b, (1.0 - lam)[:, None] * grad_rows)
     return out
+
+
+def unflatten(flat, dims):
+    """An encoder's (weights, biases) read from the front of a flat vector
+    laid out W0, W1, ..., b0, b1, ... for layer widths ``dims``, and the
+    number of entries they take."""
+    shapes = list(zip(dims[:-1], dims[1:])) + [(d,) for d in dims[1:]]
+    arrays, start = [], 0
+    for shape in shapes:
+        size = int(np.prod(shape))
+        arrays.append(flat[start : start + size].reshape(shape))
+        start += size
+    n = len(dims) - 1
+    return arrays[:n], arrays[n:], start
+
+
+_ACTIVATIONS = {"relu": lambda z: np.maximum(z, 0.0), "tanh": np.tanh, "identity": lambda z: z}
+
+
+def mlp_features(weights, biases, activation: str, x) -> np.ndarray:
+    """Unit-norm output rows of an affine stack with ``activation`` after
+    each hidden layer and no dropout."""
+    h = np.asarray(x, dtype=np.float64)
+    for w, b in zip(weights[:-1], biases[:-1]):
+        h = _ACTIVATIONS[activation](h @ w + b)
+    out = h @ weights[-1] + biases[-1]
+    return out / np.sqrt(np.sum(out * out, axis=1, keepdims=True))
+
+
+def _log_softmax_rows(z):
+    z = z - z.max(axis=1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+
+
+def lsr_alpha(teacher_feats, teacher_banks, labels) -> np.ndarray:
+    """``lsr``'s weights: each teacher's mean clamped cosine between its
+    image features and its bank row of each label, normalized to sum 1."""
+    scores = np.array([
+        np.mean(np.maximum(np.sum(u * bank[labels], axis=1), 0.0))
+        for u, bank in zip(teacher_feats, teacher_banks)
+    ])
+    return scores / scores.sum()
+
+
+def distill_objective(theta, config, dims, x, anchors, labels, teacher_feats, teacher_banks, alpha):
+    """The student objective of one batch, as ``distill.total_loss``
+    documents it, with the teacher weights ``alpha`` held fixed:
+
+        clip + r_kl * sum_j alpha_j (KL_i2t_j + KL_t2i_j) + r_mse * MSE,
+
+    each term times its ratio in ``config.loss_ratios``, without the KL
+    and MSE terms under ``base``. ``theta`` is the image then the text
+    encoder's flat vector (layer widths ``dims``), ``x`` the batch's image
+    rows, ``anchors`` the class text anchors, and ``teacher_feats`` and
+    ``teacher_banks`` each teacher's image features and class bank, of the
+    student's output dim. Clip is the mean of the image-to-text and
+    text-to-image cross-entropies at ``tau_student``; each KL is the
+    mean-row KL from the teacher's distributions at ``tau_teacher`` to the
+    student's at ``tau_distill``; the MSE compares the image features and
+    the bank rows of the labels, against the alpha-weighted teacher targets
+    (``weighted_target``) or against each teacher's, alpha-weighted
+    (``per_teacher``). Returns (total, clip, weighted KL, MSE)."""
+    w_img, b_img, n_img = unflatten(theta, dims[0])
+    w_txt, b_txt, _ = unflatten(theta[n_img:], dims[1])
+    u = mlp_features(w_img, b_img, config.student.activation, x)
+    w = mlp_features(w_txt, b_txt, config.student.activation, anchors)
+    rows = np.arange(u.shape[0])
+    tau = config.tau_student
+    clip = -0.5 * (
+        np.mean(_log_softmax_rows(u @ w.T / tau)[rows, labels])
+        + np.mean(_log_softmax_rows(w @ u.T / tau)[labels, rows])
+    )
+    r_clip, r_kl, r_mse = config.loss_ratios
+    if config.strategy == "base":
+        return r_clip * clip, clip, 0.0, 0.0
+    log_p = _log_softmax_rows(u @ w.T / config.tau_distill)
+    log_q = _log_softmax_rows(w @ u.T / config.tau_distill)
+    kl = 0.0
+    for a, u_t, bank_t in zip(alpha, teacher_feats, teacher_banks):
+        p_t = np.exp(_log_softmax_rows(u_t @ bank_t.T / config.tau_teacher))
+        q_t = np.exp(_log_softmax_rows(bank_t @ u_t.T / config.tau_teacher))
+        kl += a * (
+            np.sum(p_t * (np.log(p_t) - log_p)) / p_t.shape[0]
+            + np.sum(q_t * (np.log(q_t) - log_q)) / q_t.shape[0]
+        )
+    w_rows = w[labels]
+    if config.mse_mode == "weighted_target":
+        u_target = sum(a * u_t for a, u_t in zip(alpha, teacher_feats))
+        w_target = sum(a * bank_t[labels] for a, bank_t in zip(alpha, teacher_banks))
+        mse = np.mean((u - u_target) ** 2) + np.mean((w_rows - w_target) ** 2)
+    else:
+        mse = sum(
+            a * (np.mean((u - u_t) ** 2) + np.mean((w_rows - bank_t[labels]) ** 2))
+            for a, u_t, bank_t in zip(alpha, teacher_feats, teacher_banks)
+        )
+    return r_clip * clip + r_kl * kl + r_mse * mse, clip, kl, mse

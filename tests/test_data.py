@@ -156,7 +156,11 @@ class TestRoundtrip:
         assert "kdlab gen-data" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "case", ["more-samples", "short-body", "long-body", "no-probe", "not-json", "string-field"]
+        "case",
+        [
+            "more-samples", "short-body", "long-body", "no-probe", "not-json", "string-field",
+            "negative-noise",
+        ],
     )
     def test_header_that_disagrees_with_its_body(self, tmp_path, capsys, case):
         # A version-2 file with a valid checksum whose header disagrees
@@ -176,11 +180,13 @@ class TestRoundtrip:
             header = {"spec": fields}
         elif case == "not-json":
             header = b"{spec"
-        else:
+        elif case == "string-field":
             header["spec"] = {**fields, "num_classes": "4"}
+        else:
+            header["spec"] = {**fields, "noise_sigma": -1}
         path = tmp_path / "bad.bin"
         _write_file(path, 2, header, ds.text_anchors, ds.image_raw, labels)
-        error = InvalidSpec if case == "string-field" else FormatVersionMismatch
+        error = InvalidSpec if case in ("string-field", "negative-noise") else FormatVersionMismatch
         with pytest.raises(error, match=re.escape(str(path))):
             data.load_dataset(path)
         manifest = tmp_path / "m.json"

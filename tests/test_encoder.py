@@ -57,8 +57,8 @@ class TestEncode:
         cfg = enc.EncoderConfig(4, (6,), 3, "relu", 0.5)
         p = enc.init_params(cfg, seeded_rng(1))
         x = rng.normal(size=(10, 4))
-        a, _ = enc.encode(p, x, train_mode=False)
-        b, _ = enc.encode(p, x, train_mode=False)
+        a, _ = enc.encode(p, x)
+        b, _ = enc.encode(p, x)
         np.testing.assert_array_equal(a, b)
 
     def test_zero_row_raises(self):
@@ -99,7 +99,8 @@ class TestEncode:
         zeros = 0
         total = 0
         for _ in range(100):
-            _, tape = enc.encode(p, rng.normal(size=(10, 4)), train_mode=True, rng=rng)
+            x = rng.normal(size=(10, 4))
+            _, tape = enc._encode(p, x, enc._dropout_masks(cfg, 10, rng))
             mask = tape.masks[0]
             zeros += int(np.sum(mask == 0.0))
             total += mask.size
@@ -188,7 +189,8 @@ class TestBackward:
         cfg = enc.EncoderConfig(32, (48, 48), 8, "relu", dropout_p)
         p = enc.init_params(cfg, seeded_rng(5))
         rng = seeded_rng(6)
-        _, tape = enc.encode(p, rng.normal(size=(64, 32)), train_mode=True, rng=rng)
+        x = rng.normal(size=(64, 32))
+        _, tape = enc._encode(p, x, enc._dropout_masks(cfg, 64, rng))
         assert all((m is not None) == (dropout_p > 0) for m in tape.masks)
         cots = rng.normal(size=(k, 64, 8))
         stacked, gx = enc.vjp(tape, cots)
