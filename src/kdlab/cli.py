@@ -54,7 +54,7 @@ import json
 import sys
 import time
 import traceback
-from concurrent.futures import Executor, Future, ProcessPoolExecutor
+from concurrent.futures import Executor, Future
 from pathlib import Path
 
 import numpy as np
@@ -358,7 +358,13 @@ def cmd_run(args) -> int:
     # waits only for its own teachers, and fails with the error of one that
     # failed, outside any group.
     need = max(c.teachers_used for _, c in grid)
-    pool = ProcessPoolExecutor(args.threads) if args.threads > 1 else _InlineExecutor()
+    if args.threads > 1:
+        # Here, not at module level: it loads multiprocessing, which only a pool needs.
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(args.threads)
+    else:
+        pool = _InlineExecutor()
     outcomes = {}  # (label, seed) -> run.json dict, or the exception the run failed with
     with pool:
         teachers = {
@@ -497,11 +503,17 @@ def cmd_report(args) -> int:
 
 def _read_csv(path: Path, columns: tuple[str, ...]) -> list[dict]:
     """The rows of a CSV that kdlab wrote, raising DataError naming the file
-    when a column it needs is missing or a row is cut short."""
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        rows = list(reader)
-        missing = [c for c in columns if c not in (reader.fieldnames or ())]
+    when it cannot be read as UTF-8 text, a column it needs is missing or a
+    row is cut short."""
+    try:
+        with open(path, newline="", encoding="utf-8") as f:
+            reader = csv.DictReader(f)
+            rows = list(reader)
+            missing = [c for c in columns if c not in (reader.fieldnames or ())]
+    except OSError as e:
+        raise DataError(f"cannot read {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path} is not UTF-8 text: {e}") from e
     if missing:
         raise DataError(f"{path} has no column {missing[0]!r}")
     for line, row in enumerate(rows, start=2):

@@ -456,8 +456,10 @@ def _echo(value):
 
 def _read_json(path, what: str):
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as e:
         raise ConfigParseError(f"cannot read {what} {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise ConfigParseError(f"{what} {path} is not UTF-8 text: {e}") from e
     except json.JSONDecodeError as e:
         raise ConfigParseError(f"{what} {path} is not valid JSON: {e}") from e

@@ -22,7 +22,6 @@ class. The file is written atomically (``_atomic_open``).
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import json
 import os
 import struct
@@ -140,6 +139,8 @@ def build_class_bank(text_params: EncoderParams, dataset: PairedDataset) -> np.n
 
 
 def _checksum(data: bytes) -> int:
+    import hashlib  # here, not at module level: it loads OpenSSL, which only dataset files need
+
     return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "little")
 
 

@@ -40,6 +40,10 @@ class Mutant(NamedTuple):
     note: str = ""
 
 
+BLOCK_TEST = (
+    "tests/test_trainer.py::TestFrozenTeacherCache::test_block_outputs_match_per_batch_outputs"
+)
+
 MUTANTS = (
     Mutant(
         "dropped-r_mse-image-gradient", "trainer.py",
@@ -104,6 +108,114 @@ MUTANTS = (
         "epoch-text-step-without-batches", "trainer.py",
         "opt.step(lr_epoch * sums.batches, 1)", "opt.step(lr_epoch, 1)",
         ("tests/test_step_oracle.py::test_epoch_text_step_takes_the_epochs_batches",),
+    ),
+    # The roster-order check recorded with f16b390: its reorder is gone, so
+    # the stacks are laid end to end in reverse instead.
+    Mutant(
+        "roster-order", "trainer.py",
+        "np.concatenate(parts, axis=axis)", "np.concatenate(parts[::-1], axis=axis)",
+        (BLOCK_TEST,),
+    ),
+    Mutant(
+        "always-encoded-tail", "encoder.py",
+        "if tail.shape[-2] or not feats:", "if True:",
+        ("tests/test_encoder.py::TestEncode::test_chunked_eval_pass_matches_one_pass",),
+    ),
+    Mutant(
+        "no-corruption-check", "config.py",
+        "elif not isinstance(self.corruption, Corruption):", "elif False:",
+        ("tests/test_trainer.py::TestTrainConfig::test_teacher_spec_rejects_unknown_corruption",),
+    ),
+    Mutant(
+        "no-dataset-length-check", "data.py",
+        "if len(blob) - 8 - off != body:", "if False:",
+        ("tests/test_data.py::TestRoundtrip::test_header_that_disagrees_with_its_body",),
+    ),
+    Mutant(
+        "reversed-stack-dims", "trainer.py",
+        "        ]\n        self.params = [[t.image_params",
+        "        ][::-1]\n        self.params = [[t.image_params",
+        (BLOCK_TEST,),
+        "the teacher stacks in reverse roster order",
+    ),
+    Mutant(
+        "echo-walks-every-field", "config.py",
+        "for name in _readers(type(value))}", "for name in (f.name for f in fields(value))}",
+        ("tests/test_cli.py::TestValidate::test_echo_loads_back_equal",),
+    ),
+    Mutant(
+        "corruption-sigma-under-any-kind", "config.py",
+        'raise InvalidConfig("sigma", f"applies to weight_noise only, not {self.kind!r}")',
+        "pass",
+        ("tests/test_trainer.py::TestTrainConfig::test_corruption_sigma_is_weight_noise_only",),
+    ),
+    Mutant(
+        "no-weight-noise-sigma-default", "config.py",
+        'object.__setattr__(self, "sigma", 1.0)', "pass",
+        ("tests/test_trainer.py::TestTrainConfig::test_corruption_sigma_is_weight_noise_only",),
+    ),
+    Mutant(
+        "no-dataset-label-check", "data.py",
+        "if not 0 <= labels.min() <= labels.max() < spec.num_classes:", "if False:",
+        ("tests/test_data.py::TestRoundtrip::test_values_a_run_cannot_take[label-LabelOutOfRange]",),
+    ),
+    Mutant(
+        "no-dataset-finite-check", "data.py",
+        "if not np.isfinite(a).all():", "if False:",
+        ("tests/test_data.py::TestRoundtrip::test_values_a_run_cannot_take",),
+    ),
+    Mutant(
+        "stacks-by-dim-across-the-roster", "trainer.py",
+        "itertools.groupby(teachers, lambda t:",
+        "itertools.groupby(sorted(teachers, key=lambda t: -t.image_params.config.output_dim),"
+        " lambda t:",
+        (BLOCK_TEST,),
+    ),
+    Mutant(
+        "mixup-without-its-partner", "trainer.py",
+        "(1.0 - lam)[:, None] * img[partner]", "(1.0 - lam)[:, None] * img",
+        ("tests/test_trainer.py::TestAugment::test_mixup_convex_combination",),
+    ),
+    Mutant(
+        "dataset-spec-and-path", "config.py",
+        'raise InvalidConfig("path", "give spec or path, not both")', "pass",
+        ("tests/test_cli.py::TestManifestSchema::test_bad_value_exits_2_naming_field[dataset.path]",),
+    ),
+    Mutant(
+        "manifest-decode-error-uncaught", "config.py",
+        "except UnicodeDecodeError as e:", "except UnicodeEncodeError as e:",
+        ("tests/test_cli.py::TestManifestSchema::test_file_that_is_not_utf8_exits_2_naming_it",),
+    ),
+    Mutant(
+        "manifest-read-as-latin-1", "config.py",
+        'read_text(encoding="utf-8")', 'read_text(encoding="latin-1")',
+        ("tests/test_cli.py::TestManifestSchema::test_file_that_is_not_utf8_exits_2_naming_it",),
+    ),
+    Mutant(
+        "report-csv-decode-error-uncaught", "cli.py",
+        "except UnicodeDecodeError as e:", "except UnicodeEncodeError as e:",
+        ("tests/test_cli.py::TestReport::test_unreadable_csv_is_a_data_error[summary-not-utf8]",),
+    ),
+    Mutant(
+        "report-csv-read-as-latin-1", "cli.py",
+        'encoding="utf-8") as f:', 'encoding="latin-1") as f:',
+        ("tests/test_cli.py::TestReport::test_unreadable_csv_is_a_data_error[summary-not-utf8]",),
+    ),
+    Mutant(
+        "report-csv-oserror-uncaught", "cli.py",
+        'raise DataError(f"cannot read {path}: {e}") from e', "raise",
+        ("tests/test_cli.py::TestReport::test_unreadable_csv_is_a_data_error",),
+    ),
+    Mutant(
+        "process-pool-imported-with-the-cli", "cli.py",
+        "from concurrent.futures import Executor, Future\n",
+        "from concurrent.futures import Executor, Future, ProcessPoolExecutor\n",
+        ("tests/test_cli.py::test_import_loads_no_process_pool_or_openssl",),
+    ),
+    Mutant(
+        "hashlib-imported-with-data", "data.py",
+        "import contextlib\n", "import contextlib\nimport hashlib\n",
+        ("tests/test_cli.py::test_import_loads_no_process_pool_or_openssl",),
     ),
 )
 

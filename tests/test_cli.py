@@ -4,7 +4,10 @@ import dataclasses
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import typing
 from pathlib import Path
@@ -398,6 +401,23 @@ class TestManifestSchema:
         assert cli.main(["run", str(p)]) == 2
         assert "'dataset.path'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run", "gen-data"])
+    def test_file_that_is_not_utf8_exits_2_naming_it(self, tmp_path, capsys, command):
+        # A manifest or spec is read as UTF-8, and byte 0xff begins no UTF-8 text.
+        p = tmp_path / "in.json"
+        p.write_bytes(b"\xff" + json.dumps({"schema_version": 1}).encode())
+        out = tmp_path / "out"
+        argv = {
+            "validate": ["validate", str(p)],
+            "run": ["run", str(p), "--output-dir", str(out)],
+            "gen-data": ["gen-data", str(p), str(out)],
+        }[command]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        what = "spec" if command == "gen-data" else "manifest"
+        assert err.startswith(f"config error: {what} {p} is not UTF-8 text")
+        assert not out.exists()
 
     def test_rising_cosine_schedule_exits_2(self, tmp_path, capsys):
         # eta_min above lr would make the cosine schedule rise.
@@ -869,6 +889,39 @@ class TestReport:
         capsys.readouterr()
         assert cli.main(["report", str(out)]) == 3
         assert capsys.readouterr().err.startswith(f"data error: {summary} line 2")
+
+    @pytest.mark.parametrize(
+        "case", ["summary-not-utf8", "summary-is-a-directory", "metrics-is-a-directory"]
+    )
+    def test_unreadable_csv_is_a_data_error(self, tmp_path, capsys, case):
+        # A CSV that cannot be read as UTF-8 text exits 3 naming the file.
+        out = tmp_path / "o"
+        summary = out / "summary.csv"
+        metrics = out / "runs" / "default" / "seed_0" / "metrics.csv"
+        metrics.parent.mkdir(parents=True)
+        text = "suite,grid_point,n_seeds,acc_mean,acc_std,recall5_mean\r\n"
+        text += "single,d\xe9fault,1,0.5,0.0,0.9\r\n"
+        if case == "summary-is-a-directory":
+            summary.mkdir()
+        else:
+            summary.write_bytes(text.encode("latin-1" if case == "summary-not-utf8" else "utf-8"))
+            metrics.mkdir()
+        bad = metrics if case == "metrics-is-a-directory" else summary
+        assert cli.main(["report", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(bad) in err
+
+
+def test_import_loads_no_process_pool_or_openssl():
+    # Only `run --threads N` with N > 1 starts the process pool, and only a
+    # dataset file's checksum needs hashlib, which loads OpenSSL; importing
+    # the CLI loads neither.
+    code = "import sys, kdlab.cli; print({'multiprocessing', '_hashlib'} & set(sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "set()"
 
 
 class TestGenData:
