@@ -53,8 +53,6 @@ import dataclasses
 import json
 import sys
 import time
-import traceback
-from concurrent.futures import Executor, Future
 from pathlib import Path
 
 import numpy as np
@@ -217,6 +215,7 @@ def _write_run(
         if metrics.num_teachers
         else [],
         "pareto_certified": all(r.pareto_certified for r in metrics.epochs),
+        "fw_unconverged_batches": metrics.fw_unconverged,
     }
     with _atomic_open(run_dir / "run.json") as f:
         f.write(json.dumps(run_info, indent=2, sort_keys=True))
@@ -228,6 +227,8 @@ def _record_failure(run_dir: Path, e: BaseException) -> BaseException:
     """Leave a failed run's record: ``error.json`` (type, message,
     traceback) in its directory, in place of any ``metrics.csv`` or
     ``run.json`` an earlier call left there. Returns ``e``."""
+    import traceback  # here, not at module level: only a failed run formats one
+
     run_dir.mkdir(parents=True, exist_ok=True)
     for name in ("metrics.csv", "run.json"):
         (run_dir / name).unlink(missing_ok=True)
@@ -329,16 +330,38 @@ def _summarize(out_dir: Path, suite: str, grid_labels: list[str], infos: list[di
     return rows
 
 
-class _InlineExecutor(Executor):
-    """The serial mapper: runs each task when it is submitted."""
+class _Done:
+    """A task the serial mapper ran: its result, or the exception it raised,
+    read as from a ``concurrent.futures.Future`` that is done."""
 
-    def submit(self, fn, /, *args):
-        future = Future()
+    def __init__(self, fn, args):
+        self._result = self._error = None
         try:
-            future.set_result(fn(*args))
+            self._result = fn(*args)
         except Exception as e:
-            future.set_exception(e)
-        return future
+            self._error = e
+
+    def result(self):
+        if self._error is not None:
+            raise self._error
+        return self._result
+
+    def exception(self):
+        return self._error
+
+
+class _InlineExecutor:
+    """The serial mapper: runs each task when it is submitted, in the
+    process pool's interface as ``cmd_run`` uses it."""
+
+    def submit(self, fn, /, *args) -> _Done:
+        return _Done(fn, args)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        pass
 
 
 def cmd_run(args) -> int:
@@ -359,7 +382,7 @@ def cmd_run(args) -> int:
     # failed, outside any group.
     need = max(c.teachers_used for _, c in grid)
     if args.threads > 1:
-        # Here, not at module level: it loads multiprocessing, which only a pool needs.
+        # Here, not at module level: it loads multiprocessing and logging, which only a pool needs.
         from concurrent.futures import ProcessPoolExecutor
 
         pool = ProcessPoolExecutor(args.threads)

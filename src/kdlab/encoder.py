@@ -44,10 +44,13 @@ Row policy, the one rule for the eval-mode passes over many rows (an
 evaluation, the frozen teachers' cache) and the trainer's blocks of
 batches: an eval-mode product over many rows holds at most
 ``_EVAL_ROWS`` = 64 rows, the default batch, and one stacked pass at most
-``_STACK_ROWS`` = 512 input rows. ``_encode_rows`` encodes the
-``_EVAL_ROWS``-row chunks of ``_row_chunks`` in stacks of at most
-``_STACK_ROWS`` rows, then the tail, if any: two calls for an
-evaluation's 400 rows, four for a 1600-row cache. An eval-mode row's bits
+``_STACK_ROWS`` = 512 rows of activations, summed over the members of
+member-stacked parameters (below), since each member holds its own. So
+``_encode_rows`` encodes the ``_EVAL_ROWS``-row chunks of ``_row_chunks``
+in stacks of at most ``_STACK_ROWS`` // (``_EVAL_ROWS`` x S) chunks, one
+at least, for S members (S = 1 unstacked), then the tail, if any: two
+calls for an evaluation's 400 rows with one encoder, four with a 4-member
+group, and four for a 1600-row teacher cache. An eval-mode row's bits
 do not depend on the rows beside it, as long as there are at least two
 (BLAS computes a one-row product with its matrix-vector kernel, which
 rounds differently), so no chunk has one row and the trainer encodes a
@@ -280,17 +283,19 @@ def _row_chunks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _encode_rows(params: EncoderParams, xm: np.ndarray) -> np.ndarray:
     """The eval-mode features of checked rows ``xm`` under the row policy
     (see the module docstring): the full chunks of :func:`_row_chunks` as
-    stacks of at most ``_STACK_ROWS`` rows, then the tail unless it is
-    empty, one ``_encode`` each. Each row keeps the bits it gets in one
-    pass over all of ``xm``, and no product has more than ``_EVAL_ROWS`` +
-    1 rows. Member-stacked parameters run a stack as (chunks, 1, rows, d)
-    against their (S, ., .) weights, which is one BLAS product per chunk
-    and member."""
+    stacks of at most ``_STACK_ROWS`` rows over all members, then the tail
+    unless it is empty, one ``_encode`` each. Each row keeps the bits it
+    gets in one pass over all of ``xm``, and no product has more than
+    ``_EVAL_ROWS`` + 1 rows. Member-stacked parameters run a stack as
+    (chunks, 1, rows, d) against their (S, ., .) weights, which is one BLAS
+    product per chunk and member."""
     stack, tail = _row_chunks(xm)
-    per = _STACK_ROWS // _EVAL_ROWS
+    stacked = params.weights[0].ndim == 3
+    members = params.weights[0].shape[0] if stacked else 1
+    per = max(_STACK_ROWS // (_EVAL_ROWS * members), 1)
     feats = []
     for part in (stack[i : i + per] for i in range(0, stack.shape[0], per)):
-        if params.weights[0].ndim == 3:
+        if stacked:
             f = _encode(params, part[:, None], None)[0].swapaxes(0, 1)
         else:
             f = _encode(params, part, None)[0]

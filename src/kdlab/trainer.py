@@ -99,11 +99,11 @@ mode or without dropout, raises ``ZeroVector``.
 
 Evaluation: ``evaluate`` checks its inputs on each call, and its rows go
 through ``encoder._encode_rows`` under ``encoder``'s row policy. It takes
-one encoder pair or member-stacked parameters: the eval rows go once
-through the stacked image parameters and the class anchors once through
-the stacked text parameters, then ``rank_of_label`` runs per member, which
-gets the bits it gets alone. A group calls it once per epoch for all its
-members.
+one encoder pair or member-stacked parameters: the eval rows go through
+the stacked image parameters in passes of at most 512 rows summed over
+the members, and the class anchors once through the stacked text
+parameters, then ``rank_of_label`` runs per member, which gets the bits it
+gets alone. A group calls it once per epoch for all its members.
 
 Single-threaded runs are bit-deterministic in (config, seed): every random
 draw comes from named PCG64 streams derived from the run seed.
@@ -203,6 +203,7 @@ class RunMetrics:
     strategy: str
     num_teachers: int
     epochs: list[EpochRecord] = field(default_factory=list)
+    fw_unconverged: int = 0  # dsw batches whose Frank-Wolfe ran out of iterations
 
     @property
     def final(self) -> EpochRecord:
@@ -274,8 +275,10 @@ def evaluate(
     ranking of the model's own encoded class anchors, one pair per member
     of member-stacked parameters, and a one-item list for one encoder
     pair. Each class has one bank row, so recall@1 is the accuracy. The
-    rows are encoded under ``encoder``'s row policy, once for every
-    member, and each member gets the bits it gets alone."""
+    rows are encoded once for every member, under ``encoder``'s row
+    policy, in passes of at most ``_STACK_ROWS`` rows summed over the
+    members (400 rows take four passes in a 4-member group, two for one
+    encoder pair). Each member gets the bits it gets alone."""
     banks = build_class_bank(text_params, dataset)
     idx = np.asarray(idx, dtype=np.int64)
     feats = _encode_rows(image_params, _checked_input(image_params, dataset.image_raw[idx]))
@@ -732,10 +735,12 @@ def _kl_grad_matrix(k: int, opt: _FlatAdam) -> tuple:
 def _teacher_weights(members: _Members, t_block, i, kl_grad_u, kl_grad_w, tapes, dsw_grads):
     """The distilling members' (lead_dist, K) teacher weights for batch
     ``i`` of ``t_block``, and per dsw member its (s, Frank-Wolfe iterations,
-    certified): ``avg`` rows are uniform, ``lsr`` rows come from the batch's
-    label-similarity scores, and each ``dsw`` member runs its KL cotangents
-    through one stacked reverse pass per tape into ``dsw_grads``, then
-    Frank-Wolfe and, once that converged, the certificate."""
+    converged, certified): ``avg`` rows are uniform, ``lsr`` rows come from
+    the batch's label-similarity scores, and each ``dsw`` member runs its KL
+    cotangents through one stacked reverse pass per tape into
+    ``dsw_grads``, then Frank-Wolfe and, once that converged, the
+    certificate. A batch whose Frank-Wolfe did not converge is not
+    certified."""
     alpha = np.empty(members.lead_dist + (members.uniform.size,))
     if members.rows["avg"]:
         alpha[members.at(members.rows["avg"])] = members.uniform
@@ -751,10 +756,10 @@ def _teacher_weights(members: _Members, t_block, i, kl_grad_u, kl_grad_w, tapes,
             grads, max_iter=weighting.DSW_MAX_ITER, tol=weighting.DSW_TOL
         )
         alpha[members.at(s)] = fw.weights
-        certified = not fw.converged or weighting.certify_pareto_stationarity(
+        certified = fw.converged and weighting.certify_pareto_stationarity(
             fw.direction, grads, tol=weighting.DSW_CERT_TOL
         ).passed
-        stats.append((s, fw.iterations, certified))
+        stats.append((s, fw.iterations, fw.converged, certified))
     return alpha, stats
 
 
@@ -798,7 +803,8 @@ def _distill_terms(members, proj, t_block, i, batch, student, tapes, dsw_grads, 
 
 class _EpochSums:
     """Per member, the sums over an epoch's batches that its EpochRecord
-    averages, and whether every certificate passed."""
+    averages, whether every certificate passed, and the count of batches
+    whose Frank-Wolfe did not converge."""
 
     def __init__(self, members: _Members):
         self.n_dist, self.uniform = members.n_dist, members.uniform
@@ -807,15 +813,17 @@ class _EpochSums:
         self.l_kl_dist, self.l_mse_dist = self.l_kl[: self.n_dist], self.l_mse[: self.n_dist]
         self.alphas = np.zeros((members.n_dist, members.uniform.size))
         self.certified = np.ones(members.n, dtype=bool)
+        self.unconverged = np.zeros(members.n, dtype=np.int64)
         self.batches = 0
 
     def add(self, l_clip, total, terms) -> None:
         """A batch's clip losses and totals, and ``_distill_terms``' result or None."""
         if terms is not None:
             kl, mse, alpha, stats = terms
-            for s, iterations, certified in stats:
+            for s, iterations, converged, certified in stats:
                 self.fw[s] += float(iterations)
                 self.certified[s] &= certified
+                self.unconverged[s] += not converged
             self.alphas += alpha
             self.l_kl_dist += kl
             self.l_mse_dist += mse
@@ -977,6 +985,7 @@ def distill_students(
         scores = evaluate(img, txt, dataset, eval_idx, config.tau_student)
         for s, (run, (acc, r5)) in enumerate(zip(runs, scores)):
             run.epochs.append(sums.record(s, epoch, acc, r5, lr_epoch))
+            run.fw_unconverged += int(sums.unconverged[s])
 
     return members.in_given_order(
         [(StudentModel(i.copy(), t.copy()), run) for i, t, run in zip(img_views, txt_views, runs)]

@@ -100,6 +100,11 @@ MUTANTS = (
         ("tests/test_trainer.py::TestEvaluate::test_member_stack_scores_each_member",),
     ),
     Mutant(
+        "unconverged-dsw-batch-certified", "trainer.py",
+        "certified = fw.converged and weighting", "certified = not fw.converged or weighting",
+        ("tests/test_cli.py::TestRun::test_dsw_run_reports_unconverged_batches",),
+    ),
+    Mutant(
         "dsw-certificate-tolerance", "weighting.py",
         "DSW_CERT_TOL = 1e-6", "DSW_CERT_TOL = -1.0",
         ("tests/test_trainer.py::TestDistill::test_dsw_records_valid_certified_weights",),
@@ -115,6 +120,11 @@ MUTANTS = (
         "roster-order", "trainer.py",
         "np.concatenate(parts, axis=axis)", "np.concatenate(parts[::-1], axis=axis)",
         (BLOCK_TEST,),
+    ),
+    Mutant(
+        "eval-stack-cap-ignores-members", "encoder.py",
+        "per = max(_STACK_ROWS // (_EVAL_ROWS * members), 1)", "per = _STACK_ROWS // _EVAL_ROWS",
+        ("tests/test_encoder.py::TestEncode::test_chunked_eval_pass_matches_one_pass",),
     ),
     Mutant(
         "always-encoded-tail", "encoder.py",
@@ -208,9 +218,15 @@ MUTANTS = (
     ),
     Mutant(
         "process-pool-imported-with-the-cli", "cli.py",
-        "from concurrent.futures import Executor, Future\n",
-        "from concurrent.futures import Executor, Future, ProcessPoolExecutor\n",
+        "from pathlib import Path\n",
+        "from concurrent.futures import ProcessPoolExecutor\nfrom pathlib import Path\n",
         ("tests/test_cli.py::test_import_loads_no_process_pool_or_openssl",),
+    ),
+    Mutant(
+        "futures-imported-with-the-cli", "cli.py",
+        "import time\n", "import time\nfrom concurrent.futures import Future\n",
+        ("tests/test_cli.py::test_import_loads_no_process_pool_or_openssl",),
+        "loads concurrent.futures and logging, but not multiprocessing",
     ),
     Mutant(
         "hashlib-imported-with-data", "data.py",

@@ -537,6 +537,26 @@ class TestRun:
         run_info = json.loads((out / "runs" / "default" / "seed_0" / "run.json").read_text())
         assert 0.0 <= run_info["final_accuracy"] <= 1.0
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_dsw_run_reports_unconverged_batches(self, tmp_path, k):
+        # At K = 2 Frank-Wolfe converges in one iteration; at K = 3 on this
+        # manifest it runs out its budget on each of the 2 x 3 batches, and
+        # a batch it did not solve is not certified.
+        p = tmp_path / "m.json"
+        write_manifest(p, train={**TINY_TRAIN, "strategy": "dsw", "num_teachers": k})
+        out = tmp_path / "o"
+        assert cli.main(["run", str(p), "--output-dir", str(out)]) == 0
+        run_dir = out / "runs" / "default" / "seed_0"
+        info = json.loads((run_dir / "run.json").read_text())
+        with open(run_dir / "metrics.csv", newline="") as f:
+            fw_iters = [float(r["fw_iters"]) for r in csv.DictReader(f)]
+        if k == 2:
+            assert (info["pareto_certified"], info["fw_unconverged_batches"]) == (True, 0)
+            assert fw_iters == [1.0, 1.0]
+        else:
+            assert (info["pareto_certified"], info["fw_unconverged_batches"]) == (False, 6)
+            assert fw_iters == [weighting.DSW_MAX_ITER] * 2
+
     def test_idempotent_byte_identical(self, tmp_path):
         p = tmp_path / "m.json"
         write_manifest(p)
@@ -913,15 +933,19 @@ class TestReport:
 
 
 def test_import_loads_no_process_pool_or_openssl():
-    # Only `run --threads N` with N > 1 starts the process pool, and only a
-    # dataset file's checksum needs hashlib, which loads OpenSSL; importing
-    # the CLI loads neither.
-    code = "import sys, kdlab.cli; print({'multiprocessing', '_hashlib'} & set(sys.modules))"
+    # Only `run --threads N` with N > 1 starts the process pool, which
+    # loads concurrent.futures and logging, and only a dataset file's
+    # checksum needs hashlib, which loads OpenSSL; importing the CLI loads
+    # none of them.
+    code = (
+        "import sys, kdlab.cli; print(sorted("
+        "{'multiprocessing', '_hashlib', 'concurrent.futures', 'logging'} & set(sys.modules)))"
+    )
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert result.stdout.strip() == "set()"
+    assert result.stdout.strip() == "[]"
 
 
 class TestGenData:

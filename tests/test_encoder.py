@@ -128,9 +128,10 @@ class TestEncode:
         # _encode_rows in chunks of 64 rows, with no one-row chunk, gives
         # every row the bits of one pass over all n rows, with 2-D and
         # with member-stacked parameters: one _encode per stack of at most
-        # 8 full chunks (512 rows), then one for the tail unless it is
-        # empty (at n = 64 and 128 there is none); two calls up to 576
-        # rows. Zero rows still take one call.
+        # 512 rows summed over the members, so 8 full chunks for one
+        # encoder and 2 for 3 members, then one for the tail unless it is
+        # empty (at n = 64 and 128 there is none); for one encoder, two
+        # calls up to 576 rows. Zero rows still take one call.
         cfg = enc.EncoderConfig(32, (48, 48), 8)
         rng = seeded_rng(5)
         members = []
@@ -148,17 +149,26 @@ class TestEncode:
         assert stack.shape == (max(n // 64 - (n % 64 == 1), 0), 64, 32)
         assert tail.shape[0] <= 65 and (tail.shape[0] != 1 or n == 1)
         np.testing.assert_array_equal(np.concatenate([stack.reshape(-1, 32), tail]), x)
-        real, calls = enc._encode, []
-        monkeypatch.setattr(enc, "_encode", lambda p, x, m: calls.append(x.shape) or real(p, x, m))
+        real, calls, rows = enc._encode, [], []
+
+        def spy(p, x, m):
+            calls.append(x.shape)
+            s = len(p.weights[0]) if p.weights[0].ndim == 3 else 1  # members
+            rows.append(x.size // x.shape[-1] * s)
+            return real(p, x, m)
+
+        monkeypatch.setattr(enc, "_encode", spy)
         for params in (members[0], stacked):
             want, _ = real(params, x, None)
             np.testing.assert_array_equal(enc._encode_rows(params, x), want)
-        stacks = [min(8, stack.shape[0] - i) for i in range(0, stack.shape[0], 8)]
-        tails = [tail.shape] if tail.shape[0] or not stacks else []
+        full = stack.shape[0]
+        solo, trio = ([min(per, full - i) for i in range(0, full, per)] for per in (8, 2))
+        tails = [tail.shape] if tail.shape[0] or not full else []
         assert calls == (
-            [(c, 64, 32) for c in stacks] + tails + [(c, 1, 64, 32) for c in stacks] + tails
+            [(c, 64, 32) for c in solo] + tails + [(c, 1, 64, 32) for c in trio] + tails
         )
-        assert len(calls) <= 4 or n > 576
+        assert max(rows) <= enc._STACK_ROWS  # rows across members, in every call
+        assert len(solo + tails) <= 2 or n > 576
         assert (not tails) == (n > 0 and n % 64 == 0)
 
     def test_input_shape_check(self):
