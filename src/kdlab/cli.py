@@ -371,9 +371,13 @@ def cmd_run(args) -> int:
         _fail("--seed-override", f"must be >= 0, got {args.seed_override}")
     manifest = load_manifest(args.manifest)
     grid = expand_grid(manifest)
+    # A dataset that is rejected leaves no output directory behind.
     dataset = _resolve_dataset(manifest)
     out_dir = Path(args.output_dir or manifest.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise DataError(f"cannot create output directory {out_dir}: {e}") from e
     seeds = [args.seed_override] if args.seed_override is not None else manifest.seeds
 
     t0 = time.perf_counter()

@@ -61,9 +61,10 @@ epoch. Per batch,
 distilling members (``base`` members skip them), weighted by
 ``_teacher_weights``: under ``lsr`` one set of weights from the shared
 scores, and per ``dsw`` member its stacked KL reverse passes through its
-slice of each tape, Frank-Wolfe and the certificate. Per member: the
-finite-loss check, its accuracy and recall@5 from ``evaluate``, and
-the ``EpochRecord`` that ``_EpochSums`` builds. Every member gets the
+slice of each tape, then Frank-Wolfe and the certificate on the K x K
+Gram matrix of those gradients. Per member: the finite-loss check, its
+accuracy and recall@5 from ``evaluate``, and the ``EpochRecord`` that
+``_EpochSums`` builds. Every member gets the
 bits it gets alone: each product runs one BLAS call per member, and
 every reduction runs over that member's own contiguous terms. A failure
 of any member stops the whole call.
@@ -416,13 +417,11 @@ def _soft_scatter(
     """Adjoint of :func:`_soft_gather`: scatter row gradients back to the
     bank, each member's rows of a member stack to its own bank."""
     out = np.zeros(grad_rows.shape[:-2] + (n_rows, grad_rows.shape[-1]))
-    # The rows of a member stack's banks; one bank takes np.add.at's fast path.
-    index = (lambda lab: lab) if grad_rows.ndim == 2 else (lambda lab: (..., lab, slice(None)))
     if mix is None:
-        np.add.at(out, index(labels), grad_rows)
+        np.add.at(out, (..., labels, slice(None)), grad_rows)
     else:
-        np.add.at(out, index(labels), mix.lam[:, None] * grad_rows)
-        np.add.at(out, index(mix.labels_b), (1.0 - mix.lam)[:, None] * grad_rows)
+        np.add.at(out, (..., labels, slice(None)), mix.lam[:, None] * grad_rows)
+        np.add.at(out, (..., mix.labels_b, slice(None)), (1.0 - mix.lam)[:, None] * grad_rows)
     return out
 
 
@@ -738,9 +737,9 @@ def _teacher_weights(members: _Members, t_block, i, kl_grad_u, kl_grad_w, tapes,
     converged, certified): ``avg`` rows are uniform, ``lsr`` rows come from
     the batch's label-similarity scores, and each ``dsw`` member runs its KL
     cotangents through one stacked reverse pass per tape into
-    ``dsw_grads``, then Frank-Wolfe and, once that converged, the
-    certificate. A batch whose Frank-Wolfe did not converge is not
-    certified."""
+    ``dsw_grads`` and forms their Gram matrix once, for Frank-Wolfe and,
+    once that converged, the certificate. A batch whose Frank-Wolfe did
+    not converge is not certified."""
     alpha = np.empty(members.lead_dist + (members.uniform.size,))
     if members.rows["avg"]:
         alpha[members.at(members.rows["avg"])] = members.uniform
@@ -752,12 +751,13 @@ def _teacher_weights(members: _Members, t_block, i, kl_grad_u, kl_grad_w, tapes,
         grads, kl_img, kl_txt = dsw_grads
         _backward(_member_tape(tapes[0], s), kl_grad_u[members.at(s)], kl_img)
         _backward(_member_tape(tapes[1], s), kl_grad_w[members.at(s)], kl_txt)
+        gram = grads @ grads.T
         fw = weighting.frank_wolfe_min_norm(
-            grads, max_iter=weighting.DSW_MAX_ITER, tol=weighting.DSW_TOL
+            gram, max_iter=weighting.DSW_MAX_ITER, tol=weighting.DSW_TOL
         )
         alpha[members.at(s)] = fw.weights
         certified = fw.converged and weighting.certify_pareto_stationarity(
-            fw.direction, grads, tol=weighting.DSW_CERT_TOL
+            gram, fw.weights, tol=weighting.DSW_CERT_TOL
         ).passed
         stats.append((s, fw.iterations, fw.converged, certified))
     return alpha, stats

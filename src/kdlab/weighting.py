@@ -7,12 +7,12 @@ hull). The min-norm problem
 
     min_alpha 0.5 * || sum_k alpha_k g_k ||^2   s.t. alpha on the simplex
 
-is solved by Frank-Wolfe with exact line search on the Gram matrix. When
-the combined direction d is nonzero, -d descends every teacher objective
-simultaneously, which the stationarity certificate checks through the
-variational inequality <d, g_k> >= ||d||^2 for all k. The gradients are
-a K x P matrix, one flattened per-teacher gradient over the shared
-student parameters per row.
+over the flattened per-teacher gradients g_k has one datum, their K x K
+Gram matrix G: with d = sum_k alpha_k g_k, <d, g_k> = (G alpha)_k and
+||d||^2 = alpha^T G alpha. Frank-Wolfe with exact line search and the
+stationarity certificate read only G. When d is nonzero, -d descends
+every teacher objective simultaneously, which the certificate checks
+through the variational inequality <d, g_k> >= ||d||^2 for all k.
 """
 
 from __future__ import annotations
@@ -28,13 +28,13 @@ from .numerics import _checked_stack, as_matrix, as_vector
 _TIE_EPS = 1e-18
 
 
-def _grad_matrix(grads) -> np.ndarray:
-    g = np.ascontiguousarray(grads, dtype=np.float64)
-    if g.ndim != 2:
-        raise DimensionMismatch("gradient set must be a K x P matrix")
-    if g.shape[0] == 0:
+def _gram_matrix(gram) -> np.ndarray:
+    m = np.ascontiguousarray(gram, dtype=np.float64)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DimensionMismatch(f"Gram matrix must be K x K, got shape {m.shape}")
+    if m.shape[0] == 0:
         raise EmptyGradientSet("gradient set has zero teachers")
-    return g
+    return m
 
 
 @dataclass
@@ -97,31 +97,28 @@ def _label_sims(u: np.ndarray, rows: np.ndarray) -> np.ndarray:
 @dataclass
 class FrankWolfeResult:
     weights: np.ndarray        # simplex point over teachers
-    direction: np.ndarray      # d = sum_k alpha_k g_k
     iterations: int
     gap: float                 # final <d, d - g_t>
     converged: bool
 
 
-def frank_wolfe_min_norm(grads, max_iter: int = 2000, tol: float = 1e-10) -> FrankWolfeResult:
-    """Frank-Wolfe for the simplex-constrained min-norm point.
+def frank_wolfe_min_norm(gram, max_iter: int = 2000, tol: float = 1e-10) -> FrankWolfeResult:
+    """Frank-Wolfe for the simplex-constrained min-norm point, on the Gram matrix.
 
     Starts uniform; each step picks the vertex t = argmin_k <g_k, d>
     (lowest index on ties) and line-searches along [d, g_t] with the
     closed-form two-point solution. Stops when the gap <d, d - g_t> drops
     to ``tol`` or the iteration budget runs out. Exact line search makes
-    the objective non-increasing. Raises ``NonFiniteInput`` when the
-    K x K Gram matrix is not finite: a non-finite gradient entry makes a
-    diagonal entry non-finite, and so do finite entries whose squares
-    overflow.
+    the objective non-increasing. Raises ``NonFiniteInput`` when the Gram
+    matrix is not finite: a non-finite gradient entry makes a diagonal
+    entry non-finite, and so do finite entries whose squares overflow.
     """
-    g = _grad_matrix(grads)
-    k = g.shape[0]
+    gram = _gram_matrix(gram)
+    k = gram.shape[0]
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    gram = g @ g.T
     if not np.isfinite(gram).all():
-        raise NonFiniteInput("gradients contain non-finite entries")
+        raise NonFiniteInput("Gram matrix contains non-finite entries")
     alpha = np.full(k, 1.0 / k)
 
     iterations = 0
@@ -136,8 +133,7 @@ def frank_wolfe_min_norm(grads, max_iter: int = 2000, tol: float = 1e-10) -> Fra
         if gap <= tol:
             converged = True
             break
-        # The closed-form min-norm point of the segment [d, g_t],
-        # evaluated on the Gram matrix.
+        # The closed-form min-norm point of the segment [d, g_t].
         denom = obj2 - 2.0 * ga_t + g_tt
         if denom < _TIE_EPS:
             gamma = 0.5
@@ -149,13 +145,7 @@ def frank_wolfe_min_norm(grads, max_iter: int = 2000, tol: float = 1e-10) -> Fra
         alpha[t] += 1.0 - gamma
         iterations += 1
 
-    return FrankWolfeResult(
-        weights=alpha,
-        direction=alpha @ g,
-        iterations=iterations,
-        gap=gap,
-        converged=converged,
-    )
+    return FrankWolfeResult(weights=alpha, iterations=iterations, gap=gap, converged=converged)
 
 
 @dataclass
@@ -166,28 +156,31 @@ class StationarityCertificate:
     d_norm: float
 
 
-def certify_pareto_stationarity(d, grads, tol: float) -> StationarityCertificate:
-    """Check the min-norm variational inequality <d, g_k> >= ||d||^2 - tol.
+def certify_pareto_stationarity(gram, alpha, tol: float) -> StationarityCertificate:
+    """Check the min-norm variational inequality <d, g_k> >= ||d||^2 - tol
+    at d = alpha @ g on the Gram matrix: slacks (G alpha)_k - alpha^T G alpha,
+    ||d|| = sqrt(alpha^T G alpha).
 
     A vanishing d means no common descent direction exists and is reported
-    as stationary (and passing) regardless of the slacks. The gradients
-    are the matrix ``frank_wolfe_min_norm`` already checked, so they are
-    not checked for finiteness again; a NaN slack fails the certificate.
+    as stationary (and passing) regardless of the slacks. Near d = 0,
+    ||d|| read from G is off by the order of sqrt(eps) * max_k ||g_k||, eps
+    the float64 epsilon (a negative alpha^T G alpha reads as 0), so
+    ``stationary`` needs a ``tol`` well above that. The Gram matrix is the
+    one ``frank_wolfe_min_norm`` already checked, so it is not checked for
+    finiteness again; a NaN slack fails.
     """
-    dv = as_vector(d, "d")
-    g = _grad_matrix(grads)
-    if g.shape[1] != dv.size:
-        raise DimensionMismatch("direction length does not match gradients")
-    d_norm_sq = float(dv @ dv)
-    slacks = g @ dv - d_norm_sq
-    d_norm = math.sqrt(d_norm_sq)
+    gram = _gram_matrix(gram)
+    a = as_vector(alpha, "alpha")
+    if a.size != gram.shape[0]:
+        raise DimensionMismatch("weights do not match the Gram matrix")
+    ga = gram @ a
+    d_norm_sq = float(a @ ga)
+    slacks = ga - d_norm_sq
+    d_norm = math.sqrt(max(d_norm_sq, 0.0))
     stationary = d_norm <= tol
     passed = stationary or bool((slacks >= -tol).all())
     return StationarityCertificate(
-        passed=passed,
-        stationary=stationary,
-        slacks=slacks,
-        d_norm=d_norm,
+        passed=passed, stationary=stationary, slacks=slacks, d_norm=d_norm
     )
 
 

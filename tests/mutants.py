@@ -105,6 +105,19 @@ MUTANTS = (
         ("tests/test_cli.py::TestRun::test_dsw_run_reports_unconverged_batches",),
     ),
     Mutant(
+        "certificate-slack-sign-flipped", "weighting.py",
+        "slacks = ga - d_norm_sq", "slacks = d_norm_sq - ga",
+        ("tests/test_weighting.py::TestCertify",),
+    ),
+    Mutant(
+        "dsw-gram-of-image-columns", "trainer.py",
+        "gram = grads @ grads.T",
+        "n_img = sum(a[0].size for a in kl_img.weights + kl_img.biases);"
+        " gram = grads[:, :n_img] @ grads[:, :n_img].T",
+        ("tests/test_step_oracle.py::test_first_step_gradient_is_the_objectives",),
+        "Frank-Wolfe weighs the teachers by their image-encoder gradients alone",
+    ),
+    Mutant(
         "dsw-certificate-tolerance", "weighting.py",
         "DSW_CERT_TOL = 1e-6", "DSW_CERT_TOL = -1.0",
         ("tests/test_trainer.py::TestDistill::test_dsw_records_valid_certified_weights",),

@@ -5,7 +5,8 @@ differences for gradients and direct elementwise arithmetic for values,
 so they share no code with the implementations they verify. The reference
 implementations below them are what the tests compare the library
 against: the closed-form two-teacher min-norm point, the exhaustive
-simplex-grid min-norm search, a scalar KL divergence, the
+simplex-grid min-norm search, the stationarity certificate computed in
+parameter space, a scalar KL divergence, the
 probability-matrix invariants, the cross-entropy logit gradient, a
 per-array Adam update, a fresh Adam state and zero gradients for the
 public ``adam_step``, a parameter fingerprint, the mixup soft-label
@@ -15,6 +16,7 @@ them, so they live here, not in ``kdlab``.
 """
 
 import hashlib
+import math
 from itertools import combinations
 
 import numpy as np
@@ -22,6 +24,7 @@ import numpy as np
 from kdlab.encoder import AdamState, EncoderGrads
 from kdlab.errors import DimensionMismatch, EmptyGradientSet, NotADistribution, ShapeMismatch
 from kdlab.numerics import as_matrix, as_vector
+from kdlab.weighting import StationarityCertificate
 
 FD_STEP = 1e-5
 REL_FLOOR = 1e-3
@@ -124,6 +127,23 @@ def brute_force_min_norm(grads, grid_step: float) -> tuple[np.ndarray, float]:
     objectives = 0.5 * np.einsum("ij,jk,ik->i", lattice, gram, lattice)
     best = int(np.argmin(objectives))
     return lattice[best].copy(), float(objectives[best])
+
+
+def certify_in_parameter_space(d, grads, tol: float) -> StationarityCertificate:
+    """The stationarity certificate in parameter space, from the direction
+    ``d`` and the K x P gradients themselves: slacks <d, g_k> - ||d||^2 and
+    ||d|| from d's own entries, with the library's meaning of ``passed``
+    and ``stationary``. The reference for the Gram-matrix certificate."""
+    dv = as_vector(d, "d")
+    g = np.asarray(grads, dtype=np.float64)
+    if g.ndim != 2 or g.shape[1] != dv.size:
+        raise DimensionMismatch("direction length does not match gradients")
+    d_norm_sq = float(dv @ dv)
+    slacks = g @ dv - d_norm_sq
+    d_norm = math.sqrt(d_norm_sq)
+    stationary = d_norm <= tol
+    passed = stationary or bool((slacks >= -tol).all())
+    return StationarityCertificate(passed, stationary, slacks, d_norm)
 
 
 ROW_SUM_TOL = 1e-9

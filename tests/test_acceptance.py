@@ -53,9 +53,10 @@ def test_01_min_norm_two_teachers_exact():
     for _ in range(100):
         dim = int(rng.integers(2, 51))
         g = rng.normal(size=(2, dim))
-        res = wt.frank_wolfe_min_norm(g)
+        res = wt.frank_wolfe_min_norm(g @ g.T)
         _, d = min_norm_2(g[0], g[1])
-        fw_obj = 0.5 * float(res.direction @ res.direction)
+        d_fw = res.weights @ g
+        fw_obj = 0.5 * float(d_fw @ d_fw)
         worst = max(worst, abs(fw_obj - 0.5 * float(d @ d)))
     elapsed = time.perf_counter() - t0
     assert worst <= 1e-10
@@ -71,9 +72,10 @@ def test_02_min_norm_vs_brute_force():
         for _ in range(25):
             dim = int(rng.integers(4, 11))
             g = rng.normal(size=(k, dim)) / np.sqrt(dim)
-            res = wt.frank_wolfe_min_norm(g, max_iter=20000, tol=1e-12)
+            res = wt.frank_wolfe_min_norm(g @ g.T, max_iter=20000, tol=1e-12)
             _, obj = brute_force_min_norm(g, 0.01)
-            fw_obj = 0.5 * float(res.direction @ res.direction)
+            d_fw = res.weights @ g
+            fw_obj = 0.5 * float(d_fw @ d_fw)
             worst = max(worst, abs(obj - fw_obj))
     elapsed = time.perf_counter() - t0
     assert worst <= 1e-3
@@ -88,8 +90,8 @@ def test_03_pareto_common_descent_certificate():
     for _ in range(200):
         k = int(rng.integers(1, 6))
         g = rng.normal(size=(k, 20))
-        res = wt.frank_wolfe_min_norm(g)
-        d = res.direction
+        res = wt.frank_wolfe_min_norm(g @ g.T)
+        d = res.weights @ g
         norm_sq = float(d @ d)
         if res.converged and np.sqrt(norm_sq) > 1e-8:
             checked += 1
@@ -252,7 +254,8 @@ def test_06_distribution_invariants_bulk():
         produced += 1
     for _ in range(500):
         k = int(rng.integers(1, 5))
-        res = wt.frank_wolfe_min_norm(rng.normal(size=(k, 6)), max_iter=50)
+        g = rng.normal(size=(k, 6))
+        res = wt.frank_wolfe_min_norm(g @ g.T, max_iter=50)
         distill.check_simplex(res.weights)
         produced += 1
     assert produced == 10_000

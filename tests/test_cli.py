@@ -557,6 +557,25 @@ class TestRun:
             assert (info["pareto_certified"], info["fw_unconverged_batches"]) == (False, 6)
             assert fw_iters == [weighting.DSW_MAX_ITER] * 2
 
+    @pytest.mark.parametrize("source", ["--output-dir", "manifest"])
+    @pytest.mark.parametrize("under", [(), ("sub",)], ids=["file", "under-file"])
+    def test_output_dir_that_cannot_be_created_is_a_data_error(
+        self, tmp_path, capsys, source, under
+    ):
+        blocker = tmp_path / "taken"
+        blocker.write_text("not a directory")
+        out = blocker.joinpath(*under)
+        p = tmp_path / "m.json"
+        if source == "manifest":
+            write_manifest(p, output_dir=str(out))
+            argv = ["run", str(p)]
+        else:
+            write_manifest(p)
+            argv = ["run", str(p), "--output-dir", str(out)]
+        assert cli.main(argv) == 3
+        assert f"cannot create output directory {out}: " in capsys.readouterr().err
+        assert blocker.read_text() == "not a directory"
+
     def test_idempotent_byte_identical(self, tmp_path):
         p = tmp_path / "m.json"
         write_manifest(p)
